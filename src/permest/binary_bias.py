@@ -7,11 +7,19 @@ character sum collapses to Pr_f[p_a(f) = 0] where p_a(x) = XOR_i a_i x^i is
 a nonzero polynomial of degree < n, so the bias is at most (n-1)/2^m <= eps
 while the seed is only 2m bits.
 
-The audit computes every character sum exactly by histogramming the support
-over the 2^n cells and applying a Walsh-Hadamard transform.
+The seed -> cell map is vectorized: a block of f values is raised to the
+powers f^0..f^(n-1) together (uint32 shift/xor carry-less multiplication),
+and bit i of every seed in the block is ``bitwise_count(r & f^i) & 1``. The
+support histogram over the 2^n cells, which groups equal sample points for
+the estimator and feeds the audit's Walsh-Hadamard transform, is one
+``bincount`` per block of about 2^20 seeds; it costs about 2^(2m) * n word
+operations and is capped at n <= 24. ``generator`` is the same map applied
+to a batch of one seed.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -56,9 +64,15 @@ IRREDUCIBLE = {
 }
 MAX_FIELD_BITS = max(IRREDUCIBLE)
 
+# seeds per block of the vectorized seed -> cell map
+_SEED_CHUNK = 1 << 20
+
 
 def gf2_mul(x: int, y: int, m: int) -> int:
-    """Carry-less product of x and y reduced modulo the degree-m polynomial."""
+    """Carry-less product of x and y reduced modulo the degree-m polynomial.
+
+    The scalar reference for ``_gf2_mul_batch``, which the seed map uses.
+    """
     poly = IRREDUCIBLE[m]
     r = 0
     while y:
@@ -71,13 +85,14 @@ def gf2_mul(x: int, y: int, m: int) -> int:
     return r
 
 
-def _parity_u32(v: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each element of a uint32 array."""
-    v = v.copy()
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    return (np.uint32(0x6996) >> (v & np.uint32(0xF))) & np.uint32(1)
+def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarray:
+    """Elementwise ``gf2_mul`` of broadcastable uint32 arrays of field elements."""
+    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint32)
+    for j in range(m):
+        acc ^= x * ((y >> j) & 1)
+        x = x << 1
+        x ^= poly * (x >> m)  # x < 2^(m+1), so x >> m is the overflow bit
+    return acc
 
 
 def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
@@ -126,6 +141,28 @@ class SampleSpace:
             return 0.0
         return (self.n - 1) / (1 << self.field_bits)
 
+    def _phase_bits(self, f: np.ndarray, r: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield bit i of every seed (f, r) in the block f x r, for i < n.
+
+        ``f`` and ``r`` are 1-D uint32 arrays of field elements; each
+        yielded array has shape (len(f), len(r)) and holds parity(r & f^i).
+        """
+        # powers[:, i] = f^i by doubling: one product gives f^(L..L+k-1)
+        # from f^(0..k-1) and f^L, and also f^(2L) for the next round
+        n = self.n
+        powers = np.ones((f.shape[0], n), dtype=np.uint32)
+        step = f[:, None]
+        length = 1
+        while length < n:
+            k = min(length, n - length)
+            both = np.concatenate((powers[:, :k], step), axis=1)
+            prod = _gf2_mul_batch(both, step, self.field_bits, self.poly)
+            powers[:, length : length + k] = prod[:, :k]
+            step = prod[:, k:]
+            length += k
+        for i in range(n):
+            yield np.bitwise_count(r & powers[:, i, None]) & 1
+
     def generator(self, seed: int) -> PhaseVector:
         if not (0 <= seed < self.seed_count):
             raise ValueError(f"seed must lie in [0, {self.seed_count})")
@@ -133,14 +170,9 @@ class SampleSpace:
             phases = tuple((seed >> i) & 1 for i in range(self.n))
         else:
             m = self.field_bits
-            r = seed & ((1 << m) - 1)
-            f = seed >> m
-            phases = []
-            power = 1
-            for _ in range(self.n):
-                phases.append(int(r & power).bit_count() & 1)
-                power = gf2_mul(power, f, m)
-            phases = tuple(phases)
+            f = np.array([seed >> m], dtype=np.uint32)
+            r = np.array([seed & ((1 << m) - 1)], dtype=np.uint32)
+            phases = tuple(int(bits[0, 0]) for bits in self._phase_bits(f, r))
         return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:
@@ -152,16 +184,18 @@ class SampleSpace:
         if self.exhaustive:
             hist = np.full(1 << self.n, 1.0 / (1 << self.n))
         else:
-            m = self.field_bits
+            # a block is `rows` f values times every r value: _SEED_CHUNK
+            # seeds, or 2^m when that is larger
+            size = 1 << self.field_bits
+            rows = max(1, _SEED_CHUNK // size)
+            field = np.arange(size, dtype=np.uint32)
             counts = np.zeros(1 << self.n, dtype=np.int64)
-            r = np.arange(1 << m, dtype=np.uint32)
-            for f in range(1 << m):
-                power = 1
-                masks = np.zeros(1 << m, dtype=np.uint32)
-                for i in range(self.n):
-                    masks |= _parity_u32(r & np.uint32(power)) << np.uint32(i)
-                    power = gf2_mul(power, f, m)
-                counts += np.bincount(masks, minlength=1 << self.n)
+            for lo in range(0, size, rows):
+                f = field[lo : lo + rows]
+                cells = np.zeros((f.shape[0], size), dtype=np.uint32)
+                for i, bits in enumerate(self._phase_bits(f, field)):
+                    cells |= bits.astype(np.uint32) << i
+                counts += np.bincount(cells.ravel(), minlength=1 << self.n)
             hist = counts / float(self.seed_count)
         self._hist = hist
         return hist
@@ -232,10 +266,20 @@ def space_from_descriptor(text: str) -> SampleSpace:
         eps = float(fields["eps"])
     except (KeyError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor fields in {text!r}: {exc}") from None
+    if n < 1:
+        raise DescriptorError(f"descriptor needs n >= 1, got n={n}")
     if fields.get("mode") == "exhaustive":
         return exhaustive_binary_space(n)
     if m not in IRREDUCIBLE:
         raise DescriptorError(f"unsupported field size m={m}")
     if "poly" in fields and int(fields["poly"], 16) != IRREDUCIBLE[m]:
         raise DescriptorError("descriptor polynomial does not match the table")
-    return SampleSpace(n, m, eps)
+    space = SampleSpace(n, m, eps)
+    # the declared eps becomes the reported guarantee, so it may not claim
+    # less bias than the powering argument certifies (NaN fails too)
+    if not eps >= space.construction_bound:
+        raise DescriptorError(
+            f"declared eps={eps:.17g} is below the certified bias bound "
+            f"(n-1)/2^m = {space.construction_bound:.17g}"
+        )
+    return space

@@ -291,6 +291,14 @@ def _require_nonnegative(a: np.ndarray, what: str) -> None:
         )
 
 
+def _blockwise(evaluate, cells: np.ndarray) -> np.ndarray:
+    """evaluate(cells) computed in _CHUNK-row blocks, bounding temporaries."""
+    vals = np.empty(cells.shape[0], dtype=np.complex128)
+    for lo in range(0, cells.shape[0], _CHUNK):
+        vals[lo : lo + _CHUNK] = evaluate(cells[lo : lo + _CHUNK])
+    return vals
+
+
 def _space_mode(space) -> str:
     return "exhaustive" if space.exhaustive else "derandomized"
 
@@ -311,8 +319,10 @@ def estimate_derandomized(a, space) -> Estimate:
             f"need a binary space over {n} coordinates, got moduli {space.moduli}"
         )
     cells, probs = space.support_cells()
-    signs = 1.0 - 2.0 * cells.astype(np.float64)
-    value = complex(probs @ gly_batch(a, signs))
+    vals = _blockwise(
+        lambda block: gly_batch(a, 1.0 - 2.0 * block.astype(np.float64)), cells
+    )
+    value = complex(probs @ vals)
     bound = spectral_norm(a).value ** n
     return Estimate(
         value, bound, space.declared_epsilon, space.seed_count, _space_mode(space)
@@ -326,7 +336,7 @@ def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
     if tuple(space.moduli) != moduli:
         raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
     cells, probs = space.support_cells()
-    value = complex(probs @ gengly_batch(spec, cells))
+    value = complex(probs @ _blockwise(lambda block: gengly_batch(spec, block), cells))
     return Estimate(
         value,
         multi_bound_term(spec),

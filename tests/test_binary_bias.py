@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from permest import binary_bias, estimators
 from permest.binary_bias import (
     IRREDUCIBLE,
     SampleSpace,
@@ -12,8 +13,9 @@ from permest.binary_bias import (
     space_from_descriptor,
 )
 from permest.errors import CapacityError, DescriptorError
+from permest.estimators import estimate_derandomized, gly
 
-from oracles import binary_bias_brute
+from oracles import binary_bias_brute, random_nonneg, space_mean_by_seed_loop
 
 
 def _poly_divides(p, q):
@@ -47,6 +49,20 @@ class TestFieldTable:
         for x in range(1, 1 << m):
             images = {gf2_mul(x, y, m) for y in range(1 << m)}
             assert len(images) == 1 << m  # multiplication by x permutes the field
+
+
+def _histogram_by_seed_loop(space):
+    """Cell probabilities from every seed, bits by scalar gf2_mul powering."""
+    m = space.field_bits
+    counts = np.zeros(1 << space.n, dtype=np.int64)
+    for seed in range(space.seed_count):
+        r, f = seed & ((1 << m) - 1), seed >> m
+        power, cell = 1, 0
+        for i in range(space.n):
+            cell |= (bin(r & power).count("1") & 1) << i
+            power = gf2_mul(power, f, m)
+        counts[cell] += 1
+    return counts / space.seed_count
 
 
 class TestWalsh:
@@ -148,6 +164,39 @@ class TestGenerator:
         assert space.generator(0b1010).phases == (0, 1, 0, 1)
 
 
+class TestChunkedHistogram:
+    # 64 seeds is below 2^m = 128 at m = 7, so a block is one f value; 100
+    # and 1000 leave a short last block of f values
+    CHUNKS = (1 << 6, 100, 1000)
+
+    @pytest.mark.parametrize(
+        "n, eps",
+        [(10, 0.1), (2, 0.1), (1, 0.1)],  # m = 7; n < m; n = 1
+    )
+    def test_matches_seed_loop_across_chunk_sizes(self, monkeypatch, n, eps):
+        expected = _histogram_by_seed_loop(build_binary_space(n, eps))
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(binary_bias, "_SEED_CHUNK", chunk)
+            hist = build_binary_space(n, eps).support_histogram()
+            assert np.array_equal(hist, expected), chunk
+
+    def test_estimate_matches_seed_loop_with_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 1 << 6)
+        monkeypatch.setattr(estimators, "_CHUNK", 3)  # 4 cells: blocks of 3 and 1
+        a = random_nonneg(np.random.default_rng(21), 2)
+        space = build_binary_space(2, 0.1)
+        est = estimate_derandomized(a, space)
+        brute = space_mean_by_seed_loop(space, lambda x: gly(a, x))
+        assert est.value == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+    def test_estimate_blocks_do_not_change_value(self, monkeypatch):
+        a = random_nonneg(np.random.default_rng(22), 10)
+        space = build_binary_space(10, 0.1)
+        whole = estimate_derandomized(a, space).value
+        monkeypatch.setattr(estimators, "_CHUNK", 7)
+        assert estimate_derandomized(a, space).value == whole
+
+
 class TestMeasureBias:
     def test_uniform_is_zero(self):
         assert measure_bias(exhaustive_binary_space(6)) <= 1e-12
@@ -184,6 +233,35 @@ class TestDescriptor:
         space = exhaustive_binary_space(6)
         again = space_from_descriptor(space.descriptor())
         assert again.exhaustive and again.n == 6
+
+    def test_built_descriptors_round_trip(self):
+        for n in (1, 2, 5, 8, 12, 20, 40):
+            for eps in (0.5, 0.25, 0.1, 0.02):
+                space = build_binary_space(n, eps)
+                again = space_from_descriptor(space.descriptor())
+                assert again.descriptor() == space.descriptor()
+                assert again.declared_epsilon == space.declared_epsilon
+
+    def test_rejects_eps_below_construction_bound(self):
+        # m=1 certifies only (4-1)/2 = 1.5; eps=0.0001 would be reported as
+        # a guarantee the space does not give
+        with pytest.raises(DescriptorError):
+            space_from_descriptor("binary n=4 m=1 eps=0.0001")
+        with pytest.raises(DescriptorError):
+            space_from_descriptor("binary n=4 m=3 poly=0xb eps=0.37")
+        with pytest.raises(DescriptorError):
+            space_from_descriptor("binary n=4 m=3 poly=0xb eps=nan")
+        at_bound = space_from_descriptor("binary n=4 m=3 poly=0xb eps=0.375")
+        assert at_bound.construction_bound == 0.375
+
+    def test_rejects_n_below_one(self):
+        for text in (
+            "binary n=0 m=3 eps=0.5",
+            "binary n=-2 m=3 eps=0.5",
+            "binary n=0 m=0 poly=0x0 eps=0 mode=exhaustive",
+        ):
+            with pytest.raises(DescriptorError):
+                space_from_descriptor(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(DescriptorError):

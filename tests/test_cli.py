@@ -174,6 +174,20 @@ class TestEstimate:
         assert code == 0
         assert "samples=64" in out
 
+    def test_descriptor_eps_below_certified_bound_exit_2(self, capsys, tmp_path):
+        # m=1 certifies bias (4-1)/2^1 only; the declared eps must not become
+        # the reported guarantee
+        rng = np.random.default_rng(8)
+        path = write_matrix(tmp_path, "u4.txt", random_nonneg(rng, 4))
+        code, out, err = run(
+            capsys,
+            "estimate", "--matrix", path, "--epsilon", "0.5", "--mode",
+            "derandomized", "--space", "binary n=4 m=1 eps=0.0001", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "certified" in err
+
 
 class TestBound:
     def test_plain_norm_power(self, capsys, tmp_path):
