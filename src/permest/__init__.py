@@ -1,6 +1,6 @@
 """Additive-error permanent estimation.
 
-Exact Gray-code kernels, Glynn-type estimators over signs and roots of
+Exact O(2^n n) permanent kernels, Glynn-type estimators over signs and roots of
 unity, randomized sampling with explicit Hoeffding sample counts,
 derandomization through small-bias sample spaces (binary and complex), and
 a linear-optics layer mapping interferometer outcomes onto permanents.

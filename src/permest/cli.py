@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/usage error, 3 size or capacity limit,
-4 domain error. Deterministic commands write byte-identical stdout across
-runs; wall-clock timing goes to stderr.
+Exit codes: 0 success, 2 parse/usage error, 3 size or capacity limit
+(including a result that overflows double precision), 4 domain error.
+Deterministic commands write byte-identical stdout across runs; wall-clock
+timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -115,10 +116,17 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
     if args.space:
         kind = args.space.split()[0] if args.space.split() else ""
         if kind == "binary":
-            return binary_bias.space_from_descriptor(args.space)
-        if kind == "complex":
-            return complex_bias.complex_space_from_descriptor(args.space)
-        raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+            space = binary_bias.space_from_descriptor(args.space)
+        elif kind == "complex":
+            space = complex_bias.complex_space_from_descriptor(args.space)
+        else:
+            raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+        if args.epsilon is not None and args.epsilon != space.declared_epsilon:
+            raise DescriptorError(
+                f"--epsilon {args.epsilon} differs from the descriptor's "
+                f"eps={space.declared_epsilon}"
+            )
+        return space
     if mults is None:
         return binary_bias.build_binary_space(n, args.epsilon)
     return complex_bias.build_complex_space(
@@ -127,6 +135,8 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
 
 
 def _cmd_estimate(args) -> int:
+    if args.epsilon is None and not (args.mode == "derandomized" and args.space):
+        raise ValueError("estimate needs --epsilon unless a derandomized --space is given")
     a = _load_matrix(args.matrix)
     mults = _parse_counts(args.mult, "--mult") if args.mult else None
     spec = MultiplicitySpec(a, mults) if mults else None
@@ -326,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="additive-error permanent estimate")
     p.add_argument("--matrix", required=True)
     p.add_argument("--mult")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument(
+        "--epsilon", type=float, help="optional in derandomized mode with --space"
+    )
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument(
         "--mode", choices=("random", "derandomized", "exhaustive"), default="random"
@@ -396,6 +408,9 @@ def main(argv=None) -> int:
         return 2
     except (SizeLimitError, CapacityError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,26 @@
 """Exact permanent computation.
 
 ``permanent_naive`` is the permutation-sum reference (factorial time, the
-ground truth every other routine is tested against). ``permanent_ryser`` and
-``permanent_glynn_exact`` run in O(2^n n) using binary-reflected Gray-code
-enumeration: the low coordinates are handled by a precomputed block table,
-the high coordinates by a Gray sweep whose single flip per step updates the
-row-sum vector in O(n). The alternating outer sum is cancellation-heavy, so
-cross-block accumulation is Kahan-compensated (within a block numpy's
-pairwise summation is at least as accurate).
+ground truth every other routine is tested against). Ryser, Glynn and
+gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
+weighted sum, over a product grid of per-column values, of the product of
+the row sums at each grid point. The leading columns form a cache-resident
+table of at most 2^block_bits row-sum vectors; an outer loop over the other
+columns shifts it by their row sums and multiplies its n rows. Real input
+runs in float64, complex input in complex128. The outer sum is
+Kahan-compensated against Ryser's cancellation.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .estimators import enumerate_phase_space, gengly_batch, phase_space_size
+from .estimators import gengly_scale, phase_space_size, roots_of_unity
 from .matrices import MultiplicitySpec, as_matrix
 
 __all__ = [
@@ -34,22 +37,25 @@ NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
 PHASE_SPACE_LIMIT = 1 << 24
 
-_BLOCK_BITS = 16
+# a 2^14 complex128 table row is 256 KiB, well inside L2
+_BLOCK_BITS = 14
+
+_SIGNS = np.array([1.0, -1.0])
 
 
-def _square(a) -> np.ndarray:
+def _square(a, limit: int, name: str) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
+    if a.shape[0] > limit:
+        raise SizeLimitError(f"{name} is capped at n <= {limit}")
     return a
 
 
 def permanent_naive(a) -> complex:
     """Sum over all n! permutations of products of matched entries."""
-    a = _square(a)
+    a = _square(a, NAIVE_LIMIT, "permanent_naive")
     n = a.shape[0]
-    if n > NAIVE_LIMIT:
-        raise SizeLimitError(f"permanent_naive is capped at n <= {NAIVE_LIMIT}")
     rows = [[complex(v) for v in row] for row in a]
     total = 0j
     for perm in itertools.permutations(range(n)):
@@ -60,57 +66,64 @@ def permanent_naive(a) -> complex:
     return total
 
 
-def _ctz(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 class _Kahan:
     __slots__ = ("total", "comp")
 
     def __init__(self):
-        self.total = 0j
-        self.comp = 0j
+        # float until a complex term arrives, so real sums stay real
+        self.total = 0.0
+        self.comp = 0.0
 
-    def add(self, term: complex) -> None:
+    def add(self, term) -> None:
         y = term - self.comp
         t = self.total + y
         self.comp = (t - self.total) - y
         self.total = t
 
 
+def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
+    """sum_e prod_j weights[j][e_j] * prod_i sum_j values[j][e_j] * a[i, j].
+
+    A float when every input is real. Raises OverflowError when the total is
+    not finite, which only overflow can cause (``as_matrix`` rejects
+    non-finite input).
+    """
+    if not any(np.any(np.imag(x)) for x in (a, *values, *weights)):
+        a, values, weights = a.real, [v.real for v in values], [w.real for w in weights]
+    n, k = a.shape
+    table = np.zeros((n, 1), dtype=a.dtype)
+    table_w = np.ones(1, dtype=a.dtype)
+    low = 0
+    while low < k and table_w.size * values[low].size <= 1 << block_bits:
+        table = (table[:, :, None] + a[:, low, None, None] * values[low]).reshape(n, -1)
+        table_w = np.outer(table_w, weights[low]).ravel()
+        low += 1
+    high = [list(zip(v.tolist(), w.tolist())) for v, w in zip(values[low:], weights[low:])]
+    out = np.empty(table_w.size, dtype=a.dtype)
+    tmp = np.empty_like(out)
+    acc = _Kahan()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for point in itertools.product(*high):
+            base = a[:, low:] @ np.array([v for v, _ in point], dtype=a.dtype)
+            np.add(table[0], base[0], out=out)
+            for i in range(1, n):
+                np.add(table[i], base[i], out=tmp)
+                out *= tmp
+            acc.add(math.prod(w for _, w in point) * (table_w @ out).item())
+    if not cmath.isfinite(acc.total):
+        raise OverflowError("the permanent sum is not finite in double precision")
+    return acc.total
+
+
 def permanent_ryser(a, block_bits: int = _BLOCK_BITS) -> complex:
-    """Ryser's inclusion-exclusion over column subsets in Gray-code order.
+    """Ryser's inclusion-exclusion over column subsets.
 
     Per(A) = (-1)^n sum_{S subseteq [n]} (-1)^{|S|} prod_i sum_{j in S} a_ij.
     """
-    a = _square(a)
+    a = _square(a, GRAY_LIMIT, "permanent_ryser")
     n = a.shape[0]
-    if n > GRAY_LIMIT:
-        raise SizeLimitError(f"permanent_ryser is capped at n <= {GRAY_LIMIT}")
-    low = min(n, block_bits)
-    high = n - low
-    t = np.arange(1 << low, dtype=np.int64)
-    bits = ((t[:, None] >> np.arange(low)) & 1).astype(np.float64)
-    low_parity = 1.0 - 2.0 * (np.bitwise_count(t) & 1).astype(np.float64)
-    low_sums = bits @ a[:, :low].T  # (2^low, n)
-    base = np.zeros(n, dtype=np.complex128)
-    member = np.zeros(high, dtype=np.int64)
-    high_parity = 1.0
-    acc = _Kahan()
-    for step in range(1 << high):
-        vals = np.prod(low_sums + base[None, :], axis=1)
-        acc.add(high_parity * complex(low_parity @ vals))
-        nxt = step + 1
-        if nxt < (1 << high):
-            j = _ctz(nxt)
-            if member[j]:
-                member[j] = 0
-                base = base - a[:, low + j]
-            else:
-                member[j] = 1
-                base = base + a[:, low + j]
-            high_parity = -high_parity
-    return ((-1) ** n) * acc.total
+    total = _grid_sum(a, [np.array([0.0, 1.0])] * n, [_SIGNS] * n, block_bits)
+    return complex((-1) ** n * total)
 
 
 def permanent_glynn_exact(a, block_bits: int = _BLOCK_BITS) -> complex:
@@ -120,36 +133,15 @@ def permanent_glynn_exact(a, block_bits: int = _BLOCK_BITS) -> complex:
     coordinate is fixed to +1 and the average runs over the remaining
     2^(n-1) vectors.
     """
-    a = _square(a)
+    a = _square(a, GRAY_LIMIT, "permanent_glynn_exact")
     n = a.shape[0]
-    if n > GRAY_LIMIT:
-        raise SizeLimitError(f"permanent_glynn_exact is capped at n <= {GRAY_LIMIT}")
-    if n == 1:
-        return complex(a[0, 0])
-    free = n - 1
-    low = min(free, block_bits)
-    high = free - low
-    t = np.arange(1 << low, dtype=np.int64)
-    low_signs = (1.0 - 2.0 * ((t[:, None] >> np.arange(low)) & 1)).astype(np.float64)
-    low_parity = np.prod(low_signs, axis=1)
-    low_sums = low_signs @ a[:, 1 : 1 + low].T  # (2^low, n)
-    base = a[:, 0] + a[:, 1 + low :].sum(axis=1)
-    high_sign = np.ones(high, dtype=np.float64)
-    high_parity = 1.0
-    acc = _Kahan()
-    for step in range(1 << high):
-        vals = np.prod(low_sums + base[None, :], axis=1)
-        acc.add(high_parity * complex(low_parity @ vals))
-        nxt = step + 1
-        if nxt < (1 << high):
-            j = _ctz(nxt)
-            high_sign[j] = -high_sign[j]
-            base = base + 2.0 * high_sign[j] * a[:, 1 + low + j]
-            high_parity = -high_parity
-    return acc.total / (1 << (n - 1))
+    signs = [np.ones(1)] + [_SIGNS] * (n - 1)
+    return complex(_grid_sum(a, signs, signs, block_bits) / (1 << (n - 1)))
 
 
-def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
+def permanent_gengly_exact(
+    spec: MultiplicitySpec, block_bits: int = _BLOCK_BITS
+) -> complex:
     """Exact average of the generalized estimator over the whole phase grid.
 
     Equals the permanent of the expanded matrix.
@@ -160,7 +152,11 @@ def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
         raise SizeLimitError(
             f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}"
         )
-    acc = _Kahan()
-    for block in enumerate_phase_space(moduli):
-        acc.add(complex(np.sum(gengly_batch(spec, block))))
-    return acc.total / size
+    values, weights = [], []
+    for s in spec.mults:
+        roots = roots_of_unity(s + 1)
+        values.append(math.sqrt(s) * roots)
+        # z^s by index arithmetic keeps small moduli exact
+        weights.append(np.conj(roots[(np.arange(s + 1) * s) % (s + 1)]))
+    total = _grid_sum(spec.base, values, weights, block_bits)
+    return complex(total * gengly_scale(spec.mults) / size)

@@ -188,6 +188,61 @@ class TestEstimate:
         assert out == ""
         assert "certified" in err
 
+    def test_space_descriptor_supplies_epsilon(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        path = write_matrix(tmp_path, "n4.txt", random_nonneg(rng, 4))
+        code, out, _ = run(
+            capsys,
+            "estimate", "--matrix", path, "--mode", "derandomized",
+            "--space", "binary n=4 m=3 poly=0xb eps=0.5",
+        )
+        assert code == 0
+        assert "epsilon=0.5" in out
+
+    def test_epsilon_contradicting_descriptor_exit_2(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "n4.txt", np.ones((4, 4)))
+        code, out, err = run(
+            capsys,
+            "estimate", "--matrix", path, "--epsilon", "0.5", "--mode",
+            "derandomized", "--space", "binary n=4 m=3 poly=0xb eps=0.75",
+        )
+        assert code == 2
+        assert out == ""
+        assert "eps=0.75" in err
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive", "derandomized"])
+    def test_missing_epsilon_without_space_exit_2(self, capsys, tmp_path, mode):
+        path = write_matrix(tmp_path, "n4.txt", np.ones((4, 4)))
+        code, out, err = run(capsys, "estimate", "--matrix", path, "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert "--epsilon" in err
+
+
+class TestOverflow:
+    """Results beyond double range exit 3 with an error line, never nan or a
+    traceback: 12! * (12e30)^12 overflows every kernel and bound."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        return write_matrix(tmp_path, "huge.txt", np.full((12, 12), 1e30))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "--method", "glynn"),
+            ("exact", "--method", "ryser"),
+            ("estimate", "--epsilon", "0.5"),
+            ("estimate", "--epsilon", "0.5", "--mode", "exhaustive"),
+            ("bound",),
+        ],
+    )
+    def test_overflow_exit_3(self, capsys, huge, argv):
+        code, out, err = run(capsys, *argv, "--matrix", huge)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: overflow")
+
 
 class TestBound:
     def test_plain_norm_power(self, capsys, tmp_path):

@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permest.errors import SizeLimitError
 from permest.exact import (
@@ -177,3 +182,98 @@ class TestCrossMethodProperties:
         assert rel_close(permanent_naive(scaled), ref)
         assert rel_close(permanent_ryser(scaled), ref)
         assert rel_close(permanent_glynn_exact(scaled), ref)
+
+
+# Property tests over all three kernels, every table split (block_bits 0 puts
+# every column in the outer loop, 14 every column of n <= 7 in the table) and
+# both dtype paths. Matrices come from a drawn seed so that every example is
+# well scaled; derandomize keeps the examples fixed from run to run.
+KERNELS = (permanent_ryser, permanent_glynn_exact)
+property_settings = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.uniform(-1.0, 1.0, (n, n))
+    return random_complex(rng, n)
+
+
+block_bits = st.sampled_from((0, 1, 3, 14))
+
+
+def agree(x, y, a):
+    """1e-9 relative, with a rounding-level floor scaled by prod_i sum_j |a_ij|,
+    the largest a term of either formula can be."""
+    scale = float(np.prod(np.abs(a).sum(axis=1)))
+    return abs(x - y) <= 1e-9 * max(abs(x), abs(y)) + 1e-12 * scale
+
+
+class TestKernelProperties:
+    @property_settings
+    @given(square_matrices(), block_bits)
+    def test_ryser_and_glynn_match_naive(self, a, bits):
+        ref = permanent_naive(a)
+        for kernel in KERNELS:
+            assert agree(kernel(a, block_bits=bits), ref, a)
+
+    @property_settings
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), block_bits)
+    def test_gengly_matches_naive_on_expansion(self, n, seed, real, bits):
+        rng = np.random.default_rng(seed)
+        mults = random_mults(rng, n)
+        k = len(mults)
+        b = rng.uniform(-1.0, 1.0, (n, k)) if real else random_complex(rng, n, k)
+        spec = MultiplicitySpec(b, mults)
+        a = expand(spec)
+        assert agree(permanent_gengly_exact(spec, block_bits=bits), permanent_naive(a), a)
+
+    @property_settings
+    @given(
+        square_matrices(),
+        block_bits,
+        st.floats(-10.0, 10.0).filter(lambda x: abs(x) >= 0.1),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_scaling(self, a, bits, size, angle):
+        n = a.shape[0]
+        c = size * cmath.exp(1j * angle) if np.iscomplexobj(a) else size
+        for kernel in KERNELS:
+            scaled = kernel(c * a, block_bits=bits)
+            assert agree(scaled, c**n * kernel(a, block_bits=bits), abs(c) * a)
+
+    @property_settings
+    @given(square_matrices(), block_bits)
+    def test_transpose(self, a, bits):
+        for kernel in KERNELS:
+            assert agree(kernel(a.T, block_bits=bits), kernel(a, block_bits=bits), a)
+
+    @property_settings
+    @given(square_matrices(), block_bits, st.randoms(use_true_random=False))
+    def test_row_and_column_permutations(self, a, bits, rnd):
+        n = a.shape[0]
+        rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+        for kernel in KERNELS:
+            got = kernel(a[rows][:, cols], block_bits=bits)
+            assert agree(got, kernel(a, block_bits=bits), a)
+
+    @property_settings
+    @given(square_matrices(), block_bits)
+    def test_real_input_has_exactly_zero_imaginary_part(self, a, bits):
+        a = a.real
+        spec = MultiplicitySpec(a, (1,) * a.shape[0])
+        for value in (
+            permanent_ryser(a, block_bits=bits),
+            permanent_glynn_exact(a, block_bits=bits),
+            permanent_gengly_exact(spec, block_bits=bits),
+        ):
+            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+
+    @property_settings
+    @given(square_matrices(), block_bits)
+    def test_gengly_with_unit_mults_is_glynn(self, a, bits):
+        spec = MultiplicitySpec(a, (1,) * a.shape[0])
+        got = permanent_gengly_exact(spec, block_bits=bits)
+        assert agree(got, permanent_glynn_exact(a, block_bits=bits), a)
