@@ -135,8 +135,13 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
 
 
 def _cmd_estimate(args) -> int:
-    if args.epsilon is None and not (args.mode == "derandomized" and args.space):
-        raise ValueError("estimate needs --epsilon unless a derandomized --space is given")
+    if args.epsilon is None and (
+        args.mode == "random" or (args.mode == "derandomized" and not args.space)
+    ):
+        raise ValueError(
+            "estimate needs --epsilon in random mode and in derandomized mode "
+            "without --space"
+        )
     a = _load_matrix(args.matrix)
     mults = _parse_counts(args.mult, "--mult") if args.mult else None
     spec = MultiplicitySpec(a, mults) if mults else None
@@ -337,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--mult")
     p.add_argument(
-        "--epsilon", type=float, help="optional in derandomized mode with --space"
+        "--epsilon",
+        type=float,
+        help="ignored in exhaustive mode; optional in derandomized mode with --space",
     )
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument(

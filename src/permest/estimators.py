@@ -10,6 +10,18 @@ magnitude to ``s_1! ... s_k! / sqrt(s_1^s_1 ... s_k^s_k) * |B|^n``.
 Averaging comes in three modes: ``random`` (independent uniform samples with
 a Hoeffding-derived sample count), ``derandomized`` (full enumeration of a
 small-bias sample space's seeds), and ``exhaustive`` (the full phase space).
+
+``gly_batch`` and ``gengly_batch`` are thin wrappers over one kernel,
+``_rowsum_products(x, at, weight)``: weight[m] * prod_i (x @ at)[m, i] for
+every row m of x. It works in blocks of ``_BLOCK`` = 2^12 rows, so a block's
+row sums (1.9 MiB at n=30 in complex128) stay in a 2 MiB L2: one matmul per
+block, then the column product as n in-place passes into one preallocated
+complex128 output. dtype dispatch: gly on a real matrix runs in float64
+throughout; gly on a complex matrix is one real matmul of the float signs
+against the (re, im)-interleaved float64 view of a.T, read back as complex;
+gengly builds its complex y in (k, M) layout with one gather per coordinate
+from a sqrt(s)*roots table. The sign product x_1...x_n comes from the sign
+sum, and the gengly phase factor from index arithmetic, as the weight.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# estimator kernel rows per block: a (2^12, 30) complex128 block is 1.9 MiB
+_BLOCK = 1 << 12
 
 # exact values where the roots are representable without rounding
 _EXACT_ROOTS = {
@@ -143,15 +157,46 @@ def gly(a, x: PhaseVector) -> complex:
         raise ValueError("matrix must be square")
     if len(x.phases) != n or any(m != 2 for m in x.moduli):
         raise ValueError("need a binary phase vector of length n")
-    signs = 1.0 - 2.0 * np.array(x.phases, dtype=np.float64)
-    return complex(np.prod(signs) * np.prod(a @ signs))
+    signs = 1.0 - 2.0 * np.array([x.phases], dtype=np.float64)
+    return complex(gly_batch(a, signs)[0])
+
+
+def _rowsum_products(x: np.ndarray, at: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """weight[m] * prod_i (x @ at)[m, i] for every row m of x, as complex128.
+
+    Runs in blocks of ``_BLOCK`` rows, so each block's row sums stay in L2:
+    one matmul, then the column product as in-place passes. Real x against
+    complex at is one real matmul on at's interleaved (re, im) pairs, viewed
+    back as complex; real x against real at stays float64 throughout.
+    """
+    split = x.dtype == np.float64 and at.dtype == np.complex128
+    if split:
+        at = np.ascontiguousarray(at).view(np.float64)
+    out = np.empty(x.shape[0], dtype=np.complex128)
+    for lo in range(0, x.shape[0], _BLOCK):
+        rows = x[lo : lo + _BLOCK] @ at
+        if split:
+            rows = rows.view(np.complex128)
+        prod = rows[:, 0].copy()
+        for i in range(1, rows.shape[1]):
+            prod *= rows[:, i]
+        prod *= weight[lo : lo + _BLOCK]
+        out[lo : lo + _BLOCK] = prod
+    return out
 
 
 def gly_batch(a, signs: np.ndarray) -> np.ndarray:
     """Vectorized ``gly`` over rows of a (M, n) matrix of +-1 signs."""
-    a = np.asarray(a, dtype=np.complex128)
-    rowsums = signs @ a.T
-    return np.prod(signs, axis=1) * np.prod(rowsums, axis=1)
+    a = np.asarray(a)
+    signs = np.asarray(signs, dtype=np.float64)
+    n = signs.shape[1]
+    if np.iscomplexobj(a) and a.imag.any():
+        at = a.T.astype(np.complex128)
+    else:
+        at = a.T.real.astype(np.float64)
+    # prod_j x_j from the sign sum: (n - sum_j x_j) / 2 of the x_j are -1
+    parity = 1.0 - 2.0 * (((n - signs @ np.ones(n)) / 2.0) % 2.0)
+    return _rowsum_products(signs, at, parity)
 
 
 def _log_gengly_scale(mults: Sequence[int]) -> float:
@@ -179,17 +224,16 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.int64)
     if phases.ndim != 2 or phases.shape[1] != k:
         raise ValueError(f"phase array must be (M, {k})")
-    m_vals = np.empty((phases.shape[0], k), dtype=np.complex128)
-    pow_vals = np.empty_like(m_vals)
+    cols = np.ascontiguousarray(phases.T)
+    y = np.empty((k, phases.shape[0]), dtype=np.complex128)
+    pow_prod = np.ones(phases.shape[0], dtype=np.complex128)
     for i, s in enumerate(mults):
         roots = roots_of_unity(s + 1)
-        m_vals[:, i] = roots[phases[:, i]]
+        np.take(math.sqrt(s) * roots, cols[i], out=y[i])
         # z_i^{s_i} by index arithmetic keeps small moduli exact
-        pow_vals[:, i] = roots[(phases[:, i] * s) % (s + 1)]
-    y = np.sqrt(np.array(mults, dtype=np.float64)) * m_vals
-    rowsums = y @ spec.base.T
-    conj_pow = np.conj(np.prod(pow_vals, axis=1))
-    return gengly_scale(mults) * conj_pow * np.prod(rowsums, axis=1)
+        pow_prod *= roots[(cols[i] * s) % (s + 1)]
+    weight = gengly_scale(mults) * np.conj(pow_prod)
+    return _rowsum_products(y.T, spec.base.T, weight)
 
 
 def phase_space_size(moduli: Sequence[int]) -> int:
@@ -241,16 +285,16 @@ def estimate_random(
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
     _check_params(epsilon, delta)
+    # an overflowing bound raises here, before any sample can overflow
+    bound = spectral_norm(a).value ** n
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
     total = 0j
-    done = 0
-    while done < m:
-        c = min(_CHUNK, m - done)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(c, n)).astype(np.float64)
+    for done in range(0, m, _CHUNK):
+        signs = rng.integers(0, 2, size=(min(_CHUNK, m - done), n)).astype(np.float64)
+        signs *= -2.0
+        signs += 1.0
         total += complex(np.sum(gly_batch(a, signs)))
-        done += c
-    bound = spectral_norm(a).value ** n
     return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
@@ -267,19 +311,17 @@ def estimate_random_multi(
 ) -> Estimate:
     """Mean of uniform roots-of-unity samples of ``gengly``."""
     _check_params(epsilon, delta)
+    bound = multi_bound_term(spec)
     moduli = [s + 1 for s in spec.mults]
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
     total = 0j
-    done = 0
-    while done < m:
+    # the per-column draws depend on the chunk size: keep _CHUNK for sampling
+    for done in range(0, m, _CHUNK):
         c = min(_CHUNK, m - done)
         phases = np.column_stack([rng.integers(0, mod, size=c) for mod in moduli])
         total += complex(np.sum(gengly_batch(spec, phases)))
-        done += c
-    return Estimate(
-        total / m, multi_bound_term(spec), epsilon, m, "random", confidence=1.0 - delta
-    )
+    return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
 def _require_nonnegative(a: np.ndarray, what: str) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,13 +211,29 @@ class TestEstimate:
         assert out == ""
         assert "eps=0.75" in err
 
-    @pytest.mark.parametrize("mode", ["random", "exhaustive", "derandomized"])
+    @pytest.mark.parametrize("mode", ["random", "derandomized"])
     def test_missing_epsilon_without_space_exit_2(self, capsys, tmp_path, mode):
         path = write_matrix(tmp_path, "n4.txt", np.ones((4, 4)))
         code, out, err = run(capsys, "estimate", "--matrix", path, "--mode", mode)
         assert code == 2
         assert out == ""
         assert "--epsilon" in err
+
+    @pytest.mark.parametrize("mult", [None, "2,1,1"])
+    def test_exhaustive_needs_no_epsilon(self, capsys, tmp_path, mult):
+        rng = np.random.default_rng(9)
+        k = 4 if mult is None else 3
+        path = write_matrix(tmp_path, "n4.txt", random_nonneg(rng, 4, k))
+        argv = ["estimate", "--matrix", path, "--mode", "exhaustive"]
+        if mult is not None:
+            argv += ["--mult", mult]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "epsilon=0\n" in out
+        # a given --epsilon is still accepted and ignored
+        code, out_eps, _ = run(capsys, *argv, "--epsilon", "0.3")
+        assert code == 0
+        assert out_eps == out
 
 
 class TestOverflow:
@@ -235,13 +252,20 @@ class TestOverflow:
             ("estimate", "--epsilon", "0.5"),
             ("estimate", "--epsilon", "0.5", "--mode", "exhaustive"),
             ("bound",),
+            ("estimate", "--epsilon", "0.5", "--mult", ",".join(["1"] * 12)),
         ],
     )
     def test_overflow_exit_3(self, capsys, huge, argv):
-        code, out, err = run(capsys, *argv, "--matrix", huge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--matrix", huge)
         assert code == 3
         assert out == ""
         assert err.splitlines()[-1].startswith("error: overflow")
+        if argv[0] == "estimate":
+            # the bound term raises before any sample can overflow
+            assert [str(w.message) for w in caught] == []
+            assert len(err.splitlines()) == 1
 
 
 class TestBound:

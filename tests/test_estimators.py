@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permest import estimators
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
 from permest.complex_bias import exhaustive_complex_space
 from permest.errors import DomainError
@@ -15,6 +19,7 @@ from permest.estimators import (
     estimate_random_multi,
     gengly,
     gengly_batch,
+    gengly_scale,
     gly,
     gly_batch,
     permanent_upper_bound,
@@ -153,6 +158,113 @@ class TestGenGly:
             assert abs(gengly(spec, x)) <= bound * (1 + 1e-9)
 
 
+# Property tests of the shared batch kernel: every example is checked row by
+# row against the plain-loop oracles, with the kernel's block size drawn from
+# 1, 3, 7 (ragged last blocks) and the default. Matrices come from a drawn
+# seed; derandomize keeps the examples fixed from run to run.
+property_settings = settings(derandomize=True, max_examples=100, deadline=None)
+block_sizes = st.sampled_from((1, 3, 7, estimators._BLOCK))
+
+
+def row_close(got, ref, scale):
+    """1e-12 relative to the row's largest possible magnitude ``scale``."""
+    return abs(got - ref) <= 1e-12 * scale
+
+
+@st.composite
+def gly_inputs(draw, max_n=7, max_rows=40):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+    else:
+        a = random_complex(rng, n)
+    rows = draw(st.integers(1, max_rows))
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, n)).astype(np.float64)
+    return a, signs
+
+
+@st.composite
+def gengly_inputs(draw, max_n=7, max_rows=40):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mults = random_mults(rng, n)
+    k = len(mults)
+    if draw(st.booleans()):
+        base = rng.uniform(-1.0, 1.0, (n, k))
+    else:
+        base = random_complex(rng, n, k)
+    rows = draw(st.integers(1, max_rows))
+    phases = np.column_stack([rng.integers(0, s + 1, size=rows) for s in mults])
+    return MultiplicitySpec(base, mults), phases
+
+
+def gengly_row_scale(spec):
+    """|gengly| <= gengly_scale * prod_i sum_j |b_ij| sqrt(s_j)."""
+    root = np.sqrt(np.array(spec.mults, dtype=np.float64))
+    return gengly_scale(spec.mults) * float(np.prod(np.abs(spec.base) @ root))
+
+
+class TestKernelProperties:
+    @property_settings
+    @given(gly_inputs(), block_sizes)
+    def test_gly_batch_matches_plain(self, inputs, block):
+        a, signs = inputs
+        with mock.patch.object(estimators, "_BLOCK", block):
+            vals = gly_batch(a, signs)
+        scale = float(np.prod(np.abs(a).sum(axis=1)))
+        assert vals.shape == (signs.shape[0],) and vals.dtype == np.complex128
+        for row, v in zip(signs, vals):
+            assert row_close(v, gly_plain(a, row), scale)
+
+    @property_settings
+    @given(gengly_inputs(), block_sizes)
+    def test_gengly_batch_matches_plain(self, inputs, block):
+        spec, phases = inputs
+        with mock.patch.object(estimators, "_BLOCK", block):
+            vals = gengly_batch(spec, phases)
+        scale = gengly_row_scale(spec)
+        assert vals.shape == (phases.shape[0],) and vals.dtype == np.complex128
+        for row, v in zip(phases, vals):
+            assert row_close(v, gengly_plain(spec, row), scale)
+
+    @property_settings
+    @given(gly_inputs(), block_sizes)
+    def test_real_input_has_exactly_zero_imaginary_part(self, inputs, block):
+        a, signs = inputs
+        with mock.patch.object(estimators, "_BLOCK", block):
+            for matrix in (a.real, a.real.astype(np.complex128)):
+                vals = gly_batch(matrix, signs)
+                assert np.all(vals.imag == 0.0)
+                assert not np.any(np.signbit(vals.imag))
+
+    @property_settings
+    @given(gly_inputs(), block_sizes)
+    def test_gly_batch_bounded_by_norm_power(self, inputs, block):
+        a, signs = inputs
+        with mock.patch.object(estimators, "_BLOCK", block):
+            vals = gly_batch(a, signs)
+        bound = spectral_norm(a).value ** a.shape[0]
+        assert np.all(np.abs(vals) <= bound * (1 + 1e-9))
+
+    def test_default_block_with_ragged_tail(self):
+        # more than two default blocks, the last one partial
+        rng = np.random.default_rng(23)
+        rows = 2 * estimators._BLOCK + 5
+        a = random_complex(rng, 3)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, 3)).astype(np.float64)
+        vals = gly_batch(a, signs)
+        scale = float(np.prod(np.abs(a).sum(axis=1)))
+        for row, v in zip(signs, vals):
+            assert row_close(v, gly_plain(a, row), scale)
+        spec = MultiplicitySpec(random_complex(rng, 3, 2), (2, 1))
+        phases = np.column_stack([rng.integers(0, m, size=rows) for m in (3, 2)])
+        vals = gengly_batch(spec, phases)
+        scale = gengly_row_scale(spec)
+        for row, v in zip(phases, vals):
+            assert row_close(v, gengly_plain(spec, row), scale)
+
+
 class TestSampleCount:
     def test_formula(self):
         for eps, delta in [(0.05, 0.01), (0.1, 0.05), (0.3, 0.2)]:
@@ -237,6 +349,47 @@ class TestEstimateRandomMulti:
         exact = permanent_gengly_exact(spec)
         est = estimate_random_multi(spec, 0.1, 0.01, rng_seed=11)
         assert abs(est.value - exact) <= est.guarantee().additive_error_bound
+
+
+class TestSampleStream:
+    """The samples a seed draws are pinned: n=3, eps=0.015 takes more than
+    one 2^16-sample chunk. Equal sample rows are grouped before the oracle
+    runs, which leaves the mean unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_random_is_mean_over_one_binary_draw(self, seed, real):
+        rng = np.random.default_rng(30 + seed)
+        a = rng.uniform(-1.0, 1.0, (3, 3)) if real else random_complex(rng, 3)
+        est = estimate_random(a, 0.015, 0.01, rng_seed=seed)
+        m = sample_count(0.015, 0.01)
+        assert est.samples_used == m > (1 << 16)
+        bits = np.random.default_rng(seed).integers(0, 2, size=(m, 3))
+        cells, counts = np.unique(bits, axis=0, return_counts=True)
+        ref = sum(
+            c * gly_plain(a, 1.0 - 2.0 * cell) for cell, c in zip(cells, counts)
+        ) / m
+        assert abs(est.value - ref) <= 1e-12 * est.bound_term
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_random_multi_is_mean_over_chunked_column_draws(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        spec = MultiplicitySpec(random_complex(rng, 3, 2), (2, 1))
+        est = estimate_random_multi(spec, 0.015, 0.01, rng_seed=seed)
+        m = sample_count(0.015, 0.01)
+        assert est.samples_used == m > (1 << 16)
+        draw = np.random.default_rng(seed)
+        phases = np.concatenate(
+            [
+                np.column_stack([draw.integers(0, mod, size=c) for mod in (3, 2)])
+                for c in [min(1 << 16, m - lo) for lo in range(0, m, 1 << 16)]
+            ]
+        )
+        cells, counts = np.unique(phases, axis=0, return_counts=True)
+        ref = sum(
+            c * gengly_plain(spec, cell) for cell, c in zip(cells, counts)
+        ) / m
+        assert abs(est.value - ref) <= 1e-12 * est.bound_term
 
 
 class TestEstimateDerandomized:
