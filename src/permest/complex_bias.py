@@ -18,11 +18,12 @@ Pipeline, bottom to top:
 * ``build_complex_space``: combines L amplified exponent tuples with L
   selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise.
 
-Every guarantee is re-checked by exhaustive audit (``strong_fraction``,
-``measure_complex_bias``); construction parameters at full theoretical
-strength exceed the enumerability cap by design, so certified spaces are
-either the exhaustive fallback or explicitly sized small assemblies whose
-audit passes.
+Every guarantee is re-checked by exhaustive audit, in exact integer counts.
+``measure_complex_bias`` reads a support histogram that enumerates each walk
+once and builds its 2^L selector sums by doubling; ``strong_fraction`` tests
+each grid cell once, weighted by the generator's cached per-cell seed counts.
+Full theoretical strength exceeds the enumerability cap by design, so
+certified spaces are the exhaustive fallback or explicitly sized assemblies.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DescriptorError, DomainError
-from .estimators import PhaseVector, enumerate_phase_space, phase_space_size
+from .estimators import PhaseVector, phase_space_size
 
 __all__ = [
     "AmplifierParams",
@@ -85,6 +86,8 @@ FALLBACK_LIMIT = 1 << 20
 AUDIT_SUPPORT_LIMIT = 1 << 24
 AUDIT_OP_LIMIT = 1 << 32
 TABLE_LIMIT = 1 << 26
+# seeds per block of the constructed-space histogram (walks x selector patterns)
+_SEED_BLOCK = 1 << 18
 
 # mirrors the binary-module table; only tiny degrees are needed here
 _GF_POLY = {1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43}
@@ -163,24 +166,18 @@ class CwiseGenerator:
 
 
 def cwise_batch(gen: CwiseGenerator, seeds: np.ndarray) -> np.ndarray:
-    """Vectorized tuple generation; seeds are base-p coefficient encodings."""
+    """Vectorized tuple generation; seeds are base-p coefficient encodings.
+
+    The base-p digits of every seed meet one (ncoeffs, k) table of i^j mod p
+    in a single product, so f_i = sum_j c_j i^j mod p, reduced mod m_i.
+    """
     seeds = np.asarray(seeds, dtype=np.int64)
-    if np.any(seeds < 0) or np.any(seeds >= gen.seed_count):
+    if seeds.size and (seeds.min() < 0 or seeds.max() >= gen.seed_count):
         raise ValueError(f"seeds must lie in [0, {gen.seed_count})")
     p = gen.prime
-    coeffs = []
-    t = seeds.copy()
-    for _ in range(gen.ncoeffs):
-        coeffs.append(t % p)
-        t //= p
-    k = len(gen.moduli)
-    out = np.empty((seeds.shape[0], k), dtype=np.int64)
-    for i in range(k):
-        acc = np.zeros_like(seeds)
-        for c in reversed(coeffs):
-            acc = (acc * i + c) % p
-        out[:, i] = acc % gen.moduli[i]
-    return out
+    digits = (seeds[:, None] // p ** np.arange(gen.ncoeffs, dtype=np.int64)) % p
+    powers = np.array([[pow(i, j, p) for i in range(len(gen.moduli))] for j in range(gen.ncoeffs)])
+    return (digits @ powers) % p % np.array(gen.moduli, dtype=np.int64)
 
 
 def cwise_tuple(gen: CwiseGenerator, seed: int) -> tuple[int, ...]:
@@ -237,8 +234,7 @@ class StrongProductGenerator:
             raise ValueError("moduli must all be >= 2")
         self.moduli = moduli
         self.params = params
-        k = len(moduli)
-        self.k = k
+        self.k = k = len(moduli)
         self.prime = choose_prime(k, moduli)
         # k <= c makes any-c-wise independence the same as full independence,
         # so k coefficients suffice and keep the seed space enumerable
@@ -250,54 +246,72 @@ class StrongProductGenerator:
         self.n_v = 1 << (2 * self.gf_bits)
         self.n_b = 1 << (self.hmax + 1)
         self.seed_count = self.n_u * self.n_v * self.n_b
-        self._tables = [_gf_const_table(self.gf_bits, i) for i in range(k)]
+        self._tables = np.array([_gf_const_table(self.gf_bits, i) for i in range(k)])
+        # exponents lie in [0, m_i); int8 would wrap them above 127
+        self.dtype = np.int8 if max(moduli) <= 128 else np.int32
         self._exponents: np.ndarray | None = None
+        self._cell_counts: np.ndarray | None = None
+
+    def _level_counts(self, rest: np.ndarray) -> np.ndarray:
+        """(N, k) number of levels h whose mixing bit is set and whose
+        sparsifier keeps coordinate i, for rest = seed // n_u."""
+        v_seed = rest % self.n_v
+        b_bits = rest // self.n_v
+        # v_i = alpha + beta * i over GF(2^B), one hash shared by every level h
+        alpha = v_seed & ((1 << self.gf_bits) - 1)
+        v = alpha[:, None] ^ self._tables[:, v_seed >> self.gf_bits].T
+        levels = np.zeros(v.shape, dtype=np.int64)
+        for h in range(self.hmax + 1):
+            bh = ((b_bits >> h) & 1)[:, None]
+            levels += bh if h <= 1 else bh * (v < (1 << (self.gf_bits - (h - 1))))
+        return levels
 
     def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.int64)
-        if np.any(seeds < 0) or np.any(seeds >= self.seed_count):
+        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.seed_count):
             raise ValueError(f"seeds must lie in [0, {self.seed_count})")
-        k = self.k
-        u_seed = seeds % self.n_u
-        rest = seeds // self.n_u
-        v_seed = rest % self.n_v
-        b_bits = rest // self.n_v
-        # one shared draw backs every level h; the sparsifier bits only
+        # one shared c-wise draw backs every level h; the sparsifier bits only
         # zero coordinates, so reducing mod m_i up front is equivalent
-        u = cwise_batch(self.cwise, u_seed)
-        alpha = v_seed & ((1 << self.gf_bits) - 1)
-        beta = v_seed >> self.gf_bits
-        v = np.empty((seeds.shape[0], k), dtype=np.int64)
-        for i in range(k):
-            v[:, i] = alpha ^ self._tables[i][beta]
-        f = np.zeros((seeds.shape[0], k), dtype=np.int64)
-        for h in range(self.hmax + 1):
-            if h <= 1:
-                w = np.ones(v.shape, dtype=bool)
-            else:
-                w = v < (1 << (self.gf_bits - (h - 1)))
-            bh = ((b_bits >> h) & 1)[:, None]
-            f += bh * (u * w)
-        for i in range(k):
-            f[:, i] %= self.moduli[i]
-        return f.astype(np.int8)
+        u = cwise_batch(self.cwise, seeds % self.n_u)
+        f = u * self._level_counts(seeds // self.n_u) % np.array(self.moduli)
+        return f.astype(self.dtype)
 
     def sample(self, seed: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.sample_batch(np.array([seed]))[0])
 
     def exponent_table(self) -> np.ndarray:
-        """All seed outputs, (seed_count, k) int8, cached."""
+        """All seed outputs, (seed_count, k) of ``dtype``, cached.
+
+        Seeds run c-wise part fastest, so the table is the n_u c-wise tuples
+        times each setting of the hash and mixing bits, in blocks.
+        """
         if self._exponents is None:
             if self.seed_count > TABLE_LIMIT:
                 raise CapacityError(
                     f"{self.seed_count} seeds exceed the exponent-table cap"
                 )
+            u = cwise_batch(self.cwise, np.arange(self.n_u, dtype=np.int64))
+            rests = self.seed_count // self.n_u
+            block = max(1, (1 << 16) // self.n_u)
             chunks = []
-            for lo in range(0, self.seed_count, 1 << 20):
-                hi = min(lo + (1 << 20), self.seed_count)
-                chunks.append(self.sample_batch(np.arange(lo, hi, dtype=np.int64)))
+            for lo in range(0, rests, block):
+                levels = self._level_counts(np.arange(lo, min(lo + block, rests)))
+                f = levels[:, None, :] * u % np.array(self.moduli)
+                chunks.append(f.astype(self.dtype).reshape(-1, self.k))
             self._exponents = np.concatenate(chunks, axis=0)
         return self._exponents
+
+    def cell_counts(self) -> np.ndarray:
+        """Seeds per grid cell, int64 over the C-order cell index, cached."""
+        if self._cell_counts is None:
+            index = self.exponent_table().astype(np.int64) @ _radix(self.moduli)
+            self._cell_counts = np.bincount(index, minlength=math.prod(self.moduli))
+        return self._cell_counts
+
+
+def _radix(moduli) -> np.ndarray:
+    """Place values of the C-order (last coordinate fastest) grid index."""
+    return np.cumprod((1,) + tuple(moduli[:0:-1]), dtype=np.int64)[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -332,18 +346,15 @@ def strong_fraction(
     if not any(e % m for e, m in zip(entries, moduli)):
         raise ValueError("the zero exponent vector indexes the trivial character")
     gen = _strong_generator(moduli, params)
-    table = gen.exponent_table()
+    counts = gen.cell_counts()
+    cells = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1)
     lcm = math.lcm(*moduli)
     weights = [(e * (lcm // m)) % lcm for e, m in zip(entries, moduli)]
-    # phases stay tiny (< k * lcm * max modulus), so accumulate in int32
-    num = np.zeros(table.shape[0], dtype=np.int32)
-    for i, w in enumerate(weights):
-        if w:
-            num += table[:, i].astype(np.int32) * np.int32(w)
-    num %= lcm
+    # each grid cell is tested once and weighted by its seed count
+    num = sum(cells[i] * w for i, w in enumerate(weights)) % lcm
     a, b = theta_ratio
     strong = (b * num >= a * lcm) & (b * (lcm - num) >= a * lcm)
-    return float(np.mean(strong))
+    return float(counts[strong].sum() / gen.seed_count)
 
 
 @dataclass(frozen=True)
@@ -369,6 +380,14 @@ class AmplifierParams:
         return self.vertex_bits + 3 * (self.walk_length - 1)
 
 
+# the eight MGG neighbours: choices 0-3 move x to x + CX*y + DX, choices 4-7
+# move y to y + CY*x + DY (x +- 2y, x +- (2y + 1), and the same with x, y swapped)
+_STEP_CX = np.array([2, -2, 2, -2, 0, 0, 0, 0], dtype=np.int64)
+_STEP_DX = np.array([0, 0, 1, -1, 0, 0, 0, 0], dtype=np.int64)
+_STEP_CY = np.roll(_STEP_CX, 4)
+_STEP_DY = np.roll(_STEP_DX, 4)
+
+
 def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
     """Vectorized walks: (N,) seeds -> (N, walk_length) vertex indices."""
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -383,15 +402,9 @@ def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
     steps = seeds >> r
     for t in range(1, params.walk_length):
         c = (steps >> (3 * (t - 1))) & 7
-        nx = np.where(c == 0, x + 2 * y,
-             np.where(c == 1, x - 2 * y,
-             np.where(c == 2, x + 2 * y + 1,
-             np.where(c == 3, x - 2 * y - 1, x)))) & mask
-        ny = np.where(c == 4, y + 2 * x,
-             np.where(c == 5, y - 2 * x,
-             np.where(c == 6, y + 2 * x + 1,
-             np.where(c == 7, y - 2 * x - 1, y)))) & mask
-        x, y = nx, ny
+        nx = (x + _STEP_CX[c] * y + _STEP_DX[c]) & mask
+        y = (y + _STEP_CY[c] * x + _STEP_DY[c]) & mask  # the old x
+        x = nx
         out[:, t] = (x << half) | y
     return out
 
@@ -490,7 +503,9 @@ class ComplexSampleSpace:
             self.seed_bits = (self.seed_count - 1).bit_length()
         else:
             assert base is not None and amplifier is not None
-            self.ell = amplifier.walk_length * amplifier.group_size
+            if amplifier.group_size != 1:
+                raise ValueError("constructed spaces take one base seed per walk vertex")
+            self.ell = amplifier.walk_length
             self.seed_bits = amplifier.seed_bits + self.ell
             self.seed_count = 1 << self.seed_bits
         self._hist: np.ndarray | None = None
@@ -498,7 +513,6 @@ class ComplexSampleSpace:
     def generator(self, seed: int) -> PhaseVector:
         if not (0 <= seed < self.seed_count):
             raise ValueError(f"seed must lie in [0, {self.seed_count})")
-        k = len(self.moduli)
         if self.exhaustive:
             phases = []
             for m in reversed(self.moduli):
@@ -506,25 +520,22 @@ class ComplexSampleSpace:
                 seed //= m
             return PhaseVector(self.moduli, tuple(reversed(phases)))
         amp = self.amplifier
-        walk_seed = seed & ((1 << amp.seed_bits) - 1)
         d_bits = seed >> amp.seed_bits
-        r0 = _base_vertex_bits(self.base.seed_count) if amp.group_size > 1 else amp.vertex_bits
-        per_seed_mask = (1 << r0) - 1
-        total = [0] * k
-        j = 0
-        for vertex in amplify(amp, walk_seed):
-            for g in range(amp.group_size):
-                base_seed = ((vertex >> (g * r0)) & per_seed_mask) % self.base.seed_count
-                if (d_bits >> j) & 1:
-                    f = self.base.sample(base_seed)
-                    for i in range(k):
-                        total[i] += f[i]
-                j += 1
+        total = [0] * len(self.moduli)
+        for j, vertex in enumerate(amplify(amp, seed & ((1 << amp.seed_bits) - 1))):
+            if (d_bits >> j) & 1:
+                f = self.base.sample(vertex % self.base.seed_count)
+                total = [t + v for t, v in zip(total, f)]
         phases = tuple(t % m for t, m in zip(total, self.moduli))
         return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:
-        """Probability array over the grid, shape = moduli."""
+        """Probability array over the grid, shape = moduli.
+
+        Each walk is enumerated once; the sums of its ell base tuples over
+        all 2^ell selector patterns are built by doubling (the sums with
+        bit j set are the sums without it plus f^(j)).
+        """
         if self._hist is not None:
             return self._hist
         cells = phase_space_size(self.moduli)
@@ -536,25 +547,24 @@ class ComplexSampleSpace:
                     f"2^{self.seed_bits} seeds exceed the enumeration cap"
                 )
             amp = self.amplifier
-            assert amp.group_size == 1  # enumerable builds use singleton groups
-            table = self.base.exponent_table().astype(np.int64)
-            k = len(self.moduli)
+            # a coordinate sum of ell tuples stays below ell*(m_i - 1) + 1, so
+            # sums add as one index over those wider ranges, reduced mod m_i
+            # only when the counts are folded onto the grid
+            wide = tuple(self.ell * (m - 1) + 1 for m in self.moduli)
+            f_index = self.base.exponent_table().astype(np.int64) @ _radix(wide)
+            wide_counts = np.zeros(math.prod(wide), dtype=np.int64)
+            walks = 1 << amp.seed_bits
+            block = max(1, _SEED_BLOCK >> self.ell)
+            for lo in range(0, walks, block):
+                walk = np.arange(lo, min(lo + block, walks), dtype=np.int64)
+                f = f_index[walk_batch(amp, walk) % self.base.seed_count]  # (W, L)
+                sums = np.zeros((1 << self.ell, walk.shape[0]), dtype=np.int64)
+                for j in range(self.ell):
+                    np.add(sums[: 1 << j], f[:, j], out=sums[1 << j : 2 << j])
+                wide_counts += np.bincount(sums.ravel(), minlength=wide_counts.size)
+            wide_cells = np.indices(wide, dtype=np.int64).reshape(len(wide), -1).T
             counts = np.zeros(cells, dtype=np.int64)
-            radix = np.ones(k, dtype=np.int64)
-            for i in range(k - 2, -1, -1):
-                radix[i] = radix[i + 1] * self.moduli[i + 1]
-            mods = np.array(self.moduli, dtype=np.int64)
-            chunk = 1 << 18
-            for lo in range(0, self.seed_count, chunk):
-                hi = min(lo + chunk, self.seed_count)
-                s = np.arange(lo, hi, dtype=np.int64)
-                walk_seed = s & ((1 << amp.seed_bits) - 1)
-                d_bits = s >> amp.seed_bits
-                verts = walk_batch(amp, walk_seed) % self.base.seed_count
-                f = table[verts]  # (C, L, k)
-                sel = ((d_bits[:, None] >> np.arange(self.ell)) & 1)[:, :, None]
-                sums = (f * sel).sum(axis=1) % mods[None, :]
-                counts += np.bincount(sums @ radix, minlength=cells)
+            np.add.at(counts, wide_cells % self.moduli @ _radix(self.moduli), wide_counts)
             hist = (counts / float(self.seed_count)).reshape(self.moduli)
         self._hist = hist
         return hist
@@ -563,11 +573,7 @@ class ComplexSampleSpace:
         """Occupied grid cells as an (M, k) phase array plus probabilities."""
         hist = self.support_histogram().reshape(-1)
         idx = np.nonzero(hist)[0]
-        k = len(self.moduli)
-        radix = np.ones(k, dtype=np.int64)
-        for i in range(k - 2, -1, -1):
-            radix[i] = radix[i + 1] * self.moduli[i + 1]
-        cells = (idx[:, None] // radix[None, :]) % np.array(self.moduli, dtype=np.int64)
+        cells = (idx[:, None] // _radix(self.moduli)) % np.array(self.moduli, dtype=np.int64)
         return cells, hist[idx]
 
     def descriptor(self) -> str:
@@ -608,10 +614,10 @@ def build_complex_space(
 
     When the grid itself is enumerable the exhaustive (0-biased) space is
     returned; ``force_construction`` disables that fallback to exercise the
-    pipeline. The constructed path uses ``ell`` selector bits (defaulting to
-    the full-strength walk length, which exceeds the seed cap for every
-    practical epsilon) and certifies the requested bias by exhaustive audit
-    before returning.
+    pipeline. The constructed path uses ``ell`` selector bits and certifies
+    the requested bias by exhaustive audit before returning. Without ``ell``
+    it raises: the full-strength walk length needs at least 1,653 seed bits
+    for any grid and epsilon, far beyond what an audit can enumerate.
     """
     moduli = tuple(int(m) for m in moduli)
     if any(m < 2 for m in moduli):
@@ -620,27 +626,19 @@ def build_complex_space(
         raise ValueError("epsilon must lie in (0, 1)")
     if not force_construction and phase_space_size(moduli) <= FALLBACK_LIMIT:
         return exhaustive_complex_space(moduli)
-    gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
-    r0 = _base_vertex_bits(gen.seed_count)
     if ell is None:
-        bits = theory_seed_bits(moduli, epsilon)
-        if bits > max_seed_bits:
-            raise CapacityError(
-                f"full-strength construction needs {bits} seed bits "
-                f"(cap {max_seed_bits}); pass an explicit ell for a small "
-                "audited assembly"
-            )
-        groups = math.ceil(theory_ell(epsilon) / GROUP_SIZE)
-        amp = AmplifierParams(
-            GROUP_SIZE * r0 + (GROUP_SIZE * r0) % 2, groups, group_size=GROUP_SIZE
+        raise CapacityError(
+            f"full-strength construction needs {theory_seed_bits(moduli, epsilon)} "
+            f"seed bits (cap {max_seed_bits}); pass an explicit ell for a small "
+            "audited assembly"
         )
-    else:
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        amp = AmplifierParams(r0, ell, group_size=1)
-        bits = amp.seed_bits + ell
-        if bits > max_seed_bits:
-            raise CapacityError(f"ell={ell} needs {bits} seed bits (cap {max_seed_bits})")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+    amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
+    bits = amp.seed_bits + ell
+    if bits > max_seed_bits:
+        raise CapacityError(f"ell={ell} needs {bits} seed bits (cap {max_seed_bits})")
     space = ComplexSampleSpace(moduli, epsilon, exhaustive=False, base=gen, amplifier=amp)
     if space.seed_count > AUDIT_SUPPORT_LIMIT:
         raise CapacityError(

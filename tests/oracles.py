@@ -143,6 +143,77 @@ def complex_bias_brute(space) -> float:
     return worst
 
 
+def complex_histogram_by_seed(space) -> np.ndarray:
+    """Constructed-space histogram by enumerating every seed: each seed runs
+    its own walk and sums the base tuples its selector bits pick out.
+
+    Reuses the package's walk and exponent table (tested on their own) but
+    none of its per-walk doubling.
+    """
+    from permest.complex_bias import walk_batch
+
+    amp = space.amplifier
+    table = space.base.exponent_table().astype(np.int64)
+    k = len(space.moduli)
+    cells = math.prod(space.moduli)
+    counts = np.zeros(cells, dtype=np.int64)
+    radix = np.ones(k, dtype=np.int64)
+    for i in range(k - 2, -1, -1):
+        radix[i] = radix[i + 1] * space.moduli[i + 1]
+    mods = np.array(space.moduli, dtype=np.int64)
+    chunk = 1 << 18
+    for lo in range(0, space.seed_count, chunk):
+        hi = min(lo + chunk, space.seed_count)
+        s = np.arange(lo, hi, dtype=np.int64)
+        walk_seed = s & ((1 << amp.seed_bits) - 1)
+        d_bits = s >> amp.seed_bits
+        verts = walk_batch(amp, walk_seed) % space.base.seed_count
+        f = table[verts]  # (C, L, k)
+        sel = ((d_bits[:, None] >> np.arange(space.ell)) & 1)[:, :, None]
+        sums = (f * sel).sum(axis=1) % mods[None, :]
+        counts += np.bincount(sums @ radix, minlength=cells)
+    return (counts / float(space.seed_count)).reshape(space.moduli)
+
+
+def strong_fraction_by_seed(gen, exponent, theta_ratio=(1, 16)) -> float:
+    """Mean over every seed of the integer arc test on its character phase."""
+    table = gen.sample_batch(np.arange(gen.seed_count, dtype=np.int64)).astype(np.int64)
+    lcm = math.lcm(*gen.moduli)
+    weights = np.array([(e * (lcm // m)) % lcm for e, m in zip(exponent, gen.moduli)])
+    num = (table * weights).sum(axis=1) % lcm
+    a, b = theta_ratio
+    return float(np.mean((b * num >= a * lcm) & (b * (lcm - num) >= a * lcm)))
+
+
+def mgg_step(x, y, choice, size):
+    """One step of the 8-regular Margulis-Gabber-Galil walk on Z_size^2."""
+    moves = {
+        0: (x + 2 * y, y),
+        1: (x - 2 * y, y),
+        2: (x + 2 * y + 1, y),
+        3: (x - 2 * y - 1, y),
+        4: (x, y + 2 * x),
+        5: (x, y - 2 * x),
+        6: (x, y + 2 * x + 1),
+        7: (x, y - 2 * x - 1),
+    }
+    nx, ny = moves[choice]
+    return nx % size, ny % size
+
+
+def cwise_horner(gen, seed) -> tuple[int, ...]:
+    """The c-wise tuple of one seed: its base-p digits are the polynomial's
+    coefficients, evaluated at 0..k-1 by Horner's rule."""
+    coeffs = [(seed // gen.prime**j) % gen.prime for j in range(gen.ncoeffs)]
+    out = []
+    for point, m in enumerate(gen.moduli):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * point + c) % gen.prime
+        out.append(acc % m)
+    return tuple(out)
+
+
 def random_complex(rng, n, k=None):
     k = n if k is None else k
     return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / 2.0

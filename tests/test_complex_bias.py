@@ -7,6 +7,7 @@ import pytest
 
 from permest.complex_bias import (
     BETA,
+    DEFAULT_STRONG_PARAMS,
     GROUP_SIZE,
     P_FRACTION,
     Q_EXPONENT,
@@ -14,6 +15,7 @@ from permest.complex_bias import (
     ComplexSampleSpace,
     CwiseGenerator,
     ExponentVector,
+    StrongProductGenerator,
     StrongProductParams,
     amplify,
     build_complex_space,
@@ -30,10 +32,18 @@ from permest.complex_bias import (
     theta_strong,
     walk_batch,
     walk_failure_fraction,
+    _base_vertex_bits,
+    _strong_generator,
 )
 from permest.errors import CapacityError, DescriptorError, DomainError
 
-from oracles import complex_bias_brute
+from oracles import (
+    complex_bias_brute,
+    complex_histogram_by_seed,
+    cwise_horner,
+    mgg_step,
+    strong_fraction_by_seed,
+)
 
 
 class TestThetaStrong:
@@ -151,6 +161,30 @@ class TestCwise:
             assert counts[cell] == expected
 
 
+class TestCwiseBatch:
+    @pytest.mark.parametrize(
+        "prime, moduli, ncoeffs",
+        [(17, (5,), 1), (13, (7,), 7), (17, (2, 3, 4), 1), (11, (2, 3, 4, 5, 6), 7)],
+    )
+    def test_matches_horner_reference(self, prime, moduli, ncoeffs):
+        gen = CwiseGenerator(prime, moduli, ncoeffs)
+        rng = np.random.default_rng(ncoeffs)
+        seeds = np.concatenate(
+            ([0, gen.seed_count - 1], rng.integers(0, gen.seed_count, size=300))
+        )
+        got = cwise_batch(gen, seeds)
+        assert got.dtype == np.int64 and got.shape == (seeds.shape[0], len(moduli))
+        for seed, row in zip(seeds.tolist(), got.tolist()):
+            assert tuple(row) == cwise_horner(gen, seed)
+
+    def test_empty_batch_and_range(self):
+        gen = CwiseGenerator(11, (2, 3), 2)
+        assert cwise_batch(gen, np.array([], dtype=np.int64)).shape == (0, 2)
+        for bad in ([-1], [0, gen.seed_count]):
+            with pytest.raises(ValueError):
+                cwise_batch(gen, np.array(bad))
+
+
 class TestStrongProduct:
     def test_membership_probability_rule(self):
         params = StrongProductParams()
@@ -197,6 +231,29 @@ class TestStrongProduct:
             0.4852941176470588, abs=1e-12
         )
 
+    @pytest.mark.parametrize("moduli", [(3,), (4, 3), (2, 3, 2), (40, 2, 2), (200,)])
+    def test_exponent_table_matches_sample_batch(self, moduli):
+        # the table is built in blocks of hash/mixing settings; (40, 2, 2)
+        # has more c-wise seeds than one block holds, and exponents of
+        # (200,) do not fit in int8
+        gen = StrongProductGenerator(moduli)
+        table = gen.exponent_table()
+        assert table.shape == (gen.seed_count, len(moduli))
+        assert table.dtype == (np.int8 if max(moduli) <= 128 else np.int32)
+        assert table.min() >= 0 and np.all(table.max(axis=0) == np.array(moduli) - 1)
+        rng = np.random.default_rng(len(moduli))
+        seeds = np.concatenate(([0, gen.seed_count - 1], rng.integers(0, gen.seed_count, 5000)))
+        assert np.array_equal(gen.sample_batch(seeds), table[seeds])
+
+    @pytest.mark.parametrize("moduli", [(2, 3, 2), (4, 3), (3,)])
+    def test_cell_counts_match_per_seed_mean(self, moduli):
+        # the cached per-cell counts weight each grid cell's arc test; the
+        # result is the same float as the mean over every seed
+        gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+        for e in itertools.product(*(range(m) for m in moduli)):
+            if any(e):
+                assert strong_fraction(moduli, e) == strong_fraction_by_seed(gen, e)
+
     def test_mixing_bit_case_analysis(self):
         # lambda pi/4-strong: if the fixed cofactor is pi/8-strong, selecting
         # it off keeps the product strong; otherwise selecting lambda on
@@ -228,6 +285,31 @@ class TestAmplify:
         amp = AmplifierParams(6, 1)
         verts = walk_batch(amp, np.arange(64))
         assert sorted(verts[:, 0].tolist()) == list(range(64))
+
+    @pytest.mark.parametrize("vertex_bits", [2, 6])
+    def test_each_choice_matches_scalar_step_rule(self, vertex_bits):
+        # every vertex under every choice, so x +- 2y etc. wrap at the mask
+        half = vertex_bits // 2
+        size = 1 << half
+        amp = AmplifierParams(vertex_bits, 2)
+        vertices = np.arange(1 << vertex_bits, dtype=np.int64)
+        for c in range(8):
+            nxt = walk_batch(amp, vertices | (c << vertex_bits))[:, 1]
+            for v, w in zip(vertices.tolist(), nxt.tolist()):
+                x, y = mgg_step(v >> half, v & (size - 1), c, size)
+                assert w == (x << half) | y
+
+    def test_long_walk_matches_scalar_steps(self):
+        amp = AmplifierParams(6, 5)
+        rng = np.random.default_rng(11)
+        seeds = rng.integers(0, 1 << amp.seed_bits, size=200)
+        for seed, walk in zip(seeds.tolist(), walk_batch(amp, seeds).tolist()):
+            x, y = (seed >> 3) & 7, seed & 7
+            expected = [(x << 3) | y]
+            for t in range(1, amp.walk_length):
+                x, y = mgg_step(x, y, (seed >> (6 + 3 * (t - 1))) & 7, 8)
+                expected.append((x << 3) | y)
+            assert walk == expected
 
     def test_density_one_always_hits(self):
         amp = AmplifierParams(6, 4)
@@ -282,8 +364,16 @@ class TestBuild:
         assert measure_complex_bias(exhaustive_complex_space((3, 4, 2))) <= 1e-12
 
     def test_forced_without_ell_capacity_error(self):
-        with pytest.raises(CapacityError, match="seed bits"):
-            build_complex_space((2, 2), 0.25, force_construction=True)
+        # the full-strength plan is never enumerable, whatever the seed cap
+        for cap in ({}, {"max_seed_bits": 10**6}):
+            with pytest.raises(CapacityError, match="seed bits"):
+                build_complex_space((2, 2), 0.25, force_construction=True, **cap)
+
+    def test_grouped_amplifier_rejected(self):
+        gen = _strong_generator((2,), DEFAULT_STRONG_PARAMS)
+        amp = AmplifierParams(16, 2, group_size=2)
+        with pytest.raises(ValueError):
+            ComplexSampleSpace((2,), 0.9, exhaustive=False, base=gen, amplifier=amp)
 
     def test_forced_small_assembly_certified(self):
         space = build_complex_space((3,), 0.55, force_construction=True, ell=3)
@@ -361,6 +451,25 @@ class TestGeneratorConsistency:
             counts[x.phases[0]] += 1
         hist = space.support_histogram()
         assert np.allclose(counts / space.seed_count, hist, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "moduli, ell", [((3,), 1), ((3,), 2), ((3,), 3), ((4,), 2), ((2, 2), 1)]
+    )
+    @pytest.mark.parametrize("walks_per_block", [1, 3, None])
+    def test_histogram_matches_per_seed_enumeration(
+        self, monkeypatch, moduli, ell, walks_per_block
+    ):
+        # one or three walks per block put block edges (and, for three, a
+        # partial last block) between every few walks
+        if walks_per_block is not None:
+            monkeypatch.setattr(
+                "permest.complex_bias._SEED_BLOCK", walks_per_block << ell
+            )
+        # unaudited, assembled as build_complex_space assembles it
+        gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+        amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
+        space = ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
+        assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
 
     def test_exhaustive_generator_covers_grid(self):
         space = exhaustive_complex_space((2, 3))

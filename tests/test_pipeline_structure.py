@@ -8,10 +8,8 @@ import pytest
 from permest.binary_bias import build_binary_space, measure_bias
 from permest.complex_bias import (
     AmplifierParams,
-    ComplexSampleSpace,
     DEFAULT_STRONG_PARAMS,
     _gf_const_table,
-    _strong_generator,
     amplify,
     build_complex_space,
     strong_product_sample,
@@ -43,32 +41,6 @@ class TestGeneratorRecomposition:
                     total = [t + v for t, v in zip(total, f)]
             expected = tuple(t % m for t, m in zip(total, moduli))
             assert space.generator(seed).phases == expected
-
-    def test_group_size_two_layout(self):
-        # a grouped amplifier splits each walk vertex into two base seeds;
-        # the scalar generator must follow the documented bit layout
-        moduli = (2,)
-        gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
-        r0 = 8  # ceil(log2(136)) even-padded
-        amp = AmplifierParams(2 * r0, 2, group_size=2)
-        space = ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
-        assert space.ell == 4
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            seed = int(rng.integers(0, space.seed_count))
-            walk_seed = seed & ((1 << amp.seed_bits) - 1)
-            d_bits = seed >> amp.seed_bits
-            total = 0
-            j = 0
-            for vertex in amplify(amp, walk_seed):
-                for g in range(2):
-                    base_seed = ((vertex >> (g * r0)) & ((1 << r0) - 1)) % gen.seed_count
-                    if (d_bits >> j) & 1:
-                        total += strong_product_sample(
-                            DEFAULT_STRONG_PARAMS, moduli, base_seed
-                        )[0]
-                    j += 1
-            assert space.generator(seed).phases == (total % 2,)
 
     def test_binary_space_generator_matches_powering_definition(self):
         from permest.binary_bias import gf2_mul
