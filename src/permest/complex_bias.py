@@ -521,12 +521,12 @@ class ComplexSampleSpace:
             return PhaseVector(self.moduli, tuple(reversed(phases)))
         amp = self.amplifier
         d_bits = seed >> amp.seed_bits
-        total = [0] * len(self.moduli)
+        table = self.base.exponent_table()
+        total = np.zeros(len(self.moduli), dtype=np.int64)
         for j, vertex in enumerate(amplify(amp, seed & ((1 << amp.seed_bits) - 1))):
             if (d_bits >> j) & 1:
-                f = self.base.sample(vertex % self.base.seed_count)
-                total = [t + v for t, v in zip(total, f)]
-        phases = tuple(t % m for t, m in zip(total, self.moduli))
+                total += table[vertex % self.base.seed_count]
+        phases = tuple(int(t) % m for t, m in zip(total, self.moduli))
         return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:
@@ -665,17 +665,35 @@ def measure_complex_bias(space: ComplexSampleSpace) -> float:
     return float(spectrum.max())
 
 
-def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
-    """Rebuild a complex space from its descriptor line."""
-    tokens = text.split()
-    if not tokens or tokens[0] != "complex":
-        raise DescriptorError(f"not a complex space descriptor: {text!r}")
+def _descriptor_fields(text: str) -> dict[str, str]:
     fields = {}
-    for tok in tokens[1:]:
+    for tok in text.split()[1:]:
         if "=" not in tok:
             raise DescriptorError(f"malformed descriptor token {tok!r}")
         key, val = tok.split("=", 1)
         fields[key] = val
+    return fields
+
+
+def _same_field(given: str, built: str) -> bool:
+    """Numeric fields (comma lists included) compare by value, others as text."""
+    try:
+        return [float(v) for v in given.split(",")] == [float(v) for v in built.split(",")]
+    except ValueError:
+        return given == built
+
+
+def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
+    """Rebuild a complex space from its descriptor line.
+
+    Every field given must be a field of the rebuilt space's own descriptor,
+    with the same value; omitted fields are derived as
+    ``build_complex_space`` derives them.
+    """
+    tokens = text.split()
+    if not tokens or tokens[0] != "complex":
+        raise DescriptorError(f"not a complex space descriptor: {text!r}")
+    fields = _descriptor_fields(text)
     try:
         mults = tuple(int(v) for v in fields["s"].split(","))
         mode = fields.get("mode", "constructed")
@@ -684,12 +702,22 @@ def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
         raise DescriptorError(f"bad descriptor fields in {text!r}: {exc}") from None
     moduli = tuple(s + 1 for s in mults)
     if mode == "exhaustive":
-        return exhaustive_complex_space(moduli)
-    try:
-        ell = int(fields["l"])
-    except (KeyError, ValueError):
-        raise DescriptorError(f"constructed descriptor needs l=<ell>: {text!r}") from None
-    space = build_complex_space(moduli, eps, force_construction=True, ell=ell)
-    if "p" in fields and int(fields["p"]) != space.base.prime:
-        raise DescriptorError("descriptor prime does not match the selection rule")
+        space = exhaustive_complex_space(moduli)
+    elif mode == "constructed":
+        try:
+            ell = int(fields["l"])
+        except (KeyError, ValueError):
+            raise DescriptorError(f"constructed descriptor needs l=<ell>: {text!r}") from None
+        space = build_complex_space(moduli, eps, force_construction=True, ell=ell)
+    else:
+        raise DescriptorError(f"unknown complex space mode {mode!r}")
+    built = _descriptor_fields(space.descriptor())
+    for key, val in fields.items():
+        if key not in built:
+            raise DescriptorError(f"unknown field {key!r} for a {mode} space: {text!r}")
+        if not _same_field(val, built[key]):
+            raise DescriptorError(
+                f"descriptor field {key}={val} does not match the rebuilt "
+                f"space's {key}={built[key]}"
+            )
     return space

@@ -21,7 +21,12 @@ throughout; gly on a complex matrix is one real matmul of the float signs
 against the (re, im)-interleaved float64 view of a.T, read back as complex;
 gengly builds its complex y in (k, M) layout with one gather per coordinate
 from a sqrt(s)*roots table. The sign product x_1...x_n comes from the sign
-sum, and the gengly phase factor from index arithmetic, as the weight.
+sum, and the gengly phase factor from a per-phase table, as the weight.
+
+Random mode draws its signs from ``numpy.random.default_rng(rng_seed)``:
+sign j of a chunk is bit 31 (even j) or bit 63 (odd j) of the chunk's raw
+PCG64 word j // 2, mapped 0 -> +1 and 1 -> -1. That is the stream of
+``integers(0, 2)`` on the same generator, built without an int64 array.
 """
 
 from __future__ import annotations
@@ -230,8 +235,10 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
     for i, s in enumerate(mults):
         roots = roots_of_unity(s + 1)
         np.take(math.sqrt(s) * roots, cols[i], out=y[i])
-        # z_i^{s_i} by index arithmetic keeps small moduli exact
-        pow_prod *= roots[(cols[i] * s) % (s + 1)]
+        # z_i^{s_i} from a per-phase table keeps small moduli exact. The conj
+        # stays after the product: conj of each factor instead can flip the
+        # sign of a zero imaginary part
+        pow_prod *= roots[np.arange(s + 1) * s % (s + 1)][cols[i]]
     weight = gengly_scale(mults) * np.conj(pow_prod)
     return _rowsum_products(y.T, spec.base.T, weight)
 
@@ -265,6 +272,31 @@ def sample_count(epsilon: float, delta: float) -> int:
     return int(math.ceil(4.0 * math.log(4.0 / delta) / (epsilon * epsilon)))
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # float64 1.0
+
+
+def _random_signs(bitgen, rows: int, n: int) -> np.ndarray:
+    """(rows, n) float64 +-1 signs, the same stream as mapping
+    ``integers(0, 2, size=(rows, n))`` of a Generator on ``bitgen`` to
+    1 - 2*bit.
+
+    On a range of 2 that draw takes the top bit of each 32-bit half of a raw
+    64-bit word, low half first: sign j is bit 31 (even j) or bit 63 (odd j)
+    of word j // 2. Each bit is moved into the sign bit of a float64 1.0.
+    An odd rows * n leaves the last half-word unused, where ``integers``
+    would keep it for its next call, so only a final draw may be odd.
+    """
+    count = rows * n
+    raw = bitgen.random_raw((count + 1) // 2)
+    out = np.empty((raw.shape[0], 2), dtype=np.uint64)
+    np.left_shift(raw, np.uint64(32), out=out[:, 0])
+    out[:, 0] &= _SIGN_BIT
+    np.bitwise_and(raw, _SIGN_BIT, out=out[:, 1])
+    out |= _ONE_BITS
+    return out.view(np.float64).reshape(-1)[:count].reshape(rows, n)
+
+
 def _check_params(epsilon: float, delta: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -278,7 +310,10 @@ def estimate_random(
     """Mean of independent uniform sign-vector samples of ``gly``.
 
     Guarantee: within ``epsilon * |A|^n`` of the permanent with probability
-    at least ``1 - delta``. Reproducible for a fixed ``rng_seed``.
+    at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
+    are bits 31 and 63 of each raw PCG64 word of
+    ``default_rng(rng_seed)``, the same stream as ``integers(0, 2)`` drawn
+    in chunks of ``_CHUNK`` rows.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -288,12 +323,10 @@ def estimate_random(
     # an overflowing bound raises here, before any sample can overflow
     bound = spectral_norm(a).value ** n
     m = sample_count(epsilon, delta)
-    rng = np.random.default_rng(rng_seed)
+    bitgen = np.random.default_rng(rng_seed).bit_generator
     total = 0j
     for done in range(0, m, _CHUNK):
-        signs = rng.integers(0, 2, size=(min(_CHUNK, m - done), n)).astype(np.float64)
-        signs *= -2.0
-        signs += 1.0
+        signs = _random_signs(bitgen, min(_CHUNK, m - done), n)
         total += complex(np.sum(gly_batch(a, signs)))
     return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
 
@@ -319,8 +352,8 @@ def estimate_random_multi(
     # the per-column draws depend on the chunk size: keep _CHUNK for sampling
     for done in range(0, m, _CHUNK):
         c = min(_CHUNK, m - done)
-        phases = np.column_stack([rng.integers(0, mod, size=c) for mod in moduli])
-        total += complex(np.sum(gengly_batch(spec, phases)))
+        cols = np.stack([rng.integers(0, mod, size=c) for mod in moduli])
+        total += complex(np.sum(gengly_batch(spec, cols.T)))
     return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 

@@ -236,6 +236,80 @@ class TestEstimate:
         assert out_eps == out
 
 
+def _eighths_text(cols: int, imag: bool) -> str:
+    """A fixed 6 x cols matrix file. Entries are multiples of 1/8 (real) and
+    1/4 (imaginary), so every gly sample is exact and the plain estimates do
+    not depend on summation order (the --mult samples use sqrt(s) and cube
+    roots of unity, and are rounded)."""
+    rows = [
+        " ".join(
+            f"{((3 * i + 5 * j) % 7 + 1) / 8:g} "
+            f"{((i + 2 * j) % 5 - 2) / 4 if imag else 0.0:g}"
+            for j in range(cols)
+        )
+        for i in range(6)
+    ]
+    return f"6 {cols}\n" + "\n".join(rows) + "\n"
+
+
+class TestGoldenStdout:
+    """Random-mode stdout is byte-identical to the recorded output: the
+    sample stream, the estimator kernels and the emit format all hold."""
+
+    GOLDEN = {
+        "real": (
+            "13.216962612538708 0\n"
+            "value_re=13.216962612538708\n"
+            "value_im=0\n"
+            "bound_term=847.19684020443583\n"
+            "epsilon=0.014999999999999999\n"
+            "guarantee=12.707952603066538\n"
+            "samples=106515\n"
+            "mode=random\n"
+            "delta=0.01\n"
+            "seed=3\n"
+        ),
+        "complex": (
+            '{"bound_term": 963.885375494423, "delta": 0.01, "epsilon": 0.015, '
+            '"guarantee": 14.458280632416344, "mode": "random", "samples": 106515, '
+            '"seed": 3, "value_im": -1.621990989717649, '
+            '"value_re": 10.355769300655552}\n'
+        ),
+        "mult": (
+            "11.6898512983452 0.024900508245992756\n"
+            "value_re=11.6898512983452\n"
+            "value_im=0.024900508245992756\n"
+            "bound_term=143.16202741525305\n"
+            "epsilon=0.014999999999999999\n"
+            "guarantee=2.1474304112287959\n"
+            "samples=106515\n"
+            "mode=random\n"
+            "delta=0.01\n"
+            "seed=3\n"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case, cols, imag, extra",
+        [
+            ("real", 6, False, ()),
+            ("complex", 6, True, ("--format", "json")),
+            ("mult", 3, False, ("--mult", "3,2,1")),
+        ],
+    )
+    def test_random_estimate_stdout(self, capsys, tmp_path, case, cols, imag, extra):
+        # 106,515 samples: one full 2^16-sample chunk and a partial one
+        path = tmp_path / f"{case}.txt"
+        path.write_text(_eighths_text(cols, imag))
+        code, out, _ = run(
+            capsys,
+            "estimate", "--matrix", str(path), "--epsilon", "0.015", "--seed", "3",
+            *extra,
+        )
+        assert code == 0
+        assert out == self.GOLDEN[case]
+
+
 class TestOverflow:
     """Results beyond double range exit 3 with an error line, never nan or a
     traceback: 12! * (12e30)^12 overflows every kernel and bound."""
@@ -339,6 +413,31 @@ class TestSpace:
     def test_bad_descriptor_exit_2(self, capsys):
         code, _, _ = run(capsys, "space", "audit", "--descriptor", "martian x=1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "complex k=5 s=2 p=17 c=3 r=99 l=3 eps=0.55 mode=constructed t=7 "
+            "pfrac=0.5 q=9",
+            "complex s=2 l=3 eps=0.55 mode=walk",
+            "complex s=2 l=3 eps=0.55 zz=1",
+            "complex s=2 l=3 eps=0.55 pfrac=0.5",
+            "complex s=1,2 eps=0 mode=exhaustive t=1",
+        ],
+    )
+    def test_audit_rejects_unknown_or_mismatched_fields_exit_2(self, capsys, descriptor):
+        code, out, err = run(capsys, "space", "audit", "--descriptor", descriptor)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_audit_accepts_partial_complex_descriptor(self, capsys):
+        # omitted fields are derived; eps=0.55 equals the rebuilt 0.55000000000000004
+        code, out, _ = run(
+            capsys, "space", "audit", "--descriptor", "complex s=2 l=3 eps=0.55 t=1"
+        )
+        assert code == 0
+        assert out.splitlines()[0].endswith("PASS")
 
     def test_build_byte_identical(self, capsys):
         args = ("space", "build", "--kind", "binary", "--n", "6", "--epsilon", "0.5")

@@ -146,6 +146,15 @@ class TestGenGly:
             x = PhaseVector((3, 3, 2), phases)
             assert gengly(spec, x) == pytest.approx(gengly_plain(spec, phases), rel=1e-10)
 
+    def test_transposed_phase_view_is_bit_identical(self):
+        # estimate_random_multi passes the transpose of a (k, M) draw
+        rng = np.random.default_rng(8)
+        spec = MultiplicitySpec(random_complex(rng, 6, 3), (3, 2, 1))
+        cols = np.stack([rng.integers(0, s + 1, size=5000) for s in spec.mults])
+        view = gengly_batch(spec, cols.T)
+        c_order = gengly_batch(spec, np.ascontiguousarray(cols.T))
+        assert np.array_equal(view.view(np.uint64), c_order.view(np.uint64))
+
     def test_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -390,6 +399,33 @@ class TestSampleStream:
             c * gengly_plain(spec, cell) for cell, c in zip(cells, counts)
         ) / m
         assert abs(est.value - ref) <= 1e-12 * est.bound_term
+
+
+class TestRandomSigns:
+    """estimate_random builds its signs from raw generator words. They must
+    stay the stream of ``integers(0, 2)`` mapped to 1 - 2 * bit."""
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(4096, 30), (4096, 30), (1235, 3)],  # even chunks, odd final count
+            [(4, 1), (2, 1), (3, 1)],  # n = 1
+            [(1, 2), (1, 4), (1, 7)],  # rows = 1
+        ],
+    )
+    def test_matches_integer_draw(self, shapes):
+        bitgen = np.random.default_rng(3).bit_generator
+        ref = np.random.default_rng(3)
+        for rows, n in shapes:
+            signs = estimators._random_signs(bitgen, rows, n)
+            assert signs.shape == (rows, n) and signs.dtype == np.float64
+            assert np.array_equal(signs, 1.0 - 2.0 * ref.integers(0, 2, size=(rows, n)))
+
+    def test_first_signs_of_seed_zero(self):
+        # a literal pin: holds the stream even if numpy's integers() changes
+        bits = "1110000001111111111101100110111001010000000001110110011101111110"
+        signs = estimators._random_signs(np.random.default_rng(0).bit_generator, 8, 8)
+        assert signs.ravel().tolist() == [1.0 - 2.0 * int(b) for b in bits]
 
 
 class TestEstimateDerandomized:
