@@ -7,19 +7,21 @@ character sum collapses to Pr_f[p_a(f) = 0] where p_a(x) = XOR_i a_i x^i is
 a nonzero polynomial of degree < n, so the bias is at most (n-1)/2^m <= eps
 while the seed is only 2m bits.
 
-The seed -> cell map is vectorized: a block of f values is raised to the
-powers f^0..f^(n-1) together (uint32 shift/xor carry-less multiplication),
-and bit i of every seed in the block is ``bitwise_count(r & f^i) & 1``. The
-support histogram over the 2^n cells, which groups equal sample points for
-the estimator and feeds the audit's Walsh-Hadamard transform, is one
-``bincount`` per block of about 2^20 seeds; it costs about 2^(2m) * n word
-operations and is capped at n <= 24. ``generator`` is the same map applied
-to a batch of one seed.
+For a fixed f the seed -> cell map is GF(2)-linear in r: the cell of
+(f, r) is the XOR of the columns of f's map over the set bits j of r, where
+column j is the n-bit word whose bit i is bit j of f^i. A block of f values
+is raised to the powers f^0..f^(n-1) together (uint32 shift/xor carry-less
+multiplication, by doubling), which gives the m columns; the cells of all
+2^m values of r then follow by doubling over the bits of r, one XOR pass per
+bit (cells[:, 2^j + r'] = cells[:, r'] ^ column j). The support histogram
+over the 2^n cells, which groups equal sample points for the estimator and
+feeds the audit's Walsh-Hadamard transform, is one ``bincount`` per block of
+about 2^20 seeds; it costs about 2^(2m) word operations plus the
+``bincount``s, with no factor n, and is capped at n <= 24. ``generator``
+reads the XOR of the same columns for one seed, with no cap on n.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -141,14 +143,10 @@ class SampleSpace:
             return 0.0
         return (self.n - 1) / (1 << self.field_bits)
 
-    def _phase_bits(self, f: np.ndarray, r: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield bit i of every seed (f, r) in the block f x r, for i < n.
-
-        ``f`` and ``r`` are 1-D uint32 arrays of field elements; each
-        yielded array has shape (len(f), len(r)) and holds parity(r & f^i).
-        """
-        # powers[:, i] = f^i by doubling: one product gives f^(L..L+k-1)
-        # from f^(0..k-1) and f^L, and also f^(2L) for the next round
+    def _powers(self, f: np.ndarray) -> np.ndarray:
+        """powers[k, i] = f[k]^i for a 1-D uint32 block of field elements, i < n."""
+        # by doubling: one product gives f^(L..L+k-1) from f^(0..k-1) and
+        # f^L, and also f^(2L) for the next round
         n = self.n
         powers = np.ones((f.shape[0], n), dtype=np.uint32)
         step = f[:, None]
@@ -160,8 +158,13 @@ class SampleSpace:
             powers[:, length : length + k] = prod[:, :k]
             step = prod[:, k:]
             length += k
-        for i in range(n):
-            yield np.bitwise_count(r & powers[:, i, None]) & 1
+        return powers
+
+    def _column_bits(self, f: np.ndarray) -> np.ndarray:
+        """bits[k, j, i] = bit j of f[k]^i, shape (len(f), m, n): column j of
+        f[k]'s linear map r -> cell, unpacked into its n phase bits."""
+        shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
+        return (self._powers(f)[:, None, :] >> shifts) & 1
 
     def generator(self, seed: int) -> PhaseVector:
         if not (0 <= seed < self.seed_count):
@@ -170,9 +173,9 @@ class SampleSpace:
             phases = tuple((seed >> i) & 1 for i in range(self.n))
         else:
             m = self.field_bits
-            f = np.array([seed >> m], dtype=np.uint32)
-            r = np.array([seed & ((1 << m) - 1)], dtype=np.uint32)
-            phases = tuple(int(bits[0, 0]) for bits in self._phase_bits(f, r))
+            bits = self._column_bits(np.array([seed >> m], dtype=np.uint32))[0]
+            chosen = bits[[j for j in range(m) if (seed >> j) & 1]]
+            phases = tuple(int(b) for b in np.bitwise_xor.reduce(chosen, axis=0))
         return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:
@@ -186,15 +189,24 @@ class SampleSpace:
         else:
             # a block is `rows` f values times every r value: _SEED_CHUNK
             # seeds, or 2^m when that is larger
-            size = 1 << self.field_bits
+            m = self.field_bits
+            size = 1 << m
             rows = max(1, _SEED_CHUNK // size)
             field = np.arange(size, dtype=np.uint32)
+            place = np.arange(self.n, dtype=np.uint32)
             counts = np.zeros(1 << self.n, dtype=np.int64)
             for lo in range(0, size, rows):
                 f = field[lo : lo + rows]
-                cells = np.zeros((f.shape[0], size), dtype=np.uint32)
-                for i, bits in enumerate(self._phase_bits(f, field)):
-                    cells |= bits.astype(np.uint32) << i
+                cols = (self._column_bits(f) << place).sum(axis=2, dtype=np.uint32)
+                # cells[:, r] for r in [2^j, 2^(j+1)) is cells[:, r - 2^j]
+                # XOR column j
+                cells = np.empty((f.shape[0], size), dtype=np.uint32)
+                cells[:, 0] = 0
+                for j in range(m):
+                    w = 1 << j
+                    np.bitwise_xor(
+                        cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w]
+                    )
                 counts += np.bincount(cells.ravel(), minlength=1 << self.n)
             hist = counts / float(self.seed_count)
         self._hist = hist
@@ -204,8 +216,9 @@ class SampleSpace:
         """Occupied cells as an (M, n) 0/1 phase array plus probabilities."""
         hist = self.support_histogram()
         idx = np.nonzero(hist)[0]
-        cells = ((idx[:, None] >> np.arange(self.n)) & 1).astype(np.int8)
-        return cells, hist[idx]
+        octets = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
+        cells = np.unpackbits(octets, axis=1, count=self.n, bitorder="little")
+        return cells.view(np.int8), hist[idx]
 
     def descriptor(self) -> str:
         text = (

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "Estimate",
     "GuaranteeReport",
     "PhaseVector",
-    "enumerate_phase_space",
     "estimate_derandomized",
     "estimate_derandomized_multi",
     "estimate_random",
@@ -245,21 +244,6 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
 
 def phase_space_size(moduli: Sequence[int]) -> int:
     return int(np.prod([int(m) for m in moduli], dtype=object))
-
-
-def enumerate_phase_space(
-    moduli: Sequence[int], chunk: int = _CHUNK
-) -> Iterator[np.ndarray]:
-    """Yield (M, k) phase-index blocks covering the full product space."""
-    moduli = [int(m) for m in moduli]
-    total = phase_space_size(moduli)
-    radix = np.ones(len(moduli), dtype=np.int64)
-    for i in range(len(moduli) - 2, -1, -1):
-        radix[i] = radix[i + 1] * moduli[i + 1]
-    mods = np.array(moduli, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // radix[None, :]) % mods[None, :]
 
 
 def sample_count(epsilon: float, delta: float) -> int:

@@ -127,6 +127,30 @@ def binary_bias_brute(space) -> float:
     return worst
 
 
+def binary_cells_by_seed(space) -> np.ndarray:
+    """Cell index of every seed of a constructed binary space, in seed order
+    (seed = f * 2^m + r), by the parity map: bit i is parity(r & f^i).
+
+    The powers f^i come from the scalar ``gf2_mul``; none of the package's
+    doubled powers, column map or cell doubling is used. Cells are uint32,
+    so n <= 32.
+    """
+    from permest.binary_bias import gf2_mul
+
+    m, n = space.field_bits, space.n
+    size = 1 << m
+    powers = np.ones((size, n), dtype=np.uint32)
+    for f in range(size):
+        for i in range(1, n):
+            powers[f, i] = gf2_mul(int(powers[f, i - 1]), f, m)
+    r = np.arange(size, dtype=np.uint32)
+    cells = np.zeros((size, size), dtype=np.uint32)  # [f, r]
+    for i in range(n):
+        bits = np.bitwise_count(r[None, :] & powers[:, i, None]) & 1
+        cells |= bits.astype(np.uint32) << i
+    return cells.ravel()
+
+
 def complex_bias_brute(space) -> float:
     """max_e |E[x^e]| by looping support cells and exponent vectors."""
     moduli = space.moduli

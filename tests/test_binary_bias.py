@@ -15,7 +15,12 @@ from permest.binary_bias import (
 from permest.errors import CapacityError, DescriptorError
 from permest.estimators import estimate_derandomized, gly
 
-from oracles import binary_bias_brute, random_nonneg, space_mean_by_seed_loop
+from oracles import (
+    binary_bias_brute,
+    binary_cells_by_seed,
+    random_nonneg,
+    space_mean_by_seed_loop,
+)
 
 
 def _poly_divides(p, q):
@@ -195,6 +200,73 @@ class TestChunkedHistogram:
         whole = estimate_derandomized(a, space).value
         monkeypatch.setattr(estimators, "_CHUNK", 7)
         assert estimate_derandomized(a, space).value == whole
+
+
+def _assert_histogram_is_parity_map(space, cells):
+    """The histogram equals the counts of the per-seed cells: the same
+    occupied indices and, there, the same count / seed_count floats."""
+    idx, counts = np.unique(cells, return_counts=True)
+    hist = space.support_histogram()
+    assert hist.shape == (1 << space.n,) and hist.dtype == np.float64
+    assert np.array_equal(np.flatnonzero(hist), idx)
+    assert np.array_equal(hist[idx], counts / float(space.seed_count))
+
+
+class TestColumnMap:
+    # f values per block: one, several (dividing 2^m), and 3, which leaves a
+    # short final block because 2^m is a power of two; None is the default
+    ROWS = (1, 4, 3, None)
+
+    @pytest.mark.parametrize(
+        "n, eps",
+        # (m = 5, n < m), (m = 4, n = 1), (m = 7, n = m), (m = 10, n = m)
+        [(2, 0.1), (1, 0.1), (7, 0.1), (10, 0.01)],
+    )
+    def test_histogram_matches_parity_map_across_blocks(self, monkeypatch, n, eps):
+        cells = binary_cells_by_seed(build_binary_space(n, eps))
+        for rows in self.ROWS:
+            space = build_binary_space(n, eps)
+            if rows is not None:
+                monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
+            _assert_histogram_is_parity_map(space, cells)
+
+    def test_histogram_matches_parity_map_at_n24(self, monkeypatch):
+        space = build_binary_space(24, 0.05)  # m = 9
+        cells = binary_cells_by_seed(space)
+        _assert_histogram_is_parity_map(space, cells)
+        # blocks of 200, 200 and 112 f values
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 200 << space.field_bits)
+        _assert_histogram_is_parity_map(build_binary_space(24, 0.05), cells)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 24])
+    def test_support_cells_are_the_index_bits(self, n):
+        space = build_binary_space(n, 0.05)
+        hist = space.support_histogram()
+        idx = np.flatnonzero(hist)
+        cells, probs = space.support_cells()
+        assert cells.dtype == np.int8
+        assert np.array_equal(cells, ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8))
+        assert np.array_equal(probs, hist[idx])
+
+    def test_generator_is_the_parity_map_seed_by_seed(self):
+        space = build_binary_space(8, 0.25)  # m = 5, 1024 seeds
+        cells = binary_cells_by_seed(space)
+        for seed in range(space.seed_count):
+            phases = space.generator(seed).phases
+            assert phases == tuple((int(cells[seed]) >> i) & 1 for i in range(8)), seed
+
+    def test_generator_past_32_phases(self):
+        # the generator is not capped with the histogram: 40 phases
+        space = build_binary_space(40, 0.1)  # m = 9
+        m = space.field_bits
+        for seed in np.random.default_rng(3).integers(0, space.seed_count, 50):
+            seed = int(seed)
+            r, f = seed & ((1 << m) - 1), seed >> m
+            power, expected = 1, []
+            for _ in range(40):
+                expected.append(bin(r & power).count("1") & 1)
+                power = gf2_mul(power, f, m)
+            assert space.generator(seed).phases == tuple(expected), seed
 
 
 class TestMeasureBias:
