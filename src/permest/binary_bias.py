@@ -19,6 +19,13 @@ feeds the audit's Walsh-Hadamard transform, is one ``bincount`` per block of
 about 2^20 seeds; it costs about 2^(2m) word operations plus the
 ``bincount``s, with no factor n, and is capped at n <= 24. ``generator``
 reads the XOR of the same columns for one seed, with no cap on n.
+
+A binary space is the complex grid with every modulus 2, and this module
+holds what the two kinds share: ``measure_bias`` audits either kind
+(``complex_bias.measure_complex_bias`` is the same function), the
+descriptor field rule backs both descriptor parsers, and
+``_gf2_mul_batch`` with ``IRREDUCIBLE`` is the GF(2^m) arithmetic of the
+complex pipeline's pairwise hash as well.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DescriptorError
-from .estimators import PhaseVector
+from .estimators import PhaseVector, phase_space_size
 
 __all__ = [
     "SampleSpace",
@@ -253,26 +260,74 @@ def exhaustive_binary_space(n: int) -> SampleSpace:
     return SampleSpace(n, 0, 0.0, exhaustive=True)
 
 
-def measure_bias(space: SampleSpace) -> float:
-    """max over nonzero a of |E[(-1)^{a.x}]|, every character enumerated."""
-    if space.seed_count * (1 << space.n) > AUDIT_OP_LIMIT:
+def measure_bias(space) -> float:
+    """max over nontrivial characters of |E[chi(x)]|, every one enumerated.
+
+    Serves binary and complex spaces alike through their ``moduli`` and
+    ``support_histogram``: the Walsh-Hadamard butterfly when every modulus
+    is 2 (the same maxima as the DFT, several times faster), else the full
+    DFT of the histogram over the grid.
+    """
+    if space.seed_count * phase_space_size(space.moduli) > AUDIT_OP_LIMIT:
         raise CapacityError("audit cost exceeds the 2^32 operation cap")
-    spectrum = _walsh_spectrum(space.support_histogram())
-    spectrum[0] = 0.0
-    return float(np.max(np.abs(spectrum)))
+    hist = space.support_histogram()
+    if all(m == 2 for m in space.moduli):
+        spectrum = np.abs(_walsh_spectrum(hist.reshape(-1)))
+    else:
+        spectrum = np.abs(np.fft.fftn(hist))
+    spectrum.flat[0] = 0.0
+    return float(spectrum.max())
 
 
-def space_from_descriptor(text: str) -> SampleSpace:
-    """Rebuild a binary space from its descriptor line."""
+def _descriptor_fields(text: str, kind: str) -> dict[str, str]:
+    """The key=value fields of a descriptor line whose first token is kind."""
     tokens = text.split()
-    if not tokens or tokens[0] != "binary":
-        raise DescriptorError(f"not a binary space descriptor: {text!r}")
+    if not tokens or tokens[0] != kind:
+        raise DescriptorError(f"not a {kind} space descriptor: {text!r}")
     fields = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise DescriptorError(f"malformed descriptor token {tok!r}")
         key, val = tok.split("=", 1)
         fields[key] = val
+    return fields
+
+
+def _same_field(key: str, given: str, built: str) -> bool:
+    """poly compares as a base-16 integer, other numeric fields (comma lists
+    included) by value, the rest as text."""
+    try:
+        if key == "poly":
+            return int(given, 16) == int(built, 16)
+        return [float(v) for v in given.split(",")] == [float(v) for v in built.split(",")]
+    except ValueError:
+        return given == built
+
+
+def _check_fields(space, fields: dict[str, str], text: str):
+    """The rebuilt space, once every given field is a field of its own
+    descriptor with the same value; omitted fields are derived."""
+    descriptor = space.descriptor()
+    built = _descriptor_fields(descriptor, descriptor.split()[0])
+    mode = "exhaustive" if space.exhaustive else "constructed"
+    for key, val in fields.items():
+        if key not in built:
+            raise DescriptorError(f"unknown field {key!r} for a {mode} space: {text!r}")
+        if not _same_field(key, val, built[key]):
+            raise DescriptorError(
+                f"descriptor field {key}={val} does not match the rebuilt "
+                f"space's {key}={built[key]}"
+            )
+    return space
+
+
+def space_from_descriptor(text: str) -> SampleSpace:
+    """Rebuild a binary space from its descriptor line.
+
+    n, m and eps are required; every field given must match the rebuilt
+    space's own descriptor.
+    """
+    fields = _descriptor_fields(text, "binary")
     try:
         n = int(fields["n"])
         m = int(fields["m"])
@@ -282,11 +337,9 @@ def space_from_descriptor(text: str) -> SampleSpace:
     if n < 1:
         raise DescriptorError(f"descriptor needs n >= 1, got n={n}")
     if fields.get("mode") == "exhaustive":
-        return exhaustive_binary_space(n)
+        return _check_fields(exhaustive_binary_space(n), fields, text)
     if m not in IRREDUCIBLE:
         raise DescriptorError(f"unsupported field size m={m}")
-    if "poly" in fields and int(fields["poly"], 16) != IRREDUCIBLE[m]:
-        raise DescriptorError("descriptor polynomial does not match the table")
     space = SampleSpace(n, m, eps)
     # the declared eps becomes the reported guarantee, so it may not claim
     # less bias than the powering argument certifies (NaN fails too)
@@ -295,4 +348,4 @@ def space_from_descriptor(text: str) -> SampleSpace:
             f"declared eps={eps:.17g} is below the certified bias bound "
             f"(n-1)/2^m = {space.construction_bound:.17g}"
         )
-    return space
+    return _check_fields(space, fields, text)

@@ -30,12 +30,10 @@ from .estimators import (
     estimate_derandomized_multi,
     estimate_random,
     estimate_random_multi,
-    multi_bound_term,
     permanent_upper_bound,
-    phase_space_size,
 )
 from .exact import (
-    permanent_gengly_exact,
+    _gengly_exhaustive_estimate,
     permanent_glynn_exact,
     permanent_naive,
     permanent_ryser,
@@ -112,15 +110,18 @@ def _cmd_exact(args) -> int:
     return 0
 
 
+def _space_from_descriptor(text: str):
+    kind = text.split()[0] if text.split() else ""
+    if kind == "binary":
+        return binary_bias.space_from_descriptor(text)
+    if kind == "complex":
+        return complex_bias.complex_space_from_descriptor(text)
+    raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+
+
 def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
     if args.space:
-        kind = args.space.split()[0] if args.space.split() else ""
-        if kind == "binary":
-            space = binary_bias.space_from_descriptor(args.space)
-        elif kind == "complex":
-            space = complex_bias.complex_space_from_descriptor(args.space)
-        else:
-            raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+        space = _space_from_descriptor(args.space)
         if args.epsilon is not None and args.epsilon != space.declared_epsilon:
             raise DescriptorError(
                 f"--epsilon {args.epsilon} differs from the descriptor's "
@@ -163,13 +164,7 @@ def _cmd_estimate(args) -> int:
                 "exhaustive",
             )
         else:
-            est = Estimate(
-                permanent_gengly_exact(spec),
-                multi_bound_term(spec),
-                0.0,
-                phase_space_size([s + 1 for s in spec.mults]),
-                "exhaustive",
-            )
+            est = _gengly_exhaustive_estimate(spec)
         payload_extra = {}
     else:
         space = _build_space_for(args, a.shape[0], mults)
@@ -233,15 +228,8 @@ def _cmd_space_build(args) -> int:
 
 
 def _cmd_space_audit(args) -> int:
-    kind = args.descriptor.split()[0] if args.descriptor.split() else ""
-    if kind == "binary":
-        space = binary_bias.space_from_descriptor(args.descriptor)
-        measured = binary_bias.measure_bias(space)
-    elif kind == "complex":
-        space = complex_bias.complex_space_from_descriptor(args.descriptor)
-        measured = complex_bias.measure_complex_bias(space)
-    else:
-        raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+    space = _space_from_descriptor(args.descriptor)
+    measured = binary_bias.measure_bias(space)
     # exhaustive spaces declare zero bias; allow the audit's rounding dust
     tol = 1e-12 if space.exhaustive else 0.0
     verdict = "PASS" if measured <= space.declared_epsilon + tol else "FAIL"

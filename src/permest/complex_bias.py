@@ -19,9 +19,14 @@ Pipeline, bottom to top:
   selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise.
 
 Every guarantee is re-checked by exhaustive audit, in exact integer counts.
-``measure_complex_bias`` reads a support histogram that enumerates each walk
-once and builds its 2^L selector sums by doubling; ``strong_fraction`` tests
-each grid cell once, weighted by the generator's cached per-cell seed counts.
+The audit is ``binary_bias.measure_bias``, which serves both kinds of space
+(``measure_complex_bias`` is the same function): it takes the DFT of a
+support histogram that enumerates each walk once and builds its 2^L
+selector sums by doubling. ``strong_fraction`` tests each grid cell once,
+weighted by the generator's cached per-cell seed counts. The pairwise
+hash's GF(2^B) tables come from binary_bias's carry-less multiply and
+polynomial table, and the descriptor parser applies binary_bias's field
+rule.
 Full theoretical strength exceeds the enumerability cap by design, so
 certified spaces are the exhaustive fallback or explicitly sized assemblies.
 """
@@ -35,6 +40,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .binary_bias import (
+    AUDIT_OP_LIMIT,
+    IRREDUCIBLE,
+    _check_fields,
+    _descriptor_fields,
+    _gf2_mul_batch,
+    measure_bias,
+)
 from .errors import CapacityError, DescriptorError, DomainError
 from .estimators import PhaseVector, phase_space_size
 
@@ -68,8 +81,6 @@ __all__ = [
 ]
 
 C_WISE = 7
-THETA_STRONG = math.pi / 8
-THETA_INTERMEDIATE = math.pi / 4
 STRONG_FLOOR = 1.0 / 16.0
 BETA = 0.5 * abs(1.0 + cmath.exp(1j * math.pi / 8))
 
@@ -84,13 +95,9 @@ Q_EXPONENT = P_FRACTION
 MAX_SEED_BITS = 40
 FALLBACK_LIMIT = 1 << 20
 AUDIT_SUPPORT_LIMIT = 1 << 24
-AUDIT_OP_LIMIT = 1 << 32
 TABLE_LIMIT = 1 << 26
 # seeds per block of the constructed-space histogram (walks x selector patterns)
 _SEED_BLOCK = 1 << 18
-
-# mirrors the binary-module table; only tiny degrees are needed here
-_GF_POLY = {1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43}
 
 
 def theta_strong(lam: complex, theta: float) -> bool:
@@ -160,10 +167,6 @@ class CwiseGenerator:
     def seed_count(self) -> int:
         return self.prime ** self.ncoeffs
 
-    @property
-    def degree(self) -> int:
-        return self.ncoeffs - 1
-
 
 def cwise_batch(gen: CwiseGenerator, seeds: np.ndarray) -> np.ndarray:
     """Vectorized tuple generation; seeds are base-p coefficient encodings.
@@ -189,32 +192,12 @@ class StrongProductParams:
     """Constants of the strong-product construction."""
 
     c: int = C_WISE
-    theta_strong: float = THETA_STRONG
-    theta_intermediate: float = THETA_INTERMEDIATE
-    success_floor: float = STRONG_FLOOR
 
     def membership_probability(self, h: int) -> float:
         return min(2.0 ** (1 - h), 1.0)
 
 
 DEFAULT_STRONG_PARAMS = StrongProductParams()
-
-
-def _gf_const_table(bits: int, point: int) -> np.ndarray:
-    """Lookup table for multiplication by a constant in GF(2^bits)."""
-    poly = _GF_POLY[bits]
-    tab = np.zeros(1 << bits, dtype=np.int64)
-    for v in range(1 << bits):
-        a, b, r = v, point, 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> bits) & 1:
-                a ^= poly
-        tab[v] = r
-    return tab
 
 
 class StrongProductGenerator:
@@ -246,7 +229,12 @@ class StrongProductGenerator:
         self.n_v = 1 << (2 * self.gf_bits)
         self.n_b = 1 << (self.hmax + 1)
         self.seed_count = self.n_u * self.n_v * self.n_b
-        self._tables = np.array([_gf_const_table(self.gf_bits, i) for i in range(k)])
+        # _tables[i, v] = i * v in GF(2^B): multiplication by each point i < k
+        field = np.arange(1 << self.gf_bits, dtype=np.uint32)
+        points = np.arange(k, dtype=np.uint32)[:, None]
+        self._tables = _gf2_mul_batch(
+            field, points, self.gf_bits, IRREDUCIBLE[self.gf_bits]
+        ).astype(np.int64)
         # exponents lie in [0, m_i); int8 would wrap them above 127
         self.dtype = np.int8 if max(moduli) <= 128 else np.int32
         self._exponents: np.ndarray | None = None
@@ -496,7 +484,6 @@ class ComplexSampleSpace:
         self.exhaustive = exhaustive
         self.base = base
         self.amplifier = amplifier
-        self.beta = BETA
         if exhaustive:
             self.ell = 0
             self.seed_count = phase_space_size(self.moduli)
@@ -654,33 +641,9 @@ def build_complex_space(
     return space
 
 
-def measure_complex_bias(space: ComplexSampleSpace) -> float:
-    """max over nonzero exponent vectors of |E[x^e]|, via the full DFT of
-    the support histogram (every character sum, computed exactly)."""
-    cells = phase_space_size(space.moduli)
-    if space.seed_count * cells > AUDIT_OP_LIMIT:
-        raise CapacityError("audit cost exceeds the 2^32 operation cap")
-    spectrum = np.abs(np.fft.fftn(space.support_histogram()))
-    spectrum.flat[0] = 0.0
-    return float(spectrum.max())
-
-
-def _descriptor_fields(text: str) -> dict[str, str]:
-    fields = {}
-    for tok in text.split()[1:]:
-        if "=" not in tok:
-            raise DescriptorError(f"malformed descriptor token {tok!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    return fields
-
-
-def _same_field(given: str, built: str) -> bool:
-    """Numeric fields (comma lists included) compare by value, others as text."""
-    try:
-        return [float(v) for v in given.split(",")] == [float(v) for v in built.split(",")]
-    except ValueError:
-        return given == built
+# the one audit serves both kinds of space: max over nonzero exponent
+# vectors e of |E[x^e]|, from the full DFT of the support histogram
+measure_complex_bias = measure_bias
 
 
 def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
@@ -690,10 +653,7 @@ def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
     with the same value; omitted fields are derived as
     ``build_complex_space`` derives them.
     """
-    tokens = text.split()
-    if not tokens or tokens[0] != "complex":
-        raise DescriptorError(f"not a complex space descriptor: {text!r}")
-    fields = _descriptor_fields(text)
+    fields = _descriptor_fields(text, "complex")
     try:
         mults = tuple(int(v) for v in fields["s"].split(","))
         mode = fields.get("mode", "constructed")
@@ -711,13 +671,4 @@ def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
         space = build_complex_space(moduli, eps, force_construction=True, ell=ell)
     else:
         raise DescriptorError(f"unknown complex space mode {mode!r}")
-    built = _descriptor_fields(space.descriptor())
-    for key, val in fields.items():
-        if key not in built:
-            raise DescriptorError(f"unknown field {key!r} for a {mode} space: {text!r}")
-        if not _same_field(val, built[key]):
-            raise DescriptorError(
-                f"descriptor field {key}={val} does not match the rebuilt "
-                f"space's {key}={built[key]}"
-            )
-    return space
+    return _check_fields(space, fields, text)

@@ -350,58 +350,50 @@ def _require_nonnegative(a: np.ndarray, what: str) -> None:
         )
 
 
-def _blockwise(evaluate, cells: np.ndarray) -> np.ndarray:
-    """evaluate(cells) computed in _CHUNK-row blocks, bounding temporaries."""
+def _derandomized_mean(space, moduli: tuple[int, ...], evaluate, bound: float) -> Estimate:
+    """Mean of evaluate(cells) over a sample space's support, the driver of
+    both derandomized estimators.
+
+    Equals the seed-enumeration average exactly: equal sample points are
+    grouped and weighted by their seed multiplicity. The (M, k) phase cells
+    are evaluated in ``_CHUNK``-row blocks, bounding temporaries.
+    """
+    if tuple(space.moduli) != moduli:
+        raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
+    cells, probs = space.support_cells()
     vals = np.empty(cells.shape[0], dtype=np.complex128)
     for lo in range(0, cells.shape[0], _CHUNK):
         vals[lo : lo + _CHUNK] = evaluate(cells[lo : lo + _CHUNK])
-    return vals
-
-
-def _space_mode(space) -> str:
-    return "exhaustive" if space.exhaustive else "derandomized"
+    mode = "exhaustive" if space.exhaustive else "derandomized"
+    return Estimate(
+        complex(probs @ vals), bound, space.declared_epsilon, space.seed_count, mode
+    )
 
 
 def estimate_derandomized(a, space) -> Estimate:
-    """Deterministic mean of ``gly`` over a binary sample space's support.
-
-    Equals the seed-enumeration average exactly: equal sample points are
-    grouped and weighted by their seed multiplicity.
-    """
+    """Deterministic mean of ``gly`` over a sample space with n binary
+    coordinates (moduli all 2)."""
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
     _require_nonnegative(a, "a matrix")
-    if len(space.moduli) != n or any(m != 2 for m in space.moduli):
-        raise ValueError(
-            f"need a binary space over {n} coordinates, got moduli {space.moduli}"
-        )
-    cells, probs = space.support_cells()
-    vals = _blockwise(
-        lambda block: gly_batch(a, 1.0 - 2.0 * block.astype(np.float64)), cells
-    )
-    value = complex(probs @ vals)
     bound = spectral_norm(a).value ** n
-    return Estimate(
-        value, bound, space.declared_epsilon, space.seed_count, _space_mode(space)
+    return _derandomized_mean(
+        space,
+        (2,) * n,
+        lambda block: gly_batch(a, 1.0 - 2.0 * block.astype(np.float64)),
+        bound,
     )
 
 
 def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
-    """Deterministic mean of ``gengly`` over a complex sample space."""
+    """Deterministic mean of ``gengly`` over a sample space on the spec's
+    roots-of-unity grid."""
     _require_nonnegative(spec.base, "a base matrix")
     moduli = tuple(s + 1 for s in spec.mults)
-    if tuple(space.moduli) != moduli:
-        raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
-    cells, probs = space.support_cells()
-    value = complex(probs @ _blockwise(lambda block: gengly_batch(spec, block), cells))
-    return Estimate(
-        value,
-        multi_bound_term(spec),
-        space.declared_epsilon,
-        space.seed_count,
-        _space_mode(space),
+    return _derandomized_mean(
+        space, moduli, lambda block: gengly_batch(spec, block), multi_bound_term(spec)
     )
 
 

@@ -20,7 +20,13 @@ import math
 import numpy as np
 
 from .errors import SizeLimitError
-from .estimators import gengly_scale, phase_space_size, roots_of_unity
+from .estimators import (
+    Estimate,
+    gengly_scale,
+    multi_bound_term,
+    phase_space_size,
+    roots_of_unity,
+)
 from .matrices import MultiplicitySpec, as_matrix
 
 __all__ = [
@@ -160,3 +166,11 @@ def permanent_gengly_exact(
         weights.append(np.conj(roots[(np.arange(s + 1) * s) % (s + 1)]))
     total = _grid_sum(spec.base, values, weights, block_bits)
     return complex(total * gengly_scale(spec.mults) / size)
+
+
+def _gengly_exhaustive_estimate(spec: MultiplicitySpec) -> Estimate:
+    """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
+    epsilon, the gengly bound term, one sample per grid point."""
+    value = permanent_gengly_exact(spec)
+    size = phase_space_size([s + 1 for s in spec.mults])
+    return Estimate(value, multi_bound_term(spec), 0.0, size, "exhaustive")

@@ -22,10 +22,8 @@ from .estimators import (
     Estimate,
     estimate_derandomized_multi,
     estimate_random_multi,
-    multi_bound_term,
-    phase_space_size,
 )
-from .exact import permanent_gengly_exact, permanent_ryser
+from .exact import _gengly_exhaustive_estimate, permanent_ryser
 from .matrices import MultiplicitySpec, as_matrix
 
 __all__ = [
@@ -140,13 +138,7 @@ def amplitude_estimate(
         est: Estimate = estimate_random_multi(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
         # the full average is exact for any complex matrix
-        est = Estimate(
-            permanent_gengly_exact(spec),
-            multi_bound_term(spec),
-            0.0,
-            phase_space_size(moduli),
-            "exhaustive",
-        )
+        est = _gengly_exhaustive_estimate(spec)
     elif mode == "derandomized":
         if space is None:
             space = build_complex_space(moduli, epsilon)

@@ -167,6 +167,15 @@ def complex_bias_brute(space) -> float:
     return worst
 
 
+def bias_by_dft(space) -> float:
+    """max over nonzero exponent vectors of |E[x^e]| from the full DFT of
+    the support histogram over the grid, for every modulus (2 included), with
+    no audit cap: the reference for ``measure_bias``'s Walsh kernel."""
+    spectrum = np.abs(np.fft.fftn(space.support_histogram().reshape(space.moduli)))
+    spectrum.flat[0] = 0.0
+    return float(spectrum.max())
+
+
 def complex_histogram_by_seed(space) -> np.ndarray:
     """Constructed-space histogram by enumerating every seed: each seed runs
     its own walk and sums the base tuples its selector bits pick out.

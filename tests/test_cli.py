@@ -189,6 +189,45 @@ class TestEstimate:
         assert out == ""
         assert "certified" in err
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "binary n=8 m=7 poly=0x83 eps=0.1 foo=1",
+            "binary n=8 m=7 poly=0x83 eps=0.1 mode=bogus",
+            # an exhaustive space has m=0 and eps=0
+            "binary n=8 m=5 eps=0.3 mode=exhaustive",
+        ],
+    )
+    def test_binary_descriptor_unknown_or_mismatched_field_exit_2(
+        self, capsys, tmp_path, descriptor
+    ):
+        path = write_matrix(tmp_path, "n8.txt", random_nonneg(np.random.default_rng(10), 8))
+        code, out, err = run(
+            capsys, "estimate", "--matrix", path, "--mode", "derandomized",
+            "--space", descriptor,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "binary n=8 m=7 poly=0X83 eps=0.1",
+            "binary n=8 m=7 poly=83 eps=0.1",
+            "binary n=8 m=7 eps=0.1",
+            "binary n=8 m=7 poly=0x83 eps=0.10000000000000001",
+        ],
+    )
+    def test_binary_descriptor_spellings_accepted(self, capsys, tmp_path, descriptor):
+        path = write_matrix(tmp_path, "n8.txt", random_nonneg(np.random.default_rng(10), 8))
+        argv = ("estimate", "--matrix", path, "--mode", "derandomized", "--space")
+        code, expected, _ = run(capsys, *argv, "binary n=8 m=7 poly=0x83 eps=0.1")
+        assert code == 0
+        code, out, _ = run(capsys, *argv, descriptor)
+        assert code == 0
+        assert out == expected
+
     def test_space_descriptor_supplies_epsilon(self, capsys, tmp_path):
         rng = np.random.default_rng(6)
         path = write_matrix(tmp_path, "n4.txt", random_nonneg(rng, 4))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from permest import binary_bias
 from permest.complex_bias import (
     BETA,
     DEFAULT_STRONG_PARAMS,
@@ -38,6 +39,7 @@ from permest.complex_bias import (
 from permest.errors import CapacityError, DescriptorError, DomainError
 
 from oracles import (
+    bias_by_dft,
     complex_bias_brute,
     complex_histogram_by_seed,
     cwise_horner,
@@ -442,6 +444,51 @@ class TestMeasure:
         )
 
 
+def _unaudited(moduli, ell):
+    """A constructed space assembled as build_complex_space assembles it,
+    without the audit that would reject it above its declared eps."""
+    gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+    amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
+    return ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
+
+
+# exhaustive (ell None) and unaudited constructed spaces: all-2 grids, then
+# two grids with a modulus of 3
+_AUDIT_CASES = (
+    [((2,) * k, None) for k in (1, 2, 3, 5, 10)]
+    + [((2,), 1), ((2,), 3), ((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 2, 2), 1)]
+    + [((3,), 2), ((3, 2), 1)]
+)
+
+
+class TestOneAudit:
+    @pytest.mark.parametrize(
+        "moduli, ell",
+        _AUDIT_CASES,
+        ids=[
+            "x".join(map(str, m)) + ("-exhaustive" if ell is None else f"-l{ell}")
+            for m, ell in _AUDIT_CASES
+        ],
+    )
+    def test_equals_full_dft(self, moduli, ell):
+        # all-2 grids take the Walsh butterfly, the others the DFT; both
+        # must give the DFT's value exactly
+        space = exhaustive_complex_space(moduli) if ell is None else _unaudited(moduli, ell)
+        assert measure_complex_bias is binary_bias.measure_bias
+        assert measure_complex_bias(space) == bias_by_dft(space)
+
+    def test_over_cap_raises_before_building_histogram(self, monkeypatch):
+        # 3^11 cells and as many seeds: 3^22 > 2^32 operations
+        space = exhaustive_complex_space((3,) * 11)
+
+        def fail(self):
+            raise AssertionError("histogram built before the cap check")
+
+        monkeypatch.setattr(ComplexSampleSpace, "support_histogram", fail)
+        with pytest.raises(CapacityError):
+            measure_complex_bias(space)
+
+
 class TestGeneratorConsistency:
     def test_scalar_generator_matches_histogram(self):
         space = build_complex_space((3,), 0.7, force_construction=True, ell=2)
@@ -465,10 +512,7 @@ class TestGeneratorConsistency:
             monkeypatch.setattr(
                 "permest.complex_bias._SEED_BLOCK", walks_per_block << ell
             )
-        # unaudited, assembled as build_complex_space assembles it
-        gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
-        amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
-        space = ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
+        space = _unaudited(moduli, ell)
         assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
 
     def test_exhaustive_generator_covers_grid(self):

@@ -474,6 +474,9 @@ class TestEstimateDerandomized:
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             estimate_derandomized(np.eye(4), exhaustive_binary_space(3))
+        # a complex space with a modulus other than 2
+        with pytest.raises(ValueError):
+            estimate_derandomized(np.eye(3), exhaustive_complex_space((2, 3, 2)))
 
     def test_certainty_at_measured_bias(self):
         # the deterministic error never exceeds measured-bias * bound_term
@@ -525,6 +528,9 @@ class TestEstimateDerandomizedMulti:
         spec = MultiplicitySpec(np.ones((3, 2)), (2, 1))
         with pytest.raises(ValueError):
             estimate_derandomized_multi(spec, exhaustive_complex_space((2, 3)))
+        # a binary space over the right number of coordinates
+        with pytest.raises(ValueError):
+            estimate_derandomized_multi(spec, exhaustive_binary_space(2))
 
     def test_seed_loop_oracle(self):
         rng = np.random.default_rng(16)

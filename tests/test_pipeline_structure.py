@@ -5,11 +5,11 @@ bound must hold in its sharper intermediate form."""
 import numpy as np
 import pytest
 
-from permest.binary_bias import build_binary_space, measure_bias
+from permest.binary_bias import IRREDUCIBLE, _gf2_mul_batch, build_binary_space, measure_bias
 from permest.complex_bias import (
     AmplifierParams,
     DEFAULT_STRONG_PARAMS,
-    _gf_const_table,
+    StrongProductGenerator,
     amplify,
     build_complex_space,
     strong_product_sample,
@@ -90,7 +90,13 @@ class TestWalkStepsAreBijections:
 class TestPairwiseHashTables:
     def test_constant_multiplication_tables_are_linear_bijections(self):
         bits = 3
-        tables = [_gf_const_table(bits, p) for p in range(1 << bits)]
+        field = np.arange(1 << bits, dtype=np.uint32)
+        tables = _gf2_mul_batch(field, field[:, None], bits, IRREDUCIBLE[bits])
+        # eight coordinates need B = 3 bits: the generator's hash multiplies
+        # by every point of GF(8), through the same shared multiply
+        gen = StrongProductGenerator((2,) * 8)
+        assert gen.gf_bits == bits
+        assert np.array_equal(gen._tables, tables)
         for p in range(1, 1 << bits):
             assert sorted(tables[p].tolist()) == list(range(1 << bits))
         # linearity: tab_i XOR tab_j is the table of point i XOR j, so the
