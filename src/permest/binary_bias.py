@@ -18,7 +18,8 @@ over the 2^n cells, which groups equal sample points for the estimator and
 feeds the audit's Walsh-Hadamard transform, is one ``bincount`` per block of
 about 2^20 seeds; it costs about 2^(2m) word operations plus the
 ``bincount``s, with no factor n, and is capped at n <= 24. ``generator``
-reads the XOR of the same columns for one seed, with no cap on n.
+computes one seed's cell with the scalar ``gf2_mul`` in Python ints, with
+no cap on n.
 
 A binary space is the complex grid with every modulus 2, and this module
 holds what the two kinds share: ``measure_bias`` audits either kind
@@ -80,7 +81,8 @@ _SEED_CHUNK = 1 << 20
 def gf2_mul(x: int, y: int, m: int) -> int:
     """Carry-less product of x and y reduced modulo the degree-m polynomial.
 
-    The scalar reference for ``_gf2_mul_batch``, which the seed map uses.
+    The scalar form of ``_gf2_mul_batch``: ``SampleSpace.generator`` uses it
+    for one seed, the support histogram uses the batch form.
     """
     poly = IRREDUCIBLE[m]
     r = 0
@@ -179,10 +181,16 @@ class SampleSpace:
         if self.exhaustive:
             phases = tuple((seed >> i) & 1 for i in range(self.n))
         else:
+            # phase i is <r, f^i> over GF(2): the seed map one seed at a time,
+            # in Python ints, since numpy costs more than the work on a batch
+            # of one
             m = self.field_bits
-            bits = self._column_bits(np.array([seed >> m], dtype=np.uint32))[0]
-            chosen = bits[[j for j in range(m) if (seed >> j) & 1]]
-            phases = tuple(int(b) for b in np.bitwise_xor.reduce(chosen, axis=0))
+            f, r = seed >> m, seed & ((1 << m) - 1)
+            power, bits = 1, []
+            for _ in range(self.n):
+                bits.append((r & power).bit_count() & 1)
+                power = gf2_mul(power, f, m)
+            phases = tuple(bits)
         return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:

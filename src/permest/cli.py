@@ -221,7 +221,7 @@ def _cmd_space_build(args) -> int:
         "seed_bits": space.seed_bits,
         "eps": space.declared_epsilon,
     }
-    if hasattr(space, "construction_bound"):
+    if space.construction_bound is not None:
         payload["certified_bias"] = space.construction_bound
     _emit(payload, [space.descriptor()], args.format)
     return 0

@@ -497,6 +497,12 @@ class ComplexSampleSpace:
             self.seed_count = 1 << self.seed_bits
         self._hist: np.ndarray | None = None
 
+    @property
+    def construction_bound(self) -> None:
+        """None: a complex space's bias is certified by audit, not by its
+        construction (binary spaces give (n-1)/2^m here)."""
+        return None
+
     def generator(self, seed: int) -> PhaseVector:
         if not (0 <= seed < self.seed_count):
             raise ValueError(f"seed must lie in [0, {self.seed_count})")

@@ -17,16 +17,22 @@ every row m of x. It works in blocks of ``_BLOCK`` = 2^12 rows, so a block's
 row sums (1.9 MiB at n=30 in complex128) stay in a 2 MiB L2: one matmul per
 block, then the column product as n in-place passes into one preallocated
 complex128 output. dtype dispatch: gly on a real matrix runs in float64
-throughout; gly on a complex matrix is one real matmul of the float signs
-against the (re, im)-interleaved float64 view of a.T, read back as complex;
-gengly builds its complex y in (k, M) layout with one gather per coordinate
-from a sqrt(s)*roots table. The sign product x_1...x_n comes from the sign
-sum, and the gengly phase factor from a per-phase table, as the weight.
+throughout, with the row sums laid out (n, B) so each pass reads one
+contiguous row; gly on a complex matrix is one real matmul of the float
+signs against the (re, im)-interleaved float64 view of a.T, read back as
+complex; gengly builds its complex y in (k, M) layout with one gather per
+coordinate from a sqrt(s)*roots table, after checking the phase range. The
+sign product x_1...x_n comes from the integer count of -1 signs, and the
+gengly phase factor from a per-phase table, as the weight.
 
 Random mode draws its signs from ``numpy.random.default_rng(rng_seed)``:
-sign j of a chunk is bit 31 (even j) or bit 63 (odd j) of the chunk's raw
-PCG64 word j // 2, mapped 0 -> +1 and 1 -> -1. That is the stream of
+sign j is bit 31 (even j) or bit 63 (odd j) of raw PCG64 word j // 2 of
+the stream, mapped 0 -> +1 and 1 -> -1. That is the stream of
 ``integers(0, 2)`` on the same generator, built without an int64 array.
+Signs are drawn and evaluated one 2^12-row block at a time, into one
+reused buffer, so a block is evaluated while it is in L2; the samples are
+summed once per ``_CHUNK`` = 2^16 rows, pairwise. The derandomized mean is
+a pairwise sum too, which no BLAS thread count can reorder.
 """
 
 from __future__ import annotations
@@ -170,20 +176,30 @@ def _rowsum_products(x: np.ndarray, at: np.ndarray, weight: np.ndarray) -> np.nd
 
     Runs in blocks of ``_BLOCK`` rows, so each block's row sums stay in L2:
     one matmul, then the column product as in-place passes. Real x against
-    complex at is one real matmul on at's interleaved (re, im) pairs, viewed
-    back as complex; real x against real at stays float64 throughout.
+    real at stays float64 throughout, with the row sums laid out (n, B) so
+    that each pass reads one contiguous row. Real x against complex at is
+    one real matmul on at's interleaved (re, im) pairs, viewed back as
+    complex. Complex paths keep the (B, n) layout: a transposed zgemm was
+    not bit-identical to it at small M.
     """
+    # decided before the split view below makes a complex at float64
+    real = x.dtype == np.float64 and at.dtype == np.float64
     split = x.dtype == np.float64 and at.dtype == np.complex128
     if split:
         at = np.ascontiguousarray(at).view(np.float64)
     out = np.empty(x.shape[0], dtype=np.complex128)
     for lo in range(0, x.shape[0], _BLOCK):
-        rows = x[lo : lo + _BLOCK] @ at
-        if split:
-            rows = rows.view(np.complex128)
-        prod = rows[:, 0].copy()
-        for i in range(1, rows.shape[1]):
-            prod *= rows[:, i]
+        block = x[lo : lo + _BLOCK]
+        if real:
+            rows = at.T @ block.T
+        else:
+            rows = block @ at
+            if split:
+                rows = rows.view(np.complex128)
+            rows = rows.T
+        prod = rows[0].copy()
+        for i in range(1, rows.shape[0]):
+            prod *= rows[i]
         prod *= weight[lo : lo + _BLOCK]
         out[lo : lo + _BLOCK] = prod
     return out
@@ -199,7 +215,8 @@ def gly_batch(a, signs: np.ndarray) -> np.ndarray:
     else:
         at = a.T.real.astype(np.float64)
     # prod_j x_j from the sign sum: (n - sum_j x_j) / 2 of the x_j are -1
-    parity = 1.0 - 2.0 * (((n - signs @ np.ones(n)) / 2.0) % 2.0)
+    minus = (n - signs @ np.ones(n)).astype(np.int64) >> 1
+    parity = 1.0 - 2.0 * (minus & 1)
     return _rowsum_products(signs, at, parity)
 
 
@@ -232,12 +249,16 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
     y = np.empty((k, phases.shape[0]), dtype=np.complex128)
     pow_prod = np.ones(phases.shape[0], dtype=np.complex128)
     for i, s in enumerate(mults):
+        # a negative phase reads as a huge unsigned one; with the range
+        # checked, the clipped gathers below never clip
+        if np.any(cols[i].view(np.uint64) > s):
+            raise ValueError(f"phases in column {i} must lie in [0, {s}]")
         roots = roots_of_unity(s + 1)
-        np.take(math.sqrt(s) * roots, cols[i], out=y[i])
+        np.take(math.sqrt(s) * roots, cols[i], out=y[i], mode="clip")
         # z_i^{s_i} from a per-phase table keeps small moduli exact. The conj
         # stays after the product: conj of each factor instead can flip the
         # sign of a zero imaginary part
-        pow_prod *= roots[np.arange(s + 1) * s % (s + 1)][cols[i]]
+        pow_prod *= np.take(roots[np.arange(s + 1) * s % (s + 1)], cols[i], mode="clip")
     weight = gengly_scale(mults) * np.conj(pow_prod)
     return _rowsum_products(y.T, spec.base.T, weight)
 
@@ -260,7 +281,7 @@ _SIGN_BIT = np.uint64(1 << 63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # float64 1.0
 
 
-def _random_signs(bitgen, rows: int, n: int) -> np.ndarray:
+def _random_signs(bitgen, rows: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """(rows, n) float64 +-1 signs, the same stream as mapping
     ``integers(0, 2, size=(rows, n))`` of a Generator on ``bitgen`` to
     1 - 2*bit.
@@ -270,15 +291,20 @@ def _random_signs(bitgen, rows: int, n: int) -> np.ndarray:
     of word j // 2. Each bit is moved into the sign bit of a float64 1.0.
     An odd rows * n leaves the last half-word unused, where ``integers``
     would keep it for its next call, so only a final draw may be odd.
+
+    ``out``, a uint64 array of at least rows * n + 1 entries, receives the
+    signs instead of a new array, so a stream of blocks can reuse one buffer.
     """
     count = rows * n
     raw = bitgen.random_raw((count + 1) // 2)
-    out = np.empty((raw.shape[0], 2), dtype=np.uint64)
-    np.left_shift(raw, np.uint64(32), out=out[:, 0])
-    out[:, 0] &= _SIGN_BIT
-    np.bitwise_and(raw, _SIGN_BIT, out=out[:, 1])
-    out |= _ONE_BITS
-    return out.view(np.float64).reshape(-1)[:count].reshape(rows, n)
+    if out is None:
+        out = np.empty(2 * raw.shape[0], dtype=np.uint64)
+    pairs = out[: 2 * raw.shape[0]].reshape(-1, 2)
+    np.left_shift(raw, np.uint64(32), out=pairs[:, 0])
+    pairs[:, 0] &= _SIGN_BIT
+    np.bitwise_and(raw, _SIGN_BIT, out=pairs[:, 1])
+    pairs |= _ONE_BITS
+    return pairs.view(np.float64).reshape(-1)[:count].reshape(rows, n)
 
 
 def _check_params(epsilon: float, delta: float) -> None:
@@ -296,8 +322,9 @@ def estimate_random(
     Guarantee: within ``epsilon * |A|^n`` of the permanent with probability
     at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
     are bits 31 and 63 of each raw PCG64 word of
-    ``default_rng(rng_seed)``, the same stream as ``integers(0, 2)`` drawn
-    in chunks of ``_CHUNK`` rows.
+    ``default_rng(rng_seed)``, the same stream as ``integers(0, 2)``. They
+    are drawn and evaluated in blocks of ``_BLOCK`` = 2^12 rows, and the
+    samples are summed pairwise once per ``_CHUNK`` = 2^16 rows.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -308,10 +335,22 @@ def estimate_random(
     bound = spectral_norm(a).value ** n
     m = sample_count(epsilon, delta)
     bitgen = np.random.default_rng(rng_seed).bit_generator
+    # one sign buffer for every block: a fresh one, live next to the
+    # kernel's row sums, made malloc return the heap to the kernel and fault
+    # it in again at every block (40k page faults per estimate at n=30)
+    signs = np.empty(min(m, _BLOCK) * n + 1, dtype=np.uint64)
+    vals = np.empty(min(m, _CHUNK), dtype=np.complex128)
     total = 0j
     for done in range(0, m, _CHUNK):
-        signs = _random_signs(bitgen, min(_CHUNK, m - done), n)
-        total += complex(np.sum(gly_batch(a, signs)))
+        c = min(_CHUNK, m - done)
+        # a block is drawn and evaluated while in L2; a block of _BLOCK rows
+        # has an even number of signs, so only the run's last draw can be odd
+        for lo in range(0, c, _BLOCK):
+            rows = min(_BLOCK, c - lo)
+            block = _random_signs(bitgen, rows, n, out=signs)
+            vals[lo : lo + rows] = gly_batch(a, block)
+        # one pairwise sum per chunk pins the summation order
+        total += complex(np.sum(vals[:c]))
     return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
@@ -365,9 +404,10 @@ def _derandomized_mean(space, moduli: tuple[int, ...], evaluate, bound: float) -
     for lo in range(0, cells.shape[0], _CHUNK):
         vals[lo : lo + _CHUNK] = evaluate(cells[lo : lo + _CHUNK])
     mode = "exhaustive" if space.exhaustive else "derandomized"
-    return Estimate(
-        complex(probs @ vals), bound, space.declared_epsilon, space.seed_count, mode
-    )
+    # a pairwise sum: a BLAS dot splits across threads, and its last bits
+    # changed with the thread count
+    value = complex(np.sum(probs * vals))
+    return Estimate(value, bound, space.declared_epsilon, space.seed_count, mode)
 
 
 def estimate_derandomized(a, space) -> Estimate:

@@ -478,6 +478,22 @@ class TestSpace:
         assert code == 0
         assert out.splitlines()[0].endswith("PASS")
 
+    def test_certified_bias_only_for_binary_spaces(self, capsys):
+        # complex spaces report construction_bound None: certified by audit
+        code, out, _ = run(
+            capsys, "space", "build", "--kind", "binary", "--n", "8",
+            "--epsilon", "0.25", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["certified_bias"] == 7 / 32
+        for extra in ((), ("--force-construction", "--ell", "3")):
+            code, out, _ = run(
+                capsys, "space", "build", "--kind", "complex", "--mults", "2",
+                "--epsilon", "0.55", *extra, "--format", "json",
+            )
+            assert code == 0
+            assert set(json.loads(out)) == {"descriptor", "seed_bits", "eps"}
+
     def test_build_byte_identical(self, capsys):
         args = ("space", "build", "--kind", "binary", "--n", "6", "--epsilon", "0.5")
         _, out1, _ = run(capsys, *args)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -138,6 +142,13 @@ class TestGenGly:
         with pytest.raises(ValueError):
             gengly(spec, PhaseVector((2, 2), (0, 0)))
 
+    @pytest.mark.parametrize("phases", [[[-1, 0]], [[0, -1]], [[3, 0]], [[0, 2]]])
+    def test_phase_out_of_range_rejected(self, phases):
+        # phase -1 used to wrap to phase s; the gathers rely on this check
+        spec = MultiplicitySpec(random_complex(np.random.default_rng(4), 3, 2), (2, 1))
+        with pytest.raises(ValueError, match="must lie in"):
+            gengly_batch(spec, np.array([[0, 0], *phases]))
+
     def test_matches_plain_oracle(self):
         rng = np.random.default_rng(6)
         b = random_complex(rng, 5, 3)
@@ -255,6 +266,18 @@ class TestKernelProperties:
             vals = gly_batch(a, signs)
         bound = spectral_norm(a).value ** a.shape[0]
         assert np.all(np.abs(vals) <= bound * (1 + 1e-9))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_real_rowsum_products_match_plain(self, n):
+        # real input takes the (n, B) row-sum layout; ragged last block
+        rng = np.random.default_rng(60 + n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(estimators._BLOCK + 9, n))
+        vals = estimators._rowsum_products(signs, a.T.copy(), np.prod(signs, axis=1))
+        assert not np.any(vals.imag) and not np.any(np.signbit(vals.imag))
+        for row, v in zip(signs[::7], vals[::7]):
+            ref = gly_plain(a, row)
+            assert abs(v - ref) <= 1e-12 * abs(ref)
 
     def test_default_block_with_ragged_tail(self):
         # more than two default blocks, the last one partial
@@ -380,6 +403,23 @@ class TestSampleStream:
         ) / m
         assert abs(est.value - ref) <= 1e-12 * est.bound_term
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_random_sums_gly_batch_per_chunk(self, n, real):
+        # the blockwise draw and evaluation must keep one pairwise sum per
+        # 2^16-sample chunk: non-dyadic entries make any other order show
+        rng = np.random.default_rng(50 + n)
+        a = rng.uniform(-1.0, 1.0, (n, n)) if real else random_complex(rng, n)
+        est = estimate_random(a, 0.015, 0.01, rng_seed=n)
+        m = sample_count(0.015, 0.01)
+        assert (1 << 16) < m < (1 << 17)
+        bitgen = np.random.default_rng(n).bit_generator
+        total = 0j
+        for lo in range(0, m, 1 << 16):
+            signs = estimators._random_signs(bitgen, min(1 << 16, m - lo), n)
+            total += complex(np.sum(gly_batch(a, signs)))
+        assert est.value == total / m
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_multi_is_mean_over_chunked_column_draws(self, seed):
         rng = np.random.default_rng(40 + seed)
@@ -420,6 +460,19 @@ class TestRandomSigns:
             signs = estimators._random_signs(bitgen, rows, n)
             assert signs.shape == (rows, n) and signs.dtype == np.float64
             assert np.array_equal(signs, 1.0 - 2.0 * ref.integers(0, 2, size=(rows, n)))
+
+    @pytest.mark.parametrize("n", [1, 3, 30])
+    def test_block_draws_continue_one_stream(self, n):
+        # random mode draws _BLOCK rows at a time into one reused buffer; the
+        # final block of 5 rows is odd for odd n
+        rows = 2 * estimators._BLOCK + 5
+        whole = estimators._random_signs(np.random.default_rng(9).bit_generator, rows, n)
+        bitgen = np.random.default_rng(9).bit_generator
+        buf = np.empty(estimators._BLOCK * n + 1, dtype=np.uint64)
+        for lo in range(0, rows, estimators._BLOCK):
+            count = min(estimators._BLOCK, rows - lo)
+            block = estimators._random_signs(bitgen, count, n, out=buf)
+            assert np.array_equal(block, whole[lo : lo + count])
 
     def test_first_signs_of_seed_zero(self):
         # a literal pin: holds the stream even if numpy's integers() changes
@@ -477,6 +530,35 @@ class TestEstimateDerandomized:
         # a complex space with a modulus other than 2
         with pytest.raises(ValueError):
             estimate_derandomized(np.eye(3), exhaustive_complex_space((2, 3, 2)))
+
+    def test_same_under_one_and_two_blas_threads(self):
+        # the support mean is a pairwise sum: a BLAS dot splits across
+        # threads and changed the last bits with the thread count
+        script = (
+            "import numpy as np\n"
+            "from permest.binary_bias import build_binary_space\n"
+            "from permest.complex_bias import exhaustive_complex_space\n"
+            "from permest.estimators import estimate_derandomized, estimate_derandomized_multi\n"
+            "from permest.matrices import MultiplicitySpec\n"
+            "rng = np.random.default_rng(16)\n"
+            "a = rng.uniform(0.0, 1.0, (16, 16))\n"
+            "spec = MultiplicitySpec(rng.uniform(0.0, 1.0, (20, 10)), (2,) * 10)\n"
+            "for est in (estimate_derandomized(a, build_binary_space(16, 0.05)),\n"
+            "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10))):\n"
+            "    print(est.value.real.hex(), est.value.imag.hex())\n"
+        )
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
 
     def test_certainty_at_measured_bias(self):
         # the deterministic error never exceeds measured-bias * bound_term
