@@ -156,13 +156,10 @@ def _cmd_estimate(args) -> int:
     elif args.mode == "exhaustive":
         if spec is None:
             n = a.shape[0]
-            est = Estimate(
-                permanent_glynn_exact(a),
-                spectral_norm(a).value ** n,
-                0.0,
-                1 << n,
-                "exhaustive",
-            )
+            # the bound first: a norm that fails or overflows refuses
+            # before the 2^n work
+            bound = spectral_norm(a).value ** n
+            est = Estimate(permanent_glynn_exact(a), bound, 0.0, 1 << n, "exhaustive")
         else:
             est = _gengly_exhaustive_estimate(spec)
         payload_extra = {}

@@ -25,14 +25,19 @@ coordinate from a sqrt(s)*roots table, after checking the phase range. The
 sign product x_1...x_n comes from the integer count of -1 signs, and the
 gengly phase factor from a per-phase table, as the weight.
 
-Random mode draws its signs from ``numpy.random.default_rng(rng_seed)``:
-sign j is bit 31 (even j) or bit 63 (odd j) of raw PCG64 word j // 2 of
-the stream, mapped 0 -> +1 and 1 -> -1. That is the stream of
-``integers(0, 2)`` on the same generator, built without an int64 array.
-Signs are drawn and evaluated one 2^12-row block at a time, into one
-reused buffer, so a block is evaluated while it is in L2; the samples are
-summed once per ``_CHUNK`` = 2^16 rows, pairwise. The derandomized mean is
-a pairwise sum too, which no BLAS thread count can reorder.
+Both random-mode estimators run one loop, ``_random_mean``: ``_CHUNK`` =
+2^16-sample chunks of ``_BLOCK`` = 2^12-row blocks, written into one reused
+buffer and summed pairwise once per chunk. gly draws its signs per block
+from ``numpy.random.default_rng(rng_seed)``: sign j is bit 31 (even j) or
+bit 63 (odd j) of raw PCG64 word j // 2 of the stream, mapped 0 -> +1 and
+1 -> -1, the stream of ``integers(0, 2)`` built without an int64 array.
+gengly draws each chunk's phases column by column with ``integers``. A
+sample is a cell of the grid of prod(moduli) cells. When the grid has at
+most as many cells as there are samples in full blocks, and at most 2^16,
+the kernel runs once over every cell and each full block gathers its values
+from that table, bit-identical to evaluating the block (see
+``_random_mean``). The derandomized mean is a pairwise sum too, which no
+BLAS thread count can reorder.
 """
 
 from __future__ import annotations
@@ -314,6 +319,76 @@ def _check_params(epsilon: float, delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def _random_mean(m: int, grid: int, draw, evaluate, cells, index) -> complex:
+    """Mean of m independent samples of an estimator, the loop of both
+    random-mode estimators.
+
+    ``draw(c)`` draws one chunk of c samples and returns ``chunk(lo, rows)``,
+    the kernel input of its rows lo..lo+rows-1; ``evaluate`` is the
+    estimator kernel on such a block. The samples are summed pairwise once
+    per ``_CHUNK`` rows, from one reused buffer.
+
+    The grid has ``grid`` cells, numbered so that ``index(block)`` gives each
+    row's cell and ``cells(lo, hi)`` is the kernel input of cells lo..hi-1.
+    When the full ``_BLOCK``-row blocks hold at least ``grid`` samples, and
+    ``grid`` is at most ``_CHUNK``, the kernel runs once over the grid and
+    every full block gathers its values from that table. The rest is
+    evaluated as it is drawn. Bit identity rests on the kernel giving a row
+    the same bits wherever it sits: true for the complex kernels in any
+    block of 2 or more rows (one row takes BLAS's matrix-vector path), and
+    for the real gly kernel in blocks of a multiple of 8 rows or at most
+    192, as every table block and full block is. In other ragged blocks its
+    matmul rounds the last rows differently, so the final ragged block is
+    never looked up.
+    """
+    table = None
+    if grid <= min(m - m % _BLOCK, _CHUNK):
+        table = np.empty(grid, dtype=np.complex128)
+        for lo in range(0, grid, _BLOCK):
+            # a one-row block would take BLAS's matrix-vector path
+            lo = min(lo, grid - 2)
+            hi = min(lo + _BLOCK, grid)
+            table[lo:hi] = evaluate(cells(lo, hi))
+    vals = np.empty(min(m, _CHUNK), dtype=np.complex128)
+    total = 0j
+    for done in range(0, m, _CHUNK):
+        c = min(_CHUNK, m - done)
+        chunk = draw(c)
+        for lo in range(0, c, _BLOCK):
+            rows = min(_BLOCK, c - lo)
+            x = chunk(lo, rows)
+            if table is not None and rows == _BLOCK:
+                np.take(table, index(x), out=vals[lo : lo + rows], mode="clip")
+            else:
+                vals[lo : lo + rows] = evaluate(x)
+        # one pairwise sum per chunk pins the summation order
+        total += complex(np.sum(vals[:c]))
+    return total / m
+
+
+def _cell_phases(lo: int, hi: int, moduli: Sequence[int]) -> np.ndarray:
+    """(hi - lo, k) phases of cells lo..hi-1, a transposed view: cell c has
+    phases p with c = sum_i p_i * moduli[0] * ... * moduli[i-1]."""
+    cells = np.arange(lo, hi)
+    out = np.empty((len(moduli), hi - lo), dtype=np.int64)
+    for i, mod in enumerate(moduli):
+        np.remainder(cells, mod, out=out[i])
+        cells //= mod
+    return out.T
+
+
+def _cell_signs(lo: int, hi: int, n: int) -> np.ndarray:
+    """(hi - lo, n) float64 signs of cells lo..hi-1: sign j is -1 where bit j
+    of the cell is set, moved into the sign bit of a 1.0. Shifts build them
+    7x faster than ``_cell_phases``, and in the C order the random signs
+    have (gly_batch on a transposed copy is not always bit-identical)."""
+    shifts = np.uint64(63) - np.arange(n, dtype=np.uint64)
+    bits = np.arange(lo, hi, dtype=np.uint64)[:, None] << shifts
+    bits &= _SIGN_BIT
+    bits |= _ONE_BITS
+    return bits.view(np.float64)
+
+
 def estimate_random(
     a, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
@@ -323,8 +398,12 @@ def estimate_random(
     at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
     are bits 31 and 63 of each raw PCG64 word of
     ``default_rng(rng_seed)``, the same stream as ``integers(0, 2)``. They
-    are drawn and evaluated in blocks of ``_BLOCK`` = 2^12 rows, and the
-    samples are summed pairwise once per ``_CHUNK`` = 2^16 rows.
+    are drawn in blocks of ``_BLOCK`` = 2^12 rows, and the samples are
+    summed pairwise once per ``_CHUNK`` = 2^16 rows. Sign j = -1 is bit j of
+    the sample's cell: when 2^n is at most the samples in full blocks and at
+    most 2^16, ``gly_batch`` runs once over the 2^n cells and each full
+    block reads its values from that table; otherwise every block is
+    evaluated.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -339,19 +418,23 @@ def estimate_random(
     # kernel's row sums, made malloc return the heap to the kernel and fault
     # it in again at every block (40k page faults per estimate at n=30)
     signs = np.empty(min(m, _BLOCK) * n + 1, dtype=np.uint64)
-    vals = np.empty(min(m, _CHUNK), dtype=np.complex128)
-    total = 0j
-    for done in range(0, m, _CHUNK):
-        c = min(_CHUNK, m - done)
-        # a block is drawn and evaluated while in L2; a block of _BLOCK rows
-        # has an even number of signs, so only the run's last draw can be odd
-        for lo in range(0, c, _BLOCK):
-            rows = min(_BLOCK, c - lo)
-            block = _random_signs(bitgen, rows, n, out=signs)
-            vals[lo : lo + rows] = gly_batch(a, block)
-        # one pairwise sum per chunk pins the summation order
-        total += complex(np.sum(vals[:c]))
-    return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
+
+    # a block of _BLOCK rows has an even number of signs, so only the run's
+    # last draw can be odd
+    def draw(c):
+        return lambda lo, rows: _random_signs(bitgen, rows, n, out=signs)
+
+    # sum_j 2^j x_j = (2^n - 1) - 2 * cell, exact in float64
+    weights = 2.0 ** np.arange(n)
+    value = _random_mean(
+        m,
+        1 << n,
+        draw,
+        lambda x: gly_batch(a, x),
+        lambda lo, hi: _cell_signs(lo, hi, n),
+        lambda x: ((2.0**n - 1.0 - x @ weights) / 2.0).astype(np.intp),
+    )
+    return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
 def multi_bound_term(spec: MultiplicitySpec) -> float:
@@ -365,19 +448,38 @@ def multi_bound_term(spec: MultiplicitySpec) -> float:
 def estimate_random_multi(
     spec: MultiplicitySpec, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
-    """Mean of uniform roots-of-unity samples of ``gengly``."""
+    """Mean of uniform roots-of-unity samples of ``gengly``.
+
+    Reproducible for a fixed ``rng_seed``: each ``_CHUNK`` = 2^16-sample
+    chunk draws its phases column by column with ``integers(0, s_i + 1)`` of
+    ``default_rng(rng_seed)``, and is evaluated in blocks of ``_BLOCK`` rows
+    and summed pairwise. When the grid's prod(s_i + 1) cells are at most the
+    samples in full blocks and at most 2^16, ``gengly_batch`` runs once over
+    the cells and each full block reads its values from that table.
+    """
     _check_params(epsilon, delta)
     bound = multi_bound_term(spec)
     moduli = [s + 1 for s in spec.mults]
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
-    total = 0j
+
     # the per-column draws depend on the chunk size: keep _CHUNK for sampling
-    for done in range(0, m, _CHUNK):
-        c = min(_CHUNK, m - done)
-        cols = np.stack([rng.integers(0, mod, size=c) for mod in moduli])
-        total += complex(np.sum(gengly_batch(spec, cols.T)))
-    return Estimate(total / m, bound, epsilon, m, "random", confidence=1.0 - delta)
+    def draw(c):
+        cols = [rng.integers(0, mod, size=c) for mod in moduli]
+        # stacked one block at a time, while the block is in cache
+        return lambda lo, rows: np.stack([col[lo : lo + rows] for col in cols]).T
+
+    # float strides are exact wherever the table is used, and cannot wrap
+    strides = np.cumprod([1.0, *moduli[:-1]])
+    value = _random_mean(
+        m,
+        phase_space_size(moduli),
+        draw,
+        lambda x: gengly_batch(spec, x),
+        lambda lo, hi: _cell_phases(lo, hi, moduli),
+        lambda x: (strides @ x.T).astype(np.intp),
+    )
+    return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
 def _require_nonnegative(a: np.ndarray, what: str) -> None:

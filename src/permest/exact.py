@@ -1,13 +1,16 @@
 """Exact permanent computation.
 
 ``permanent_naive`` is the permutation-sum reference (factorial time, the
-ground truth every other routine is tested against). Ryser, Glynn and
+ground truth every other routine is tested against): a literal sum over all
+n! permutations, built as one int8 table by insertion and multiplied out in
+blocks of 2^16 permutations. Ryser, Glynn and
 gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
 weighted sum, over a product grid of per-column values, of the product of
 the row sums at each grid point. The leading columns form a cache-resident
 table of at most 2^block_bits row-sum vectors; an outer loop over the other
 columns shifts it by their row sums and multiplies its n rows. Real input
-runs in float64, complex input in complex128. The outer sum is
+runs in float64, complex input in complex128. Each table is reduced by a
+pairwise sum, which no BLAS thread count can reorder, and the outer sum is
 Kahan-compensated against Ryser's cancellation.
 """
 
@@ -45,6 +48,8 @@ PHASE_SPACE_LIMIT = 1 << 24
 
 # a 2^14 complex128 table row is 256 KiB, well inside L2
 _BLOCK_BITS = 14
+# permutations per block of the permutation sum
+_NAIVE_BLOCK = 1 << 16
 
 _SIGNS = np.array([1.0, -1.0])
 
@@ -58,17 +63,35 @@ def _square(a, limit: int, name: str) -> np.ndarray:
     return a
 
 
+def _permutations(n: int) -> np.ndarray:
+    """All n! permutations of range(n), one int8 row each: every permutation
+    of range(k) is extended by inserting k at each of its k + 1 positions."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        rows = perms.shape[0]
+        grown = np.empty((rows * (k + 1), k + 1), dtype=np.int8)
+        for pos in range(k + 1):
+            block = grown[pos * rows : (pos + 1) * rows]
+            block[:, :pos] = perms[:, :pos]
+            block[:, pos] = k
+            block[:, pos + 1 :] = perms[:, pos:]
+        perms = grown
+    return perms
+
+
 def permanent_naive(a) -> complex:
     """Sum over all n! permutations of products of matched entries."""
     a = _square(a, NAIVE_LIMIT, "permanent_naive")
     n = a.shape[0]
-    rows = [[complex(v) for v in row] for row in a]
+    perms = _permutations(n)
     total = 0j
-    for perm in itertools.permutations(range(n)):
-        p = 1 + 0j
-        for i, j in enumerate(perm):
-            p *= rows[i][j]
-        total += p
+    for lo in range(0, perms.shape[0], _NAIVE_BLOCK):
+        block = perms[lo : lo + _NAIVE_BLOCK]
+        # entry (i, perm[i]) of each permutation, multiplied left to right
+        prod = a[0, block[:, 0]]
+        for i in range(1, n):
+            prod *= a[i, block[:, i]]
+        total += complex(np.sum(prod))
     return total
 
 
@@ -115,7 +138,10 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
             for i in range(1, n):
                 np.add(table[i], base[i], out=tmp)
                 out *= tmp
-            acc.add(math.prod(w for _, w in point) * (table_w @ out).item())
+            # a pairwise sum: a BLAS dot splits across threads, and its last
+            # bits changed with the thread count
+            np.multiply(table_w, out, out=tmp)
+            acc.add(math.prod(w for _, w in point) * np.sum(tmp).item())
     if not cmath.isfinite(acc.total):
         raise OverflowError("the permanent sum is not finite in double precision")
     return acc.total
@@ -171,6 +197,7 @@ def permanent_gengly_exact(
 def _gengly_exhaustive_estimate(spec: MultiplicitySpec) -> Estimate:
     """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
     epsilon, the gengly bound term, one sample per grid point."""
-    value = permanent_gengly_exact(spec)
+    # the bound first, so that a refusal comes before the grid sum
+    bound = multi_bound_term(spec)
     size = phase_space_size([s + 1 for s in spec.mults])
-    return Estimate(value, multi_bound_term(spec), 0.0, size, "exhaustive")
+    return Estimate(permanent_gengly_exact(spec), bound, 0.0, size, "exhaustive")

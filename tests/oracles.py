@@ -7,6 +7,10 @@ package against these, never the other way around.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +47,18 @@ def jacobi_svd_sigma_max(a, sweeps: int = 60, tol: float = 1e-14) -> float:
         if off < tol:
             break
     return float(np.sqrt(np.max(np.sum(np.abs(w) ** 2, axis=0))))
+
+
+def permanent_by_permutations(a) -> complex:
+    """The permanent as a literal loop over itertools.permutations."""
+    rows = [[complex(v) for v in row] for row in np.asarray(a)]
+    total = 0j
+    for perm in itertools.permutations(range(len(rows))):
+        p = 1 + 0j
+        for i, j in enumerate(perm):
+            p *= rows[i][j]
+        total += p
+    return total
 
 
 def gly_plain(a, signs) -> complex:
@@ -297,3 +313,21 @@ def naive_expanded(spec):
     from permest.exact import permanent_naive
 
     return permanent_naive(expand(spec))
+
+
+def stdout_per_blas_threads(script: str, threads=("1", "2")) -> list[str]:
+    """The stdout of ``python -c script`` in a fresh process per
+    ``OPENBLAS_NUM_THREADS`` value, with the package's source on the path."""
+    import permest
+
+    src = str(Path(permest.__file__).resolve().parents[1])
+    outputs = []
+    for count in threads:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(done.stdout)
+    return outputs

@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import permest.cli
+import permest.estimators
+import permest.exact
 from permest.cli import main
+from permest.errors import ConvergenceError
 from permest.exact import permanent_naive
 from permest.matrices import parse_matrix, serialize_matrix, spectral_norm
 
@@ -273,6 +277,32 @@ class TestEstimate:
         code, out_eps, _ = run(capsys, *argv, "--epsilon", "0.3")
         assert code == 0
         assert out_eps == out
+
+    @pytest.mark.parametrize("mult", [None, "2,1,1"])
+    def test_exhaustive_bound_refuses_before_the_kernel(
+        self, capsys, tmp_path, monkeypatch, mult
+    ):
+        # the bound comes first: a norm that cannot be certified exits 3
+        # without running the exponential-time kernel
+        def refuse(a):
+            raise ConvergenceError("power iteration did not converge", 1.0, 1e-3, 10_000)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the exact kernel ran before the bound")
+
+        monkeypatch.setattr(permest.cli, "spectral_norm", refuse)
+        monkeypatch.setattr(permest.estimators, "spectral_norm", refuse)
+        monkeypatch.setattr(permest.cli, "permanent_glynn_exact", never)
+        monkeypatch.setattr(permest.exact, "permanent_gengly_exact", never)
+        k = 4 if mult is None else 3
+        path = write_matrix(tmp_path, "n4.txt", np.ones((4, k)))
+        argv = ["estimate", "--matrix", path, "--mode", "exhaustive"]
+        if mult is not None:
+            argv += ["--mult", mult]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "did not converge" in err
 
 
 def _eighths_text(cols: int, imag: bool) -> str:

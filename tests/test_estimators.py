@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,7 +36,28 @@ from oracles import (
     random_nonneg,
     sign_vector,
     space_mean_by_seed_loop,
+    stdout_per_blas_threads,
 )
+
+
+def direct_chunk_mean(x, m, seed):
+    """The random-mode mean without a table: one kernel call and one
+    pairwise sum per 2^16-sample chunk, on the estimators' sample streams.
+    ``x`` is a matrix (gly) or a MultiplicitySpec (gengly)."""
+    chunk = estimators._CHUNK
+    total = 0j
+    if isinstance(x, MultiplicitySpec):
+        rng = np.random.default_rng(seed)
+        for lo in range(0, m, chunk):
+            c = min(chunk, m - lo)
+            phases = np.column_stack([rng.integers(0, s + 1, size=c) for s in x.mults])
+            total += complex(np.sum(gengly_batch(x, phases)))
+    else:
+        bitgen = np.random.default_rng(seed).bit_generator
+        for lo in range(0, m, chunk):
+            signs = estimators._random_signs(bitgen, min(chunk, m - lo), x.shape[0])
+            total += complex(np.sum(gly_batch(x, signs)))
+    return total / m
 
 
 class TestPhaseVector:
@@ -403,22 +420,28 @@ class TestSampleStream:
         ) / m
         assert abs(est.value - ref) <= 1e-12 * est.bound_term
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("shape", [5, 6, pytest.param((3, 2, 1), id="mults321")])
     @pytest.mark.parametrize("real", [True, False])
-    def test_random_sums_gly_batch_per_chunk(self, n, real):
-        # the blockwise draw and evaluation must keep one pairwise sum per
-        # 2^16-sample chunk: non-dyadic entries make any other order show
+    def test_random_sums_gly_batch_per_chunk(self, shape, real):
+        # the blockwise draw, evaluation and table lookup must give one
+        # pairwise sum per 2^16-sample chunk of the kernel's own values:
+        # non-dyadic entries make another order or a wrong cell show. An int
+        # shape is gly's n (grid 2^n), a tuple a spec's mults (grid 24);
+        # 106,515 samples end in a ragged chunk and a 19-row ragged block
+        n = shape if isinstance(shape, int) else sum(shape)
+        k = n if isinstance(shape, int) else len(shape)
         rng = np.random.default_rng(50 + n)
-        a = rng.uniform(-1.0, 1.0, (n, n)) if real else random_complex(rng, n)
-        est = estimate_random(a, 0.015, 0.01, rng_seed=n)
+        a = rng.uniform(-1.0, 1.0, (n, k)) if real else random_complex(rng, n, k)
         m = sample_count(0.015, 0.01)
         assert (1 << 16) < m < (1 << 17)
-        bitgen = np.random.default_rng(n).bit_generator
-        total = 0j
-        for lo in range(0, m, 1 << 16):
-            signs = estimators._random_signs(bitgen, min(1 << 16, m - lo), n)
-            total += complex(np.sum(gly_batch(a, signs)))
-        assert est.value == total / m
+        if isinstance(shape, int):
+            est = estimate_random(a, 0.015, 0.01, rng_seed=n)
+            ref = direct_chunk_mean(a, m, n)
+        else:
+            spec = MultiplicitySpec(a, shape)
+            est = estimate_random_multi(spec, 0.015, 0.01, rng_seed=n)
+            ref = direct_chunk_mean(spec, m, n)
+        assert est.value == ref
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_multi_is_mean_over_chunked_column_draws(self, seed):
@@ -439,6 +462,94 @@ class TestSampleStream:
             c * gengly_plain(spec, cell) for cell, c in zip(cells, counts)
         ) / m
         assert abs(est.value - ref) <= 1e-12 * est.bound_term
+
+
+class TestRandomLookup:
+    """When the grid has at most as many cells as the full blocks have
+    samples, and at most 2^16, random mode runs the kernel once per cell and
+    once over the final ragged block, and gathers every other value."""
+
+    @staticmethod
+    def kernel_rows(kernel, estimate, m):
+        # m samples, whatever epsilon asks for; a spy counts the kernel rows
+        with mock.patch.object(estimators, "sample_count", return_value=m), mock.patch.object(
+            estimators, kernel, wraps=getattr(estimators, kernel)
+        ) as spy:
+            estimate()
+        return sum(len(call.args[1]) for call in spy.call_args_list)
+
+    @pytest.mark.parametrize(
+        "n, m, rows",
+        [
+            (4, 2 * 4096 + 5, 16 + 5),  # small grid, 5-row ragged block
+            (12, 4096 + 1, 4096 + 1),  # grid = full-block samples, one-row block
+            (12, 4095, 4095),  # no full block
+            (13, 8192 + 4095, 8192 + 4095),
+            (13, 8191, 8191),  # grid > the 4096 samples in full blocks
+            (16, 1 << 16, 1 << 16),  # grid = _CHUNK
+            (17, (1 << 17) + 4096, (1 << 17) + 4096),  # _CHUNK < grid <= samples
+        ],
+    )
+    def test_gly_kernel_rows(self, n, m, rows):
+        a = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        assert self.kernel_rows("gly_batch", lambda: estimate_random(a, 0.5), m) == rows
+
+    @pytest.mark.parametrize(
+        "mults, block, m, rows",
+        [
+            ((2, 2, 1), 4096, 4096 + 1, 18 + 1),  # one-row final block
+            ((2, 2, 1), 4096, 4095, 4095),
+            ((2,) * 10, 4096, 1 << 16, 3**10),  # grid 59,049 <= _CHUNK
+            ((2,) * 11, 4096, 3 << 16, 3 << 16),  # _CHUNK < grid 177,147 <= samples
+            ((2, 2, 1), 8, 16 + 7, 16 + 7),  # grid 18 > 16 full-block samples
+            ((2, 2, 1), 8, 24 + 3, 18 + 3),
+            ((16,), 8, 16 + 7, 16 + 7),  # grid 17 = full-block samples + 1
+            # grid 17 at 8-row blocks: the last table block starts a row
+            # early rather than hold one row
+            ((16,), 8, 24, 17 + 1),
+        ],
+    )
+    def test_gengly_kernel_rows(self, mults, block, m, rows):
+        rng = np.random.default_rng(len(mults))
+        spec = MultiplicitySpec(random_complex(rng, sum(mults), len(mults)) / 4, mults)
+        with mock.patch.object(estimators, "_BLOCK", block):
+            got = self.kernel_rows("gengly_batch", lambda: estimate_random_multi(spec, 0.5), m)
+        assert got == rows
+
+    @pytest.mark.parametrize("mults", [(2, 2, 1), (16,), (3, 4, 2)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_small_blocks_match_the_direct_mean(self, mults, real):
+        # 8-row blocks split the table into several blocks, the last of
+        # them ragged or started early, and leave a 5-row final block
+        rng = np.random.default_rng(sum(mults))
+        n, k = sum(mults), len(mults)
+        base = rng.uniform(-1.0, 1.0, (n, k)) if real else random_complex(rng, n, k)
+        spec = MultiplicitySpec(base / 2, mults)
+        m = 40 * 8 + 5
+        with mock.patch.object(estimators, "_BLOCK", 8), mock.patch.object(
+            estimators, "sample_count", return_value=m
+        ):
+            est = estimate_random_multi(spec, 0.5, rng_seed=k)
+            ref = direct_chunk_mean(spec, m, k)
+        assert est.value == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_small_gly_grids_match_the_direct_mean(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        m = sample_count(0.05, 0.01)
+        assert estimate_random(a, 0.05, 0.01, rng_seed=n).value == direct_chunk_mean(a, m, n)
+
+    def test_ragged_final_block_is_evaluated(self):
+        # 9,587 samples end in a 1,395-row block. The real kernel rounds some
+        # of the last rows of such a block differently from a full block
+        # (measured with OpenBLAS), and for this input a lookup of them
+        # changed the mean
+        rng = np.random.default_rng(73)
+        a = rng.uniform(-1.0, 1.0, (13, 13))
+        m = sample_count(0.05, 0.01)
+        assert m % estimators._BLOCK == 1395
+        assert estimate_random(a, 0.05, 0.01, rng_seed=3).value == direct_chunk_mean(a, m, 3)
 
 
 class TestRandomSigns:
@@ -547,16 +658,7 @@ class TestEstimateDerandomized:
             "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10))):\n"
             "    print(est.value.real.hex(), est.value.imag.hex())\n"
         )
-        src = str(Path(estimators.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-c", script],
-                env=env, capture_output=True, text=True, timeout=300, check=True,
-            )
-            outputs.append(done.stdout)
+        outputs = stdout_per_blas_threads(script)
         assert len(outputs[0].splitlines()) == 2
         assert outputs[0] == outputs[1]
 

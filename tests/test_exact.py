@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from permest.errors import SizeLimitError
 from permest.exact import (
+    _permutations,
     permanent_gengly_exact,
     permanent_glynn_exact,
     permanent_naive,
@@ -18,8 +19,10 @@ from permest.matrices import MultiplicitySpec, expand
 from oracles import (
     gly_mean_unhalved,
     gengly_mean_exhaustive,
+    permanent_by_permutations,
     random_complex,
     random_mults,
+    stdout_per_blas_threads,
 )
 
 
@@ -45,6 +48,21 @@ class TestNaive:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             permanent_naive(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_holds_every_permutation_once(self, n):
+        perms = _permutations(n)
+        assert perms.shape == (math.factorial(n), n)
+        assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(n), (len(perms), 1)))
+        assert len({row.tobytes() for row in perms}) == len(perms)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_permutation_loop(self, n, real):
+        rng = np.random.default_rng(90 + n)
+        a = rng.uniform(-1.0, 1.0, (n, n)) if real else random_complex(rng, n)
+        ref = permanent_by_permutations(a)
+        assert abs(permanent_naive(a) - ref) <= 1e-13 * abs(ref)
 
 
 class TestRyser:
@@ -277,3 +295,25 @@ class TestKernelProperties:
         spec = MultiplicitySpec(a, (1,) * a.shape[0])
         got = permanent_gengly_exact(spec, block_bits=bits)
         assert agree(got, permanent_glynn_exact(a, block_bits=bits), a)
+
+
+def test_same_under_one_and_two_blas_threads():
+    # each table is reduced by a pairwise sum: the BLAS dot it replaced split
+    # across threads, and moved Glynn's and Ryser's last bits with their count
+    script = (
+        "import numpy as np\n"
+        "from permest.exact import permanent_gengly_exact, permanent_glynn_exact, permanent_ryser\n"
+        "from permest.matrices import MultiplicitySpec\n"
+        "rng = np.random.default_rng(16)\n"
+        "real = rng.uniform(0.0, 1.0, (16, 16))\n"
+        "cplx = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))\n"
+        "specs = [MultiplicitySpec(rng.uniform(0.0, 1.0, (20, 10)), (2,) * 10),\n"
+        "         MultiplicitySpec(rng.normal(size=(18, 9)) + 1j * rng.normal(size=(18, 9)), (2,) * 9)]\n"
+        "values = [f(a) for a in (real, cplx) for f in (permanent_ryser, permanent_glynn_exact)]\n"
+        "values += [permanent_gengly_exact(spec) for spec in specs]\n"
+        "for v in values:\n"
+        "    print(v.real.hex(), v.imag.hex())\n"
+    )
+    outputs = stdout_per_blas_threads(script)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]
