@@ -156,9 +156,11 @@ def _cmd_estimate(args) -> int:
     elif args.mode == "exhaustive":
         if spec is None:
             n = a.shape[0]
+            if a.shape[1] != n:
+                raise ValueError(f"matrix must be square, got {a.shape}")
             # the bound first: a norm that fails or overflows refuses
             # before the 2^n work
-            bound = spectral_norm(a).value ** n
+            bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
             est = Estimate(permanent_glynn_exact(a), bound, 0.0, 1 << n, "exhaustive")
         else:
             est = _gengly_exhaustive_estimate(spec)

@@ -35,7 +35,8 @@ class DomainError(PermestError):
 
 
 class ConvergenceError(PermestError):
-    """Iteration failed to converge. Carries the best estimate so far."""
+    """A numerical routine failed to converge: LAPACK's SVD in
+    ``spectral_norm``. Carries the best estimate so far (nan if none)."""
 
     def __init__(self, message: str, value: float, residual: float, iterations: int):
         super().__init__(message)

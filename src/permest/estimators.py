@@ -142,9 +142,9 @@ class GuaranteeReport:
 class Estimate:
     """An estimator average plus everything needed to state its guarantee.
 
-    ``bound_term`` is the quantity the accuracy parameter multiplies
-    (``|A|^n`` in the plain case, the scaled ``|B|^n`` bound in the
-    multiplicity case).
+    ``bound_term`` is the quantity the accuracy parameter multiplies:
+    ``permanent_upper_bound``, which rounds up ``|A|^n`` in the plain case
+    and the scaled ``|B|^n`` bound in the multiplicity case.
     """
 
     value: complex
@@ -389,6 +389,29 @@ def _cell_signs(lo: int, hi: int, n: int) -> np.ndarray:
     return bits.view(np.float64)
 
 
+def permanent_upper_bound(spec: MultiplicitySpec) -> float:
+    """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n``, rounded up: an upper
+    bound on the magnitude of the expanded matrix's permanent and of every
+    ``gengly`` sample, and the bound term of every estimate (all s_i = 1
+    gives ``|A|^n``, the bound on every ``gly`` sample).
+
+    ``|B|`` is ``spectral_norm``'s certified value. The log of the bound
+    adds ``2^-53`` times (4 plus the magnitudes of its two terms): the
+    rounding of ``math.log``, the sums and products, and ``math.exp``. A
+    bound beyond the double range raises ``OverflowError``.
+    """
+    sigma = spectral_norm(spec.base).value
+    if sigma == 0.0:
+        return 0.0
+    log_scale = _log_gengly_scale(spec.mults)
+    log_norm = spec.n * math.log(sigma)
+    allowance = (abs(log_scale) + abs(log_norm) + 4.0) * 2.0**-53
+    bound = math.exp(log_scale + log_norm + allowance)
+    if bound == math.inf:
+        raise OverflowError("the bound term exceeds the double range")
+    return bound
+
+
 def estimate_random(
     a, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
@@ -411,7 +434,7 @@ def estimate_random(
         raise ValueError("matrix must be square")
     _check_params(epsilon, delta)
     # an overflowing bound raises here, before any sample can overflow
-    bound = spectral_norm(a).value ** n
+    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
     m = sample_count(epsilon, delta)
     bitgen = np.random.default_rng(rng_seed).bit_generator
     # one sign buffer for every block: a fresh one, live next to the
@@ -437,14 +460,6 @@ def estimate_random(
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
-def multi_bound_term(spec: MultiplicitySpec) -> float:
-    """The gengly magnitude bound: gengly_scale(s) * |B|^n."""
-    sigma = spectral_norm(spec.base).value
-    if sigma == 0.0:
-        return 0.0
-    return math.exp(_log_gengly_scale(spec.mults) + spec.n * math.log(sigma))
-
-
 def estimate_random_multi(
     spec: MultiplicitySpec, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
@@ -458,7 +473,7 @@ def estimate_random_multi(
     the cells and each full block reads its values from that table.
     """
     _check_params(epsilon, delta)
-    bound = multi_bound_term(spec)
+    bound = permanent_upper_bound(spec)
     moduli = [s + 1 for s in spec.mults]
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
@@ -520,7 +535,7 @@ def estimate_derandomized(a, space) -> Estimate:
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
     _require_nonnegative(a, "a matrix")
-    bound = spectral_norm(a).value ** n
+    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
     return _derandomized_mean(
         space,
         (2,) * n,
@@ -535,11 +550,5 @@ def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
     _require_nonnegative(spec.base, "a base matrix")
     moduli = tuple(s + 1 for s in spec.mults)
     return _derandomized_mean(
-        space, moduli, lambda block: gengly_batch(spec, block), multi_bound_term(spec)
+        space, moduli, lambda block: gengly_batch(spec, block), permanent_upper_bound(spec)
     )
-
-
-def permanent_upper_bound(spec: MultiplicitySpec) -> float:
-    """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n``, an upper bound on
-    the magnitude of the expanded matrix's permanent."""
-    return multi_bound_term(spec)

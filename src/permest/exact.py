@@ -26,7 +26,7 @@ from .errors import SizeLimitError
 from .estimators import (
     Estimate,
     gengly_scale,
-    multi_bound_term,
+    permanent_upper_bound,
     phase_space_size,
     roots_of_unity,
 )
@@ -198,6 +198,6 @@ def _gengly_exhaustive_estimate(spec: MultiplicitySpec) -> Estimate:
     """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
     epsilon, the gengly bound term, one sample per grid point."""
     # the bound first, so that a refusal comes before the grid sum
-    bound = multi_bound_term(spec)
+    bound = permanent_upper_bound(spec)
     size = phase_space_size([s + 1 for s in spec.mults])
     return Estimate(permanent_gengly_exact(spec), bound, 0.0, size, "exhaustive")

@@ -111,8 +111,10 @@ def amplitude_estimate(
 ) -> AmplitudeResult:
     """Estimate the outcome amplitude for the standard initial state.
 
-    The amplitude guarantee is ``epsilon * sqrt(prod s_i!/s_i^s_i) * |B|^n``
-    (at most epsilon for subunitary U); the probability bound follows from
+    The amplitude guarantee is ``epsilon * sqrt(prod s_i!/s_i^s_i) * |B|^n``,
+    rounded up like every bound term: for subunitary U it is at most epsilon
+    times 1 + O(n * k * 2^-53), the bound's rounding allowance. The
+    probability bound follows from
     ``| |a|^2 - |b|^2 | <= |a-b| (|a| + |b|)`` with the estimate standing in
     for the unknown true amplitude.
     """

@@ -268,6 +268,17 @@ def random_complex(rng, n, k=None):
     return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / 2.0
 
 
+def near_degenerate(seed: int = 0, n: int = 30) -> np.ndarray:
+    """U diag(1, 1 - 1e-7, linspace(0.5, 0.9)) V^T with seeded random
+    orthogonal U, V: a norm of 1 whose top two singular values differ by
+    1e-7, where power iteration needs about 10^8 steps."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sigma = np.concatenate([[1.0, 1.0 - 1e-7], np.linspace(0.5, 0.9, n - 2)])
+    return (u * sigma) @ v.T
+
+
 def random_nonneg(rng, n, k=None):
     k = n if k is None else k
     return rng.random((n, k)).astype(np.complex128)

@@ -13,7 +13,7 @@ from permest.errors import ConvergenceError
 from permest.exact import permanent_naive
 from permest.matrices import parse_matrix, serialize_matrix, spectral_norm
 
-from oracles import random_complex, random_nonneg
+from oracles import near_degenerate, random_complex, random_nonneg
 
 
 def run(capsys, *argv):
@@ -304,6 +304,46 @@ class TestEstimate:
         assert out == ""
         assert "did not converge" in err
 
+    def test_near_degenerate_norm_is_accepted(self, capsys, tmp_path):
+        # sigma_1 - sigma_2 = 1e-7: far too close for an iterative norm
+        path = write_matrix(tmp_path, "nd.txt", near_degenerate())
+        code, out, _ = run(
+            capsys, "estimate", "--matrix", path, "--epsilon", "0.1", "--format", "json"
+        )
+        assert code == 0
+        bound = json.loads(out)["bound_term"]
+        assert math.isfinite(bound) and 1.0 <= bound <= 1.0 + 1e-11
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--epsilon", "0.5"),
+            ("estimate", "--epsilon", "0.5", "--mode", "exhaustive"),
+            ("estimate", "--epsilon", "0.5", "--mult", "2,1,1"),
+            ("bound",),
+        ],
+    )
+    def test_failed_svd_exits_3(self, capsys, tmp_path, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        path = write_matrix(tmp_path, "a.txt", np.ones((4, 3 if "--mult" in argv else 4)))
+        code, out, err = run(capsys, *argv, "--matrix", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "did not converge" in err
+
+    @pytest.mark.parametrize("mode", ["random", "derandomized", "exhaustive"])
+    def test_non_square_exits_2(self, capsys, tmp_path, mode):
+        path = write_matrix(tmp_path, "ns.txt", np.ones((3, 4)))
+        code, out, err = run(
+            capsys, "estimate", "--matrix", path, "--epsilon", "0.3", "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be square" in err
+
 
 def _eighths_text(cols: int, imag: bool) -> str:
     """A fixed 6 x cols matrix file. Entries are multiples of 1/8 (real) and
@@ -330,17 +370,17 @@ class TestGoldenStdout:
             "13.216962612538708 0\n"
             "value_re=13.216962612538708\n"
             "value_im=0\n"
-            "bound_term=847.19684020443583\n"
+            "bound_term=847.19684020445118\n"
             "epsilon=0.014999999999999999\n"
-            "guarantee=12.707952603066538\n"
+            "guarantee=12.707952603066767\n"
             "samples=106515\n"
             "mode=random\n"
             "delta=0.01\n"
             "seed=3\n"
         ),
         "complex": (
-            '{"bound_term": 963.885375494423, "delta": 0.01, "epsilon": 0.015, '
-            '"guarantee": 14.458280632416344, "mode": "random", "samples": 106515, '
+            '{"bound_term": 963.8853754944396, "delta": 0.01, "epsilon": 0.015, '
+            '"guarantee": 14.458280632416594, "mode": "random", "samples": 106515, '
             '"seed": 3, "value_im": -1.621990989717649, '
             '"value_re": 10.355769300655552}\n'
         ),
@@ -348,9 +388,9 @@ class TestGoldenStdout:
             "11.6898512983452 0.024900508245992756\n"
             "value_re=11.6898512983452\n"
             "value_im=0.024900508245992756\n"
-            "bound_term=143.16202741525305\n"
+            "bound_term=143.16202741525521\n"
             "epsilon=0.014999999999999999\n"
-            "guarantee=2.1474304112287959\n"
+            "guarantee=2.1474304112288283\n"
             "samples=106515\n"
             "mode=random\n"
             "delta=0.01\n"

@@ -27,6 +27,7 @@ from permest.estimators import (
 )
 from permest.exact import permanent_gengly_exact, permanent_naive, permanent_ryser
 from permest.matrices import MultiplicitySpec, expand, spectral_norm
+from permest.optics import saturating_unitary
 
 from oracles import (
     gengly_plain,
@@ -755,6 +756,177 @@ class TestPermanentUpperBound:
     def test_zero_base(self):
         spec = MultiplicitySpec(np.zeros((3, 2)), (2, 1))
         assert permanent_upper_bound(spec) == 0.0
+
+    @pytest.mark.parametrize("entry", [1e30, 1e308])
+    def test_beyond_double_range_raises(self, entry):
+        # at 1e308 the norm itself is inf; at 1e30 its 12th power overflows
+        spec = MultiplicitySpec(np.full((12, 12), entry), (1,) * 12)
+        with pytest.raises(OverflowError):
+            permanent_upper_bound(spec)
+
+
+def unitary_fixing_ones(rng, n):
+    """A random unitary D H diag(1, W) H: the reflection H swaps e_1 and
+    1/sqrt(n), W is a random (n-1)-dim unitary and D a unimodular diagonal,
+    so every row sum is unimodular and gly at the all-ones point is tight."""
+    d = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    if n == 1:
+        return d
+    v = np.full(n, 1.0 / math.sqrt(n))
+    v[0] -= 1.0
+    h = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    inner = np.eye(n, dtype=np.complex128)
+    inner[1:, 1:] = np.linalg.qr(random_complex(rng, n - 1))[0]
+    return d @ h @ inner @ h
+
+
+@st.composite
+def tight_matrices(draw):
+    """c * A with |A| = 1 and every row sum of A unimodular at the all-ones
+    point, so |gly(cA, 1)| = |cA|^n up to rounding; c puts log |cA|^n in
+    [-600, 600]."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(("rank_one", "permutation", "diagonal", "unitary")))
+    if family == "rank_one":
+        a = np.full((n, n), 1.0 / n)
+    elif family == "permutation":
+        a = np.eye(n)[rng.permutation(n)]
+    elif family == "diagonal":
+        a = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    else:
+        a = unitary_fixing_ones(rng, n)
+    return math.exp(draw(st.floats(-600.0, 600.0)) / n) * a
+
+
+@st.composite
+def saturating_specs(draw):
+    """The block-Fourier saturating spec of a random pattern summing to n,
+    scaled by c: orthonormal base columns, flat on their blocks, so gengly
+    at the zero phases equals the bound exactly in exact arithmetic; c puts
+    its log in [-600, 600]."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = random_mults(rng, n)
+    keep = np.cumsum((0, *pattern[:-1]))
+    base = saturating_unitary(pattern)[keep].T
+    log_c = (draw(st.floats(-600.0, 600.0)) - math.log(gengly_scale(pattern))) / n
+    return MultiplicitySpec(math.exp(log_c) * base, pattern)
+
+
+bound_settings = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+class TestBoundTerm:
+    """The bound term really bounds every sample: compared with no tolerance,
+    on inputs where some sample reaches it."""
+
+    @bound_settings
+    @given(tight_matrices())
+    def test_gly_at_ones_within_bound_term(self, a):
+        n = a.shape[0]
+        ones = np.ones((1, n))
+        assert abs(gly_batch(a, ones)[0]) <= estimate_random(a, 0.9).bound_term
+
+    @bound_settings
+    @given(saturating_specs())
+    def test_gengly_at_zero_within_bound(self, spec):
+        zero = np.zeros((1, spec.k), dtype=np.int64)
+        assert abs(gengly_batch(spec, zero)[0]) <= permanent_upper_bound(spec)
+
+    @bound_settings
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(-600.0, 600.0))
+    def test_random_grid_points_within_bound(self, n, seed, log_bound):
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, n)
+        a *= math.exp(log_bound / n) / np.linalg.norm(a, 2)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(16, n))
+        assert np.all(np.abs(gly_batch(a, signs)) <= estimate_random(a, 0.9).bound_term)
+        mults = random_mults(rng, n)
+        spec = MultiplicitySpec(a[:, : len(mults)], mults)
+        phases = np.column_stack([rng.integers(0, s + 1, size=16) for s in mults])
+        assert np.all(np.abs(gengly_batch(spec, phases)) <= permanent_upper_bound(spec))
+
+    def test_same_under_one_and_two_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from permest.estimators import estimate_random, estimate_random_multi\n"
+            "from permest.matrices import MultiplicitySpec\n"
+            "rng = np.random.default_rng(30)\n"
+            "for n in (16, 30):\n"
+            "    real = rng.uniform(0.0, 1.0, (n, n))\n"
+            "    cplx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
+            "    for a in (real, cplx):\n"
+            "        print(estimate_random(a, 0.9).bound_term.hex())\n"
+            "spec = MultiplicitySpec(rng.uniform(0.0, 1.0, (16, 8)), (2,) * 8)\n"
+            "print(estimate_random_multi(spec, 0.9).bound_term.hex())\n"
+        )
+        outputs = stdout_per_blas_threads(script)
+        assert len(outputs[0].splitlines()) == 5
+        assert outputs[0] == outputs[1]
+
+
+@st.composite
+def invariance_inputs(draw, nonnegative):
+    """A seeded n x n matrix, n = 1..8, and a generator for what the test
+    draws next."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_nonneg(rng, n) if nonnegative else random_complex(rng, n)
+    return a, rng
+
+
+invariance_settings = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def same_mean(x, y, bound_term):
+    return abs(x - y) <= 1e-12 * bound_term
+
+
+class TestInvariance:
+    """Per(cA) = c^n Per(A), Per(A^T) = Per(A) and Per(PAQ) = Per(A) carry
+    over to the estimators' means, up to 1e-12 of the bound term."""
+
+    @invariance_settings
+    @given(invariance_inputs(nonnegative=True), st.floats(0.01, 100.0), st.booleans())
+    def test_derandomized_scales_by_c_to_the_n(self, inputs, c, built):
+        a, _ = inputs
+        n = a.shape[0]
+        space = build_binary_space(n, 0.25) if built else exhaustive_binary_space(n)
+        scaled = estimate_derandomized(c * a, space)
+        plain = estimate_derandomized(a, space)
+        assert same_mean(scaled.value, c**n * plain.value, scaled.bound_term)
+
+    @invariance_settings
+    @given(
+        invariance_inputs(nonnegative=False),
+        st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+        st.integers(0, 2**16),
+    )
+    def test_random_scales_by_c_to_the_n(self, inputs, c, seed):
+        a, _ = inputs
+        n = a.shape[0]
+        scaled = estimate_random(c * a, 0.05, rng_seed=seed)
+        plain = estimate_random(a, 0.05, rng_seed=seed)
+        assert same_mean(scaled.value, c**n * plain.value, scaled.bound_term)
+        assert scaled.bound_term == pytest.approx(abs(c) ** n * plain.bound_term, rel=1e-12)
+
+    @invariance_settings
+    @given(invariance_inputs(nonnegative=False), st.integers(0, 2**16))
+    def test_random_ignores_row_order(self, inputs, seed):
+        a, rng = inputs
+        est = estimate_random(a, 0.05, rng_seed=seed)
+        permuted = estimate_random(a[rng.permutation(a.shape[0])], 0.05, rng_seed=seed)
+        assert same_mean(permuted.value, est.value, est.bound_term)
+
+    @invariance_settings
+    @given(invariance_inputs(nonnegative=True))
+    def test_exhaustive_mean_ignores_transpose_and_column_order(self, inputs):
+        a, rng = inputs
+        space = exhaustive_binary_space(a.shape[0])
+        est = estimate_derandomized(a, space)
+        for other in (a.T, a[:, rng.permutation(a.shape[0])]):
+            assert same_mean(estimate_derandomized(other, space).value, est.value, est.bound_term)
 
 
 class TestEstimateType:

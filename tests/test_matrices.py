@@ -11,7 +11,7 @@ from permest.matrices import (
     spectral_norm,
 )
 
-from oracles import jacobi_svd_sigma_max, random_complex
+from oracles import jacobi_svd_sigma_max, near_degenerate, random_complex
 
 
 class TestParse:
@@ -172,13 +172,32 @@ class TestSpectralNorm:
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert spectral_norm(a).value == pytest.approx(2.0, rel=1e-9)
 
-    def test_non_convergence_carries_best(self):
-        rng = np.random.default_rng(9)
-        a = random_complex(rng, 6)
-        with pytest.raises(ConvergenceError) as exc:
-            spectral_norm(a, tol=1e-14, max_iter=1)
-        assert exc.value.value > 0.0
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            spectral_norm(random_complex(np.random.default_rng(9), 6))
         assert exc.value.iterations == 1
+
+    def test_never_below_lapack(self):
+        # the slack is 4 * max(rows, cols) units of 2^-53, relative
+        rng = np.random.default_rng(11)
+        for rows, cols in [(1, 1), (3, 7), (16, 16), (30, 30), (16, 8)]:
+            a = random_complex(rng, rows, cols)
+            res = spectral_norm(a)
+            sigma = np.linalg.svd(a, compute_uv=False)[0]
+            assert res.iterations == 1
+            assert res.residual == 4 * max(rows, cols) * 2.0**-53
+            assert sigma < res.value <= sigma * (1 + 2 * res.residual)
+
+    def test_near_degenerate_top_pair(self):
+        # sigma_1 - sigma_2 = 1e-7: far too close for an iterative norm
+        a = near_degenerate()
+        res = spectral_norm(a)
+        assert 1.0 <= res.value <= 1.0 + 1e-13
+        assert res.value >= jacobi_svd_sigma_max(a)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
