@@ -13,11 +13,13 @@ column j is the n-bit word whose bit i is bit j of f^i. A block of f values
 is raised to the powers f^0..f^(n-1) together (uint32 shift/xor carry-less
 multiplication, by doubling), which gives the m columns; the cells of all
 2^m values of r then follow by doubling over the bits of r, one XOR pass per
-bit (cells[:, 2^j + r'] = cells[:, r'] ^ column j). The support histogram
-over the 2^n cells, which groups equal sample points for the estimator and
-feeds the audit's Walsh-Hadamard transform, is one ``bincount`` per block of
-about 2^20 seeds; it costs about 2^(2m) word operations plus the
-``bincount``s, with no factor n, and is capped at n <= 24. ``generator``
+bit (cells[:, 2^j + r'] = cells[:, r'] ^ column j). The estimator groups
+equal sample points by sorting each block of about 2^22 seeds' cells and
+merging the blocks' (cell, count) lists, so it holds the distinct cells
+plus one block and never a 2^n array. Only the audit scatters those counts
+into the dense 2^n histogram its Walsh-Hadamard transform reads. Both cost
+about 2^(2m) word operations plus the sorts, with no factor n, and are
+capped at n <= 24. ``generator``
 computes one seed's cell with the scalar ``gf2_mul`` in Python ints, with
 no cap on n.
 
@@ -74,15 +76,16 @@ IRREDUCIBLE = {
 }
 MAX_FIELD_BITS = max(IRREDUCIBLE)
 
-# seeds per block of the vectorized seed -> cell map
-_SEED_CHUNK = 1 << 20
+# seeds per block of the vectorized seed -> cell map: 16 MiB of uint32
+# cells; each further block costs a merge pass over the distinct cells
+_SEED_CHUNK = 1 << 22
 
 
 def gf2_mul(x: int, y: int, m: int) -> int:
     """Carry-less product of x and y reduced modulo the degree-m polynomial.
 
     The scalar form of ``_gf2_mul_batch``: ``SampleSpace.generator`` uses it
-    for one seed, the support histogram uses the batch form.
+    for one seed, the cell enumeration uses the batch form.
     """
     poly = IRREDUCIBLE[m]
     r = 0
@@ -104,6 +107,11 @@ def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarra
         x = x << 1
         x ^= poly * (x >> m)  # x < 2^(m+1), so x >> m is the overflow bit
     return acc
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal values in a sorted 1-D array starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
 def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
@@ -193,47 +201,73 @@ class SampleSpace:
             phases = tuple(bits)
         return PhaseVector(self.moduli, phases)
 
-    def support_histogram(self) -> np.ndarray:
-        """Probability of each of the 2^n cells, cell index = phase bits."""
-        if self._hist is not None:
-            return self._hist
+    def _cell_blocks(self):
+        """The uint32 cell indices of every seed of a constructed space, in
+        blocks of about ``_SEED_CHUNK`` seeds."""
+        # a block is `rows` f values times every r value: _SEED_CHUNK
+        # seeds, or 2^m when that is larger
+        m = self.field_bits
+        size = 1 << m
+        rows = max(1, _SEED_CHUNK // size)
+        field = np.arange(size, dtype=np.uint32)
+        place = np.arange(self.n, dtype=np.uint32)
+        for lo in range(0, size, rows):
+            f = field[lo : lo + rows]
+            cols = (self._column_bits(f) << place).sum(axis=2, dtype=np.uint32)
+            # cells[:, r] for r in [2^j, 2^(j+1)) is cells[:, r - 2^j]
+            # XOR column j
+            cells = np.empty((f.shape[0], size), dtype=np.uint32)
+            cells[:, 0] = 0
+            for j in range(m):
+                w = 1 << j
+                np.bitwise_xor(cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w])
+            yield cells.ravel()
+
+    def _cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied cell indices in ascending order and their
+        probabilities, count / seed_count."""
         if self.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(f"histogram capped at n <= {MAX_EXHAUSTIVE_N}")
         if self.exhaustive:
-            hist = np.full(1 << self.n, 1.0 / (1 << self.n))
-        else:
-            # a block is `rows` f values times every r value: _SEED_CHUNK
-            # seeds, or 2^m when that is larger
-            m = self.field_bits
-            size = 1 << m
-            rows = max(1, _SEED_CHUNK // size)
-            field = np.arange(size, dtype=np.uint32)
-            place = np.arange(self.n, dtype=np.uint32)
-            counts = np.zeros(1 << self.n, dtype=np.int64)
-            for lo in range(0, size, rows):
-                f = field[lo : lo + rows]
-                cols = (self._column_bits(f) << place).sum(axis=2, dtype=np.uint32)
-                # cells[:, r] for r in [2^j, 2^(j+1)) is cells[:, r - 2^j]
-                # XOR column j
-                cells = np.empty((f.shape[0], size), dtype=np.uint32)
-                cells[:, 0] = 0
-                for j in range(m):
-                    w = 1 << j
-                    np.bitwise_xor(
-                        cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w]
-                    )
-                counts += np.bincount(cells.ravel(), minlength=1 << self.n)
-            hist = counts / float(self.seed_count)
-        self._hist = hist
-        return hist
+            size = 1 << self.n
+            return np.arange(size, dtype=np.uint32), np.full(size, 1.0 / size)
+        # each block is sorted and grouped by runs, then merged into the
+        # (cell, count) lists of the blocks before it: memory stays at the
+        # distinct cells plus one block
+        idx = np.empty(0, dtype=np.uint32)
+        counts = np.empty(0, dtype=np.int64)
+        for block in self._cell_blocks():
+            block.sort()
+            starts = _run_starts(block)
+            block_counts = np.diff(starts, append=block.size)
+            if idx.size:
+                both = np.concatenate((idx, block[starts]))
+                # a stable sort of two sorted runs is one merge pass
+                order = np.argsort(both, kind="stable")
+                both = both[order]
+                starts = _run_starts(both)
+                counts = np.add.reduceat(np.concatenate((counts, block_counts))[order], starts)
+                idx = both[starts]
+            else:
+                idx, counts = block[starts], block_counts
+        return idx, counts / float(self.seed_count)
+
+    def support_histogram(self) -> np.ndarray:
+        """Probability of each of the 2^n cells, cell index = phase bits."""
+        if self._hist is None:
+            idx, probs = self._cell_counts()
+            hist = np.zeros(1 << self.n)
+            hist[idx] = probs
+            self._hist = hist
+        return self._hist
 
     def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied cells as an (M, n) 0/1 phase array plus probabilities."""
-        hist = self.support_histogram()
-        idx = np.nonzero(hist)[0]
+        """Occupied cells as an (M, n) 0/1 phase array plus probabilities,
+        in ascending cell-index order."""
+        idx, probs = self._cell_counts()
         octets = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
         cells = np.unpackbits(octets, axis=1, count=self.n, bitorder="little")
-        return cells.view(np.int8), hist[idx]
+        return cells.view(np.int8), probs
 
     def descriptor(self) -> str:
         text = (

@@ -43,6 +43,7 @@ BLAS thread count can reorder.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,7 +162,11 @@ class Estimate:
             raise ValueError("samples_used must be >= 1")
 
     def guarantee(self) -> GuaranteeReport:
-        return GuaranteeReport(self.epsilon * self.bound_term, self.confidence)
+        error = self.epsilon * self.bound_term
+        if error < sys.float_info.min and self.epsilon > 0.0 and self.bound_term > 0.0:
+            # a product below the normal range can round down, to 0.0 too
+            error = math.nextafter(error, math.inf)
+        return GuaranteeReport(error, self.confidence)
 
 
 def gly(a, x: PhaseVector) -> complex:
@@ -397,8 +402,10 @@ def permanent_upper_bound(spec: MultiplicitySpec) -> float:
 
     ``|B|`` is ``spectral_norm``'s certified value. The log of the bound
     adds ``2^-53`` times (4 plus the magnitudes of its two terms): the
-    rounding of ``math.log``, the sums and products, and ``math.exp``. A
-    bound beyond the double range raises ``OverflowError``.
+    rounding of ``math.log``, the sums and products, and ``math.exp``; a
+    bound below the normal range is rounded up one subnormal step, so a
+    nonzero matrix never gets 0.0. A bound beyond the double range raises
+    ``OverflowError``.
     """
     sigma = spectral_norm(spec.base).value
     if sigma == 0.0:
@@ -409,6 +416,10 @@ def permanent_upper_bound(spec: MultiplicitySpec) -> float:
     bound = math.exp(log_scale + log_norm + allowance)
     if bound == math.inf:
         raise OverflowError("the bound term exceeds the double range")
+    if bound < sys.float_info.min:
+        # below the normal range exp's rounding is a whole subnormal step,
+        # and a nonzero bound can underflow to 0.0
+        bound = math.nextafter(bound, math.inf)
     return bound
 
 

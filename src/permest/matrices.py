@@ -10,6 +10,7 @@ imaginary parts. Lines whose first non-blank character is ``#`` are comments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +159,9 @@ def spectral_norm(a) -> SpectralNormResult:
     LAPACK's computed singular values are within p(n) * 2^-53 * sigma_1 of
     the true ones, p(n) a modest function of the size (LAPACK Users' Guide,
     section 4.9); ``value`` adds ``4 * max(rows, cols) * 2^-53`` relative,
-    so it is never below the true norm. A failed SVD raises
-    ``ConvergenceError``.
+    so it is never below the true norm. Below the normal range, where that
+    relative slack rounds away, it is added absolutely plus one subnormal
+    step. A failed SVD raises ``ConvergenceError``.
     """
     a = as_matrix(a)
     if not np.any(a):
@@ -171,4 +173,9 @@ def spectral_norm(a) -> SpectralNormResult:
             f"LAPACK singular values: {exc}", value=math.nan, residual=math.nan, iterations=1
         ) from None
     slack = 4 * max(a.shape) * 2.0**-53
-    return SpectralNormResult(sigma * (1.0 + slack), 1, slack)
+    value = sigma * (1.0 + slack)
+    if value < sys.float_info.min:
+        # below the normal range the relative slack rounds away: add it
+        # absolutely, plus one subnormal step for the roundings
+        value = math.nextafter(sigma + sigma * slack, math.inf)
+    return SpectralNormResult(value, 1, slack)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,14 +204,19 @@ class TestChunkedHistogram:
         assert estimate_derandomized(a, space).value == whole
 
 
-def _assert_histogram_is_parity_map(space, cells):
-    """The histogram equals the counts of the per-seed cells: the same
-    occupied indices and, there, the same count / seed_count floats."""
+def _assert_support_is_parity_map(space, cells):
+    """support_cells and support_histogram equal the per-seed cells counted
+    per cell: ascending cell indices, count / seed_count floats."""
     idx, counts = np.unique(cells, return_counts=True)
+    probs = counts / float(space.seed_count)
+    got_cells, got_probs = space.support_cells()
+    assert got_cells.dtype == np.int8
+    assert np.array_equal(got_cells, ((idx[:, None] >> np.arange(space.n)) & 1).astype(np.int8))
+    assert np.array_equal(got_probs, probs)
     hist = space.support_histogram()
     assert hist.shape == (1 << space.n,) and hist.dtype == np.float64
     assert np.array_equal(np.flatnonzero(hist), idx)
-    assert np.array_equal(hist[idx], counts / float(space.seed_count))
+    assert np.array_equal(hist[idx], probs)
 
 
 class TestColumnMap:
@@ -228,25 +235,72 @@ class TestColumnMap:
             space = build_binary_space(n, eps)
             if rows is not None:
                 monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
-            _assert_histogram_is_parity_map(space, cells)
+            _assert_support_is_parity_map(space, cells)
 
     def test_histogram_matches_parity_map_at_n24(self, monkeypatch):
         space = build_binary_space(24, 0.05)  # m = 9
         cells = binary_cells_by_seed(space)
-        _assert_histogram_is_parity_map(space, cells)
+        _assert_support_is_parity_map(space, cells)
         # blocks of 200, 200 and 112 f values
         monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 200 << space.field_bits)
-        _assert_histogram_is_parity_map(build_binary_space(24, 0.05), cells)
+        _assert_support_is_parity_map(build_binary_space(24, 0.05), cells)
 
-    @pytest.mark.parametrize("n", [1, 8, 9, 24])
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 20, 24])
     def test_support_cells_are_the_index_bits(self, n):
         space = build_binary_space(n, 0.05)
-        hist = space.support_histogram()
-        idx = np.flatnonzero(hist)
-        cells, probs = space.support_cells()
-        assert cells.dtype == np.int8
-        assert np.array_equal(cells, ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8))
-        assert np.array_equal(probs, hist[idx])
+        _assert_support_is_parity_map(space, binary_cells_by_seed(space))
+
+    @pytest.mark.parametrize(
+        "n, eps, rows, last_rows",
+        # f values per block and in the last block: m = 10 gives 1,024
+        # blocks of one, or 341 of three and a last of one; m = 11, n = 16
+        # gives 700, 700 and 648
+        [(10, 0.01, 1, 1), (10, 0.01, 3, 1), (16, 0.01, 700, 648)],
+    )
+    def test_support_merges_blocks(self, monkeypatch, n, eps, rows, last_rows):
+        space = build_binary_space(n, eps)
+        cells = binary_cells_by_seed(space)
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
+        blocks = list(space._cell_blocks())
+        assert len(blocks) == -(-(1 << space.field_bits) // rows)
+        assert blocks[-1].size == last_rows << space.field_bits
+        # the blocks are the seed-order cells, cut; a nonzero cell recurs
+        # in a later block, so the merge adds counts, not only new cells
+        assert np.array_equal(np.concatenate(blocks), cells)
+        later = np.concatenate(blocks[1:])
+        assert np.intersect1d(blocks[0][blocks[0] != 0], later).size > 0
+        _assert_support_is_parity_map(space, cells)
+
+    def test_support_cells_memory_at_n24(self):
+        # 2^18 seeds on 28,633 cells: the support holds one block and the
+        # distinct cells, never the 2^24-cell grid (128 MiB as float64)
+        space = build_binary_space(24, 0.05)
+        tracemalloc.start()
+        try:
+            cells, _ = space.support_cells()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (28633, 24)
+        assert peak < 32 << 20
+
+    # (n, eps, estimate_derandomized(...).value.real.hex()): grouping the
+    # support must not move a bit of the mean
+    PINNED = [
+        (12, 0.1, "0x1.a5cd41023f6afp+25"),
+        (12, 0.02, "0x1.3673cd23242c0p+23"),
+        (16, 0.05, "0x1.42a7721811aaep+40"),
+        (16, 0.01, "0x1.ef92c6869a036p+37"),
+        (20, 0.05, "0x1.69c8a1ddce08ep+59"),
+        (20, 0.02, "0x1.b5a5aebc515bbp+58"),
+    ]
+
+    @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
+    def test_estimate_bits_are_pinned(self, n, eps, value):
+        a = random_nonneg(np.random.default_rng(1000 + n), n)
+        est = estimate_derandomized(a, build_binary_space(n, eps))
+        assert est.value.real.hex() == value
+        assert est.value.imag == 0.0
 
     def test_generator_is_the_parity_map_seed_by_seed(self):
         space = build_binary_space(8, 0.25)  # m = 5, 1024 seeds

@@ -757,6 +757,20 @@ class TestPermanentUpperBound:
         spec = MultiplicitySpec(np.zeros((3, 2)), (2, 1))
         assert permanent_upper_bound(spec) == 0.0
 
+    def test_subnormal_bound_is_not_zero(self):
+        # the true bound (3e-300)^3 = 2.7e-899 underflows; a nonzero matrix
+        # still gets a nonzero bound and a nonzero guarantee
+        a = np.full((3, 3), 1e-300)
+        assert permanent_upper_bound(MultiplicitySpec(a, (1,) * 3)) > 0.0
+        est = estimate_random(a, 0.1)
+        assert est.bound_term > 0.0
+        assert est.guarantee().additive_error_bound > 0.0
+        # a zero matrix and epsilon = 0 still report an exact 0
+        assert estimate_random(np.zeros((3, 3)), 0.1).guarantee().additive_error_bound == 0.0
+        exhaustive = estimate_derandomized(a, exhaustive_binary_space(3))
+        assert exhaustive.bound_term > 0.0
+        assert exhaustive.guarantee().additive_error_bound == 0.0
+
     @pytest.mark.parametrize("entry", [1e30, 1e308])
     def test_beyond_double_range_raises(self, entry):
         # at 1e308 the norm itself is inf; at 1e30 its 12th power overflows

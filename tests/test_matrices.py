@@ -192,6 +192,17 @@ class TestSpectralNorm:
             assert res.residual == 4 * max(rows, cols) * 2.0**-53
             assert sigma < res.value <= sigma * (1 + 2 * res.residual)
 
+    def test_subnormal_norm_keeps_its_slack(self):
+        # sigma = 3e-310 is subnormal: sigma * (1 + 12 * 2^-53) rounds back
+        # to sigma, so the slack is added absolutely plus one subnormal step
+        a = np.full((3, 3), 1e-310)
+        sigma = np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(a).value > max(sigma, 3 * 1e-310)
+        # a normal sigma keeps its relative slack, bit for bit
+        b = np.full((3, 3), 1e-300)
+        sigma = np.linalg.svd(b, compute_uv=False)[0]
+        assert spectral_norm(b).value == sigma * (1.0 + 12 * 2.0**-53)
+
     def test_near_degenerate_top_pair(self):
         # sigma_1 - sigma_2 = 1e-7: far too close for an iterative norm
         a = near_degenerate()

@@ -5,13 +5,21 @@ bound must hold in its sharper intermediate form."""
 import numpy as np
 import pytest
 
-from permest.binary_bias import IRREDUCIBLE, _gf2_mul_batch, build_binary_space, measure_bias
+from permest import binary_bias
+from permest.binary_bias import (
+    IRREDUCIBLE,
+    _gf2_mul_batch,
+    build_binary_space,
+    exhaustive_binary_space,
+    measure_bias,
+)
 from permest.complex_bias import (
     AmplifierParams,
     DEFAULT_STRONG_PARAMS,
     StrongProductGenerator,
     amplify,
     build_complex_space,
+    exhaustive_complex_space,
     strong_product_sample,
     walk_batch,
 )
@@ -116,3 +124,45 @@ class TestChunkedExhaustiveMean:
         got = permanent_gengly_exact(spec)
         ref = permanent_ryser(expand(spec))
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+SUPPORT_SPACES = {
+    "binary built": lambda: build_binary_space(10, 0.1),
+    "binary exhaustive": lambda: exhaustive_binary_space(6),
+    "complex exhaustive": lambda: exhaustive_complex_space((3, 2, 4)),
+    "complex fallback": lambda: build_complex_space((3, 3), 0.2),
+    "complex forced ell=2": lambda: build_complex_space((3,), 0.7, force_construction=True, ell=2),
+    "complex forced ell=3": lambda: build_complex_space(
+        (2, 2), 0.55, force_construction=True, ell=3
+    ),
+}
+
+
+class TestSupportProtocol:
+    """Every kind of space returns its support cells in ascending cell-index
+    order (coordinate 0 fastest for binary spaces, the C-order grid index for
+    complex ones), with probabilities that are whole seed counts over
+    seed_count."""
+
+    @pytest.mark.parametrize("kind", sorted(SUPPORT_SPACES))
+    def test_ascending_cells_with_whole_counts(self, kind):
+        self._check(SUPPORT_SPACES[kind]())
+
+    def test_binary_blocks_merged(self, monkeypatch):
+        space = build_binary_space(10, 0.1)  # m = 7: 128 f values, 5 blocks
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 30 << space.field_bits)
+        self._check(space)
+
+    @staticmethod
+    def _check(space):
+        binary = isinstance(space, binary_bias.SampleSpace)
+        cells, probs = space.support_cells()
+        assert cells.shape == (probs.shape[0], len(space.moduli))
+        coords = cells.T[::-1] if binary else cells.T
+        moduli = space.moduli[::-1] if binary else space.moduli
+        index = np.ravel_multi_index(tuple(coords.astype(np.intp)), moduli)
+        assert np.all(np.diff(index) > 0)
+        counts = probs * space.seed_count
+        assert np.all(counts >= 1.0)
+        assert np.array_equal(counts, np.round(counts))
+        assert counts.sum() == space.seed_count
