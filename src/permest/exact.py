@@ -7,11 +7,14 @@ blocks of 2^16 permutations. Ryser, Glynn and
 gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
 weighted sum, over a product grid of per-column values, of the product of
 the row sums at each grid point. The leading columns form a cache-resident
-table of at most 2^block_bits row-sum vectors; an outer loop over the other
-columns shifts it by their row sums and multiplies its n rows. Real input
-runs in float64, complex input in complex128. Each table is reduced by a
-pairwise sum, which no BLAS thread count can reorder, and the outer sum is
-Kahan-compensated against Ryser's cancellation.
+table of at most 2^block_bits row-sum vectors; each point of the other
+columns shifts it by their row sums and multiplies its n rows. The outer
+points run in batches of a few points, one buffer row each, and the batches
+are split across the CPUs the process may use. Real input runs in float64,
+complex input in complex128. Each shifted table is reduced by a pairwise
+sum, and the outer sum is Kahan-compensated against Ryser's cancellation in
+point order once every batch is done, so the values depend neither on the
+CPU count nor on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -48,6 +53,10 @@ PHASE_SPACE_LIMIT = 1 << 24
 
 # a 2^14 complex128 table row is 256 KiB, well inside L2
 _BLOCK_BITS = 14
+# shifted table rows one batch of outer points fills: 4 points of a real 2^14
+# table, 2 of a complex one
+_BATCH_BYTES = 512 << 10
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # permutations per block of the permutation sum
 _NAIVE_BLOCK = 1 << 16
 
@@ -110,12 +119,40 @@ class _Kahan:
         self.total = t
 
 
+def _batch_terms(a_high, table, table_w, points, start, out, tmp, terms) -> None:
+    """Store the terms of ``points[start:start + q]`` at their indices, with
+    q the rows of ``out`` the batch fills: each point shifts the table by its
+    own row sums, the q shifted tables are multiplied row by row in one
+    (q, T) buffer and each is reduced by a pairwise sum."""
+    chunk = points[start : start + out.shape[0]]
+    q = len(chunk)
+    # one matvec per point: a gemm over the batch changed the last bits
+    base = np.stack(
+        [a_high @ np.array([v for v, _ in point], dtype=table.dtype) for point in chunk],
+        axis=1,
+    )
+    out, tmp = out[:q], tmp[:q]
+    np.add(table[0], base[0, :, None], out=out)
+    for i in range(1, table.shape[0]):
+        np.add(table[i], base[i, :, None], out=tmp)
+        out *= tmp
+    np.multiply(table_w, out, out=tmp)
+    for j, point in enumerate(chunk):
+        # a pairwise sum: a BLAS dot splits across threads, and its last
+        # bits changed with the thread count
+        terms[start + j] = math.prod(w for _, w in point) * np.sum(tmp[j]).item()
+
+
 def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
     """sum_e prod_j weights[j][e_j] * prod_i sum_j values[j][e_j] * a[i, j].
 
-    A float when every input is real. Raises OverflowError when the total is
-    not finite, which only overflow can cause (``as_matrix`` rejects
-    non-finite input).
+    The points of the outer columns run in batches that fill about
+    ``_BATCH_BYTES`` of buffer, split across the CPUs the process may use;
+    the terms are Kahan-added in point order afterwards, so the value
+    depends neither on the CPU count nor on the BLAS thread count. A float
+    when every input is real. Raises OverflowError when the total is not
+    finite, which only overflow can cause (``as_matrix`` rejects non-finite
+    input).
     """
     if not any(np.any(np.imag(x)) for x in (a, *values, *weights)):
         a, values, weights = a.real, [v.real for v in values], [w.real for w in weights]
@@ -128,20 +165,45 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
         table_w = np.outer(table_w, weights[low]).ravel()
         low += 1
     high = [list(zip(v.tolist(), w.tolist())) for v, w in zip(values[low:], weights[low:])]
-    out = np.empty(table_w.size, dtype=a.dtype)
-    tmp = np.empty_like(out)
+    points = list(itertools.product(*high))
+    # numpy rounds a complex product of one-entry arrays unlike one of a
+    # longer run, so a one-entry table keeps one point per batch
+    rows = _BATCH_BYTES // table[0].nbytes if table_w.size > 1 else 1
+    batch = min(len(points), max(1, rows))
+    batches = range(0, len(points), batch)
+    # two batches or more per worker: one is too little work to pay for a thread
+    workers = max(1, min(_CPUS, len(batches) // 2))
+    # allocated here: buffers a worker thread allocates stay resident in its
+    # malloc arena after the call
+    buffers = [np.empty((2, batch, table_w.size), dtype=a.dtype) for _ in range(workers)]
+    a_high = a[:, low:]
+    terms = [0.0] * len(points)
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            # numpy's error state does not carry over into a new thread
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in batches[w::workers]:
+                    if errors:
+                        return
+                    _batch_terms(a_high, table, table_w, points, start, *buffers[w], terms)
+        except BaseException as exc:
+            # re-raised below; an interrupt of the calling thread also stops
+            # the other workers at their next batch
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     acc = _Kahan()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for point in itertools.product(*high):
-            base = a[:, low:] @ np.array([v for v, _ in point], dtype=a.dtype)
-            np.add(table[0], base[0], out=out)
-            for i in range(1, n):
-                np.add(table[i], base[i], out=tmp)
-                out *= tmp
-            # a pairwise sum: a BLAS dot splits across threads, and its last
-            # bits changed with the thread count
-            np.multiply(table_w, out, out=tmp)
-            acc.add(math.prod(w for _, w in point) * np.sum(tmp).item())
+    for term in terms:
+        acc.add(term)
     if not cmath.isfinite(acc.total):
         raise OverflowError("the permanent sum is not finite in double precision")
     return acc.total

@@ -326,19 +326,22 @@ def naive_expanded(spec):
     return permanent_naive(expand(spec))
 
 
-def stdout_per_blas_threads(script: str, threads=("1", "2")) -> list[str]:
-    """The stdout of ``python -c script`` in a fresh process per
-    ``OPENBLAS_NUM_THREADS`` value, with the package's source on the path."""
+def python_stdout(script: str, **env: str) -> str:
+    """The stdout of ``python -c script`` in a fresh process with ``env``
+    added to the environment and the package's source on the path."""
     import permest
 
     src = str(Path(permest.__file__).resolve().parents[1])
-    outputs = []
-    for count in threads:
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        outputs.append(done.stdout)
-    return outputs
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout
+
+
+def stdout_per_blas_threads(script: str, threads=("1", "2")) -> list[str]:
+    """The stdout of ``python -c script`` in a fresh process per
+    ``OPENBLAS_NUM_THREADS`` value."""
+    return [python_stdout(script, OPENBLAS_NUM_THREADS=count) for count in threads]

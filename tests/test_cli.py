@@ -450,6 +450,19 @@ class TestOverflow:
             assert [str(w.message) for w in caught] == []
             assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("method", ["ryser", "glynn"])
+    def test_overflow_on_the_threaded_path(self, capsys, monkeypatch, tmp_path, method):
+        # at n = 20 the exact kernels split their outer points across workers
+        monkeypatch.setattr(permest.exact, "_CPUS", 2)
+        huge = write_matrix(tmp_path, "huge20.txt", np.full((20, 20), 1e30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "exact", "--method", method, "--matrix", huge)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: overflow")
+
 
 class TestBound:
     def test_plain_norm_power(self, capsys, tmp_path):

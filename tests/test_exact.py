@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permest.exact
 from permest.errors import SizeLimitError
 from permest.exact import (
     _permutations,
@@ -20,6 +25,7 @@ from oracles import (
     gly_mean_unhalved,
     gengly_mean_exhaustive,
     permanent_by_permutations,
+    python_stdout,
     random_complex,
     random_mults,
     stdout_per_blas_threads,
@@ -309,11 +315,158 @@ def test_same_under_one_and_two_blas_threads():
         "cplx = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))\n"
         "specs = [MultiplicitySpec(rng.uniform(0.0, 1.0, (20, 10)), (2,) * 10),\n"
         "         MultiplicitySpec(rng.normal(size=(18, 9)) + 1j * rng.normal(size=(18, 9)), (2,) * 9)]\n"
-        "values = [f(a) for a in (real, cplx) for f in (permanent_ryser, permanent_glynn_exact)]\n"
+        "real20 = rng.uniform(-1.0, 1.0, (20, 20))\n"
+        "values = [f(a) for a in (real, cplx, real20) for f in (permanent_ryser, permanent_glynn_exact)]\n"
         "values += [permanent_gengly_exact(spec) for spec in specs]\n"
         "for v in values:\n"
         "    print(v.real.hex(), v.imag.hex())\n"
     )
     outputs = stdout_per_blas_threads(script)
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
+
+
+def _can_pin_to_one_cpu() -> bool:
+    if not hasattr(os, "sched_setaffinity"):
+        return False
+    cpus = os.sched_getaffinity(0)
+    try:
+        # setting the mask the process already has changes nothing
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return len(cpus) > 1
+
+
+class TestWorkers:
+    """``_grid_sum`` splits the outer points across the process's CPUs; the
+    value must not depend on how many there are."""
+
+    def test_same_on_one_cpu_and_on_all(self):
+        if not _can_pin_to_one_cpu():
+            pytest.skip("needs two CPUs and a settable CPU affinity")
+        body = (
+            "import numpy as np\n"
+            "import permest.exact as exact\n"
+            "from permest.matrices import MultiplicitySpec\n"
+            "rng = np.random.default_rng(18)\n"
+            "print(exact._CPUS)\n"
+            "values = []\n"
+            "for n in (18, 20, 22):\n"
+            "    real = rng.uniform(-1.0, 1.0, (n, n))\n"
+            "    cplx = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))\n"
+            "    values += [f(a) for a in (real, cplx)\n"
+            "               for f in (exact.permanent_ryser, exact.permanent_glynn_exact)]\n"
+            "values.append(exact.permanent_gengly_exact(MultiplicitySpec(\n"
+            "    rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18)), (1,) * 18)))\n"
+            "values.append(exact.permanent_gengly_exact(MultiplicitySpec(\n"
+            "    rng.normal(size=(20, 10)) + 1j * rng.normal(size=(20, 10)), (2,) * 10)))\n"
+            "for v in values:\n"
+            "    print(v.real.hex(), v.imag.hex())\n"
+        )
+        # the pin comes before numpy and permest are imported
+        pinned = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + body
+        one, *one_values = python_stdout(pinned).splitlines()
+        every, *every_values = python_stdout(body).splitlines()
+        assert (int(one), int(every)) == (1, len(os.sched_getaffinity(0)))
+        assert len(one_values) == 14
+        assert one_values == every_values
+
+    # recorded with the one-point-at-a-time outer loop the batches replaced
+    PINNED = {
+        ("real", "permanent_ryser"): ("-0x1.049962ab462ecp+15", "0x0.0p+0"),
+        ("real", "permanent_glynn_exact"): ("-0x1.049962ab4623dp+15", "0x0.0p+0"),
+        ("complex", "permanent_ryser"): ("0x1.04638b0b42b80p+41", "-0x1.91f6a6e9f33a0p+38"),
+        ("complex", "permanent_glynn_exact"): ("0x1.04638b0b48e46p+41", "-0x1.91f6a6e9a25e5p+38"),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bits_are_pinned(self, monkeypatch, cpus):
+        # 8 runs 4 to 8 workers, more than the cores, and a short switch
+        # interval interleaves them often: a term lost or stored at another
+        # point's index changes the bits
+        monkeypatch.setattr(permest.exact, "_CPUS", cpus)
+        rng = np.random.default_rng(2020)
+        real = rng.uniform(-1.0, 1.0, (20, 20))
+        cplx = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind, a in (("real", real), ("complex", cplx)):
+                for kernel in KERNELS:
+                    v = kernel(a)
+                    assert (v.real.hex(), v.imag.hex()) == self.PINNED[kind, kernel.__name__]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_entry_table_bits_are_pinned(self):
+        # block_bits 0 leaves one entry in the table: a complex multiply of a
+        # lone pair rounds unlike a longer run, so each batch is one point
+        rng = np.random.default_rng(2020)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        got = [kernel(a, block_bits=0) for kernel in KERNELS]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            ("-0x1.10965301c8f24p+9", "-0x1.defa4194b3660p+10"),
+            ("-0x1.10965301c8ed7p+9", "-0x1.defa4194b364dp+10"),
+        ]
+
+    @pytest.mark.parametrize("n, started", [(12, 0), (16, 0), (18, 1), (20, 1)])
+    def test_threads_started_and_joined(self, monkeypatch, n, started):
+        # one batch holds every point up to n = 16, so no thread starts
+        monkeypatch.setattr(permest.exact, "_CPUS", 2)
+        count = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            count.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = threading.active_count()
+        permanent_ryser(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)))
+        assert len(count) == started
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in count)
+
+    @pytest.mark.parametrize("raiser", ["worker", "caller"])
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, raiser):
+        monkeypatch.setattr(permest.exact, "_CPUS", 2)
+        real_batch = permest.exact._batch_terms
+        failure = RuntimeError("batch failed")
+        caller_batches = []
+        caller_started = threading.Event()
+        existing = set(threading.enumerate())
+
+        def batch(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller:
+                caller_batches.append(args)
+                caller_started.set()
+                if raiser == "worker":
+                    # the worker fails while the caller is in its first batch
+                    for thread in set(threading.enumerate()) - existing:
+                        thread.join(timeout=5.0)
+            elif raiser == "worker":
+                caller_started.wait(timeout=5.0)
+            if in_caller == (raiser == "caller"):
+                raise failure
+            real_batch(*args)
+
+        monkeypatch.setattr(permest.exact, "_batch_terms", batch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            permanent_glynn_exact(np.random.default_rng(1).uniform(-1.0, 1.0, (20, 20)))
+        assert caught.value is failure
+        assert threading.active_count() == before
+        # the caller stops at its next batch once a worker has failed
+        assert len(caller_batches) == 1
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_overflow_raises_without_warnings(self, monkeypatch, kernel):
+        # 20! * (20e30)^20 is far beyond double range; each worker ignores
+        # the overflow under its own error state
+        monkeypatch.setattr(permest.exact, "_CPUS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                kernel(np.full((20, 20), 1e30))
