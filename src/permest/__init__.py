@@ -4,128 +4,86 @@ Exact O(2^n n) permanent kernels, Glynn-type estimators over signs and roots of
 unity, randomized sampling with explicit Hoeffding sample counts,
 derandomization through small-bias sample spaces (binary and complex), and
 a linear-optics layer mapping interferometer outcomes onto permanents.
+
+The public names below are resolved on first use: ``import permest`` loads
+none of the submodules, and ``permest.estimate_random`` imports only
+``permest.estimators`` (and what that module imports).
 """
 
-from .binary_bias import (
-    SampleSpace,
-    build_binary_space,
-    exhaustive_binary_space,
-    measure_bias,
-)
-from .complex_bias import (
-    AmplifierParams,
-    BETA,
-    ComplexSampleSpace,
-    CwiseGenerator,
-    ExponentVector,
-    StrongProductParams,
-    amplify,
-    build_complex_space,
-    cwise_tuple,
-    exhaustive_complex_space,
-    measure_complex_bias,
-    strong_fraction,
-    strong_product_sample,
-    theta_strong,
-)
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DescriptorError,
-    DomainError,
-    MatrixParseError,
-    PermestError,
-    SizeLimitError,
-)
-from .estimators import (
-    Estimate,
-    GuaranteeReport,
-    PhaseVector,
-    estimate_derandomized,
-    estimate_derandomized_multi,
-    estimate_random,
-    estimate_random_multi,
-    gengly,
-    gly,
-    permanent_upper_bound,
-)
-from .exact import (
-    permanent_gengly_exact,
-    permanent_glynn_exact,
-    permanent_naive,
-    permanent_ryser,
-)
-from .matrices import (
-    MultiplicitySpec,
-    SpectralNormResult,
-    expand,
-    parse_matrix,
-    serialize_matrix,
-    spectral_norm,
-)
-from .optics import (
-    AmplitudeResult,
-    amplitude_estimate,
-    amplitude_exact,
-    bunching_bound,
-    saturating_outcome,
-    saturating_unitary,
-    transition_matrix,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplifierParams",
-    "AmplitudeResult",
-    "BETA",
-    "CapacityError",
-    "ComplexSampleSpace",
-    "ConvergenceError",
-    "CwiseGenerator",
-    "DescriptorError",
-    "DomainError",
-    "Estimate",
-    "ExponentVector",
-    "GuaranteeReport",
-    "MatrixParseError",
-    "MultiplicitySpec",
-    "PermestError",
-    "PhaseVector",
-    "SampleSpace",
-    "SizeLimitError",
-    "SpectralNormResult",
-    "StrongProductParams",
-    "amplify",
-    "amplitude_estimate",
-    "amplitude_exact",
-    "build_binary_space",
-    "build_complex_space",
-    "bunching_bound",
-    "cwise_tuple",
-    "estimate_derandomized",
-    "estimate_derandomized_multi",
-    "estimate_random",
-    "estimate_random_multi",
-    "exhaustive_binary_space",
-    "exhaustive_complex_space",
-    "expand",
-    "gengly",
-    "gly",
-    "measure_bias",
-    "measure_complex_bias",
-    "parse_matrix",
-    "permanent_gengly_exact",
-    "permanent_glynn_exact",
-    "permanent_naive",
-    "permanent_ryser",
-    "permanent_upper_bound",
-    "saturating_outcome",
-    "saturating_unitary",
-    "serialize_matrix",
-    "spectral_norm",
-    "strong_fraction",
-    "strong_product_sample",
-    "theta_strong",
-    "transition_matrix",
-]
+# the submodule that defines each public name
+_SOURCE = {
+    "AmplifierParams": "complex_bias",
+    "AmplitudeResult": "optics",
+    "BETA": "complex_bias",
+    "CapacityError": "errors",
+    "ComplexSampleSpace": "complex_bias",
+    "ConvergenceError": "errors",
+    "CwiseGenerator": "complex_bias",
+    "DescriptorError": "errors",
+    "DomainError": "errors",
+    "Estimate": "estimators",
+    "ExponentVector": "complex_bias",
+    "GuaranteeReport": "estimators",
+    "MatrixParseError": "errors",
+    "MultiplicitySpec": "matrices",
+    "PermestError": "errors",
+    "PhaseVector": "estimators",
+    "SampleSpace": "binary_bias",
+    "SizeLimitError": "errors",
+    "SpectralNormResult": "matrices",
+    "StrongProductParams": "complex_bias",
+    "amplify": "complex_bias",
+    "amplitude_estimate": "optics",
+    "amplitude_exact": "optics",
+    "build_binary_space": "binary_bias",
+    "build_complex_space": "complex_bias",
+    "bunching_bound": "optics",
+    "cwise_tuple": "complex_bias",
+    "estimate_derandomized": "estimators",
+    "estimate_derandomized_multi": "estimators",
+    "estimate_random": "estimators",
+    "estimate_random_multi": "estimators",
+    "exhaustive_binary_space": "binary_bias",
+    "exhaustive_complex_space": "complex_bias",
+    "expand": "matrices",
+    "gengly": "estimators",
+    "gly": "estimators",
+    "measure_bias": "binary_bias",
+    "measure_complex_bias": "complex_bias",
+    "parse_matrix": "matrices",
+    "permanent_gengly_exact": "exact",
+    "permanent_glynn_exact": "exact",
+    "permanent_naive": "exact",
+    "permanent_ryser": "exact",
+    "permanent_upper_bound": "estimators",
+    "saturating_outcome": "optics",
+    "saturating_unitary": "optics",
+    "serialize_matrix": "matrices",
+    "spectral_norm": "matrices",
+    "strong_fraction": "complex_bias",
+    "strong_product_sample": "complex_bias",
+    "theta_strong": "complex_bias",
+    "transition_matrix": "optics",
+}
+_SUBMODULES = frozenset(_SOURCE.values())
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -13,9 +13,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from . import binary_bias, complex_bias
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -24,39 +21,13 @@ from .errors import (
     MatrixParseError,
     SizeLimitError,
 )
-from .estimators import (
-    Estimate,
-    estimate_derandomized,
-    estimate_derandomized_multi,
-    estimate_random,
-    estimate_random_multi,
-    permanent_upper_bound,
-)
-from .exact import (
-    _gengly_exhaustive_estimate,
-    permanent_glynn_exact,
-    permanent_naive,
-    permanent_ryser,
-)
-from .matrices import (
-    MultiplicitySpec,
-    expand,
-    parse_matrix,
-    serialize_matrix,
-    spectral_norm,
-)
-from .optics import (
-    amplitude_estimate,
-    amplitude_exact,
-    bunching_bound,
-    saturating_outcome,
-    saturating_unitary,
-)
 
+# each command imports the modules it runs when it runs, so that a process
+# pays only for those; the exact methods name their kernel in ``exact``
 _EXACT_METHODS = {
-    "naive": permanent_naive,
-    "ryser": permanent_ryser,
-    "glynn": permanent_glynn_exact,
+    "naive": "permanent_naive",
+    "ryser": "permanent_ryser",
+    "glynn": "permanent_glynn_exact",
 }
 
 
@@ -64,7 +35,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):
+    from .matrices import parse_matrix
+
     try:
         with open(path, "rb") as fh:
             return parse_matrix(fh.read())
@@ -93,12 +66,15 @@ def _complex_payload(prefix: str, z: complex) -> dict:
 
 
 def _cmd_exact(args) -> int:
+    from . import exact
+    from .matrices import MultiplicitySpec, expand
+
     a = _load_matrix(args.matrix)
     if args.mult:
         spec = MultiplicitySpec(a, _parse_counts(args.mult, "--mult"))
         a = expand(spec)
     start = time.perf_counter()
-    value = _EXACT_METHODS[args.method](a)
+    value = getattr(exact, _EXACT_METHODS[args.method])(a)
     elapsed = time.perf_counter() - start
     print(f"wall_time_s={elapsed:.6f}", file=sys.stderr)
     payload = _complex_payload("value", value)
@@ -113,9 +89,13 @@ def _cmd_exact(args) -> int:
 def _space_from_descriptor(text: str):
     kind = text.split()[0] if text.split() else ""
     if kind == "binary":
-        return binary_bias.space_from_descriptor(text)
+        from .binary_bias import space_from_descriptor
+
+        return space_from_descriptor(text)
     if kind == "complex":
-        return complex_bias.complex_space_from_descriptor(text)
+        from .complex_bias import complex_space_from_descriptor
+
+        return complex_space_from_descriptor(text)
     raise DescriptorError(f"unknown space descriptor kind {kind!r}")
 
 
@@ -129,13 +109,25 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
             )
         return space
     if mults is None:
-        return binary_bias.build_binary_space(n, args.epsilon)
-    return complex_bias.build_complex_space(
-        tuple(s + 1 for s in mults), args.epsilon
-    )
+        from .binary_bias import build_binary_space
+
+        return build_binary_space(n, args.epsilon)
+    from .complex_bias import build_complex_space
+
+    return build_complex_space(tuple(s + 1 for s in mults), args.epsilon)
 
 
 def _cmd_estimate(args) -> int:
+    from .estimators import (
+        Estimate,
+        estimate_derandomized,
+        estimate_derandomized_multi,
+        estimate_random,
+        estimate_random_multi,
+        permanent_upper_bound,
+    )
+    from .matrices import MultiplicitySpec
+
     if args.epsilon is None and (
         args.mode == "random" or (args.mode == "derandomized" and not args.space)
     ):
@@ -154,6 +146,8 @@ def _cmd_estimate(args) -> int:
             est = estimate_random_multi(spec, args.epsilon, args.delta, args.seed)
         payload_extra = {"delta": args.delta, "seed": args.seed}
     elif args.mode == "exhaustive":
+        from .exact import _gengly_exhaustive_estimate, permanent_glynn_exact
+
         if spec is None:
             n = a.shape[0]
             if a.shape[1] != n:
@@ -184,6 +178,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .estimators import permanent_upper_bound
+    from .matrices import MultiplicitySpec, spectral_norm
+
     a = _load_matrix(args.matrix)
     mults = (
         _parse_counts(args.mult, "--mult") if args.mult else (1,) * a.shape[1]
@@ -204,12 +201,16 @@ def _cmd_space_build(args) -> int:
     if args.kind == "binary":
         if args.n is None:
             raise ValueError("binary spaces need --n")
-        space = binary_bias.build_binary_space(args.n, args.epsilon)
+        from .binary_bias import build_binary_space
+
+        space = build_binary_space(args.n, args.epsilon)
     else:
         if not args.mults:
             raise ValueError("complex spaces need --mults")
+        from .complex_bias import build_complex_space
+
         mults = _parse_counts(args.mults, "--mults")
-        space = complex_bias.build_complex_space(
+        space = build_complex_space(
             tuple(s + 1 for s in mults),
             args.epsilon,
             force_construction=args.force_construction,
@@ -227,8 +228,10 @@ def _cmd_space_build(args) -> int:
 
 
 def _cmd_space_audit(args) -> int:
+    from .binary_bias import measure_bias
+
     space = _space_from_descriptor(args.descriptor)
-    measured = binary_bias.measure_bias(space)
+    measured = measure_bias(space)
     # exhaustive spaces declare zero bias; allow the audit's rounding dust
     tol = 1e-12 if space.exhaustive else 0.0
     verdict = "PASS" if measured <= space.declared_epsilon + tol else "FAIL"
@@ -242,21 +245,25 @@ def _cmd_space_audit(args) -> int:
 
 
 def _cmd_optics(args) -> int:
+    from . import optics
+
     if args.optics_cmd == "bound":
-        value = bunching_bound(_parse_counts(args.pattern, "--pattern"))
+        value = optics.bunching_bound(_parse_counts(args.pattern, "--pattern"))
         _emit({"bound": value}, [_fmt(value)], args.format)
         return 0
     if args.optics_cmd == "saturate":
+        from .matrices import serialize_matrix
+
         pattern = _parse_counts(args.pattern, "--pattern")
-        u = saturating_unitary(pattern)
-        outcome = saturating_outcome(pattern)
+        u = optics.saturating_unitary(pattern)
+        outcome = optics.saturating_outcome(pattern)
         text = serialize_matrix(u)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
             payload = {
                 "outcome": ",".join(str(c) for c in outcome),
-                "probability": bunching_bound(pattern),
+                "probability": optics.bunching_bound(pattern),
                 "written": args.out,
             }
             _emit(payload, [payload["outcome"]], args.format)
@@ -265,7 +272,7 @@ def _cmd_optics(args) -> int:
                 payload = {
                     "matrix": text,
                     "outcome": ",".join(str(c) for c in outcome),
-                    "probability": bunching_bound(pattern),
+                    "probability": optics.bunching_bound(pattern),
                 }
                 print(json.dumps(payload, sort_keys=True))
             else:
@@ -281,7 +288,7 @@ def _cmd_optics(args) -> int:
             )
         if args.epsilon is None:
             raise ValueError("estimation needs --epsilon")
-        result = amplitude_estimate(
+        result = optics.amplitude_estimate(
             u, out_pattern, args.epsilon, args.mode, args.delta, args.seed
         )
     else:
@@ -293,7 +300,7 @@ def _cmd_optics(args) -> int:
             if n > k:
                 raise ValueError("standard input needs photons <= modes")
             in_pattern = (1,) * n + (0,) * (k - n)
-        result = amplitude_exact(u, out_pattern, in_pattern)
+        result = optics.amplitude_exact(u, out_pattern, in_pattern)
     payload = _complex_payload("amplitude", result.amplitude)
     payload["probability"] = result.probability
     if args.estimate:

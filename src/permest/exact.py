@@ -20,7 +20,6 @@ CPU count nor on the BLAS thread count.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import os
 import threading
@@ -28,13 +27,6 @@ import threading
 import numpy as np
 
 from .errors import SizeLimitError
-from .estimators import (
-    Estimate,
-    gengly_scale,
-    permanent_upper_bound,
-    phase_space_size,
-    roots_of_unity,
-)
 from .matrices import MultiplicitySpec, as_matrix
 
 __all__ = [
@@ -119,12 +111,24 @@ class _Kahan:
         self.total = t
 
 
-def _batch_terms(a_high, table, table_w, points, start, out, tmp, terms) -> None:
-    """Store the terms of ``points[start:start + q]`` at their indices, with
-    q the rows of ``out`` the batch fills: each point shifts the table by its
-    own row sums, the q shifted tables are multiplied row by row in one
-    (q, T) buffer and each is reduced by a pairwise sum."""
-    chunk = points[start : start + out.shape[0]]
+def _outer_point(high, index: int) -> list:
+    """The (value, weight) pair of each outer column at outer point
+    ``index``, numbered as ``itertools.product(*high)`` numbers its points
+    (the last column fastest)."""
+    point = []
+    for column in reversed(high):
+        index, digit = divmod(index, len(column))
+        point.append(column[digit])
+    return point[::-1]
+
+
+def _batch_terms(a_high, table, table_w, high, start, out, tmp, terms) -> None:
+    """Store the terms of the q outer points from ``start`` on at their
+    indices in ``terms``, with q the rows of ``out`` (fewer in the last
+    batch): each point shifts the table by its own row sums, the q shifted
+    tables are multiplied row by row in one (q, T) buffer and each is
+    reduced by a pairwise sum."""
+    chunk = [_outer_point(high, p) for p in range(start, min(start + out.shape[0], terms.size))]
     q = len(chunk)
     # one matvec per point: a gemm over the batch changed the last bits
     base = np.stack(
@@ -165,19 +169,20 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
         table_w = np.outer(table_w, weights[low]).ravel()
         low += 1
     high = [list(zip(v.tolist(), w.tolist())) for v, w in zip(values[low:], weights[low:])]
-    points = list(itertools.product(*high))
+    count = math.prod(len(column) for column in high)
     # numpy rounds a complex product of one-entry arrays unlike one of a
     # longer run, so a one-entry table keeps one point per batch
     rows = _BATCH_BYTES // table[0].nbytes if table_w.size > 1 else 1
-    batch = min(len(points), max(1, rows))
-    batches = range(0, len(points), batch)
+    batch = min(count, max(1, rows))
+    batches = range(0, count, batch)
     # two batches or more per worker: one is too little work to pay for a thread
     workers = max(1, min(_CPUS, len(batches) // 2))
     # allocated here: buffers a worker thread allocates stay resident in its
     # malloc arena after the call
     buffers = [np.empty((2, batch, table_w.size), dtype=a.dtype) for _ in range(workers)]
     a_high = a[:, low:]
-    terms = [0.0] * len(points)
+    # each term is a Python float (complex for complex input), stored exactly
+    terms = np.zeros(count, dtype=a.dtype)
     errors = []
 
     def work(w: int) -> None:
@@ -187,7 +192,7 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
                 for start in batches[w::workers]:
                     if errors:
                         return
-                    _batch_terms(a_high, table, table_w, points, start, *buffers[w], terms)
+                    _batch_terms(a_high, table, table_w, high, start, *buffers[w], terms)
         except BaseException as exc:
             # re-raised below; an interrupt of the calling thread also stops
             # the other workers at their next batch
@@ -202,8 +207,9 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
     if errors:
         raise errors[0]
     acc = _Kahan()
-    for term in terms:
-        acc.add(term)
+    # one Python scalar at a time: a list of them all costs 32 bytes a point
+    for i in range(count):
+        acc.add(terms.item(i))
     if not cmath.isfinite(acc.total):
         raise OverflowError("the permanent sum is not finite in double precision")
     return acc.total
@@ -240,6 +246,8 @@ def permanent_gengly_exact(
 
     Equals the permanent of the expanded matrix.
     """
+    from .estimators import gengly_scale, phase_space_size, roots_of_unity
+
     moduli = [s + 1 for s in spec.mults]
     size = phase_space_size(moduli)
     if size > PHASE_SPACE_LIMIT:
@@ -256,9 +264,11 @@ def permanent_gengly_exact(
     return complex(total * gengly_scale(spec.mults) / size)
 
 
-def _gengly_exhaustive_estimate(spec: MultiplicitySpec) -> Estimate:
+def _gengly_exhaustive_estimate(spec: MultiplicitySpec):
     """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
     epsilon, the gengly bound term, one sample per grid point."""
+    from .estimators import Estimate, permanent_upper_bound, phase_space_size
+
     # the bound first, so that a refusal comes before the grid sum
     bound = permanent_upper_bound(spec)
     size = phase_space_size([s + 1 for s in spec.mults])

@@ -12,18 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .complex_bias import build_complex_space
-from .estimators import (
-    Estimate,
-    estimate_derandomized_multi,
-    estimate_random_multi,
-)
-from .exact import _gengly_exhaustive_estimate, permanent_ryser
 from .matrices import MultiplicitySpec, as_matrix
 
 __all__ = [
@@ -79,6 +71,8 @@ def _log_factorial_sum(pattern) -> float:
 
 def amplitude_exact(u, row_pattern, col_pattern) -> AmplitudeResult:
     """Per(U_{s,t}) / sqrt(s! t!) and its squared magnitude, exactly."""
+    from .exact import permanent_ryser
+
     a = transition_matrix(u, row_pattern, col_pattern)
     n = a.shape[0]
     if n == 0:
@@ -118,6 +112,8 @@ def amplitude_estimate(
     ``| |a|^2 - |b|^2 | <= |a-b| (|a| + |b|)`` with the estimate standing in
     for the unknown true amplitude.
     """
+    from .estimators import estimate_derandomized_multi, estimate_random_multi
+
     u = as_matrix(u)
     k = u.shape[0]
     if u.shape[1] != k:
@@ -137,12 +133,16 @@ def amplitude_estimate(
         spec = _standard_input_spec(u, pattern)
     moduli = tuple(s + 1 for s in spec.mults)
     if mode == "random":
-        est: Estimate = estimate_random_multi(spec, epsilon, delta, rng_seed)
+        est = estimate_random_multi(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
+        from .exact import _gengly_exhaustive_estimate
+
         # the full average is exact for any complex matrix
         est = _gengly_exhaustive_estimate(spec)
     elif mode == "derandomized":
         if space is None:
+            from .complex_bias import build_complex_space
+
             space = build_complex_space(moduli, epsilon)
         est = estimate_derandomized_multi(spec, space)
     else:
@@ -165,7 +165,8 @@ def bunching_bound(pattern) -> float:
         if c > 0:
             num *= math.factorial(c)
             den *= c**c
-    return float(Fraction(num, den))
+    # true division of ints rounds the exact ratio correctly
+    return num / den
 
 
 def saturating_unitary(pattern) -> np.ndarray:

@@ -5,15 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-import permest.cli
 import permest.estimators
 import permest.exact
+import permest.matrices
 from permest.cli import main
 from permest.errors import ConvergenceError
 from permest.exact import permanent_naive
 from permest.matrices import parse_matrix, serialize_matrix, spectral_norm
 
-from oracles import near_degenerate, random_complex, random_nonneg
+from oracles import near_degenerate, python_stdout, random_complex, random_nonneg
 
 
 def run(capsys, *argv):
@@ -290,9 +290,10 @@ class TestEstimate:
         def never(*args, **kwargs):
             raise AssertionError("the exact kernel ran before the bound")
 
-        monkeypatch.setattr(permest.cli, "spectral_norm", refuse)
+        # the CLI looks each function up on its defining module when it runs
+        monkeypatch.setattr(permest.matrices, "spectral_norm", refuse)
         monkeypatch.setattr(permest.estimators, "spectral_norm", refuse)
-        monkeypatch.setattr(permest.cli, "permanent_glynn_exact", never)
+        monkeypatch.setattr(permest.exact, "permanent_glynn_exact", never)
         monkeypatch.setattr(permest.exact, "permanent_gengly_exact", never)
         k = 4 if mult is None else 3
         path = write_matrix(tmp_path, "n4.txt", np.ones((4, k)))
@@ -686,3 +687,55 @@ class TestJson:
             code, out, _ = run(capsys, *argv, "--format", "json")
             assert code == 0
             json.loads(out)
+
+
+class TestImportGraph:
+    """A process imports only the permest modules its work reaches: the
+    package resolves its names on first use and each command imports what
+    it runs when it runs. Each case is a fresh process that writes no
+    bytecode, so it compiles every module it imports."""
+
+    SCRIPT = (
+        "import contextlib, io, sys\n"
+        "import permest\n"
+        "if ARGV:\n"
+        "    from permest.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(ARGV) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('permest.')))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            pytest.param((), "", id="import"),
+            pytest.param(
+                ("exact", "--matrix", "{m}", "--method", "ryser"),
+                "cli errors exact matrices",
+                id="exact",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--epsilon", "0.5"),
+                "cli errors estimators matrices",
+                id="estimate-random",
+            ),
+            pytest.param(
+                ("bound", "--matrix", "{m}"), "cli errors estimators matrices", id="bound"
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "binary", "--n", "4", "--epsilon", "0.5"),
+                "binary_bias cli errors estimators matrices",
+                id="space-build-binary",
+            ),
+            pytest.param(
+                ("optics", "bound", "--pattern", "2,1"),
+                "cli errors matrices optics",
+                id="optics-bound",
+            ),
+        ],
+    )
+    def test_loads_only_what_the_command_runs(self, tmp_path, argv, modules):
+        path = write_matrix(tmp_path, "a.txt", np.eye(4) + 0.25)
+        argv = [arg.format(m=path) for arg in argv]
+        out = python_stdout(f"ARGV = {argv!r}\n" + self.SCRIPT, PYTHONDONTWRITEBYTECODE="1")
+        assert out.split() == [f"permest.{name}" for name in modules.split()]

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -379,6 +380,19 @@ class TestWorkers:
         ("complex", "permanent_ryser"): ("0x1.04638b0b42b80p+41", "-0x1.91f6a6e9f33a0p+38"),
         ("complex", "permanent_glynn_exact"): ("0x1.04638b0b48e46p+41", "-0x1.91f6a6e9a25e5p+38"),
     }
+
+    def test_outer_points_are_decoded_not_listed(self):
+        # block_bits=0 puts all 12 columns in the outer grid: 4096 points of a
+        # one-entry table. Their terms take 32 KiB; a list of every point as
+        # (value, weight) pairs peaked at 0.44 MiB (12.7 MiB at n=16)
+        a = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
+        tracemalloc.start()
+        try:
+            permanent_ryser(a, block_bits=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_bits_are_pinned(self, monkeypatch, cpus):

@@ -1,10 +1,14 @@
 """Cross-layer structural checks: the assembled sample spaces must equal the
-composition of their public building blocks, and the deterministic error
-bound must hold in its sharper intermediate form."""
+composition of their public building blocks, the deterministic error bound
+must hold in its sharper intermediate form, and the package must export its
+public names from their defining modules."""
+
+import importlib
 
 import numpy as np
 import pytest
 
+import permest
 from permest import binary_bias
 from permest.binary_bias import (
     IRREDUCIBLE,
@@ -166,3 +170,58 @@ class TestSupportProtocol:
         assert np.all(counts >= 1.0)
         assert np.array_equal(counts, np.round(counts))
         assert counts.sum() == space.seed_count
+
+
+class TestPublicApi:
+    # the public names as they stood when the package imported every
+    # submodule up front
+    NAMES = [
+        "AmplifierParams", "AmplitudeResult", "BETA", "CapacityError",
+        "ComplexSampleSpace", "ConvergenceError", "CwiseGenerator",
+        "DescriptorError", "DomainError", "Estimate", "ExponentVector",
+        "GuaranteeReport", "MatrixParseError", "MultiplicitySpec",
+        "PermestError", "PhaseVector", "SampleSpace", "SizeLimitError",
+        "SpectralNormResult", "StrongProductParams", "amplify",
+        "amplitude_estimate", "amplitude_exact", "build_binary_space",
+        "build_complex_space", "bunching_bound", "cwise_tuple",
+        "estimate_derandomized", "estimate_derandomized_multi",
+        "estimate_random", "estimate_random_multi", "exhaustive_binary_space",
+        "exhaustive_complex_space", "expand", "gengly", "gly", "measure_bias",
+        "measure_complex_bias", "parse_matrix", "permanent_gengly_exact",
+        "permanent_glynn_exact", "permanent_naive", "permanent_ryser",
+        "permanent_upper_bound", "saturating_outcome", "saturating_unitary",
+        "serialize_matrix", "spectral_norm", "strong_fraction",
+        "strong_product_sample", "theta_strong", "transition_matrix",
+    ]
+    SUBMODULES = [
+        "binary_bias", "complex_bias", "errors", "estimators", "exact",
+        "matrices", "optics",
+    ]
+
+    def test_all_is_unchanged(self):
+        assert permest.__all__ == self.NAMES
+
+    def test_names_are_their_defining_modules_objects(self):
+        for name in permest.__all__:
+            module = importlib.import_module(f"permest.{permest._SOURCE[name]}")
+            value = getattr(permest, name)
+            assert value is getattr(module, name), name
+            # resolved once, then held by the package
+            assert vars(permest)[name] is value
+
+    def test_submodules_resolve(self):
+        for name in self.SUBMODULES:
+            assert getattr(permest, name) is importlib.import_module(f"permest.{name}")
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from permest import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == permest.__all__
+
+    def test_dir_lists_the_public_names(self):
+        assert set(permest.__all__ + self.SUBMODULES) <= set(dir(permest))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="module 'permest' has no attribute 'nonesuch'"):
+            permest.nonesuch
