@@ -35,7 +35,6 @@ _SOURCE = {
     "SampleSpace": "binary_bias",
     "SizeLimitError": "errors",
     "SpectralNormResult": "matrices",
-    "StrongProductParams": "complex_bias",
     "amplify": "complex_bias",
     "amplitude_estimate": "optics",
     "amplitude_exact": "optics",

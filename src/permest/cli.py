@@ -259,8 +259,11 @@ def _cmd_optics(args) -> int:
         outcome = optics.saturating_outcome(pattern)
         text = serialize_matrix(u)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
             payload = {
                 "outcome": ",".join(str(c) for c in outcome),
                 "probability": optics.bunching_bound(pattern),

@@ -18,6 +18,10 @@ Pipeline, bottom to top:
 * ``build_complex_space``: combines L amplified exponent tuples with L
   selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise.
 
+The constants are the analysis's, not parameters: ``C_WISE`` = 7-wise
+independence, the pi/8 arc with its 1/16 ``STRONG_FLOOR``, and one base seed
+per walk vertex.
+
 Every guarantee is re-checked by exhaustive audit, in exact integer counts.
 The audit is ``binary_bias.measure_bias``, which serves both kinds of space
 (``measure_complex_bias`` is the same function): it takes the DFT of a
@@ -41,7 +45,6 @@ from functools import lru_cache
 import numpy as np
 
 from .binary_bias import (
-    AUDIT_OP_LIMIT,
     IRREDUCIBLE,
     _check_fields,
     _descriptor_fields,
@@ -62,7 +65,6 @@ __all__ = [
     "P_FRACTION",
     "Q_EXPONENT",
     "STRONG_FLOOR",
-    "StrongProductParams",
     "amplify",
     "build_complex_space",
     "choose_prime",
@@ -187,19 +189,6 @@ def cwise_tuple(gen: CwiseGenerator, seed: int) -> tuple[int, ...]:
     return tuple(int(v) for v in cwise_batch(gen, np.array([seed]))[0])
 
 
-@dataclass(frozen=True)
-class StrongProductParams:
-    """Constants of the strong-product construction."""
-
-    c: int = C_WISE
-
-    def membership_probability(self, h: int) -> float:
-        return min(2.0 ** (1 - h), 1.0)
-
-
-DEFAULT_STRONG_PARAMS = StrongProductParams()
-
-
 class StrongProductGenerator:
     """Seeded map producing exponent tuples whose induced character products
     are pi/8-strong with probability at least 1/16 for every nontrivial
@@ -208,20 +197,21 @@ class StrongProductGenerator:
     Seed layout (mixed radix): c-wise polynomial coefficients in F_p, then
     an affine pairwise-independent hash over GF(2^B) driving the dyadic
     sparsifier bits (shared across levels h, thresholded per level), then
-    one mixing bit per level h = 0..floor(log2 k).
+    one mixing bit per level h = 0..floor(log2 k). Level h >= 2 keeps
+    coordinate i when v_i < 2^(B-h+1), for a 2^(1-h) fraction of the hash
+    seeds; levels 0 and 1 keep every coordinate.
     """
 
-    def __init__(self, moduli, params: StrongProductParams = DEFAULT_STRONG_PARAMS):
+    def __init__(self, moduli):
         moduli = tuple(int(m) for m in moduli)
         if any(m < 2 for m in moduli):
             raise ValueError("moduli must all be >= 2")
         self.moduli = moduli
-        self.params = params
         self.k = k = len(moduli)
         self.prime = choose_prime(k, moduli)
         # k <= c makes any-c-wise independence the same as full independence,
         # so k coefficients suffice and keep the seed space enumerable
-        self.ncoeffs = min(params.c, k)
+        self.ncoeffs = min(C_WISE, k)
         self.cwise = CwiseGenerator(self.prime, moduli, self.ncoeffs)
         self.hmax = k.bit_length() - 1
         self.gf_bits = max((k - 1).bit_length(), self.hmax - 1, 1)
@@ -303,29 +293,20 @@ def _radix(moduli) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _strong_generator(
-    moduli: tuple[int, ...], params: StrongProductParams
-) -> StrongProductGenerator:
-    return StrongProductGenerator(moduli, params)
+def _strong_generator(moduli: tuple[int, ...]) -> StrongProductGenerator:
+    return StrongProductGenerator(moduli)
 
 
-def strong_product_sample(
-    params: StrongProductParams, moduli, seed: int
-) -> tuple[int, ...]:
+def strong_product_sample(moduli, seed: int) -> tuple[int, ...]:
     """One exponent tuple from the strong-product generator."""
-    return _strong_generator(tuple(int(m) for m in moduli), params).sample(seed)
+    return _strong_generator(tuple(int(m) for m in moduli)).sample(seed)
 
 
-def strong_fraction(
-    moduli,
-    exponent,
-    params: StrongProductParams = DEFAULT_STRONG_PARAMS,
-    theta_ratio: tuple[int, int] = (1, 16),
-) -> float:
-    """Exhaustive fraction of seeds whose character product is theta-strong.
+def strong_fraction(moduli, exponent) -> float:
+    """Exhaustive fraction of seeds whose character product is pi/8-strong.
 
-    theta_ratio is theta/(2*pi) as an exact fraction, so the arc test runs
-    in integer arithmetic with no rounding at the boundary.
+    pi/8 is 1/16 of the full turn, so the arc test runs in integer
+    arithmetic with no rounding at the boundary.
     """
     moduli = tuple(int(m) for m in moduli)
     entries = exponent.entries if isinstance(exponent, ExponentVector) else tuple(exponent)
@@ -333,15 +314,14 @@ def strong_fraction(
         raise ValueError("exponent length must match moduli")
     if not any(e % m for e, m in zip(entries, moduli)):
         raise ValueError("the zero exponent vector indexes the trivial character")
-    gen = _strong_generator(moduli, params)
+    gen = _strong_generator(moduli)
     counts = gen.cell_counts()
     cells = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1)
     lcm = math.lcm(*moduli)
     weights = [(e * (lcm // m)) % lcm for e, m in zip(entries, moduli)]
     # each grid cell is tested once and weighted by its seed count
     num = sum(cells[i] * w for i, w in enumerate(weights)) % lcm
-    a, b = theta_ratio
-    strong = (b * num >= a * lcm) & (b * (lcm - num) >= a * lcm)
+    strong = (16 * num >= lcm) & (16 * (lcm - num) >= lcm)
     return float(counts[strong].sum() / gen.seed_count)
 
 
@@ -352,10 +332,6 @@ class AmplifierParams:
 
     vertex_bits: int
     walk_length: int
-    group_size: int = 1
-    p_fraction: float = P_FRACTION
-    q_exponent: float = Q_EXPONENT
-    degree: int = 8
 
     def __post_init__(self):
         if self.vertex_bits < 2 or self.vertex_bits % 2:
@@ -429,16 +405,14 @@ def walk_failure_fraction(
     return float(np.mean(hits < params.walk_length / 2.0))
 
 
-def theory_ell(
-    epsilon: float, p_fraction: float = P_FRACTION, q_exponent: float = Q_EXPONENT
-) -> int:
+def theory_ell(epsilon: float) -> int:
     """ceil(max(log_{1/2}(eps/2)/q, log_beta(eps/2)/p))."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     half = math.log(epsilon / 2.0)
     return int(
         math.ceil(
-            max(half / math.log(0.5) / q_exponent, half / math.log(BETA) / p_fraction)
+            max(half / math.log(0.5) / Q_EXPONENT, half / math.log(BETA) / P_FRACTION)
         )
     )
 
@@ -453,7 +427,7 @@ def theory_seed_bits(moduli, epsilon) -> int:
     O(log n + log 1/eps); far beyond the enumerability cap for any
     practical epsilon, which is why builds fall back or take an explicit
     walk length)."""
-    gen = _strong_generator(tuple(int(m) for m in moduli), DEFAULT_STRONG_PARAMS)
+    gen = _strong_generator(tuple(int(m) for m in moduli))
     r0 = _base_vertex_bits(gen.seed_count)
     ell = theory_ell(epsilon)
     groups = math.ceil(ell / GROUP_SIZE)
@@ -490,8 +464,6 @@ class ComplexSampleSpace:
             self.seed_bits = (self.seed_count - 1).bit_length()
         else:
             assert base is not None and amplifier is not None
-            if amplifier.group_size != 1:
-                raise ValueError("constructed spaces take one base seed per walk vertex")
             self.ell = amplifier.walk_length
             self.seed_bits = amplifier.seed_bits + self.ell
             self.seed_count = 1 << self.seed_bits
@@ -578,8 +550,8 @@ class ComplexSampleSpace:
         return (
             f"complex k={len(self.moduli)} s={s} p={self.base.prime} c={C_WISE} "
             f"r={amp.vertex_bits} l={self.ell} eps={self.declared_epsilon:.17g} "
-            f"mode=constructed t={amp.group_size} "
-            f"pfrac={amp.p_fraction:.17g} q={amp.q_exponent:.17g}"
+            # one base seed per walk vertex: the group size is 1
+            f"mode=constructed t=1 pfrac={P_FRACTION:.17g} q={Q_EXPONENT:.17g}"
         )
 
 
@@ -601,7 +573,6 @@ def build_complex_space(
     epsilon: float,
     force_construction: bool = False,
     ell: int | None = None,
-    max_seed_bits: int = MAX_SEED_BITS,
 ) -> ComplexSampleSpace:
     """A complex-eps-biased space over the given grid.
 
@@ -622,16 +593,16 @@ def build_complex_space(
     if ell is None:
         raise CapacityError(
             f"full-strength construction needs {theory_seed_bits(moduli, epsilon)} "
-            f"seed bits (cap {max_seed_bits}); pass an explicit ell for a small "
+            f"seed bits (cap {MAX_SEED_BITS}); pass an explicit ell for a small "
             "audited assembly"
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+    gen = _strong_generator(moduli)
     amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
     bits = amp.seed_bits + ell
-    if bits > max_seed_bits:
-        raise CapacityError(f"ell={ell} needs {bits} seed bits (cap {max_seed_bits})")
+    if bits > MAX_SEED_BITS:
+        raise CapacityError(f"ell={ell} needs {bits} seed bits (cap {MAX_SEED_BITS})")
     space = ComplexSampleSpace(moduli, epsilon, exhaustive=False, base=gen, amplifier=amp)
     if space.seed_count > AUDIT_SUPPORT_LIMIT:
         raise CapacityError(

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .matrices import MultiplicitySpec, as_matrix, spectral_norm
 
 __all__ = [
@@ -282,9 +282,16 @@ def sample_count(epsilon: float, delta: float) -> int:
 
     Hoeffding on the real and imaginary parts of the normalized estimator
     (each in [-1, 1]), with the error split evenly and a union bound over
-    the four tail events.
+    the four tail events. Raises CapacityError when the count is not finite:
+    eps^2 or delta can be too small for double precision.
     """
-    return int(math.ceil(4.0 * math.log(4.0 / delta) / (epsilon * epsilon)))
+    square = epsilon * epsilon
+    count = 4.0 * math.log(4.0 / delta) / square if square else math.inf
+    if not math.isfinite(count):
+        raise CapacityError(
+            f"epsilon={epsilon}, delta={delta}: the sample count overflows double precision"
+        )
+    return int(math.ceil(count))
 
 
 _SIGN_BIT = np.uint64(1 << 63)

@@ -7,8 +7,8 @@ blocks of 2^16 permutations. Ryser, Glynn and
 gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
 weighted sum, over a product grid of per-column values, of the product of
 the row sums at each grid point. The leading columns form a cache-resident
-table of at most 2^block_bits row-sum vectors; each point of the other
-columns shifts it by their row sums and multiplies its n rows. The outer
+table of at most 2^``_BLOCK_BITS`` = 2^14 row-sum vectors; each point of the
+other columns shifts it by their row sums and multiplies its n rows. The outer
 points run in batches of a few points, one buffer row each, and the batches
 are split across the CPUs the process may use. Real input runs in float64,
 complex input in complex128. Each shifted table is reduced by a pairwise
@@ -147,7 +147,7 @@ def _batch_terms(a_high, table, table_w, high, start, out, tmp, terms) -> None:
         terms[start + j] = math.prod(w for _, w in point) * np.sum(tmp[j]).item()
 
 
-def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
+def _grid_sum(a: np.ndarray, values, weights):
     """sum_e prod_j weights[j][e_j] * prod_i sum_j values[j][e_j] * a[i, j].
 
     The points of the outer columns run in batches that fill about
@@ -164,7 +164,7 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
     table = np.zeros((n, 1), dtype=a.dtype)
     table_w = np.ones(1, dtype=a.dtype)
     low = 0
-    while low < k and table_w.size * values[low].size <= 1 << block_bits:
+    while low < k and table_w.size * values[low].size <= 1 << _BLOCK_BITS:
         table = (table[:, :, None] + a[:, low, None, None] * values[low]).reshape(n, -1)
         table_w = np.outer(table_w, weights[low]).ravel()
         low += 1
@@ -215,18 +215,18 @@ def _grid_sum(a: np.ndarray, values, weights, block_bits: int):
     return acc.total
 
 
-def permanent_ryser(a, block_bits: int = _BLOCK_BITS) -> complex:
+def permanent_ryser(a) -> complex:
     """Ryser's inclusion-exclusion over column subsets.
 
     Per(A) = (-1)^n sum_{S subseteq [n]} (-1)^{|S|} prod_i sum_{j in S} a_ij.
     """
     a = _square(a, GRAY_LIMIT, "permanent_ryser")
     n = a.shape[0]
-    total = _grid_sum(a, [np.array([0.0, 1.0])] * n, [_SIGNS] * n, block_bits)
+    total = _grid_sum(a, [np.array([0.0, 1.0])] * n, [_SIGNS] * n)
     return complex((-1) ** n * total)
 
 
-def permanent_glynn_exact(a, block_bits: int = _BLOCK_BITS) -> complex:
+def permanent_glynn_exact(a) -> complex:
     """Exact average of the Glynn estimator over all 2^n sign vectors.
 
     The estimator is invariant under a global sign flip, so the first
@@ -236,12 +236,10 @@ def permanent_glynn_exact(a, block_bits: int = _BLOCK_BITS) -> complex:
     a = _square(a, GRAY_LIMIT, "permanent_glynn_exact")
     n = a.shape[0]
     signs = [np.ones(1)] + [_SIGNS] * (n - 1)
-    return complex(_grid_sum(a, signs, signs, block_bits) / (1 << (n - 1)))
+    return complex(_grid_sum(a, signs, signs) / (1 << (n - 1)))
 
 
-def permanent_gengly_exact(
-    spec: MultiplicitySpec, block_bits: int = _BLOCK_BITS
-) -> complex:
+def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
     """Exact average of the generalized estimator over the whole phase grid.
 
     Equals the permanent of the expanded matrix.
@@ -260,7 +258,7 @@ def permanent_gengly_exact(
         values.append(math.sqrt(s) * roots)
         # z^s by index arithmetic keeps small moduli exact
         weights.append(np.conj(roots[(np.arange(s + 1) * s) % (s + 1)]))
-    total = _grid_sum(spec.base, values, weights, block_bits)
+    total = _grid_sum(spec.base, values, weights)
     return complex(total * gengly_scale(spec.mults) / size)
 
 

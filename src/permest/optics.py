@@ -85,15 +85,6 @@ def amplitude_exact(u, row_pattern, col_pattern) -> AmplitudeResult:
     return AmplitudeResult(complex(amp), float(abs(amp) ** 2))
 
 
-def _standard_input_spec(u: np.ndarray, row_pattern) -> MultiplicitySpec:
-    """Multiplicity spec for <s|phi(U)|1..1,0..0>: the transition matrix has
-    repeated rows, so its transpose is the repeated-column expansion of the
-    first-n-columns slice of U, transposed."""
-    n = sum(row_pattern)
-    base = u[:, :n].T  # (n, k); column i = row i of U on the occupied inputs
-    return MultiplicitySpec(base, tuple(row_pattern))
-
-
 def amplitude_estimate(
     u,
     row_pattern,
@@ -101,7 +92,6 @@ def amplitude_estimate(
     mode: str = "random",
     delta: float = 0.01,
     rng_seed: int = 0,
-    space=None,
 ) -> AmplitudeResult:
     """Estimate the outcome amplitude for the standard initial state.
 
@@ -124,14 +114,12 @@ def amplitude_estimate(
     n = sum(pattern)
     if not (1 <= n <= k):
         raise ValueError("photon number must lie in 1..k for the standard input")
-    if any(c == 0 for c in pattern):
-        # estimator multiplicities must be positive; unobserved modes drop out
-        keep = [i for i, c in enumerate(pattern) if c > 0]
-        u_eff = u[np.ix_(keep, range(k))]
-        spec = MultiplicitySpec(u_eff[:, :n].T, tuple(pattern[i] for i in keep))
-    else:
-        spec = _standard_input_spec(u, pattern)
-    moduli = tuple(s + 1 for s in spec.mults)
+    # the transition matrix repeats row i of U's first n columns s_i times,
+    # so its transpose is a repeated-column expansion; estimator
+    # multiplicities must be positive, so unobserved modes drop out
+    keep = [i for i, c in enumerate(pattern) if c > 0]
+    u_eff = u[np.ix_(keep, range(k))]
+    spec = MultiplicitySpec(u_eff[:, :n].T, tuple(pattern[i] for i in keep))
     if mode == "random":
         est = estimate_random_multi(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
@@ -140,10 +128,9 @@ def amplitude_estimate(
         # the full average is exact for any complex matrix
         est = _gengly_exhaustive_estimate(spec)
     elif mode == "derandomized":
-        if space is None:
-            from .complex_bias import build_complex_space
+        from .complex_bias import build_complex_space
 
-            space = build_complex_space(moduli, epsilon)
+        space = build_complex_space(tuple(s + 1 for s in spec.mults), epsilon)
         est = estimate_derandomized_multi(spec, space)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -465,6 +465,75 @@ class TestOverflow:
         assert err.startswith("error: overflow")
 
 
+class TestFailures:
+    """Each failing command exits with its documented code and one error
+    line, never a traceback, and writes nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # eps^2 underflows to zero: the sample count is not finite
+            pytest.param(("estimate", "--matrix", "{m}", "--epsilon", "1e-300"), 3, id="tiny-eps"),
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--mult", "1,1", "--epsilon", "1e-300"),
+                3,
+                id="tiny-eps-mult",
+            ),
+            pytest.param(
+                ("optics", "prob", "--unitary", "{u}", "--out-pattern", "1,1", "--estimate",
+                 "--epsilon", "1e-300"),
+                3,
+                id="optics-prob-tiny-eps",
+            ),
+            pytest.param(
+                ("optics", "amp", "--unitary", "{u}", "--out-pattern", "2,0", "--estimate",
+                 "--epsilon", "1e-300"),
+                3,
+                id="optics-amp-tiny-eps",
+            ),
+            pytest.param(
+                ("optics", "saturate", "--pattern", "2", "--out", "{tmp}/missing/u.txt"),
+                2,
+                id="out-in-missing-dir",
+            ),
+            pytest.param(
+                ("optics", "saturate", "--pattern", "2", "--out", "{tmp}"), 2, id="out-is-dir"
+            ),
+            pytest.param(("exact", "--matrix", "{latin1}"), 2, id="non-utf8-matrix"),
+            pytest.param(
+                ("space", "audit", "--descriptor", "complex s=2 l=3 eps=0.55 zz=1"),
+                2,
+                id="unknown-descriptor-field",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "complex", "--mults", "1,1", "--epsilon", "0.5",
+                 "--force-construction", "--ell", "100000"),
+                3,
+                id="ell-over-seed-cap",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{c}", "--epsilon", "0.5", "--mode", "derandomized"),
+                4,
+                id="complex-derandomized",
+            ),
+        ],
+    )
+    def test_error_line_and_exit_code(self, capsys, tmp_path, hom, argv, code):
+        paths = {
+            "m": write_matrix(tmp_path, "m.txt", np.array([[1.0, 0.5], [0.25, 1.0]])),
+            "c": write_matrix(tmp_path, "c.txt", np.array([[1.0, 0.5j], [0.25, 1.0]])),
+            "u": hom,
+            "tmp": str(tmp_path),
+            "latin1": str(tmp_path / "latin1.txt"),
+        }
+        (tmp_path / "latin1.txt").write_bytes("2 2\n1 0 0 0\n0 0 1 0 \xe9\n".encode("latin-1"))
+        got, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestBound:
     def test_plain_norm_power(self, capsys, tmp_path):
         rng = np.random.default_rng(7)

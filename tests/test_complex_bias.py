@@ -8,7 +8,6 @@ import pytest
 from permest import binary_bias
 from permest.complex_bias import (
     BETA,
-    DEFAULT_STRONG_PARAMS,
     GROUP_SIZE,
     P_FRACTION,
     Q_EXPONENT,
@@ -17,7 +16,6 @@ from permest.complex_bias import (
     CwiseGenerator,
     ExponentVector,
     StrongProductGenerator,
-    StrongProductParams,
     amplify,
     build_complex_space,
     choose_prime,
@@ -188,26 +186,27 @@ class TestCwiseBatch:
 
 
 class TestStrongProduct:
-    def test_membership_probability_rule(self):
-        params = StrongProductParams()
-        assert params.membership_probability(0) == 1.0
-        assert params.membership_probability(1) == 1.0
-        assert params.membership_probability(2) == 0.5
-        assert params.membership_probability(3) == 0.25
+    @pytest.mark.parametrize("k", [4, 5, 8, 16])
+    def test_sparsifier_densities(self, k):
+        # with only mixing bit h set, the generator's level count of
+        # coordinate i is 1 where its hash value v_i is below 2^(B-h+1):
+        # over every (alpha, beta) seed of the hash, exactly a 2^(1-h)
+        # fraction for h >= 2, and every seed at levels 0 and 1
+        gen = StrongProductGenerator((2,) * k)
+        hash_seeds = np.arange(gen.n_v, dtype=np.int64)
+        for h in range(gen.hmax + 1):
+            kept = gen._level_counts(hash_seeds + gen.n_v * (1 << h)).sum(axis=0)
+            assert np.all(kept == gen.n_v >> max(h - 1, 0))
 
     def test_scalar_matches_batch(self):
-        from permest.complex_bias import _strong_generator, DEFAULT_STRONG_PARAMS
-
-        gen = _strong_generator((2, 3), DEFAULT_STRONG_PARAMS)
+        gen = _strong_generator((2, 3))
         batch = gen.sample_batch(np.arange(50))
         for seed in range(50):
-            assert strong_product_sample(DEFAULT_STRONG_PARAMS, (2, 3), seed) == tuple(
-                int(v) for v in batch[seed]
-            )
+            assert strong_product_sample((2, 3), seed) == tuple(int(v) for v in batch[seed])
 
     def test_seed_out_of_range(self):
         with pytest.raises(ValueError):
-            strong_product_sample(StrongProductParams(), (2,), 10**9)
+            strong_product_sample((2,), 10**9)
 
     def test_floor_single_binary_coordinate(self):
         assert strong_fraction((2,), (1,)) >= 1.0 / 16.0
@@ -251,7 +250,7 @@ class TestStrongProduct:
     def test_cell_counts_match_per_seed_mean(self, moduli):
         # the cached per-cell counts weight each grid cell's arc test; the
         # result is the same float as the mean over every seed
-        gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+        gen = _strong_generator(moduli)
         for e in itertools.product(*(range(m) for m in moduli)):
             if any(e):
                 assert strong_fraction(moduli, e) == strong_fraction_by_seed(gen, e)
@@ -366,16 +365,9 @@ class TestBuild:
         assert measure_complex_bias(exhaustive_complex_space((3, 4, 2))) <= 1e-12
 
     def test_forced_without_ell_capacity_error(self):
-        # the full-strength plan is never enumerable, whatever the seed cap
-        for cap in ({}, {"max_seed_bits": 10**6}):
-            with pytest.raises(CapacityError, match="seed bits"):
-                build_complex_space((2, 2), 0.25, force_construction=True, **cap)
-
-    def test_grouped_amplifier_rejected(self):
-        gen = _strong_generator((2,), DEFAULT_STRONG_PARAMS)
-        amp = AmplifierParams(16, 2, group_size=2)
-        with pytest.raises(ValueError):
-            ComplexSampleSpace((2,), 0.9, exhaustive=False, base=gen, amplifier=amp)
+        # the full-strength plan is never enumerable
+        with pytest.raises(CapacityError, match="seed bits"):
+            build_complex_space((2, 2), 0.25, force_construction=True)
 
     def test_forced_small_assembly_certified(self):
         space = build_complex_space((3,), 0.55, force_construction=True, ell=3)
@@ -447,7 +439,7 @@ class TestMeasure:
 def _unaudited(moduli, ell):
     """A constructed space assembled as build_complex_space assembles it,
     without the audit that would reject it above its declared eps."""
-    gen = _strong_generator(moduli, DEFAULT_STRONG_PARAMS)
+    gen = _strong_generator(moduli)
     amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
     return ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,9 +95,9 @@ class TestRyser:
     def test_blocked_kernel_matches_single_block(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, 8)
-        assert permanent_ryser(a, block_bits=3) == pytest.approx(
-            permanent_ryser(a), rel=1e-12
-        )
+        with mock.patch.object(permest.exact, "_BLOCK_BITS", 3):
+            blocked = permanent_ryser(a)
+        assert blocked == pytest.approx(permanent_ryser(a), rel=1e-12)
 
 
 class TestGlynnExact:
@@ -126,9 +127,9 @@ class TestGlynnExact:
     def test_blocked_kernel_matches_single_block(self):
         rng = np.random.default_rng(6)
         a = random_complex(rng, 9)
-        assert permanent_glynn_exact(a, block_bits=4) == pytest.approx(
-            permanent_glynn_exact(a), rel=1e-12
-        )
+        with mock.patch.object(permest.exact, "_BLOCK_BITS", 4):
+            blocked = permanent_glynn_exact(a)
+        assert blocked == pytest.approx(permanent_glynn_exact(a), rel=1e-12)
 
 
 class TestGenGlyExact:
@@ -209,10 +210,12 @@ class TestCrossMethodProperties:
         assert rel_close(permanent_glynn_exact(scaled), ref)
 
 
-# Property tests over all three kernels, every table split (block_bits 0 puts
+# Property tests over all three kernels, every table split (_BLOCK_BITS 0 puts
 # every column in the outer loop, 14 every column of n <= 7 in the table) and
 # both dtype paths. Matrices come from a drawn seed so that every example is
-# well scaled; derandomize keeps the examples fixed from run to run.
+# well scaled; derandomize keeps the examples fixed from run to run. The split
+# is patched in the test body: hypothesis rejects function-scoped fixtures
+# such as monkeypatch, which would not reset between examples.
 KERNELS = (permanent_ryser, permanent_glynn_exact)
 property_settings = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -226,7 +229,11 @@ def square_matrices(draw, max_n=7):
     return random_complex(rng, n)
 
 
-block_bits = st.sampled_from((0, 1, 3, 14))
+table_splits = st.sampled_from((0, 1, 3, 14))
+
+
+def table_bits(bits: int):
+    return mock.patch.object(permest.exact, "_BLOCK_BITS", bits)
 
 
 def agree(x, y, a):
@@ -238,14 +245,15 @@ def agree(x, y, a):
 
 class TestKernelProperties:
     @property_settings
-    @given(square_matrices(), block_bits)
+    @given(square_matrices(), table_splits)
     def test_ryser_and_glynn_match_naive(self, a, bits):
         ref = permanent_naive(a)
-        for kernel in KERNELS:
-            assert agree(kernel(a, block_bits=bits), ref, a)
+        with table_bits(bits):
+            for kernel in KERNELS:
+                assert agree(kernel(a), ref, a)
 
     @property_settings
-    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), block_bits)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), table_splits)
     def test_gengly_matches_naive_on_expansion(self, n, seed, real, bits):
         rng = np.random.default_rng(seed)
         mults = random_mults(rng, n)
@@ -253,55 +261,55 @@ class TestKernelProperties:
         b = rng.uniform(-1.0, 1.0, (n, k)) if real else random_complex(rng, n, k)
         spec = MultiplicitySpec(b, mults)
         a = expand(spec)
-        assert agree(permanent_gengly_exact(spec, block_bits=bits), permanent_naive(a), a)
+        with table_bits(bits):
+            assert agree(permanent_gengly_exact(spec), permanent_naive(a), a)
 
     @property_settings
     @given(
         square_matrices(),
-        block_bits,
+        table_splits,
         st.floats(-10.0, 10.0).filter(lambda x: abs(x) >= 0.1),
         st.floats(-math.pi, math.pi),
     )
     def test_scaling(self, a, bits, size, angle):
         n = a.shape[0]
         c = size * cmath.exp(1j * angle) if np.iscomplexobj(a) else size
-        for kernel in KERNELS:
-            scaled = kernel(c * a, block_bits=bits)
-            assert agree(scaled, c**n * kernel(a, block_bits=bits), abs(c) * a)
+        with table_bits(bits):
+            for kernel in KERNELS:
+                assert agree(kernel(c * a), c**n * kernel(a), abs(c) * a)
 
     @property_settings
-    @given(square_matrices(), block_bits)
+    @given(square_matrices(), table_splits)
     def test_transpose(self, a, bits):
-        for kernel in KERNELS:
-            assert agree(kernel(a.T, block_bits=bits), kernel(a, block_bits=bits), a)
+        with table_bits(bits):
+            for kernel in KERNELS:
+                assert agree(kernel(a.T), kernel(a), a)
 
     @property_settings
-    @given(square_matrices(), block_bits, st.randoms(use_true_random=False))
+    @given(square_matrices(), table_splits, st.randoms(use_true_random=False))
     def test_row_and_column_permutations(self, a, bits, rnd):
         n = a.shape[0]
         rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
-        for kernel in KERNELS:
-            got = kernel(a[rows][:, cols], block_bits=bits)
-            assert agree(got, kernel(a, block_bits=bits), a)
+        with table_bits(bits):
+            for kernel in KERNELS:
+                assert agree(kernel(a[rows][:, cols]), kernel(a), a)
 
     @property_settings
-    @given(square_matrices(), block_bits)
+    @given(square_matrices(), table_splits)
     def test_real_input_has_exactly_zero_imaginary_part(self, a, bits):
         a = a.real
         spec = MultiplicitySpec(a, (1,) * a.shape[0])
-        for value in (
-            permanent_ryser(a, block_bits=bits),
-            permanent_glynn_exact(a, block_bits=bits),
-            permanent_gengly_exact(spec, block_bits=bits),
-        ):
+        with table_bits(bits):
+            values = (permanent_ryser(a), permanent_glynn_exact(a), permanent_gengly_exact(spec))
+        for value in values:
             assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
 
     @property_settings
-    @given(square_matrices(), block_bits)
+    @given(square_matrices(), table_splits)
     def test_gengly_with_unit_mults_is_glynn(self, a, bits):
         spec = MultiplicitySpec(a, (1,) * a.shape[0])
-        got = permanent_gengly_exact(spec, block_bits=bits)
-        assert agree(got, permanent_glynn_exact(a, block_bits=bits), a)
+        with table_bits(bits):
+            assert agree(permanent_gengly_exact(spec), permanent_glynn_exact(a), a)
 
 
 def test_same_under_one_and_two_blas_threads():
@@ -381,14 +389,15 @@ class TestWorkers:
         ("complex", "permanent_glynn_exact"): ("0x1.04638b0b48e46p+41", "-0x1.91f6a6e9a25e5p+38"),
     }
 
-    def test_outer_points_are_decoded_not_listed(self):
-        # block_bits=0 puts all 12 columns in the outer grid: 4096 points of a
+    def test_outer_points_are_decoded_not_listed(self, monkeypatch):
+        # _BLOCK_BITS 0 puts all 12 columns in the outer grid: 4096 points of a
         # one-entry table. Their terms take 32 KiB; a list of every point as
         # (value, weight) pairs peaked at 0.44 MiB (12.7 MiB at n=16)
         a = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
+        monkeypatch.setattr(permest.exact, "_BLOCK_BITS", 0)
         tracemalloc.start()
         try:
-            permanent_ryser(a, block_bits=0)
+            permanent_ryser(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -413,12 +422,13 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_one_entry_table_bits_are_pinned(self):
-        # block_bits 0 leaves one entry in the table: a complex multiply of a
+    def test_one_entry_table_bits_are_pinned(self, monkeypatch):
+        # _BLOCK_BITS 0 leaves one entry in the table: a complex multiply of a
         # lone pair rounds unlike a longer run, so each batch is one point
         rng = np.random.default_rng(2020)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        got = [kernel(a, block_bits=0) for kernel in KERNELS]
+        monkeypatch.setattr(permest.exact, "_BLOCK_BITS", 0)
+        got = [kernel(a) for kernel in KERNELS]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == [
             ("-0x1.10965301c8f24p+9", "-0x1.defa4194b3660p+10"),
             ("-0x1.10965301c8ed7p+9", "-0x1.defa4194b364dp+10"),

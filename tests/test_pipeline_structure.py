@@ -19,7 +19,6 @@ from permest.binary_bias import (
 )
 from permest.complex_bias import (
     AmplifierParams,
-    DEFAULT_STRONG_PARAMS,
     StrongProductGenerator,
     amplify,
     build_complex_space,
@@ -47,9 +46,7 @@ class TestGeneratorRecomposition:
             total = [0] * len(moduli)
             for j, vertex in enumerate(amplify(amp, walk_seed)):
                 if (d_bits >> j) & 1:
-                    f = strong_product_sample(
-                        DEFAULT_STRONG_PARAMS, moduli, vertex % space.base.seed_count
-                    )
+                    f = strong_product_sample(moduli, vertex % space.base.seed_count)
                     total = [t + v for t, v in zip(total, f)]
             expected = tuple(t % m for t, m in zip(total, moduli))
             assert space.generator(seed).phases == expected
@@ -173,15 +170,14 @@ class TestSupportProtocol:
 
 
 class TestPublicApi:
-    # the public names as they stood when the package imported every
-    # submodule up front
+    # every public name of the package
     NAMES = [
         "AmplifierParams", "AmplitudeResult", "BETA", "CapacityError",
         "ComplexSampleSpace", "ConvergenceError", "CwiseGenerator",
         "DescriptorError", "DomainError", "Estimate", "ExponentVector",
         "GuaranteeReport", "MatrixParseError", "MultiplicitySpec",
         "PermestError", "PhaseVector", "SampleSpace", "SizeLimitError",
-        "SpectralNormResult", "StrongProductParams", "amplify",
+        "SpectralNormResult", "amplify",
         "amplitude_estimate", "amplitude_exact", "build_binary_space",
         "build_complex_space", "bunching_bound", "cwise_tuple",
         "estimate_derandomized", "estimate_derandomized_multi",
