@@ -223,9 +223,14 @@ class SampleSpace:
                 np.bitwise_xor(cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w])
             yield cells.ravel()
 
-    def _cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occupied cell indices in ascending order and their
-        probabilities, count / seed_count."""
+    @property
+    def places(self) -> np.ndarray:
+        """Place values of the cell index: bit i is coordinate i."""
+        return 1 << np.arange(self.n, dtype=np.int64)
+
+    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied cells as ascending uint32 indices (``places``) and
+        their probabilities, count / seed_count."""
         if self.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(f"histogram capped at n <= {MAX_EXHAUSTIVE_N}")
         if self.exhaustive:
@@ -255,19 +260,11 @@ class SampleSpace:
     def support_histogram(self) -> np.ndarray:
         """Probability of each of the 2^n cells, cell index = phase bits."""
         if self._hist is None:
-            idx, probs = self._cell_counts()
+            idx, probs = self.support_cells()
             hist = np.zeros(1 << self.n)
             hist[idx] = probs
             self._hist = hist
         return self._hist
-
-    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied cells as an (M, n) 0/1 phase array plus probabilities,
-        in ascending cell-index order."""
-        idx, probs = self._cell_counts()
-        octets = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
-        cells = np.unpackbits(octets, axis=1, count=self.n, bitorder="little")
-        return cells.view(np.int8), probs
 
     def descriptor(self) -> str:
         text = (

@@ -40,9 +40,15 @@ def _load_matrix(path: str):
 
     try:
         with open(path, "rb") as fh:
-            return parse_matrix(fh.read())
+            data = fh.read()
+        return parse_matrix(data)
     except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc.strerror}", 0) from None
+        raise MatrixParseError(f"cannot read {path}: {exc.strerror}", None) from None
+    except UnicodeDecodeError as exc:
+        # parse_matrix's line numbers: a character appended to the valid
+        # prefix sits on the line where the bad byte starts
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MatrixParseError(f"{path} is not UTF-8: {exc.reason}", line) from None
 
 
 def _parse_counts(text: str, what: str) -> tuple[int, ...]:
@@ -182,9 +188,7 @@ def _cmd_bound(args) -> int:
     from .matrices import MultiplicitySpec, spectral_norm
 
     a = _load_matrix(args.matrix)
-    mults = (
-        _parse_counts(args.mult, "--mult") if args.mult else (1,) * a.shape[1]
-    )
+    mults = _parse_counts(args.mult, "--mult") if args.mult else (1,) * a.shape[1]
     spec = MultiplicitySpec(a, mults)
     bound = permanent_upper_bound(spec)
     payload = {
@@ -258,28 +262,23 @@ def _cmd_optics(args) -> int:
         u = optics.saturating_unitary(pattern)
         outcome = optics.saturating_outcome(pattern)
         text = serialize_matrix(u)
+        payload = {
+            "outcome": ",".join(str(c) for c in outcome),
+            "probability": optics.bunching_bound(pattern),
+        }
         if args.out:
             try:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as exc:
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-            payload = {
-                "outcome": ",".join(str(c) for c in outcome),
-                "probability": optics.bunching_bound(pattern),
-                "written": args.out,
-            }
+            payload["written"] = args.out
             _emit(payload, [payload["outcome"]], args.format)
+        elif args.format == "json":
+            payload["matrix"] = text
+            print(json.dumps(payload, sort_keys=True))
         else:
-            if args.format == "json":
-                payload = {
-                    "matrix": text,
-                    "outcome": ",".join(str(c) for c in outcome),
-                    "probability": optics.bunching_bound(pattern),
-                }
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                sys.stdout.write(text)
+            sys.stdout.write(text)
         return 0
     # prob / amp
     u = _load_matrix(args.unitary)

@@ -479,11 +479,7 @@ class ComplexSampleSpace:
         if not (0 <= seed < self.seed_count):
             raise ValueError(f"seed must lie in [0, {self.seed_count})")
         if self.exhaustive:
-            phases = []
-            for m in reversed(self.moduli):
-                phases.append(seed % m)
-                seed //= m
-            return PhaseVector(self.moduli, tuple(reversed(phases)))
+            return PhaseVector(self.moduli, seed // self.places % self.moduli)
         amp = self.amplifier
         d_bits = seed >> amp.seed_bits
         table = self.base.exponent_table()
@@ -534,12 +530,17 @@ class ComplexSampleSpace:
         self._hist = hist
         return hist
 
+    @property
+    def places(self) -> np.ndarray:
+        """Place values of the C-order cell index (last coordinate fastest)."""
+        return _radix(self.moduli)
+
     def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied grid cells as an (M, k) phase array plus probabilities."""
+        """Occupied grid cells as ascending flat indices (``places``) plus
+        probabilities."""
         hist = self.support_histogram().reshape(-1)
-        idx = np.nonzero(hist)[0]
-        cells = (idx[:, None] // _radix(self.moduli)) % np.array(self.moduli, dtype=np.int64)
-        return cells, hist[idx]
+        idx = np.flatnonzero(hist)
+        return idx, hist[idx]
 
     def descriptor(self) -> str:
         s = ",".join(str(m - 1) for m in self.moduli)

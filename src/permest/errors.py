@@ -10,10 +10,11 @@ class PermestError(Exception):
 
 
 class MatrixParseError(PermestError, ValueError):
-    """Malformed matrix file. Carries the 1-based line number."""
+    """Malformed matrix file. Carries the 1-based line number, or None when
+    the file could not be read at all."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

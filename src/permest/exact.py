@@ -249,9 +249,7 @@ def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
     moduli = [s + 1 for s in spec.mults]
     size = phase_space_size(moduli)
     if size > PHASE_SPACE_LIMIT:
-        raise SizeLimitError(
-            f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}"
-        )
+        raise SizeLimitError(f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}")
     values, weights = [], []
     for s in spec.mults:
         roots = roots_of_unity(s + 1)

@@ -130,11 +130,7 @@ def serialize_matrix(a) -> str:
     a = as_matrix(a)
     lines = [f"{a.shape[0]} {a.shape[1]}"]
     for row in a:
-        parts = []
-        for v in row:
-            parts.append(f"{v.real:.17g}")
-            parts.append(f"{v.imag:.17g}")
-        lines.append(" ".join(parts))
+        lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from permest.binary_bias import SampleSpace
 from permest.estimators import PhaseVector
 from permest.matrices import expand
 
@@ -167,10 +168,21 @@ def binary_cells_by_seed(space) -> np.ndarray:
     return cells.ravel()
 
 
+def decode_cells(space, idx) -> np.ndarray:
+    """(M, k) int64 phases of flat cell indices in a space's own numbering:
+    bit i of the index is coordinate i in a binary space, the C-order grid
+    index (last coordinate fastest) in a complex one."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if isinstance(space, SampleSpace):
+        return (idx[:, None] >> np.arange(space.n)) & 1
+    return np.stack(np.unravel_index(idx, space.moduli), axis=1).astype(np.int64)
+
+
 def complex_bias_brute(space) -> float:
     """max_e |E[x^e]| by looping support cells and exponent vectors."""
     moduli = space.moduli
-    cells, probs = space.support_cells()
+    idx, probs = space.support_cells()
+    cells = decode_cells(space, idx)
     worst = 0.0
     for exps in itertools.product(*[range(m) for m in moduli]):
         if not any(exps):

@@ -20,6 +20,7 @@ from permest.estimators import estimate_derandomized, gly
 from oracles import (
     binary_bias_brute,
     binary_cells_by_seed,
+    decode_cells,
     random_nonneg,
     space_mean_by_seed_loop,
 )
@@ -189,7 +190,7 @@ class TestChunkedHistogram:
 
     def test_estimate_matches_seed_loop_with_small_blocks(self, monkeypatch):
         monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 1 << 6)
-        monkeypatch.setattr(estimators, "_CHUNK", 3)  # 4 cells: blocks of 3 and 1
+        monkeypatch.setattr(estimators, "_BLOCK", 3)  # 4 cells padded to 8: blocks of 3, 3, 2
         a = random_nonneg(np.random.default_rng(21), 2)
         space = build_binary_space(2, 0.1)
         est = estimate_derandomized(a, space)
@@ -200,18 +201,20 @@ class TestChunkedHistogram:
         a = random_nonneg(np.random.default_rng(22), 10)
         space = build_binary_space(10, 0.1)
         whole = estimate_derandomized(a, space).value
-        monkeypatch.setattr(estimators, "_CHUNK", 7)
+        monkeypatch.setattr(estimators, "_BLOCK", 7)
         assert estimate_derandomized(a, space).value == whole
 
 
 def _assert_support_is_parity_map(space, cells):
     """support_cells and support_histogram equal the per-seed cells counted
-    per cell: ascending cell indices, count / seed_count floats."""
+    per cell: ascending uint32 cell indices, which the space's place values
+    decode into the index bits, and count / seed_count floats."""
     idx, counts = np.unique(cells, return_counts=True)
     probs = counts / float(space.seed_count)
-    got_cells, got_probs = space.support_cells()
-    assert got_cells.dtype == np.int8
-    assert np.array_equal(got_cells, ((idx[:, None] >> np.arange(space.n)) & 1).astype(np.int8))
+    got_idx, got_probs = space.support_cells()
+    assert got_idx.dtype == np.uint32
+    assert np.array_equal(got_idx, idx)
+    assert np.array_equal((got_idx[:, None] // space.places) % 2, decode_cells(space, idx))
     assert np.array_equal(got_probs, probs)
     hist = space.support_histogram()
     assert hist.shape == (1 << space.n,) and hist.dtype == np.float64
@@ -277,11 +280,11 @@ class TestColumnMap:
         space = build_binary_space(24, 0.05)
         tracemalloc.start()
         try:
-            cells, _ = space.support_cells()
+            idx, _ = space.support_cells()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cells.shape == (28633, 24)
+        assert decode_cells(space, idx).shape == (28633, 24)
         assert peak < 32 << 20
 
     # (n, eps, estimate_derandomized(...).value.real.hex()): grouping the

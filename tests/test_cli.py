@@ -491,6 +491,19 @@ class TestFailures:
                 3,
                 id="optics-amp-tiny-eps",
             ),
+            # a finite count above the 2^32 cap, which would run for days
+            pytest.param(("estimate", "--matrix", "{m}", "--epsilon", "1e-10"), 3, id="huge-count"),
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--mult", "1,1", "--epsilon", "1e-10"),
+                3,
+                id="huge-count-mult",
+            ),
+            pytest.param(
+                ("optics", "prob", "--unitary", "{u}", "--out-pattern", "1,1", "--estimate",
+                 "--epsilon", "1e-10"),
+                3,
+                id="optics-prob-huge-count",
+            ),
             pytest.param(
                 ("optics", "saturate", "--pattern", "2", "--out", "{tmp}/missing/u.txt"),
                 2,
@@ -500,6 +513,7 @@ class TestFailures:
                 ("optics", "saturate", "--pattern", "2", "--out", "{tmp}"), 2, id="out-is-dir"
             ),
             pytest.param(("exact", "--matrix", "{latin1}"), 2, id="non-utf8-matrix"),
+            pytest.param(("exact", "--matrix", "{tmp}/missing.txt"), 2, id="unreadable-matrix"),
             pytest.param(
                 ("space", "audit", "--descriptor", "complex s=2 l=3 eps=0.55 zz=1"),
                 2,
@@ -532,6 +546,26 @@ class TestFailures:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the first undecodable byte is on line 3, after two ASCII lines
+            (b"2 2\n1 0 0 0\n0 0 1 0 \xe9\n", "error: line 3: {path} is not UTF-8: "),
+            # parse_matrix's numbering: a lone CR ends a line too
+            (b"2 2\r1 0 0 0\r\xe9", "error: line 3: {path} is not UTF-8: "),
+            (b"\xff2 2\n", "error: line 1: {path} is not UTF-8: "),
+            (None, "error: cannot read {path}: No such file or directory\n"),
+        ],
+        ids=["line-3", "cr-lines", "line-1", "missing"],
+    )
+    def test_matrix_file_error_names_path_and_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "a.txt"
+        if text is not None:
+            path.write_bytes(text)
+        code, out, err = run(capsys, "exact", "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(message.format(path=path))
 
 
 class TestBound:

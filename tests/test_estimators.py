@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from permest import estimators
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
-from permest.complex_bias import exhaustive_complex_space
+from permest.complex_bias import build_complex_space, exhaustive_complex_space
 from permest.errors import DomainError
 from permest.estimators import (
     Estimate,
@@ -30,6 +31,7 @@ from permest.matrices import MultiplicitySpec, expand, spectral_norm
 from permest.optics import saturating_unitary
 
 from oracles import (
+    complex_histogram_by_seed,
     gengly_plain,
     gly_plain,
     random_complex,
@@ -655,12 +657,16 @@ class TestEstimateDerandomized:
             "rng = np.random.default_rng(16)\n"
             "a = rng.uniform(0.0, 1.0, (16, 16))\n"
             "spec = MultiplicitySpec(rng.uniform(0.0, 1.0, (20, 10)), (2,) * 10)\n"
+            # a support of 24,503 cells ends in a ragged block of 4,023 rows,
+            # whose last 7 the real matmul rounded differently on one thread
+            "b = np.random.default_rng(1016).random((16, 16))\n"
             "for est in (estimate_derandomized(a, build_binary_space(16, 0.05)),\n"
+            "            estimate_derandomized(b, build_binary_space(16, 0.05)),\n"
             "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10))):\n"
             "    print(est.value.real.hex(), est.value.imag.hex())\n"
         )
         outputs = stdout_per_blas_threads(script)
-        assert len(outputs[0].splitlines()) == 2
+        assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
 
     def test_certainty_at_measured_bias(self):
@@ -725,6 +731,79 @@ class TestEstimateDerandomizedMulti:
         est = estimate_derandomized_multi(spec, space)
         brute = space_mean_by_seed_loop(space, lambda x: gengly(spec, x))
         assert abs(est.value - brute) <= 1e-11 * max(1.0, abs(brute))
+
+
+def _multi_case(kind):
+    """(spec, space) of one pinned multi estimate."""
+    if kind == "exhaustive-3pow10":  # 59,049 cells: several blocks, one table chunk
+        base = random_nonneg(np.random.default_rng(1710), 20, 10)
+        return MultiplicitySpec(base, (2,) * 10), exhaustive_complex_space((3,) * 10)
+    if kind == "forced-4-ell4":
+        base = random_nonneg(np.random.default_rng(1711), 3, 1)
+        space = build_complex_space((4,), 0.5, force_construction=True, ell=4)
+        return MultiplicitySpec(base, (3,)), space
+    # a binary space, numbered bit i = coordinate i, through the multi path;
+    # its 101,469 cells cross the 2^16-row boundary
+    base = random_nonneg(np.random.default_rng(1712), 20)
+    return MultiplicitySpec(base, (1,) * 20), build_binary_space(20, 0.02)
+
+
+class TestDerandomizedBits:
+    """The bits of derandomized means: grouping and decoding the support in
+    blocks must not move one. The sum is pairwise, so they do not depend on
+    the BLAS thread count either."""
+
+    # (kind, value.real.hex(), value.imag.hex())
+    MULTI = [
+        ("exhaustive-3pow10", "0x1.4a1ce8bbbe4dbp+40", "-0x1.e800000000000p-9"),
+        ("forced-4-ell4", "0x1.fd7a715245806p-6", "0x0.0p+0"),
+        ("binary-n20", "0x1.107df363098acp+57", "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("kind, real, imag", MULTI, ids=[k for k, _, _ in MULTI])
+    def test_multi_bits_are_pinned(self, kind, real, imag):
+        est = estimate_derandomized_multi(*_multi_case(kind))
+        assert (est.value.real.hex(), est.value.imag.hex()) == (real, imag)
+
+    def test_complex_space_of_moduli_two_is_numbered_c_order(self):
+        # a complex space numbers its cells in C order, a binary one bit i =
+        # coordinate i; the support of this space is not symmetric under
+        # reversing the coordinates, so decoding it in the wrong numbering
+        # moves the mean
+        space = build_complex_space((2, 2, 2), 0.9, force_construction=True, ell=1)
+        a = random_nonneg(np.random.default_rng(1713), 3)
+        est = estimate_derandomized(a, space)
+        hist = complex_histogram_by_seed(space)
+        brute = sum(
+            hist[p] * gly(a, PhaseVector((2, 2, 2), p)) for p in np.ndindex(space.moduli)
+        )
+        assert hist[0, 0, 1] != hist[1, 0, 0]
+        assert abs(est.value - brute) <= 1e-13 * abs(brute)
+        assert (est.value.real.hex(), est.value.imag) == ("0x1.90dc75d4a49dbp+1", 0.0)
+
+
+class TestDerandomizedMemory:
+    """The support is read as flat cell indices a block at a time: no (M, n)
+    or (M, k) cell array, and no float copy of one."""
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_binary_estimate_peak(self):
+        # n = 20, eps = 0.02: 2^20 seeds on 101,469 cells
+        a = random_nonneg(np.random.default_rng(1714), 20)
+        space = build_binary_space(20, 0.02)
+        assert self._peak(lambda: estimate_derandomized(a, space)) < 10 << 20
+
+    def test_multi_estimate_peak(self):
+        spec, space = _multi_case("exhaustive-3pow10")
+        assert self._peak(lambda: estimate_derandomized_multi(spec, space)) < 8 << 20
 
 
 class TestPermanentUpperBound:

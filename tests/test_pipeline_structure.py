@@ -30,7 +30,7 @@ from permest.estimators import PhaseVector, estimate_derandomized, gly
 from permest.exact import permanent_gengly_exact, permanent_ryser
 from permest.matrices import MultiplicitySpec, expand
 
-from oracles import random_nonneg
+from oracles import decode_cells, random_nonneg
 
 
 class TestGeneratorRecomposition:
@@ -140,10 +140,10 @@ SUPPORT_SPACES = {
 
 
 class TestSupportProtocol:
-    """Every kind of space returns its support cells in ascending cell-index
-    order (coordinate 0 fastest for binary spaces, the C-order grid index for
-    complex ones), with probabilities that are whole seed counts over
-    seed_count."""
+    """Every kind of space returns its support cells as ascending flat cell
+    indices (coordinate 0 fastest for binary spaces, the C-order grid index
+    for complex ones) that its ``places`` decode, with probabilities that
+    are whole seed counts over seed_count."""
 
     @pytest.mark.parametrize("kind", sorted(SUPPORT_SPACES))
     def test_ascending_cells_with_whole_counts(self, kind):
@@ -157,11 +157,15 @@ class TestSupportProtocol:
     @staticmethod
     def _check(space):
         binary = isinstance(space, binary_bias.SampleSpace)
-        cells, probs = space.support_cells()
+        idx, probs = space.support_cells()
+        cells = decode_cells(space, idx)
         assert cells.shape == (probs.shape[0], len(space.moduli))
+        # the estimators decode the indices with the space's place values
+        assert np.array_equal((idx[:, None] // space.places) % space.moduli, cells)
         coords = cells.T[::-1] if binary else cells.T
         moduli = space.moduli[::-1] if binary else space.moduli
         index = np.ravel_multi_index(tuple(coords.astype(np.intp)), moduli)
+        assert np.array_equal(index, idx)
         assert np.all(np.diff(index) > 0)
         counts = probs * space.seed_count
         assert np.all(counts >= 1.0)
