@@ -188,6 +188,8 @@ def _cmd_bound(args) -> int:
     from .matrices import MultiplicitySpec, spectral_norm
 
     a = _load_matrix(args.matrix)
+    if not args.mult and a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got {a.shape}")
     mults = _parse_counts(args.mult, "--mult") if args.mult else (1,) * a.shape[1]
     spec = MultiplicitySpec(a, mults)
     bound = permanent_upper_bound(spec)

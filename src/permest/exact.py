@@ -41,7 +41,7 @@ __all__ = [
 
 NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
-PHASE_SPACE_LIMIT = 1 << 24
+PHASE_SPACE_LIMIT = 1 << GRAY_LIMIT
 
 # a 2^14 complex128 table row is 256 KiB, well inside L2
 _BLOCK_BITS = 14

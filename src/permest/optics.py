@@ -3,9 +3,11 @@
 For a k-mode interferometer with unitary U, the amplitude of seeing output
 occupation (s_1..s_k) given input occupation (t_1..t_k) is
 ``Per(U_{s,t}) / sqrt(prod s_i! prod t_j!)`` where U_{s,t} repeats row i of U
-s_i times and column j t_j times. Estimation is offered for the standard
-initial state (one photon in each of the first n modes), where the repeated
-rows map onto the multiplicity-spec estimators after a transpose.
+s_i times and column j t_j times. One mapping turns an outcome into a
+multiplicity spec grouped on the side with the smaller roots-of-unity grid;
+the exact amplitude is the full average over that grid, which is also the
+exhaustive estimate. Estimation is offered for the standard initial state
+(one photon in each of the first n modes).
 """
 
 from __future__ import annotations
@@ -40,18 +42,15 @@ class AmplitudeResult:
     prob_error_bound: float = 0.0
 
 
-def validate_pattern(counts: Sequence[int], total: int | None = None) -> tuple[int, ...]:
+def validate_pattern(counts: Sequence[int]) -> tuple[int, ...]:
     pattern = tuple(int(c) for c in counts)
     if any(c < 0 for c in pattern):
         raise ValueError("occupation counts must be nonnegative")
-    if total is not None and sum(pattern) != total:
-        raise ValueError(f"occupation counts sum to {sum(pattern)}, expected {total}")
     return pattern
 
 
-def transition_matrix(u, row_pattern, col_pattern) -> np.ndarray:
-    """U with row i repeated row_pattern[i] times and column j repeated
-    col_pattern[j] times (zero counts drop the row/column)."""
+def _checked(u, row_pattern, col_pattern):
+    """The square matrix and both patterns, validated against each other."""
     u = as_matrix(u)
     k = u.shape[0]
     if u.shape[1] != k:
@@ -62,7 +61,28 @@ def transition_matrix(u, row_pattern, col_pattern) -> np.ndarray:
         raise ValueError(f"patterns must have length {k}")
     if sum(rows) != sum(cols):
         raise ValueError("row and column patterns must total the same photon count")
+    return u, rows, cols
+
+
+def transition_matrix(u, row_pattern, col_pattern) -> np.ndarray:
+    """U with row i repeated row_pattern[i] times and column j repeated
+    col_pattern[j] times (zero counts drop the row/column)."""
+    u, rows, cols = _checked(u, row_pattern, col_pattern)
     return np.repeat(np.repeat(u, rows, axis=0), cols, axis=1)
+
+
+def _outcome_spec(u, row_pattern, col_pattern) -> MultiplicitySpec | None:
+    """U_{s,t} as a multiplicity spec over the side with the smaller grid,
+    prod (c + 1) over its counts, the rows on a tie; None for the vacuum.
+    Modes with zero counts drop out: a multiplicity must be positive."""
+    u, rows, cols = _checked(u, row_pattern, col_pattern)
+    if sum(rows) == 0:
+        return None
+    if math.prod(c + 1 for c in rows) > math.prod(c + 1 for c in cols):
+        u, rows, cols = u.T, cols, rows  # Per(A^T) = Per(A)
+    # grouped rows are the repeated columns of the transpose
+    keep = [i for i, c in enumerate(rows) if c > 0]
+    return MultiplicitySpec(np.repeat(u[keep], cols, axis=1).T, [rows[i] for i in keep])
 
 
 def _log_factorial_sum(pattern) -> float:
@@ -70,18 +90,16 @@ def _log_factorial_sum(pattern) -> float:
 
 
 def amplitude_exact(u, row_pattern, col_pattern) -> AmplitudeResult:
-    """Per(U_{s,t}) / sqrt(s! t!) and its squared magnitude, exactly."""
-    from .exact import permanent_ryser
+    """Per(U_{s,t}) / sqrt(s! t!) and its squared magnitude, exactly: the
+    full average of the roots-of-unity estimator over the outcome's grid."""
+    from .exact import permanent_gengly_exact
 
-    a = transition_matrix(u, row_pattern, col_pattern)
-    n = a.shape[0]
-    if n == 0:
-        amp = 1.0 + 0.0j  # vacuum to vacuum
-    else:
-        denom = math.exp(
-            0.5 * (_log_factorial_sum(row_pattern) + _log_factorial_sum(col_pattern))
-        )
-        amp = permanent_ryser(a) / denom
+    spec = _outcome_spec(u, row_pattern, col_pattern)
+    # vacuum to vacuum: the empty permanent is 1
+    per = 1.0 if spec is None else permanent_gengly_exact(spec)
+    amp = per / math.exp(
+        0.5 * (_log_factorial_sum(row_pattern) + _log_factorial_sum(col_pattern))
+    )
     return AmplitudeResult(complex(amp), float(abs(amp) ** 2))
 
 
@@ -106,26 +124,16 @@ def amplitude_estimate(
 
     u = as_matrix(u)
     k = u.shape[0]
-    if u.shape[1] != k:
-        raise ValueError("interferometer matrix must be square")
     pattern = validate_pattern(row_pattern)
-    if len(pattern) != k:
-        raise ValueError(f"pattern must have length {k}")
     n = sum(pattern)
     if not (1 <= n <= k):
         raise ValueError("photon number must lie in 1..k for the standard input")
-    # the transition matrix repeats row i of U's first n columns s_i times,
-    # so its transpose is a repeated-column expansion; estimator
-    # multiplicities must be positive, so unobserved modes drop out
-    keep = [i for i, c in enumerate(pattern) if c > 0]
-    u_eff = u[np.ix_(keep, range(k))]
-    spec = MultiplicitySpec(u_eff[:, :n].T, tuple(pattern[i] for i in keep))
+    spec = _outcome_spec(u, pattern, (1,) * n + (0,) * (k - n))
     if mode == "random":
         est = estimate_random_multi(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
         from .exact import _gengly_exhaustive_estimate
 
-        # the full average is exact for any complex matrix
         est = _gengly_exhaustive_estimate(spec)
     elif mode == "derandomized":
         from .complex_bias import build_complex_space
@@ -146,14 +154,8 @@ def bunching_bound(pattern) -> float:
     """prod s_i! / s_i^s_i: the largest possible probability of the outcome
     from the standard initial state (0! = 1 and 0^0 = 1)."""
     pattern = validate_pattern(pattern)
-    num = 1
-    den = 1
-    for c in pattern:
-        if c > 0:
-            num *= math.factorial(c)
-            den *= c**c
     # true division of ints rounds the exact ratio correctly
-    return num / den
+    return math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
 
 
 def saturating_unitary(pattern) -> np.ndarray:
@@ -179,8 +181,4 @@ def saturating_outcome(pattern) -> tuple[int, ...]:
     """The bunched outcome over n modes: s_i photons in the first mode of
     block i, zero elsewhere."""
     pattern = validate_pattern(pattern)
-    out = []
-    for s in pattern:
-        out.append(s)
-        out.extend([0] * (s - 1))
-    return tuple(out)
+    return tuple(c for s in pattern for c in (s,) + (0,) * (s - 1))

@@ -547,6 +547,12 @@ class TestFailures:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_bound_on_non_square_matrix_names_its_shape(self, capsys, tmp_path):
+        # without --mult the plain bound needs a square matrix, as exact does
+        path = write_matrix(tmp_path, "col.txt", np.array([[1.0], [1.0]]))
+        code, out, err = run(capsys, "bound", "--matrix", path)
+        assert (code, out, err) == (2, "", "error: matrix must be square, got (2, 1)\n")
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -834,6 +840,11 @@ class TestImportGraph:
                 ("optics", "bound", "--pattern", "2,1"),
                 "cli errors matrices optics",
                 id="optics-bound",
+            ),
+            pytest.param(
+                ("optics", "prob", "--unitary", "{m}", "--out-pattern", "2,1,0,0"),
+                "cli errors estimators exact matrices optics",
+                id="optics-prob-exact",
             ),
         ],
     )

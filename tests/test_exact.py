@@ -170,7 +170,7 @@ class TestGenGlyExact:
         )
 
     def test_size_cap(self):
-        n = 25
+        n = 31
         spec = MultiplicitySpec(np.ones((n, n)), (1,) * n)
         with pytest.raises(SizeLimitError):
             permanent_gengly_exact(spec)

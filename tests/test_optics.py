@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permest.estimators import estimate_random
 from permest.exact import permanent_naive
@@ -80,6 +82,61 @@ class TestAmplitudeExact:
         res = amplitude_exact(u, (2, 1, 0), (1, 1, 1))
         assert res.probability == pytest.approx(abs(res.amplitude) ** 2, rel=1e-12)
 
+    def test_vacuum(self):
+        res = amplitude_exact(np.eye(2), (0, 0), (0, 0))
+        assert (res.amplitude, res.probability) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "pattern", [(2, 0, 1, 0), (1, 1, 1, 1), (3, 0, 2, 1, 0, 0)], ids=str
+    )
+    def test_standard_input_is_the_exhaustive_estimate(self, pattern):
+        # one mapping and one grid: the exact amplitude of the standard
+        # input is the exhaustive-mode estimate, bit for bit
+        k = len(pattern)
+        u = haar_ish(np.random.default_rng(20 + k), k)
+        n = sum(pattern)
+        exact = amplitude_exact(u, pattern, (1,) * n + (0,) * (k - n))
+        est = amplitude_estimate(u, pattern, 0.1, mode="exhaustive")
+        assert exact.amplitude == est.amplitude
+        assert exact.probability == est.probability
+
+    @pytest.mark.parametrize("pattern", [(8, 8, 8, 8), (16, 16)], ids=str)
+    def test_saturating_outcome_past_thirty_photons(self, pattern):
+        # n = 32, above the 2^n Ryser cap; the grid has 9^4 or 17^2 points
+        u = saturating_unitary(pattern)
+        res = amplitude_exact(u, saturating_outcome(pattern), (1,) * 32)
+        assert res.probability == pytest.approx(bunching_bound(pattern), rel=1e-12)
+
+
+@st.composite
+def outcomes(draw):
+    """A k-mode matrix and two occupation patterns of the same n <= 8
+    photons, in either order, so that the row grid and the column grid each
+    come out smaller."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = haar_ish(rng, k) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, (k, k))
+    # a skewed draw bunches its photons, so its grid is mostly the smaller
+    bunched = tuple(int(c) for c in rng.multinomial(n, rng.dirichlet([0.3] * k)))
+    spread = tuple(int(c) for c in rng.multinomial(n, [1.0 / k] * k))
+    if draw(st.booleans()):
+        return u, bunched, spread
+    return u, spread, bunched
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(outcomes())
+def test_exact_amplitude_is_the_transition_permanent(case):
+    u, rows, cols = case
+    ref = permanent_naive(transition_matrix(u, rows, cols)) / math.sqrt(
+        math.prod(math.factorial(c) for c in rows + cols)
+    )
+    got = amplitude_exact(u, rows, cols).amplitude
+    # a rounding-level floor scaled by prod_i sum_j |a_ij|, which bounds |Per|
+    scale = float(np.prod(np.abs(transition_matrix(u, rows, cols)).sum(axis=1)))
+    assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-12 * scale
+
 
 class TestAmplitudeEstimate:
     def test_saturating_instance_derandomized(self):
@@ -132,6 +189,25 @@ class TestAmplitudeEstimate:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             amplitude_estimate(np.eye(2), (1, 1), 0.1, mode="psychic")
+
+    # (mode, amplitude.real.hex(), amplitude.imag.hex(), amp_error_bound.hex())
+    # of the outcome (3, 0, 2, 1, 0, 0) at epsilon 0.3: a complex matrix in
+    # random and exhaustive mode, a nonnegative one in derandomized mode
+    PINNED = [
+        ("random", "-0x1.c43ecea869247p-15", "0x1.6621d10e23ed9p-13", "0x1.864f806542899p-10"),
+        ("exhaustive", "-0x1.45c9790dad49cp-14", "0x1.26d6822723271p-13", "0x0.0p+0"),
+        ("derandomized", "0x1.621026fa411b5p-15", "-0x1.02a725cde2cb8p-66", "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("mode, real, imag, bound", PINNED, ids=[p[0] for p in PINNED])
+    def test_estimate_bits_are_pinned(self, mode, real, imag, bound):
+        rng = np.random.default_rng(40)
+        cplx = random_complex(rng, 6) / 4
+        nonneg = rng.random((6, 6)) / 6
+        u = nonneg if mode == "derandomized" else cplx
+        res = amplitude_estimate(u, (3, 0, 2, 1, 0, 0), 0.3, mode, rng_seed=5)
+        got = (res.amplitude.real.hex(), res.amplitude.imag.hex(), res.amp_error_bound.hex())
+        assert got == (real, imag, bound)
 
 
 class TestBunchingBound:
