@@ -31,10 +31,14 @@ and summed pairwise once per chunk. gly draws its signs per block from
 ``numpy.random.default_rng(rng_seed)``: sign j is bit 31 (even j) or bit 63
 (odd j) of raw PCG64 word j // 2, mapped 0 -> +1 and 1 -> -1, the stream of
 ``integers(0, 2)`` built without an int64 array. gengly draws each chunk's
-phases column by column with ``integers``. When the grid of prod(moduli)
-cells is at most the samples in full blocks and at most 2^16, the kernel
-runs once over every cell and each full block gathers its values from that
-table, bit-identical to evaluating the block (see ``_random_mean``).
+phases column by column with ``integers`` and narrows each column at once to
+the smallest unsigned dtype that holds max(moduli) - 1 (uint8 up to modulus
+256), after dropping the previous chunk's columns. When the grid of
+prod(moduli) cells is at most the samples in full blocks and at most 2^16,
+the kernel runs once over every cell and each full block gathers its values
+from that table, bit-identical to evaluating the block (see
+``_random_mean``); gengly's full blocks read their cells from the narrow
+columns with integer multiply-adds, gly's from its float signs by a matvec.
 
 One decoder pair turns flat cell indices into kernel input, given the place
 values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
@@ -54,7 +58,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .matrices import MultiplicitySpec, as_matrix, spectral_norm
+from .matrices import (
+    MultiplicitySpec,
+    _log_gengly_scale,
+    as_matrix,
+    gengly_scale,
+    phase_space_size,
+    roots_of_unity,
+    spectral_norm,
+)
 
 __all__ = [
     "Estimate",
@@ -80,21 +92,6 @@ _CHUNK = 1 << 16
 SAMPLE_LIMIT = 1 << 32
 # estimator kernel rows per block: a (2^12, 30) complex128 block is 1.9 MiB
 _BLOCK = 1 << 12
-
-# exact values where the roots are representable without rounding
-_EXACT_ROOTS = {
-    1: np.array([1.0 + 0.0j]),
-    2: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
-    4: np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]),
-}
-
-
-def roots_of_unity(m: int) -> np.ndarray:
-    """The m-th roots of unity, index j holding exp(2*pi*i*j/m)."""
-    if m in _EXACT_ROOTS:
-        return _EXACT_ROOTS[m]
-    return np.exp(2j * np.pi * np.arange(m) / m)
-
 
 @dataclass(frozen=True)
 class PhaseVector:
@@ -231,15 +228,6 @@ def gly_batch(a, signs: np.ndarray) -> np.ndarray:
     return _rowsum_products(signs, at, parity)
 
 
-def _log_gengly_scale(mults: Sequence[int]) -> float:
-    return sum(math.lgamma(s + 1) - 0.5 * s * math.log(s) for s in mults)
-
-
-def gengly_scale(mults: Sequence[int]) -> float:
-    """s_1!...s_k! / sqrt(s_1^s_1 ... s_k^s_k), computed in log space."""
-    return math.exp(_log_gengly_scale(mults))
-
-
 def gengly(spec: MultiplicitySpec, x: PhaseVector) -> complex:
     """The generalized estimator at one point of the roots-of-unity grid."""
     moduli = tuple(s + 1 for s in spec.mults)
@@ -272,10 +260,6 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
         pow_prod *= np.take(roots[np.arange(s + 1) * s % (s + 1)], cols[i], mode="clip")
     weight = gengly_scale(mults) * np.conj(pow_prod)
     return _rowsum_products(y.T, spec.base.T, weight)
-
-
-def phase_space_size(moduli: Sequence[int]) -> int:
-    return int(np.prod([int(m) for m in moduli], dtype=object))
 
 
 def sample_count(epsilon: float, delta: float) -> int:
@@ -333,21 +317,22 @@ def _check_params(epsilon: float, delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
-def _random_mean(m: int, grid: int, draw, evaluate, cells, index) -> complex:
+def _random_mean(m: int, grid: int, draw, evaluate, cells) -> complex:
     """Mean of m independent samples of an estimator, the loop of both
     random-mode estimators.
 
-    ``draw(c)`` draws one chunk of c samples and returns ``chunk(lo, rows)``,
-    the kernel input of its rows lo..lo+rows-1; ``evaluate`` is the
-    estimator kernel on such a block. The samples are summed pairwise once
-    per ``_CHUNK`` rows, from one reused buffer.
+    ``draw(c)`` draws one chunk of c samples and returns ``chunk(lo, rows,
+    lookup)``: the kernel input of its rows lo..lo+rows-1, or with ``lookup``
+    true their cell indices. ``evaluate`` is the estimator kernel on such a
+    block. The samples are summed pairwise once per ``_CHUNK`` rows, from
+    one reused buffer.
 
-    The grid has ``grid`` cells, numbered so that ``index(block)`` gives each
-    row's cell and ``cells(lo, hi)`` is the kernel input of cells lo..hi-1.
-    When the full ``_BLOCK``-row blocks hold at least ``grid`` samples, and
-    ``grid`` is at most ``_CHUNK``, the kernel runs once over the grid and
-    every full block gathers its values from that table. The rest is
-    evaluated as it is drawn. Bit identity rests on the kernel giving a row
+    The grid has ``grid`` cells; ``cells(lo, hi)`` is the kernel input of
+    cells lo..hi-1, in the numbering of the chunk's cell indices. When the
+    full ``_BLOCK``-row blocks hold at least ``grid`` samples, and ``grid``
+    is at most ``_CHUNK``, the kernel runs once over the grid and every full
+    block gathers its values from that table. The rest is evaluated as it
+    is drawn. Bit identity rests on the kernel giving a row
     the same bits wherever it sits: true for the complex kernels in any
     block of 2 or more rows (one row takes BLAS's matrix-vector path), and
     for the real gly kernel in blocks of a multiple of 8 rows or at most
@@ -370,11 +355,10 @@ def _random_mean(m: int, grid: int, draw, evaluate, cells, index) -> complex:
         chunk = draw(c)
         for lo in range(0, c, _BLOCK):
             rows = min(_BLOCK, c - lo)
-            x = chunk(lo, rows)
             if table is not None and rows == _BLOCK:
-                np.take(table, index(x), out=vals[lo : lo + rows], mode="clip")
+                np.take(table, chunk(lo, rows, True), out=vals[lo : lo + rows], mode="clip")
             else:
-                vals[lo : lo + rows] = evaluate(x)
+                vals[lo : lo + rows] = evaluate(chunk(lo, rows, False))
         # one pairwise sum per chunk pins the summation order
         total += complex(np.sum(vals[:c]))
     return total / m
@@ -460,20 +444,21 @@ def estimate_random(
     # it in again at every block (40k page faults per estimate at n=30)
     signs = np.empty(min(m, _BLOCK) * n + 1, dtype=np.uint64)
 
-    # a block of _BLOCK rows has an even number of signs, so only the run's
-    # last draw can be odd
-    def draw(c):
-        return lambda lo, rows: _random_signs(bitgen, rows, n, out=signs)
-
     # sum_j 2^j x_j = (2^n - 1) - 2 * cell, exact in float64
     weights = 2.0 ** np.arange(n)
+
+    # a block of _BLOCK rows has an even number of signs, so only the run's
+    # last draw can be odd
+    def chunk(lo, rows, lookup):
+        x = _random_signs(bitgen, rows, n, out=signs)
+        return ((2.0**n - 1.0 - x @ weights) / 2.0).astype(np.intp) if lookup else x
+
     value = _random_mean(
         m,
         1 << n,
-        draw,
+        lambda c: chunk,
         lambda x: gly_batch(a, x),
         lambda lo, hi: _index_signs(np.arange(lo, hi), 1 << np.arange(n)),
-        lambda x: ((2.0**n - 1.0 - x @ weights) / 2.0).astype(np.intp),
     )
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
@@ -486,31 +471,50 @@ def estimate_random_multi(
     Reproducible for a fixed ``rng_seed``: each ``_CHUNK`` = 2^16-sample
     chunk draws its phases column by column with ``integers(0, s_i + 1)`` of
     ``default_rng(rng_seed)``, and is evaluated in blocks of ``_BLOCK`` rows
-    and summed pairwise. When the grid's prod(s_i + 1) cells are at most the
-    samples in full blocks and at most 2^16, ``gengly_batch`` runs once over
-    the cells and each full block reads its values from that table.
+    and summed pairwise. Each column is kept only as a copy in the smallest
+    unsigned dtype that holds every phase, and the previous chunk's columns
+    are freed before the next chunk is drawn. When the grid's prod(s_i + 1)
+    cells are at most the samples in full blocks and at most 2^16,
+    ``gengly_batch`` runs once over the cells and each full block reads its
+    values from that table, at cells summed from the narrow columns times
+    their ``np.intp`` place values; every other block is stacked into int64
+    phases and evaluated.
     """
     _check_params(epsilon, delta)
     bound = permanent_upper_bound(spec)
     moduli = [s + 1 for s in spec.mults]
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
+    narrow = np.min_scalar_type(max(moduli) - 1)
+    # np.intp strides: a uint8 column times a Python int raises under NEP 50.
+    # They are read only where the table is used (grid <= _CHUNK), where
+    # they cannot wrap
+    strides = np.cumprod([1, *moduli[:-1]], dtype=np.intp)
+    cols = []
 
     # the per-column draws depend on the chunk size: keep _CHUNK for sampling
     def draw(c):
-        cols = [rng.integers(0, mod, size=c) for mod in moduli]
-        # stacked one block at a time, while the block is in cache
-        return lambda lo, rows: np.stack([col[lo : lo + rows] for col in cols]).T
+        # the last chunk's columns go before this chunk's are drawn
+        cols.clear()
+        cols.extend(rng.integers(0, mod, size=c).astype(narrow) for mod in moduli)
+        return chunk
 
-    # float strides are exact wherever the table is used, and cannot wrap
-    strides = np.cumprod([1.0, *moduli[:-1]])
+    def chunk(lo, rows, lookup):
+        block = [col[lo : lo + rows] for col in cols]
+        if not lookup:
+            # stacked one block at a time, while the block is in cache
+            return np.stack(block, dtype=np.int64).T
+        idx = block[0].astype(np.intp)
+        for col, stride in zip(block[1:], strides[1:]):
+            idx += col * stride
+        return idx
+
     value = _random_mean(
         m,
         phase_space_size(moduli),
         draw,
         lambda x: gengly_batch(spec, x),
-        lambda lo, hi: _index_phases(np.arange(lo, hi), strides.astype(np.int64), moduli).T,
-        lambda x: (strides @ x.T).astype(np.intp),
+        lambda lo, hi: _index_phases(np.arange(lo, hi), strides, moduli).T,
     )
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 

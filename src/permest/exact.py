@@ -27,7 +27,13 @@ import threading
 import numpy as np
 
 from .errors import SizeLimitError
-from .matrices import MultiplicitySpec, as_matrix
+from .matrices import (
+    MultiplicitySpec,
+    as_matrix,
+    gengly_scale,
+    phase_space_size,
+    roots_of_unity,
+)
 
 __all__ = [
     "GRAY_LIMIT",
@@ -242,10 +248,10 @@ def permanent_glynn_exact(a) -> complex:
 def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
     """Exact average of the generalized estimator over the whole phase grid.
 
-    Equals the permanent of the expanded matrix.
+    Equals the permanent of the expanded matrix. On a real base the points e
+    and -e of the grid give conjugate terms, so the sum is real up to
+    rounding and its imaginary part is returned as 0.0.
     """
-    from .estimators import gengly_scale, phase_space_size, roots_of_unity
-
     moduli = [s + 1 for s in spec.mults]
     size = phase_space_size(moduli)
     if size > PHASE_SPACE_LIMIT:
@@ -257,13 +263,15 @@ def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
         # z^s by index arithmetic keeps small moduli exact
         weights.append(np.conj(roots[(np.arange(s + 1) * s) % (s + 1)]))
     total = _grid_sum(spec.base, values, weights)
+    if not spec.base.imag.any():
+        total = total.real
     return complex(total * gengly_scale(spec.mults) / size)
 
 
 def _gengly_exhaustive_estimate(spec: MultiplicitySpec):
     """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
     epsilon, the gengly bound term, one sample per grid point."""
-    from .estimators import Estimate, permanent_upper_bound, phase_space_size
+    from .estimators import Estimate, permanent_upper_bound
 
     # the bound first, so that a refusal comes before the grid sum
     bound = permanent_upper_bound(spec)

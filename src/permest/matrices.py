@@ -1,4 +1,5 @@
-"""Complex matrix storage, text format, multiplicity expansion and a
+"""Complex matrix storage, text format, multiplicity expansion, the
+roots-of-unity grid of a multiplicity spec (its roots, scale and size) and a
 certified spectral norm (one LAPACK singular value plus a rounding slack).
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``. The text format is
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +24,10 @@ __all__ = [
     "SpectralNormResult",
     "as_matrix",
     "expand",
+    "gengly_scale",
     "parse_matrix",
+    "phase_space_size",
+    "roots_of_unity",
     "serialize_matrix",
     "spectral_norm",
 ]
@@ -77,6 +82,34 @@ class MultiplicitySpec:
 def expand(spec: MultiplicitySpec) -> np.ndarray:
     """The n x n matrix with column i of the base repeated mults[i] times."""
     return np.repeat(spec.base, spec.mults, axis=1)
+
+
+# exact values where the roots are representable without rounding
+_EXACT_ROOTS = {
+    1: np.array([1.0 + 0.0j]),
+    2: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+    4: np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]),
+}
+
+
+def roots_of_unity(m: int) -> np.ndarray:
+    """The m-th roots of unity, index j holding exp(2*pi*i*j/m)."""
+    if m in _EXACT_ROOTS:
+        return _EXACT_ROOTS[m]
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def _log_gengly_scale(mults: Sequence[int]) -> float:
+    return sum(math.lgamma(s + 1) - 0.5 * s * math.log(s) for s in mults)
+
+
+def gengly_scale(mults: Sequence[int]) -> float:
+    """s_1!...s_k! / sqrt(s_1^s_1 ... s_k^s_k), computed in log space."""
+    return math.exp(_log_gengly_scale(mults))
+
+
+def phase_space_size(moduli: Sequence[int]) -> int:
+    return int(np.prod([int(m) for m in moduli], dtype=object))
 
 
 def parse_matrix(text: str | bytes) -> np.ndarray:

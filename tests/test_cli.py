@@ -747,6 +747,9 @@ class TestOptics:
         assert abs(complex(float(re_s), float(im_s))) == pytest.approx(
             math.sqrt(0.5), abs=1e-12
         )
+        # a real beamsplitter gives a real amplitude, with no rounding left
+        # in the imaginary part
+        assert im_s == "0"
 
     def test_saturate_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "u.txt"
@@ -843,7 +846,7 @@ class TestImportGraph:
             ),
             pytest.param(
                 ("optics", "prob", "--unitary", "{m}", "--out-pattern", "2,1,0,0"),
-                "cli errors estimators exact matrices optics",
+                "cli errors exact matrices optics",
                 id="optics-prob-exact",
             ),
         ],

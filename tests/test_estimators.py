@@ -555,6 +555,41 @@ class TestRandomLookup:
         assert estimate_random(a, 0.05, 0.01, rng_seed=3).value == direct_chunk_mean(a, m, 3)
 
 
+class TestRandomMultiBits:
+    """The bits of roots-of-unity random means: narrowing the drawn phases
+    and reading the lookup cells from them as integers must not move one."""
+
+    def test_direct_grid_bits_are_pinned(self):
+        # grid 3^11 = 177,147 > 2^16: every block is evaluated as drawn
+        spec = MultiplicitySpec(
+            random_complex(np.random.default_rng(1901), 22, 11) / 4, (2,) * 11
+        )
+        est = estimate_random_multi(spec, 0.015, rng_seed=19)
+        assert est.samples_used == 106_515
+        assert (est.value.real.hex(), est.value.imag.hex()) == (
+            "0x1.09fe09c66f9fcp-14",
+            "-0x1.23821c6e1204dp-13",
+        )
+
+    @pytest.mark.parametrize(
+        "mults, real, imag",
+        [
+            # modulus 256, the largest phase column that fits one byte
+            ((255, 1), "0x1.1e25de4f8c682p+412", "0x1.b16f9c920e3bdp+412"),
+            # modulus 257 needs two
+            ((256, 1), "0x1.5dcd385092629p+417", "0x1.0f15e5e62d0a3p+427"),
+        ],
+    )
+    def test_narrow_dtype_boundary_bits_are_pinned(self, mults, real, imag):
+        # 9,587 samples: two looked-up blocks of the 512- or 514-cell grid
+        # and a ragged final block evaluated as drawn
+        rng = np.random.default_rng(mults[0])
+        spec = MultiplicitySpec(random_complex(rng, sum(mults), 2) / 16, mults)
+        est = estimate_random_multi(spec, 0.05, rng_seed=mults[0])
+        assert math.isfinite(est.bound_term)
+        assert (est.value.real.hex(), est.value.imag.hex()) == (real, imag)
+
+
 class TestRandomSigns:
     """estimate_random builds its signs from raw generator words. They must
     stay the stream of ``integers(0, 2)`` mapped to 1 - 2 * bit."""
@@ -804,6 +839,29 @@ class TestDerandomizedMemory:
     def test_multi_estimate_peak(self):
         spec, space = _multi_case("exhaustive-3pow10")
         assert self._peak(lambda: estimate_derandomized_multi(spec, space)) < 8 << 20
+
+
+class TestRandomMultiMemory:
+    """Random roots-of-unity sampling keeps one narrow copy of each chunk's
+    phases, frees the last chunk's before the next is drawn, and reads the
+    lookup cells from them without a (rows, k) int64 stack."""
+
+    _peak = staticmethod(TestDerandomizedMemory._peak)
+
+    @staticmethod
+    def _spec(k):
+        base = random_complex(np.random.default_rng(1900 + k), 2 * k, k) / 4
+        return MultiplicitySpec(base, (2,) * k)
+
+    def test_lookup_path_peak(self):
+        # grid 3^8 = 6,561 cells: every full block is looked up
+        spec = self._spec(8)
+        assert self._peak(lambda: estimate_random_multi(spec, 0.015)) < 4 << 20
+
+    def test_direct_path_peak(self):
+        # grid 3^12 > 2^16: every block is evaluated as drawn
+        spec = self._spec(12)
+        assert self._peak(lambda: estimate_random_multi(spec, 0.015)) < 7 << 20
 
 
 class TestPermanentUpperBound:

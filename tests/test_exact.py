@@ -169,6 +169,16 @@ class TestGenGlyExact:
             gengly_mean_exhaustive(spec), abs=1e-10
         )
 
+    @pytest.mark.parametrize("mults", [(3, 2, 1), (2, 2, 2), (4, 1, 1)])
+    def test_real_base_gives_real_value(self, mults):
+        # points e and -e of the grid give conjugate terms on a real base,
+        # so the imaginary part is rounding only and is dropped
+        base = np.random.default_rng(sum(mults) * 7).uniform(-1.0, 1.0, (6, 3))
+        got = permanent_gengly_exact(MultiplicitySpec(base, mults))
+        ref = permanent_naive(expand(MultiplicitySpec(base, mults)))
+        assert got.imag.hex() == "0x0.0p+0"
+        assert abs(got.real - ref.real) <= 1e-12 * max(1.0, abs(ref))
+
     def test_size_cap(self):
         n = 31
         spec = MultiplicitySpec(np.ones((n, n)), (1,) * n)
