@@ -31,7 +31,7 @@ _SOURCE = {
     "MatrixParseError": "errors",
     "MultiplicitySpec": "matrices",
     "PermestError": "errors",
-    "PhaseVector": "estimators",
+    "PhaseVector": "matrices",
     "SampleSpace": "binary_bias",
     "SizeLimitError": "errors",
     "SpectralNormResult": "matrices",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DescriptorError
-from .estimators import PhaseVector, phase_space_size
+from .matrices import PhaseVector, phase_space_size
 
 __all__ = [
     "SampleSpace",

@@ -125,12 +125,11 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
 
 def _cmd_estimate(args) -> int:
     from .estimators import (
-        Estimate,
+        _exhaustive_estimate,
         estimate_derandomized,
         estimate_derandomized_multi,
         estimate_random,
         estimate_random_multi,
-        permanent_upper_bound,
     )
     from .matrices import MultiplicitySpec
 
@@ -152,18 +151,7 @@ def _cmd_estimate(args) -> int:
             est = estimate_random_multi(spec, args.epsilon, args.delta, args.seed)
         payload_extra = {"delta": args.delta, "seed": args.seed}
     elif args.mode == "exhaustive":
-        from .exact import _gengly_exhaustive_estimate, permanent_glynn_exact
-
-        if spec is None:
-            n = a.shape[0]
-            if a.shape[1] != n:
-                raise ValueError(f"matrix must be square, got {a.shape}")
-            # the bound first: a norm that fails or overflows refuses
-            # before the 2^n work
-            bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
-            est = Estimate(permanent_glynn_exact(a), bound, 0.0, 1 << n, "exhaustive")
-        else:
-            est = _gengly_exhaustive_estimate(spec)
+        est = _exhaustive_estimate(a if spec is None else spec)
         payload_extra = {}
     else:
         space = _build_space_for(args, a.shape[0], mults)
@@ -185,12 +173,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bound(args) -> int:
     from .estimators import permanent_upper_bound
-    from .matrices import MultiplicitySpec, spectral_norm
+    from .matrices import MultiplicitySpec, as_square, spectral_norm
 
     a = _load_matrix(args.matrix)
-    if not args.mult and a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    mults = _parse_counts(args.mult, "--mult") if args.mult else (1,) * a.shape[1]
+    mults = _parse_counts(args.mult, "--mult") if args.mult else (1,) * as_square(a).shape[1]
     spec = MultiplicitySpec(a, mults)
     bound = permanent_upper_bound(spec)
     payload = {

@@ -9,7 +9,12 @@ magnitude to ``s_1! ... s_k! / sqrt(s_1^s_1 ... s_k^s_k) * |B|^n``.
 
 Averaging comes in three modes: ``random`` (independent uniform samples with
 a Hoeffding-derived sample count), ``derandomized`` (full enumeration of a
-small-bias sample space's seeds), and ``exhaustive`` (the full phase space).
+small-bias sample space's seeds), and ``exhaustive`` (the exact grid sum of
+``exact``: ``permanent_glynn_exact`` for a matrix, ``permanent_gengly_exact``
+for a spec). A uniform (0-biased) sample space is the whole grid, so the
+derandomized mean of ``gly`` over one is that same exhaustive estimate, bit
+for bit. ``gengly``'s derandomized mean still enumerates a uniform space's
+support (ROADMAP item 11).
 
 ``gly_batch`` and ``gengly_batch`` are thin wrappers over one kernel,
 ``_rowsum_products(x, at, weight)``: weight[m] * prod_i (x @ at)[m, i] for
@@ -60,8 +65,9 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .matrices import (
     MultiplicitySpec,
+    PhaseVector,
     _log_gengly_scale,
-    as_matrix,
+    as_square,
     gengly_scale,
     phase_space_size,
     roots_of_unity,
@@ -92,42 +98,6 @@ _CHUNK = 1 << 16
 SAMPLE_LIMIT = 1 << 32
 # estimator kernel rows per block: a (2^12, 30) complex128 block is 1.9 MiB
 _BLOCK = 1 << 12
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """One sample point: integer phase indices into per-coordinate root sets.
-
-    ``moduli[i] == 2`` everywhere is the binary (sign vector) case, with
-    phase e mapping to the sign (-1)**e.
-    """
-
-    moduli: tuple[int, ...]
-    phases: tuple[int, ...]
-
-    def __post_init__(self):
-        moduli = tuple(int(m) for m in self.moduli)
-        phases = tuple(int(p) for p in self.phases)
-        if len(moduli) != len(phases):
-            raise ValueError("moduli and phases must have equal length")
-        if any(m < 1 for m in moduli):
-            raise ValueError("moduli must be >= 1")
-        if any(not (0 <= p < m) for p, m in zip(phases, moduli)):
-            raise ValueError("phase index out of range")
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "PhaseVector":
-        for s in signs:
-            if s not in (1, -1):
-                raise ValueError(f"sign entries must be +-1, got {s}")
-        return cls((2,) * len(signs), tuple(int(s == -1) for s in signs))
-
-    def to_complex(self) -> np.ndarray:
-        return np.array(
-            [roots_of_unity(m)[p] for m, p in zip(self.moduli, self.phases)]
-        )
-
 
 @dataclass(frozen=True)
 class GuaranteeReport:
@@ -169,10 +139,8 @@ class Estimate:
 
 def gly(a, x: PhaseVector) -> complex:
     """x_1...x_n times the product of signed row sums of ``a`` at x."""
-    a = as_matrix(a)
+    a = as_square(a)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
     if len(x.phases) != n or any(m != 2 for m in x.moduli):
         raise ValueError("need a binary phase vector of length n")
     signs = 1.0 - 2.0 * np.array([x.phases], dtype=np.float64)
@@ -430,10 +398,8 @@ def estimate_random(
     block reads its values from that table; otherwise every block is
     evaluated.
     """
-    a = as_matrix(a)
+    a = as_square(a)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
     _check_params(epsilon, delta)
     # an overflowing bound raises here, before any sample can overflow
     bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
@@ -519,26 +485,41 @@ def estimate_random_multi(
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
-def _require_nonnegative(a: np.ndarray, what: str) -> None:
+def _exhaustive_estimate(target) -> Estimate:
+    """The exact grid sum, ``gly``'s over {-1,+1}^n for a matrix or
+    ``gengly``'s for a ``MultiplicitySpec``, as an exhaustive ``Estimate``
+    with zero epsilon; the bound comes first, so it refuses before the sum."""
+    from . import exact
+
+    if isinstance(target, MultiplicitySpec):
+        bound = permanent_upper_bound(target)
+        size = phase_space_size([s + 1 for s in target.mults])
+        return Estimate(exact.permanent_gengly_exact(target), bound, 0.0, size, "exhaustive")
+    a = as_square(target)
+    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * a.shape[0]))
+    return Estimate(exact.permanent_glynn_exact(a), bound, 0.0, 1 << a.shape[0], "exhaustive")
+
+
+def _require_derandomizable(space, spec: MultiplicitySpec, what: str) -> None:
+    """Refuse a space on another grid, then entries that are not nonnegative reals."""
+    moduli = tuple(s + 1 for s in spec.mults)
+    if tuple(space.moduli) != moduli:
+        raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
     # exact check: the certainty guarantee needs nonnegative reals
-    if np.any(a.imag != 0.0) or np.any(a.real < 0.0):
+    if np.any(spec.base.imag != 0.0) or np.any(spec.base.real < 0.0):
         raise DomainError(
             f"derandomized estimation requires {what} with nonnegative real "
             "entries (imaginary parts exactly zero)"
         )
 
 
-def _derandomized_mean(space, moduli: tuple[int, ...], evaluate, bound: float) -> Estimate:
-    """Mean of the estimator over a sample space's support, the driver of
-    both derandomized estimators.
-
-    Equals the seed-enumeration average exactly: equal sample points are
-    grouped and weighted by their seed multiplicity. ``evaluate(block,
-    places)`` decodes a ``_BLOCK`` of the ascending support indices, in the
-    space's numbering, straight into kernel input that stays in L2.
-    """
-    if tuple(space.moduli) != moduli:
-        raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
+def _derandomized_mean(space, spec: MultiplicitySpec, evaluate) -> Estimate:
+    """Mean of the estimator over a sample space's support, equal to the
+    seed-enumeration average exactly: equal sample points are grouped and
+    weighted by their seed multiplicity. ``evaluate(block, places)`` decodes
+    a ``_BLOCK`` of the ascending support indices, in the space's numbering,
+    straight into kernel input that stays in L2."""
+    bound = permanent_upper_bound(spec)
     idx, probs = space.support_cells()
     # padded to whole groups of 8 rows: the real gly matmul rounds the rows
     # of a ragged tail differently with the BLAS thread count
@@ -555,28 +536,27 @@ def _derandomized_mean(space, moduli: tuple[int, ...], evaluate, bound: float) -
 
 def estimate_derandomized(a, space) -> Estimate:
     """Deterministic mean of ``gly`` over a sample space with n binary
-    coordinates (moduli all 2)."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    _require_nonnegative(a, "a matrix")
-    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
+    coordinates (moduli all 2); over a uniform space, the exhaustive
+    estimate: ``permanent_glynn_exact`` of ``a``."""
+    a = as_square(a)
+    spec = MultiplicitySpec(a, (1,) * a.shape[0])
+    _require_derandomizable(space, spec, "a matrix")
+    if space.exhaustive:
+        return _exhaustive_estimate(a)
 
     def evaluate(block, places):
         return gly_batch(a, _index_signs(block, places))
 
-    return _derandomized_mean(space, (2,) * n, evaluate, bound)
+    return _derandomized_mean(space, spec, evaluate)
 
 
 def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
     """Deterministic mean of ``gengly`` over a sample space on the spec's
-    roots-of-unity grid."""
-    _require_nonnegative(spec.base, "a base matrix")
-    moduli = tuple(s + 1 for s in spec.mults)
-    bound = permanent_upper_bound(spec)
+    roots-of-unity grid. A uniform space's support is enumerated too: the
+    benchmark reaches this path only through uniform spaces (ROADMAP item 11)."""
+    _require_derandomizable(space, spec, "a base matrix")
 
     def evaluate(block, places):
-        return gengly_batch(spec, _index_phases(block, places, moduli).T)
+        return gengly_batch(spec, _index_phases(block, places, space.moduli).T)
 
-    return _derandomized_mean(space, moduli, evaluate, bound)
+    return _derandomized_mean(space, spec, evaluate)

@@ -15,6 +15,10 @@ complex input in complex128. Each shifted table is reduced by a pairwise
 sum, and the outer sum is Kahan-compensated against Ryser's cancellation in
 point order once every batch is done, so the values depend neither on the
 CPU count nor on the BLAS thread count.
+
+Glynn and gengly-exact, the estimators' means over their whole grids, are
+the exhaustive estimates of ``estimators``; Glynn is also its derandomized
+mean over a uniform space of signs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import SizeLimitError
 from .matrices import (
     MultiplicitySpec,
-    as_matrix,
+    as_square,
     gengly_scale,
     phase_space_size,
     roots_of_unity,
@@ -62,9 +66,7 @@ _SIGNS = np.array([1.0, -1.0])
 
 
 def _square(a, limit: int, name: str) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
+    a = as_square(a)
     if a.shape[0] > limit:
         raise SizeLimitError(f"{name} is capped at n <= {limit}")
     return a
@@ -266,14 +268,3 @@ def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
     if not spec.base.imag.any():
         total = total.real
     return complex(total * gengly_scale(spec.mults) / size)
-
-
-def _gengly_exhaustive_estimate(spec: MultiplicitySpec):
-    """``permanent_gengly_exact`` as an exhaustive-mode ``Estimate``: zero
-    epsilon, the gengly bound term, one sample per grid point."""
-    from .estimators import Estimate, permanent_upper_bound
-
-    # the bound first, so that a refusal comes before the grid sum
-    bound = permanent_upper_bound(spec)
-    size = phase_space_size([s + 1 for s in spec.mults])
-    return Estimate(permanent_gengly_exact(spec), bound, 0.0, size, "exhaustive")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import MultiplicitySpec, as_matrix
+from .matrices import MultiplicitySpec, as_matrix, as_square
 
 __all__ = [
     "AmplitudeResult",
@@ -51,10 +51,8 @@ def validate_pattern(counts: Sequence[int]) -> tuple[int, ...]:
 
 def _checked(u, row_pattern, col_pattern):
     """The square matrix and both patterns, validated against each other."""
-    u = as_matrix(u)
+    u = as_square(u)
     k = u.shape[0]
-    if u.shape[1] != k:
-        raise ValueError("interferometer matrix must be square")
     rows = validate_pattern(row_pattern)
     cols = validate_pattern(col_pattern)
     if len(rows) != k or len(cols) != k:
@@ -120,7 +118,7 @@ def amplitude_estimate(
     ``| |a|^2 - |b|^2 | <= |a-b| (|a| + |b|)`` with the estimate standing in
     for the unknown true amplitude.
     """
-    from .estimators import estimate_derandomized_multi, estimate_random_multi
+    from .estimators import _exhaustive_estimate, estimate_derandomized_multi, estimate_random_multi
 
     u = as_matrix(u)
     k = u.shape[0]
@@ -132,9 +130,7 @@ def amplitude_estimate(
     if mode == "random":
         est = estimate_random_multi(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
-        from .exact import _gengly_exhaustive_estimate
-
-        est = _gengly_exhaustive_estimate(spec)
+        est = _exhaustive_estimate(spec)
     elif mode == "derandomized":
         from .complex_bias import build_complex_space
 

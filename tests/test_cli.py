@@ -278,6 +278,19 @@ class TestEstimate:
         assert code == 0
         assert out_eps == out
 
+    def test_uniform_space_estimate_is_the_exhaustive_estimate(self, capsys, tmp_path):
+        # the mean over the uniform binary space is Glynn's exact grid sum:
+        # the same lines, plus the space
+        path = write_matrix(tmp_path, "a.txt", np.random.default_rng(2000).random((6, 6)))
+        argv = ("estimate", "--matrix", path, "--mode")
+        code, exhaustive, _ = run(capsys, *argv, "exhaustive")
+        assert code == 0
+        space = "binary n=6 m=0 poly=0x0 eps=0 mode=exhaustive"
+        code, derandomized, _ = run(capsys, *argv, "derandomized", "--space", space)
+        assert code == 0
+        assert derandomized == exhaustive + f"space={space}\n"
+        assert exhaustive.splitlines()[0] == "3.6443800518291165 0"
+
     @pytest.mark.parametrize("mult", [None, "2,1,1"])
     def test_exhaustive_bound_refuses_before_the_kernel(
         self, capsys, tmp_path, monkeypatch, mult
@@ -836,8 +849,20 @@ class TestImportGraph:
             ),
             pytest.param(
                 ("space", "build", "--kind", "binary", "--n", "4", "--epsilon", "0.5"),
-                "binary_bias cli errors estimators matrices",
+                "binary_bias cli errors matrices",
                 id="space-build-binary",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{b}", "--mult", "2,2", "--mode", "derandomized",
+                 "--epsilon", "0.5"),
+                "binary_bias cli complex_bias errors estimators matrices",
+                id="estimate-derandomized-mult",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--mode", "derandomized",
+                 "--space", "binary n=4 m=0 poly=0x0 eps=0 mode=exhaustive"),
+                "binary_bias cli errors estimators exact matrices",
+                id="estimate-derandomized-uniform",
             ),
             pytest.param(
                 ("optics", "bound", "--pattern", "2,1"),
@@ -853,6 +878,7 @@ class TestImportGraph:
     )
     def test_loads_only_what_the_command_runs(self, tmp_path, argv, modules):
         path = write_matrix(tmp_path, "a.txt", np.eye(4) + 0.25)
-        argv = [arg.format(m=path) for arg in argv]
+        base = write_matrix(tmp_path, "b.txt", np.ones((4, 2)) / 2)
+        argv = [arg.format(m=path, b=base) for arg in argv]
         out = python_stdout(f"ARGV = {argv!r}\n" + self.SCRIPT, PYTHONDONTWRITEBYTECODE="1")
         assert out.split() == [f"permest.{name}" for name in modules.split()]

@@ -26,7 +26,12 @@ from permest.estimators import (
     permanent_upper_bound,
     sample_count,
 )
-from permest.exact import permanent_gengly_exact, permanent_naive, permanent_ryser
+from permest.exact import (
+    permanent_gengly_exact,
+    permanent_glynn_exact,
+    permanent_naive,
+    permanent_ryser,
+)
 from permest.matrices import MultiplicitySpec, expand, spectral_norm
 from permest.optics import saturating_unitary
 
@@ -631,6 +636,29 @@ class TestRandomSigns:
 
 
 class TestEstimateDerandomized:
+    @staticmethod
+    def _exhaustive(x):
+        """The exhaustive estimate: Glynn's exact grid sum, zero epsilon, one
+        sample per grid point."""
+        n = x.shape[0]
+        bound = permanent_upper_bound(MultiplicitySpec(x, (1,) * n))
+        return Estimate(permanent_glynn_exact(x), bound, 0.0, 1 << n, "exhaustive")
+
+    @pytest.mark.parametrize("kind", ["binary", "complex-moduli-two", "binary-n20"])
+    def test_uniform_space_mean_is_the_exhaustive_estimate(self, kind):
+        # the mean over a uniform space is the exact grid sum, bit for bit;
+        # at n = 20 the grid sum splits its batches across the CPUs
+        rng = np.random.default_rng(1720)
+        n = 20 if kind == "binary-n20" else 6
+        x = random_nonneg(rng, n)
+        space = exhaustive_complex_space((2,) * n) if kind == "complex-moduli-two" else exhaustive_binary_space(n)
+        est = estimate_derandomized(x, space)
+        want = self._exhaustive(x)
+        assert est == want
+        assert est.value.real.hex() == want.value.real.hex()
+        assert est.value.imag.hex() == want.value.imag.hex() == "0x0.0p+0"
+        assert estimators._exhaustive_estimate(x) == want
+
     def test_exhaustive_space_identity(self):
         est = estimate_derandomized(np.eye(4), exhaustive_binary_space(4))
         assert est.value == pytest.approx(1.0, abs=1e-14)
@@ -680,13 +708,24 @@ class TestEstimateDerandomized:
         with pytest.raises(ValueError):
             estimate_derandomized(np.eye(3), exhaustive_complex_space((2, 3, 2)))
 
+    def test_order_of_refusals(self):
+        # the space first, then the entries, then the bound, then the sum
+        a = np.full((3, 3), 1e300)
+        a[0, 0] = -1.0
+        with pytest.raises(ValueError, match="space moduli"):
+            estimate_derandomized(a, exhaustive_binary_space(4))
+        with pytest.raises(DomainError):
+            estimate_derandomized(a, exhaustive_binary_space(3))
+        with pytest.raises(OverflowError):
+            estimate_derandomized(np.abs(a), exhaustive_binary_space(3))
+
     def test_same_under_one_and_two_blas_threads(self):
         # the support mean is a pairwise sum: a BLAS dot splits across
         # threads and changed the last bits with the thread count
         script = (
             "import numpy as np\n"
             "from permest.binary_bias import build_binary_space\n"
-            "from permest.complex_bias import exhaustive_complex_space\n"
+            "from permest.complex_bias import build_complex_space, exhaustive_complex_space\n"
             "from permest.estimators import estimate_derandomized, estimate_derandomized_multi\n"
             "from permest.matrices import MultiplicitySpec\n"
             "rng = np.random.default_rng(16)\n"
@@ -697,11 +736,13 @@ class TestEstimateDerandomized:
             "b = np.random.default_rng(1016).random((16, 16))\n"
             "for est in (estimate_derandomized(a, build_binary_space(16, 0.05)),\n"
             "            estimate_derandomized(b, build_binary_space(16, 0.05)),\n"
-            "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10))):\n"
+            "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10)),\n"
+            "            estimate_derandomized_multi(MultiplicitySpec(rng.uniform(0.0, 1.0, (5, 3)), (2, 2, 1)),\n"
+            "                build_complex_space((3, 3, 2), 0.8, force_construction=True, ell=1))):\n"
             "    print(est.value.real.hex(), est.value.imag.hex())\n"
         )
         outputs = stdout_per_blas_threads(script)
-        assert len(outputs[0].splitlines()) == 3
+        assert len(outputs[0].splitlines()) == 4
         assert outputs[0] == outputs[1]
 
     def test_certainty_at_measured_bias(self):
@@ -777,6 +818,10 @@ def _multi_case(kind):
         base = random_nonneg(np.random.default_rng(1711), 3, 1)
         space = build_complex_space((4,), 0.5, force_construction=True, ell=4)
         return MultiplicitySpec(base, (3,)), space
+    if kind == "forced-332-ell1":  # three coordinates in C order, moduli 3, 3, 2
+        base = random_nonneg(np.random.default_rng(1713), 5, 3)
+        space = build_complex_space((3, 3, 2), 0.8, force_construction=True, ell=1)
+        return MultiplicitySpec(base, (2, 2, 1)), space
     # a binary space, numbered bit i = coordinate i, through the multi path;
     # its 101,469 cells cross the 2^16-row boundary
     base = random_nonneg(np.random.default_rng(1712), 20)
@@ -792,6 +837,7 @@ class TestDerandomizedBits:
     MULTI = [
         ("exhaustive-3pow10", "0x1.4a1ce8bbbe4dbp+40", "-0x1.e800000000000p-9"),
         ("forced-4-ell4", "0x1.fd7a715245806p-6", "0x0.0p+0"),
+        ("forced-332-ell1", "0x1.45f3d3282cd5ap+3", "0x1.e83a89ac9b4e8p-6"),
         ("binary-n20", "0x1.107df363098acp+57", "0x0.0p+0"),
     ]
 
@@ -839,6 +885,12 @@ class TestDerandomizedMemory:
     def test_multi_estimate_peak(self):
         spec, space = _multi_case("exhaustive-3pow10")
         assert self._peak(lambda: estimate_derandomized_multi(spec, space)) < 8 << 20
+
+    def test_uniform_binary_estimate_peak(self):
+        # 2^20 grid points summed exactly, with no support list of them
+        a = random_nonneg(np.random.default_rng(1715), 20)
+        space = exhaustive_binary_space(20)
+        assert self._peak(lambda: estimate_derandomized(a, space)) < 8 << 20
 
 
 class TestRandomMultiMemory:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from permest import estimators, matrices
+from permest.binary_bias import exhaustive_binary_space
 from permest.errors import ConvergenceError, MatrixParseError
 from permest.matrices import (
     MultiplicitySpec,
@@ -10,6 +12,7 @@ from permest.matrices import (
     serialize_matrix,
     spectral_norm,
 )
+from permest.optics import amplitude_exact
 
 from oracles import jacobi_svd_sigma_max, near_degenerate, random_complex
 
@@ -69,6 +72,29 @@ class TestParse:
 
     def test_bytes_accepted(self):
         assert parse_matrix(b"1 1\n7 0\n")[0, 0] == 7
+
+
+class TestAsSquare:
+    def test_square_passes_as_complex(self):
+        a = matrices.as_square([[1.0, 2.0], [3.0, 4.0]])
+        assert a.dtype == np.complex128 and a.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: matrices.as_square(a),
+            lambda a: estimators.gly(a, estimators.PhaseVector.from_signs([1, 1, 1])),
+            lambda a: estimators.estimate_random(a, 0.5),
+            lambda a: estimators.estimate_derandomized(a, exhaustive_binary_space(3)),
+            lambda a: estimators._exhaustive_estimate(a),
+            lambda a: amplitude_exact(a, (1, 0, 0), (1, 0, 0)),
+        ],
+        ids=["as_square", "gly", "estimate_random", "estimate_derandomized", "exhaustive",
+             "amplitude_exact"],
+    )
+    def test_non_square_names_its_shape(self, call):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got \(3, 4\)$"):
+            call(np.ones((3, 4)))
 
 
 class TestSerialize:
