@@ -26,7 +26,6 @@ _SOURCE = {
     "DescriptorError": "errors",
     "DomainError": "errors",
     "Estimate": "estimators",
-    "ExponentVector": "complex_bias",
     "GuaranteeReport": "estimators",
     "MatrixParseError": "errors",
     "MultiplicitySpec": "matrices",
@@ -35,13 +34,11 @@ _SOURCE = {
     "SampleSpace": "binary_bias",
     "SizeLimitError": "errors",
     "SpectralNormResult": "matrices",
-    "amplify": "complex_bias",
     "amplitude_estimate": "optics",
     "amplitude_exact": "optics",
     "build_binary_space": "binary_bias",
     "build_complex_space": "complex_bias",
     "bunching_bound": "optics",
-    "cwise_tuple": "complex_bias",
     "estimate_derandomized": "estimators",
     "estimate_derandomized_multi": "estimators",
     "estimate_random": "estimators",
@@ -64,7 +61,6 @@ _SOURCE = {
     "serialize_matrix": "matrices",
     "spectral_norm": "matrices",
     "strong_fraction": "complex_bias",
-    "strong_product_sample": "complex_bias",
     "theta_strong": "complex_bias",
     "transition_matrix": "optics",
 }

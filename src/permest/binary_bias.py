@@ -19,9 +19,7 @@ merging the blocks' (cell, count) lists, so it holds the distinct cells
 plus one block and never a 2^n array. Only the audit scatters those counts
 into the dense 2^n histogram its Walsh-Hadamard transform reads. Both cost
 about 2^(2m) word operations plus the sorts, with no factor n, and are
-capped at n <= 24. ``generator``
-computes one seed's cell with the scalar ``gf2_mul`` in Python ints, with
-no cap on n.
+capped at n <= 24. This enumeration is the space's only seed map.
 
 A binary space is the complex grid with every modulus 2, and this module
 holds what the two kinds share: ``measure_bias`` audits either kind
@@ -36,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DescriptorError
-from .matrices import PhaseVector, phase_space_size
+from .matrices import phase_space_size
 
 __all__ = [
     "SampleSpace",
@@ -81,26 +79,9 @@ MAX_FIELD_BITS = max(IRREDUCIBLE)
 _SEED_CHUNK = 1 << 22
 
 
-def gf2_mul(x: int, y: int, m: int) -> int:
-    """Carry-less product of x and y reduced modulo the degree-m polynomial.
-
-    The scalar form of ``_gf2_mul_batch``: ``SampleSpace.generator`` uses it
-    for one seed, the cell enumeration uses the batch form.
-    """
-    poly = IRREDUCIBLE[m]
-    r = 0
-    while y:
-        if y & 1:
-            r ^= x
-        y >>= 1
-        x <<= 1
-        if (x >> m) & 1:
-            x ^= poly
-    return r
-
-
 def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarray:
-    """Elementwise ``gf2_mul`` of broadcastable uint32 arrays of field elements."""
+    """Elementwise GF(2^m) product of broadcastable uint32 arrays of field
+    elements: the carry-less product reduced modulo the degree-m ``poly``."""
     acc = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint32)
     for j in range(m):
         acc ^= x * ((y >> j) & 1)
@@ -140,6 +121,13 @@ class SampleSpace:
     def __init__(
         self, n: int, field_bits: int, epsilon: float, exhaustive: bool = False
     ):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if field_bits not in ((0,) if exhaustive else IRREDUCIBLE):
+            raise ValueError(
+                f"field_bits must be 0 for an exhaustive space and lie in "
+                f"[1, {MAX_FIELD_BITS}] otherwise, got {field_bits}"
+            )
         self.n = n
         self.moduli = (2,) * n
         self.field_bits = field_bits
@@ -182,24 +170,6 @@ class SampleSpace:
         f[k]'s linear map r -> cell, unpacked into its n phase bits."""
         shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
         return (self._powers(f)[:, None, :] >> shifts) & 1
-
-    def generator(self, seed: int) -> PhaseVector:
-        if not (0 <= seed < self.seed_count):
-            raise ValueError(f"seed must lie in [0, {self.seed_count})")
-        if self.exhaustive:
-            phases = tuple((seed >> i) & 1 for i in range(self.n))
-        else:
-            # phase i is <r, f^i> over GF(2): the seed map one seed at a time,
-            # in Python ints, since numpy costs more than the work on a batch
-            # of one
-            m = self.field_bits
-            f, r = seed >> m, seed & ((1 << m) - 1)
-            power, bits = 1, []
-            for _ in range(self.n):
-                bits.append((r & power).bit_count() & 1)
-                power = gf2_mul(power, f, m)
-            phases = tuple(bits)
-        return PhaseVector(self.moduli, phases)
 
     def _cell_blocks(self):
         """The uint32 cell indices of every seed of a constructed space, in

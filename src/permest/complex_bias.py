@@ -9,14 +9,16 @@ Pipeline, bottom to top:
 
 * ``CwiseGenerator``: c-wise independent nearly-uniform tuples, by evaluating
   a random polynomial over F_p at k fixed points and reducing mod m_i.
-* ``strong_product_sample``: mixes c-wise independent values, pairwise
+* ``StrongProductGenerator``: mixes c-wise independent values, pairwise
   independent sparsifier bits at dyadic densities, and per-level mixing bits
   so that for every nontrivial character the product lands in the pi/8-strong
   arc with probability at least 1/16.
-* ``amplify``: a walk on an 8-regular Margulis-Gabber-Galil expander turns
+* ``walk_batch``: walks on an 8-regular Margulis-Gabber-Galil expander turn
   one base seed into many correlated ones while adding only 3 bits per step.
 * ``build_complex_space``: combines L amplified exponent tuples with L
-  selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise.
+  selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise. The
+  support histogram, which enumerates every seed, is the space's only seed
+  map.
 
 The constants are the analysis's, not parameters: ``C_WISE`` = 7-wise
 independence, the pi/8 arc with its 1/16 ``STRONG_FLOOR``, and one base seed
@@ -52,7 +54,7 @@ from .binary_bias import (
     measure_bias,
 )
 from .errors import CapacityError, DescriptorError, DomainError
-from .estimators import PhaseVector, phase_space_size
+from .estimators import phase_space_size
 
 __all__ = [
     "AmplifierParams",
@@ -60,21 +62,17 @@ __all__ = [
     "C_WISE",
     "ComplexSampleSpace",
     "CwiseGenerator",
-    "ExponentVector",
     "GROUP_SIZE",
     "P_FRACTION",
     "Q_EXPONENT",
     "STRONG_FLOOR",
-    "amplify",
     "build_complex_space",
     "choose_prime",
     "complex_space_from_descriptor",
     "cwise_batch",
-    "cwise_tuple",
     "exhaustive_complex_space",
     "measure_complex_bias",
     "strong_fraction",
-    "strong_product_sample",
     "theory_ell",
     "theory_seed_bits",
     "theta_strong",
@@ -129,20 +127,6 @@ def choose_prime(k: int, moduli) -> int:
 
 
 @dataclass(frozen=True)
-class ExponentVector:
-    """A character index: integers e_i with 0 <= e_i <= s_i."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-
-@dataclass(frozen=True)
 class CwiseGenerator:
     """c-wise independent tuples: a degree-(ncoeffs-1) polynomial over F_p
     evaluated at points 0..k-1, reduced mod m_i per coordinate.
@@ -183,10 +167,6 @@ def cwise_batch(gen: CwiseGenerator, seeds: np.ndarray) -> np.ndarray:
     digits = (seeds[:, None] // p ** np.arange(gen.ncoeffs, dtype=np.int64)) % p
     powers = np.array([[pow(i, j, p) for i in range(len(gen.moduli))] for j in range(gen.ncoeffs)])
     return (digits @ powers) % p % np.array(gen.moduli, dtype=np.int64)
-
-
-def cwise_tuple(gen: CwiseGenerator, seed: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in cwise_batch(gen, np.array([seed]))[0])
 
 
 class StrongProductGenerator:
@@ -254,9 +234,6 @@ class StrongProductGenerator:
         f = u * self._level_counts(seeds // self.n_u) % np.array(self.moduli)
         return f.astype(self.dtype)
 
-    def sample(self, seed: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.sample_batch(np.array([seed]))[0])
-
     def exponent_table(self) -> np.ndarray:
         """All seed outputs, (seed_count, k) of ``dtype``, cached.
 
@@ -297,11 +274,6 @@ def _strong_generator(moduli: tuple[int, ...]) -> StrongProductGenerator:
     return StrongProductGenerator(moduli)
 
 
-def strong_product_sample(moduli, seed: int) -> tuple[int, ...]:
-    """One exponent tuple from the strong-product generator."""
-    return _strong_generator(tuple(int(m) for m in moduli)).sample(seed)
-
-
 def strong_fraction(moduli, exponent) -> float:
     """Exhaustive fraction of seeds whose character product is pi/8-strong.
 
@@ -309,7 +281,7 @@ def strong_fraction(moduli, exponent) -> float:
     arithmetic with no rounding at the boundary.
     """
     moduli = tuple(int(m) for m in moduli)
-    entries = exponent.entries if isinstance(exponent, ExponentVector) else tuple(exponent)
+    entries = tuple(exponent)
     if len(entries) != len(moduli):
         raise ValueError("exponent length must match moduli")
     if not any(e % m for e, m in zip(entries, moduli)):
@@ -371,14 +343,6 @@ def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
         x = nx
         out[:, t] = (x << half) | y
     return out
-
-
-def amplify(params: AmplifierParams, walk_seed: int) -> list[int]:
-    """The walk's vertex sequence for one seed (start vertex, then one
-    8-way choice per step)."""
-    if not (0 <= walk_seed < (1 << params.seed_bits)):
-        raise ValueError(f"walk seed must lie in [0, 2^{params.seed_bits})")
-    return [int(v) for v in walk_batch(params, np.array([walk_seed]))[0]]
 
 
 def walk_failure_fraction(
@@ -454,6 +418,8 @@ class ComplexSampleSpace:
         amplifier: AmplifierParams | None = None,
     ):
         self.moduli = tuple(int(m) for m in moduli)
+        if any(m < 2 for m in self.moduli):
+            raise ValueError("moduli must all be >= 2")
         self.declared_epsilon = float(declared_epsilon)
         self.exhaustive = exhaustive
         self.base = base
@@ -463,7 +429,8 @@ class ComplexSampleSpace:
             self.seed_count = phase_space_size(self.moduli)
             self.seed_bits = (self.seed_count - 1).bit_length()
         else:
-            assert base is not None and amplifier is not None
+            if base is None or amplifier is None:
+                raise ValueError("a constructed space needs a base and an amplifier")
             self.ell = amplifier.walk_length
             self.seed_bits = amplifier.seed_bits + self.ell
             self.seed_count = 1 << self.seed_bits
@@ -474,21 +441,6 @@ class ComplexSampleSpace:
         """None: a complex space's bias is certified by audit, not by its
         construction (binary spaces give (n-1)/2^m here)."""
         return None
-
-    def generator(self, seed: int) -> PhaseVector:
-        if not (0 <= seed < self.seed_count):
-            raise ValueError(f"seed must lie in [0, {self.seed_count})")
-        if self.exhaustive:
-            return PhaseVector(self.moduli, seed // self.places % self.moduli)
-        amp = self.amplifier
-        d_bits = seed >> amp.seed_bits
-        table = self.base.exponent_table()
-        total = np.zeros(len(self.moduli), dtype=np.int64)
-        for j, vertex in enumerate(amplify(amp, seed & ((1 << amp.seed_bits) - 1))):
-            if (d_bits >> j) & 1:
-                total += table[vertex % self.base.seed_count]
-        phases = tuple(int(t) % m for t, m in zip(total, self.moduli))
-        return PhaseVector(self.moduli, phases)
 
     def support_histogram(self) -> np.ndarray:
         """Probability array over the grid, shape = moduli.
@@ -558,15 +510,12 @@ class ComplexSampleSpace:
 
 def exhaustive_complex_space(moduli) -> ComplexSampleSpace:
     """Uniform over the full grid; every nontrivial character sum is zero."""
-    moduli = tuple(int(m) for m in moduli)
-    if any(m < 2 for m in moduli):
-        raise ValueError("moduli must all be >= 2")
-    if phase_space_size(moduli) > FALLBACK_LIMIT:
+    space = ComplexSampleSpace(moduli, 0.0, exhaustive=True)
+    if space.seed_count > FALLBACK_LIMIT:
         raise CapacityError(
-            f"grid has {phase_space_size(moduli)} points, exhaustive cap is "
-            f"{FALLBACK_LIMIT}"
+            f"grid has {space.seed_count} points, exhaustive cap is {FALLBACK_LIMIT}"
         )
-    return ComplexSampleSpace(moduli, 0.0, exhaustive=True)
+    return space
 
 
 def build_complex_space(
@@ -585,8 +534,6 @@ def build_complex_space(
     for any grid and epsilon, far beyond what an audit can enumerate.
     """
     moduli = tuple(int(m) for m in moduli)
-    if any(m < 2 for m in moduli):
-        raise ValueError("moduli must all be >= 2")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     if not force_construction and phase_space_size(moduli) <= FALLBACK_LIMIT:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from permest.binary_bias import SampleSpace
+from permest.binary_bias import IRREDUCIBLE, SampleSpace
 from permest.estimators import PhaseVector
 from permest.matrices import expand
 
@@ -120,20 +120,99 @@ def gengly_mean_exhaustive(spec) -> complex:
     return total / count
 
 
+def gf2_mul(x: int, y: int, m: int) -> int:
+    """Carry-less product of x and y reduced modulo the degree-m polynomial
+    of ``IRREDUCIBLE``, one bit of y at a time in Python ints."""
+    poly = IRREDUCIBLE[m]
+    r = 0
+    while y:
+        if y & 1:
+            r ^= x
+        y >>= 1
+        x <<= 1
+        if (x >> m) & 1:
+            x ^= poly
+    return r
+
+
+def binary_seed_phases(space, seed: int) -> tuple[int, ...]:
+    """One seed's phase bits: the seed's own bits in an exhaustive space,
+    else bit i = <r, f^i> over GF(2) for seed = f * 2^m + r, with the
+    powers f^i from the scalar ``gf2_mul``."""
+    if space.exhaustive:
+        return tuple((seed >> i) & 1 for i in range(space.n))
+    m = space.field_bits
+    f, r = seed >> m, seed & ((1 << m) - 1)
+    power, bits = 1, []
+    for _ in range(space.n):
+        bits.append((r & power).bit_count() & 1)
+        power = gf2_mul(power, f, m)
+    return tuple(bits)
+
+
+def complex_seed_phases(space, seed: int) -> tuple[int, ...]:
+    """One seed's grid point: its C-order digits (last coordinate fastest)
+    in an exhaustive space, else the sum mod m_i of the base tuples at the
+    walk vertices its selector bits pick out, walking with ``mgg_step``.
+
+    The base tuples come from the package's exponent table, which is tested
+    on its own against the c-wise and hash references."""
+    moduli = space.moduli
+    if space.exhaustive:
+        digits = []
+        for m in reversed(moduli):
+            seed, digit = divmod(seed, m)
+            digits.append(digit)
+        return tuple(reversed(digits))
+    amp, base = space.amplifier, space.base
+    half = amp.vertex_bits // 2
+    size = 1 << half
+    x, y = (seed >> half) & (size - 1), seed & (size - 1)
+    selectors = seed >> amp.seed_bits
+    table = base.exponent_table()
+    total = [0] * len(moduli)
+    for j in range(amp.walk_length):
+        if j:
+            x, y = mgg_step(x, y, (seed >> (amp.vertex_bits + 3 * (j - 1))) & 7, size)
+        if (selectors >> j) & 1:
+            row = table[((x << half) | y) % base.seed_count]
+            total = [t + int(v) for t, v in zip(total, row)]
+    return tuple(t % m for t, m in zip(total, moduli))
+
+
+def seed_phases(space, seed: int) -> tuple[int, ...]:
+    """One seed's phases by the per-seed oracle of the space's kind."""
+    if isinstance(space, SampleSpace):
+        return binary_seed_phases(space, seed)
+    return complex_seed_phases(space, seed)
+
+
+def cells_by_seed_loop(space) -> np.ndarray:
+    """Every seed's cell in the space's own numbering (bit i is coordinate i
+    in a binary space, the C-order grid index in a complex one), in seed
+    order, one ``seed_phases`` call per seed."""
+    binary = isinstance(space, SampleSpace)
+    cells = np.empty(space.seed_count, dtype=np.int64)
+    for seed in range(space.seed_count):
+        index = 0
+        for i, (p, m) in enumerate(zip(seed_phases(space, seed), space.moduli)):
+            index = index | (p << i) if binary else index * m + p
+        cells[seed] = index
+    return cells
+
+
 def space_mean_by_seed_loop(space, evaluate) -> complex:
     """Average evaluate(PhaseVector) over every seed, one at a time."""
     total = 0j
     for seed in range(space.seed_count):
-        total += evaluate(space.generator(seed))
+        total += evaluate(PhaseVector(space.moduli, seed_phases(space, seed)))
     return total / space.seed_count
 
 
 def binary_bias_brute(space) -> float:
     """max_a |E[(-1)^{a.x}]| by looping seeds and test vectors."""
     n = space.n
-    vectors = []
-    for seed in range(space.seed_count):
-        vectors.append(space.generator(seed).phases)
+    vectors = [binary_seed_phases(space, seed) for seed in range(space.seed_count)]
     worst = 0.0
     for a_mask in range(1, 1 << n):
         total = 0.0
@@ -145,15 +224,16 @@ def binary_bias_brute(space) -> float:
 
 
 def binary_cells_by_seed(space) -> np.ndarray:
-    """Cell index of every seed of a constructed binary space, in seed order
-    (seed = f * 2^m + r), by the parity map: bit i is parity(r & f^i).
+    """Cell index of every seed of a binary space, in seed order: the seed
+    itself in an exhaustive space, else (seed = f * 2^m + r) the parity
+    map, bit i = parity(r & f^i).
 
     The powers f^i come from the scalar ``gf2_mul``; none of the package's
     doubled powers, column map or cell doubling is used. Cells are uint32,
     so n <= 32.
     """
-    from permest.binary_bias import gf2_mul
-
+    if space.exhaustive:
+        return np.arange(space.seed_count, dtype=np.uint32)
     m, n = space.field_bits, space.n
     size = 1 << m
     powers = np.ones((size, n), dtype=np.uint32)
@@ -205,16 +285,15 @@ def bias_by_dft(space) -> float:
 
 
 def complex_histogram_by_seed(space) -> np.ndarray:
-    """Constructed-space histogram by enumerating every seed: each seed runs
-    its own walk and sums the base tuples its selector bits pick out.
+    """A complex space's histogram by enumerating every seed: an exhaustive
+    seed is its own C-order grid index; a constructed seed runs its own walk
+    and sums the base tuples its selector bits pick out.
 
     Reuses the package's walk and exponent table (tested on their own) but
     none of its per-walk doubling.
     """
     from permest.complex_bias import walk_batch
 
-    amp = space.amplifier
-    table = space.base.exponent_table().astype(np.int64)
     k = len(space.moduli)
     cells = math.prod(space.moduli)
     counts = np.zeros(cells, dtype=np.int64)
@@ -222,16 +301,22 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     for i in range(k - 2, -1, -1):
         radix[i] = radix[i + 1] * space.moduli[i + 1]
     mods = np.array(space.moduli, dtype=np.int64)
+    if not space.exhaustive:
+        amp = space.amplifier
+        table = space.base.exponent_table().astype(np.int64)
     chunk = 1 << 18
     for lo in range(0, space.seed_count, chunk):
         hi = min(lo + chunk, space.seed_count)
         s = np.arange(lo, hi, dtype=np.int64)
-        walk_seed = s & ((1 << amp.seed_bits) - 1)
-        d_bits = s >> amp.seed_bits
-        verts = walk_batch(amp, walk_seed) % space.base.seed_count
-        f = table[verts]  # (C, L, k)
-        sel = ((d_bits[:, None] >> np.arange(space.ell)) & 1)[:, :, None]
-        sums = (f * sel).sum(axis=1) % mods[None, :]
+        if space.exhaustive:
+            sums = np.stack(np.unravel_index(s, space.moduli), axis=1)
+        else:
+            walk_seed = s & ((1 << amp.seed_bits) - 1)
+            d_bits = s >> amp.seed_bits
+            verts = walk_batch(amp, walk_seed) % space.base.seed_count
+            f = table[verts]  # (C, L, k)
+            sel = ((d_bits[:, None] >> np.arange(space.ell)) & 1)[:, :, None]
+            sums = (f * sel).sum(axis=1) % mods[None, :]
         counts += np.bincount(sums @ radix, minlength=cells)
     return (counts / float(space.seed_count)).reshape(space.moduli)
 

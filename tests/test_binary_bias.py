@@ -7,10 +7,10 @@ from permest import binary_bias, estimators
 from permest.binary_bias import (
     IRREDUCIBLE,
     SampleSpace,
+    _gf2_mul_batch,
     _walsh_spectrum,
     build_binary_space,
     exhaustive_binary_space,
-    gf2_mul,
     measure_bias,
     space_from_descriptor,
 )
@@ -20,7 +20,9 @@ from permest.estimators import estimate_derandomized, gly
 from oracles import (
     binary_bias_brute,
     binary_cells_by_seed,
+    cells_by_seed_loop,
     decode_cells,
+    gf2_mul,
     random_nonneg,
     space_mean_by_seed_loop,
 )
@@ -42,34 +44,41 @@ class TestFieldTable:
                 for f in range(1 << d, 1 << (d + 1)):
                     assert not _poly_divides(f, poly), (m, hex(f))
 
-    def test_field_axioms_spot(self):
-        rng = np.random.default_rng(0)
-        m = 5
-        for _ in range(50):
-            x, y, z = (int(v) for v in rng.integers(0, 1 << m, size=3))
-            assert gf2_mul(x, y, m) == gf2_mul(y, x, m)
-            assert gf2_mul(x, 1, m) == x
-            assert gf2_mul(gf2_mul(x, y, m), z, m) == gf2_mul(x, gf2_mul(y, z, m), m)
-            assert gf2_mul(x, y ^ z, m) == gf2_mul(x, y, m) ^ gf2_mul(x, z, m)
+    # the multiply the seed map and the complex pairwise hash run, on every
+    # pair (x, y) of GF(2^m): table[x, y] = x * y
+    @staticmethod
+    def _table(m):
+        field = np.arange(1 << m, dtype=np.uint32)
+        return _gf2_mul_batch(field[:, None], field, m, IRREDUCIBLE[m])
 
-    def test_nonzero_elements_invertible(self):
-        m = 4
-        for x in range(1, 1 << m):
-            images = {gf2_mul(x, y, m) for y in range(1 << m)}
-            assert len(images) == 1 << m  # multiplication by x permutes the field
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_batch_multiply_matches_scalar_oracle(self, m):
+        table = self._table(m)
+        for x in range(1 << m):
+            assert table[x].tolist() == [gf2_mul(x, y, m) for y in range(1 << m)], x
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_field_axioms_spot(self, m):
+        table = self._table(m).astype(np.int64)
+        field = np.arange(1 << m)
+        assert np.array_equal(table, table.T)
+        assert np.array_equal(table[1], field)
+        assert not table[0].any()
+        rng = np.random.default_rng(m)
+        x, y, z = rng.integers(0, 1 << m, size=(3, 500))
+        assert np.array_equal(table[table[x, y], z], table[x, table[y, z]])
+        assert np.array_equal(table[x, y ^ z], table[x, y] ^ table[x, z])
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_nonzero_elements_invertible(self, m):
+        # multiplication by each nonzero x permutes the field
+        rows = np.sort(self._table(m)[1:], axis=1)
+        assert np.array_equal(rows, np.broadcast_to(np.arange(1 << m), rows.shape))
 
 
 def _histogram_by_seed_loop(space):
     """Cell probabilities from every seed, bits by scalar gf2_mul powering."""
-    m = space.field_bits
-    counts = np.zeros(1 << space.n, dtype=np.int64)
-    for seed in range(space.seed_count):
-        r, f = seed & ((1 << m) - 1), seed >> m
-        power, cell = 1, 0
-        for i in range(space.n):
-            cell |= (bin(r & power).count("1") & 1) << i
-            power = gf2_mul(power, f, m)
-        counts[cell] += 1
+    counts = np.bincount(cells_by_seed_loop(space), minlength=1 << space.n)
     return counts / space.seed_count
 
 
@@ -131,6 +140,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_binary_space(4, 1.5)
 
+    @pytest.mark.parametrize(
+        "args",
+        # no field of 21 or 0 bits for a constructed space, a field for an
+        # exhaustive one, no coordinates
+        [(5, 21, 0.1), (5, 0, 0.1), (5, 3, 0.0, True), (0, 3, 0.5)],
+    )
+    def test_constructor_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            SampleSpace(*args)
+
 
 class TestExhaustive:
     def test_bias_zero(self):
@@ -146,30 +165,6 @@ class TestExhaustive:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             exhaustive_binary_space(25)
-
-
-class TestGenerator:
-    def test_support_matches_generator_loop(self):
-        space = build_binary_space(4, 0.5)  # m=3, 64 seeds
-        counts = np.zeros(16, dtype=int)
-        for seed in range(space.seed_count):
-            x = space.generator(seed)
-            idx = sum(p << i for i, p in enumerate(x.phases))
-            counts[idx] += 1
-        hist = space.support_histogram()
-        assert np.array_equal(counts / space.seed_count, hist)
-
-    def test_generator_total_on_seed_domain(self):
-        space = build_binary_space(3, 0.5)
-        for seed in range(space.seed_count):
-            x = space.generator(seed)
-            assert len(x.phases) == 3
-        with pytest.raises(ValueError):
-            space.generator(space.seed_count)
-
-    def test_exhaustive_generator_is_bit_unpack(self):
-        space = exhaustive_binary_space(4)
-        assert space.generator(0b1010).phases == (0, 1, 0, 1)
 
 
 class TestChunkedHistogram:
@@ -304,26 +299,6 @@ class TestColumnMap:
         est = estimate_derandomized(a, build_binary_space(n, eps))
         assert est.value.real.hex() == value
         assert est.value.imag == 0.0
-
-    def test_generator_is_the_parity_map_seed_by_seed(self):
-        space = build_binary_space(8, 0.25)  # m = 5, 1024 seeds
-        cells = binary_cells_by_seed(space)
-        for seed in range(space.seed_count):
-            phases = space.generator(seed).phases
-            assert phases == tuple((int(cells[seed]) >> i) & 1 for i in range(8)), seed
-
-    def test_generator_past_32_phases(self):
-        # the generator is not capped with the histogram: 40 phases
-        space = build_binary_space(40, 0.1)  # m = 9
-        m = space.field_bits
-        for seed in np.random.default_rng(3).integers(0, space.seed_count, 50):
-            seed = int(seed)
-            r, f = seed & ((1 << m) - 1), seed >> m
-            power, expected = 1, []
-            for _ in range(40):
-                expected.append(bin(r & power).count("1") & 1)
-                power = gf2_mul(power, f, m)
-            assert space.generator(seed).phases == tuple(expected), seed
 
 
 class TestMeasureBias:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from permest import binary_bias
+from permest.binary_bias import build_binary_space, exhaustive_binary_space
 from permest.complex_bias import (
     BETA,
     GROUP_SIZE,
@@ -14,18 +15,14 @@ from permest.complex_bias import (
     AmplifierParams,
     ComplexSampleSpace,
     CwiseGenerator,
-    ExponentVector,
     StrongProductGenerator,
-    amplify,
     build_complex_space,
     choose_prime,
     complex_space_from_descriptor,
     cwise_batch,
-    cwise_tuple,
     exhaustive_complex_space,
     measure_complex_bias,
     strong_fraction,
-    strong_product_sample,
     theory_ell,
     theory_seed_bits,
     theta_strong,
@@ -38,6 +35,8 @@ from permest.errors import CapacityError, DescriptorError, DomainError
 
 from oracles import (
     bias_by_dft,
+    binary_cells_by_seed,
+    cells_by_seed_loop,
     complex_bias_brute,
     complex_histogram_by_seed,
     cwise_horner,
@@ -102,12 +101,12 @@ class TestCwise:
     def test_constant_polynomial(self):
         gen = CwiseGenerator(17, (2, 3, 4), 1)
         for seed in range(17):
-            assert cwise_tuple(gen, seed) == (seed % 2, seed % 3, seed % 4)
+            assert cwise_batch(gen, np.array([seed]))[0].tolist() == [seed % 2, seed % 3, seed % 4]
 
     def test_seed_range(self):
         gen = CwiseGenerator(17, (2, 2), 2)
         with pytest.raises(ValueError):
-            cwise_tuple(gen, 17 * 17)
+            cwise_batch(gen, np.array([17 * 17]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,14 +198,16 @@ class TestStrongProduct:
             assert np.all(kept == gen.n_v >> max(h - 1, 0))
 
     def test_scalar_matches_batch(self):
+        # a batch of one is the scalar call: it gives the seed's row of a
+        # larger batch
         gen = _strong_generator((2, 3))
         batch = gen.sample_batch(np.arange(50))
         for seed in range(50):
-            assert strong_product_sample((2, 3), seed) == tuple(int(v) for v in batch[seed])
+            assert np.array_equal(gen.sample_batch(np.array([seed]))[0], batch[seed])
 
     def test_seed_out_of_range(self):
         with pytest.raises(ValueError):
-            strong_product_sample((2,), 10**9)
+            _strong_generator((2,)).sample_batch(np.array([10**9]))
 
     def test_floor_single_binary_coordinate(self):
         assert strong_fraction((2,), (1,)) >= 1.0 / 16.0
@@ -340,13 +341,6 @@ class TestAmplify:
         with pytest.raises(ValueError):
             walk_failure_fraction(amp, np.ones(32, dtype=bool))
 
-    def test_scalar_walk(self):
-        amp = AmplifierParams(4, 3)
-        verts = amplify(amp, 0)
-        assert len(verts) == 3
-        with pytest.raises(ValueError):
-            amplify(amp, 1 << amp.seed_bits)
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             AmplifierParams(5, 4)  # odd vertex bits
@@ -390,6 +384,23 @@ class TestBuild:
             build_complex_space((1, 2), 0.5)
         with pytest.raises(ValueError):
             build_complex_space((2, 2), 0.0)
+
+    def test_constructed_space_needs_base_and_amplifier(self):
+        # a ValueError, not an assert that python -O strips
+        with pytest.raises(ValueError):
+            ComplexSampleSpace((3,), 0.5, exhaustive=False)
+        with pytest.raises(ValueError):
+            ComplexSampleSpace((3,), 0.5, exhaustive=False, base=_strong_generator((3,)))
+
+    @pytest.mark.parametrize("moduli", [(0,), (1, 2)])
+    def test_space_rejects_moduli_below_two(self, moduli):
+        # (0,) divided by zero and (1, 2) built a space
+        with pytest.raises(ValueError):
+            ComplexSampleSpace(moduli, 0.5, exhaustive=True)
+        with pytest.raises(ValueError):
+            exhaustive_complex_space(moduli)
+        with pytest.raises(ValueError):
+            build_complex_space(moduli, 0.5, force_construction=True, ell=1)
 
     def test_oversized_grid_without_force_still_capacity_error(self):
         # too many grid points for the exhaustive fallback, and the
@@ -481,15 +492,34 @@ class TestOneAudit:
             measure_complex_bias(space)
 
 
+# one space of each kind, small enough to map seed by seed
+_SEED_LOOP_SPACES = {
+    "binary constructed": lambda: build_binary_space(8, 0.25),  # m = 5
+    "binary exhaustive": lambda: exhaustive_binary_space(5),
+    "complex exhaustive": lambda: exhaustive_complex_space((2, 3, 4)),
+    "complex constructed 3 l2": lambda: build_complex_space(
+        (3,), 0.7, force_construction=True, ell=2
+    ),
+    "complex constructed 3x2 l1": lambda: _unaudited((3, 2), 1),
+}
+
+
 class TestGeneratorConsistency:
-    def test_scalar_generator_matches_histogram(self):
-        space = build_complex_space((3,), 0.7, force_construction=True, ell=2)
-        counts = np.zeros(3, dtype=int)
-        for seed in range(space.seed_count):
-            x = space.generator(seed)
-            counts[x.phases[0]] += 1
-        hist = space.support_histogram()
-        assert np.allclose(counts / space.seed_count, hist, atol=1e-15)
+    @pytest.mark.parametrize("kind", sorted(_SEED_LOOP_SPACES))
+    def test_seed_oracle_matches_support_cells(self, kind):
+        # the per-seed oracle maps, counted over every seed, are the support;
+        # seed by seed they are the vectorized oracle's cells
+        space = _SEED_LOOP_SPACES[kind]()
+        cells = cells_by_seed_loop(space)
+        if isinstance(space, binary_bias.SampleSpace):
+            assert np.array_equal(cells, binary_cells_by_seed(space))
+        else:
+            hist = np.bincount(cells, minlength=math.prod(space.moduli)) / space.seed_count
+            assert np.array_equal(hist, complex_histogram_by_seed(space).reshape(-1))
+        idx, counts = np.unique(cells, return_counts=True)
+        got_idx, got_probs = space.support_cells()
+        assert np.array_equal(got_idx, idx)
+        assert np.array_equal(got_probs, counts / float(space.seed_count))
 
     @pytest.mark.parametrize(
         "moduli, ell", [((3,), 1), ((3,), 2), ((3,), 3), ((4,), 2), ((2, 2), 1)]
@@ -506,11 +536,6 @@ class TestGeneratorConsistency:
             )
         space = _unaudited(moduli, ell)
         assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
-
-    def test_exhaustive_generator_covers_grid(self):
-        space = exhaustive_complex_space((2, 3))
-        seen = {space.generator(seed).phases for seed in range(space.seed_count)}
-        assert seen == set(itertools.product(range(2), range(3)))
 
 
 class TestDescriptor:
@@ -531,9 +556,3 @@ class TestDescriptor:
             complex_space_from_descriptor("binary n=3 m=2 poly=0x7 eps=0.5")
         with pytest.raises(DescriptorError):
             complex_space_from_descriptor("complex k=1 s=2 mode=constructed eps=0.5")
-
-
-class TestExponentVector:
-    def test_zero_flag(self):
-        assert ExponentVector((0, 0)).is_zero
-        assert not ExponentVector((0, 1)).is_zero

@@ -20,53 +20,48 @@ from permest.binary_bias import (
 from permest.complex_bias import (
     AmplifierParams,
     StrongProductGenerator,
-    amplify,
     build_complex_space,
     exhaustive_complex_space,
-    strong_product_sample,
     walk_batch,
 )
 from permest.estimators import PhaseVector, estimate_derandomized, gly
 from permest.exact import permanent_gengly_exact, permanent_ryser
 from permest.matrices import MultiplicitySpec, expand
 
-from oracles import decode_cells, random_nonneg
+from oracles import binary_seed_phases, complex_seed_phases, decode_cells, random_nonneg
 
 
 class TestGeneratorRecomposition:
     def test_assembled_space_equals_component_composition(self):
-        moduli = (3,)
+        # the per-seed oracle is the package's walk and strong-product
+        # sample, each run as a batch of one, summed under the selector bits
+        moduli = (3, 2)
         space = build_complex_space(moduli, 0.7, force_construction=True, ell=2)
-        amp = space.amplifier
+        amp, base = space.amplifier, space.base
         rng = np.random.default_rng(0)
         for _ in range(200):
             seed = int(rng.integers(0, space.seed_count))
-            walk_seed = seed & ((1 << amp.seed_bits) - 1)
+            walk = walk_batch(amp, np.array([seed & ((1 << amp.seed_bits) - 1)]))[0]
             d_bits = seed >> amp.seed_bits
-            total = [0] * len(moduli)
-            for j, vertex in enumerate(amplify(amp, walk_seed)):
+            total = np.zeros(len(moduli), dtype=np.int64)
+            for j, vertex in enumerate(walk.tolist()):
                 if (d_bits >> j) & 1:
-                    f = strong_product_sample(moduli, vertex % space.base.seed_count)
-                    total = [t + v for t, v in zip(total, f)]
-            expected = tuple(t % m for t, m in zip(total, moduli))
-            assert space.generator(seed).phases == expected
+                    total += base.sample_batch(np.array([vertex % base.seed_count]))[0]
+            expected = tuple((total % moduli).tolist())
+            assert complex_seed_phases(space, seed) == expected
 
     def test_binary_space_generator_matches_powering_definition(self):
-        from permest.binary_bias import gf2_mul
-
-        space = build_binary_space(6, 0.25)
+        # the package's doubled powers of f, as a batch of one, give the
+        # per-seed oracle's bits, whose powers come from the scalar multiply
+        space = build_binary_space(40, 0.1)  # m = 9, past the 32-bit cells
         m = space.field_bits
         rng = np.random.default_rng(2)
         for _ in range(200):
             seed = int(rng.integers(0, space.seed_count))
-            r = seed & ((1 << m) - 1)
-            f = seed >> m
-            power = 1
-            expected = []
-            for _ in range(6):
-                expected.append(bin(r & power).count("1") & 1)
-                power = gf2_mul(power, f, m)
-            assert space.generator(seed).phases == tuple(expected)
+            r, f = seed & ((1 << m) - 1), seed >> m
+            powers = space._powers(np.array([f], dtype=np.uint32))[0]
+            expected = tuple(int(power & r).bit_count() & 1 for power in powers)
+            assert binary_seed_phases(space, seed) == expected
 
 
 class TestSharperDerandomizedBound:
@@ -178,12 +173,12 @@ class TestPublicApi:
     NAMES = [
         "AmplifierParams", "AmplitudeResult", "BETA", "CapacityError",
         "ComplexSampleSpace", "ConvergenceError", "CwiseGenerator",
-        "DescriptorError", "DomainError", "Estimate", "ExponentVector",
+        "DescriptorError", "DomainError", "Estimate",
         "GuaranteeReport", "MatrixParseError", "MultiplicitySpec",
         "PermestError", "PhaseVector", "SampleSpace", "SizeLimitError",
-        "SpectralNormResult", "amplify",
+        "SpectralNormResult",
         "amplitude_estimate", "amplitude_exact", "build_binary_space",
-        "build_complex_space", "bunching_bound", "cwise_tuple",
+        "build_complex_space", "bunching_bound",
         "estimate_derandomized", "estimate_derandomized_multi",
         "estimate_random", "estimate_random_multi", "exhaustive_binary_space",
         "exhaustive_complex_space", "expand", "gengly", "gly", "measure_bias",
@@ -191,7 +186,7 @@ class TestPublicApi:
         "permanent_glynn_exact", "permanent_naive", "permanent_ryser",
         "permanent_upper_bound", "saturating_outcome", "saturating_unitary",
         "serialize_matrix", "spectral_norm", "strong_fraction",
-        "strong_product_sample", "theta_strong", "transition_matrix",
+        "theta_strong", "transition_matrix",
     ]
     SUBMODULES = [
         "binary_bias", "complex_bias", "errors", "estimators", "exact",
@@ -218,6 +213,12 @@ class TestPublicApi:
         exec("from permest import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == permest.__all__
+        # every name a submodule's __all__ lists resolves, or a star import
+        # of that submodule raises
+        for name in self.SUBMODULES:
+            module = importlib.import_module(f"permest.{name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, (name, missing)
 
     def test_dir_lists_the_public_names(self):
         assert set(permest.__all__ + self.SUBMODULES) <= set(dir(permest))
