@@ -6,15 +6,19 @@ n! permutations, built as one int8 table by insertion and multiplied out in
 blocks of 2^16 permutations. Ryser, Glynn and
 gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
 weighted sum, over a product grid of per-column values, of the product of
-the row sums at each grid point. The leading columns form a cache-resident
-table of at most 2^``_BLOCK_BITS`` = 2^14 row-sum vectors; each point of the
-other columns shifts it by their row sums and multiplies its n rows. The outer
+the row sums at each grid point. The leading columns form a table of at
+most 2^``_BLOCK_BITS`` = 2^14 row-sum vectors, n rows of up to 2^14 entries,
+built in place in one buffer column by column; each point of the other
+columns shifts it by their row sums and multiplies its n rows. The outer
 points run in batches of a few points, one buffer row each, and the batches
-are split across the CPUs the process may use. Real input runs in float64,
-complex input in complex128. Each shifted table is reduced by a pairwise
-sum, and the outer sum is Kahan-compensated against Ryser's cancellation in
-point order once every batch is done, so the values depend neither on the
-CPU count nor on the BLAS thread count.
+are split across the CPUs the process may use. At 2^14 entries the whole
+table is n x 128 KiB real or n x 256 KiB complex (2.5 or 5 MiB at n = 20),
+more than a core's L2; a batch reads it one row at a time, and that row and
+the batch's buffers stay in L2. Real input runs in float64, complex input in
+complex128. Each shifted table is reduced by a pairwise sum, and the outer
+sum is Kahan-compensated against Ryser's cancellation in point order once
+every batch is done, so the values depend neither on the CPU count nor on
+the BLAS thread count.
 
 Glynn and gengly-exact, the estimators' means over their whole grids, are
 the exhaustive estimates of ``estimators``; Glynn is also its derandomized
@@ -53,11 +57,14 @@ NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
 PHASE_SPACE_LIMIT = 1 << GRAY_LIMIT
 
-# a 2^14 complex128 table row is 256 KiB, well inside L2
+# a 2^14 table row is 128 KiB (float64) or 256 KiB (complex128): one row and
+# the batch buffers fit a core's L2, the n rows of the table do not
 _BLOCK_BITS = 14
 # shifted table rows one batch of outer points fills: 4 points of a real 2^14
 # table, 2 of a complex one
 _BATCH_BYTES = 512 << 10
+# outer points one batch decodes at most: the cap that binds on short tables
+_BATCH_POINTS = 64
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # permutations per block of the permutation sum
 _NAIVE_BLOCK = 1 << 16
@@ -119,15 +126,41 @@ class _Kahan:
         self.total = t
 
 
-def _outer_point(high, index: int) -> list:
-    """The (value, weight) pair of each outer column at outer point
-    ``index``, numbered as ``itertools.product(*high)`` numbers its points
-    (the last column fastest)."""
-    point = []
-    for column in reversed(high):
-        index, digit = divmod(index, len(column))
-        point.append(column[digit])
-    return point[::-1]
+def _grid_table(a: np.ndarray, values, weights):
+    """The row sums and weights of the leading grid columns, and how many
+    columns they take: the largest ``low`` whose grid has at most
+    2^``_BLOCK_BITS`` points. Entry t of ``table`` (n x T) and of ``table_w``
+    belongs to the point whose column-j digit is digit j of t, column 0 the
+    most significant, as ``itertools.product`` numbers them.
+
+    The table is filled in place: after column j its entries so far sit at
+    every ``stride``-th slot, and each value c of column j adds its row sums
+    to them into the slots ``c * step :: stride`` (the last value in place),
+    one ``np.add`` over all rows. Every entry is the sum of its columns'
+    terms in column order from a zero start, as it was when each column made
+    a new table.
+    """
+    n, k = a.shape
+    low, size = 0, 1
+    while low < k and size * values[low].size <= 1 << _BLOCK_BITS:
+        size *= values[low].size
+        low += 1
+    table = np.empty((n, size), dtype=a.dtype)
+    table[:, 0] = 0
+    # the weights stay an outer product: a strided in-place multiply by one
+    # weight at a time rounded complex weights differently
+    table_w = np.ones(1, dtype=a.dtype)
+    stride = size
+    for j in range(low):
+        m = values[j].size
+        step = stride // m
+        shifts = (a[:, j, None, None] * values[j]).reshape(n, m)
+        done = table[:, ::stride]
+        for c in range(m - 1, -1, -1):
+            np.add(done, shifts[:, c, None], out=table[:, c * step :: stride])
+        stride = step
+        table_w = np.outer(table_w, weights[j]).ravel()
+    return table, table_w, low
 
 
 def _batch_terms(a_high, table, table_w, high, start, out, tmp, terms) -> None:
@@ -135,53 +168,66 @@ def _batch_terms(a_high, table, table_w, high, start, out, tmp, terms) -> None:
     indices in ``terms``, with q the rows of ``out`` (fewer in the last
     batch): each point shifts the table by its own row sums, the q shifted
     tables are multiplied row by row in one (q, T) buffer and each is
-    reduced by a pairwise sum."""
-    chunk = [_outer_point(high, p) for p in range(start, min(start + out.shape[0], terms.size))]
-    q = len(chunk)
+    reduced by a pairwise sum. Point p takes entry ``p // place % size`` of
+    each outer column's values and weights, which ``high`` holds end to end
+    from index ``first`` on: the points are numbered as ``itertools.product``
+    numbers them, the last column fastest."""
+    q = min(out.shape[0], terms.size - start)
+    place, size, first, flat_v, flat_w = high
+    cells = np.arange(start, start + q)[:, None] // place
+    cells %= size
+    cells += first
+    point_v, point_w = flat_v[cells], flat_w[cells]
     # one matvec per point: a gemm over the batch changed the last bits
-    base = np.stack(
-        [a_high @ np.array([v for v, _ in point], dtype=table.dtype) for point in chunk],
-        axis=1,
-    )
+    base = np.empty((a_high.shape[0], q), dtype=table.dtype)
+    for j, v in enumerate(point_v):
+        base[:, j] = a_high @ v
     out, tmp = out[:q], tmp[:q]
     np.add(table[0], base[0, :, None], out=out)
     for i in range(1, table.shape[0]):
         np.add(table[i], base[i, :, None], out=tmp)
         out *= tmp
     np.multiply(table_w, out, out=tmp)
-    for j, point in enumerate(chunk):
+    for j in range(q):
         # a pairwise sum: a BLAS dot splits across threads, and its last
         # bits changed with the thread count
-        terms[start + j] = math.prod(w for _, w in point) * np.sum(tmp[j]).item()
+        terms[start + j] = math.prod(point_w[j].tolist()) * np.sum(tmp[j]).item()
 
 
 def _grid_sum(a: np.ndarray, values, weights):
     """sum_e prod_j weights[j][e_j] * prod_i sum_j values[j][e_j] * a[i, j].
 
     The points of the outer columns run in batches that fill about
-    ``_BATCH_BYTES`` of buffer, split across the CPUs the process may use;
-    the terms are Kahan-added in point order afterwards, so the value
-    depends neither on the CPU count nor on the BLAS thread count. A float
-    when every input is real. Raises OverflowError when the total is not
-    finite, which only overflow can cause (``as_matrix`` rejects non-finite
-    input).
+    ``_BATCH_BYTES`` of buffer, at most ``_BATCH_POINTS`` points each, split
+    across the CPUs the process may use; the terms are Kahan-added in point
+    order afterwards, so the value depends neither on the CPU count nor on
+    the BLAS thread count. A float when every input is real. Raises
+    OverflowError when the total is not finite, which only overflow can
+    cause (``as_matrix`` rejects non-finite input).
     """
     if not any(np.any(np.imag(x)) for x in (a, *values, *weights)):
         a, values, weights = a.real, [v.real for v in values], [w.real for w in weights]
-    n, k = a.shape
-    table = np.zeros((n, 1), dtype=a.dtype)
-    table_w = np.ones(1, dtype=a.dtype)
-    low = 0
-    while low < k and table_w.size * values[low].size <= 1 << _BLOCK_BITS:
-        table = (table[:, :, None] + a[:, low, None, None] * values[low]).reshape(n, -1)
-        table_w = np.outer(table_w, weights[low]).ravel()
-        low += 1
-    high = [list(zip(v.tolist(), w.tolist())) for v, w in zip(values[low:], weights[low:])]
-    count = math.prod(len(column) for column in high)
+    table, table_w, low = _grid_table(a, values, weights)
+    size = np.array([v.size for v in values[low:]], dtype=np.int64)
+    count = int(size.prod())
+    # place value, size and first flat index of each outer column, then their
+    # values and weights end to end (the empty arrays set the dtypes and
+    # cover a grid with no outer column)
+    high = (
+        count // np.cumprod(size),
+        size,
+        np.cumsum(size) - size,
+        np.concatenate([np.empty(0, dtype=a.dtype), *values[low:]]),
+        np.concatenate([np.empty(0), *weights[low:]]),
+    )
     # numpy rounds a complex product of one-entry arrays unlike one of a
-    # longer run, so a one-entry table keeps one point per batch
-    rows = _BATCH_BYTES // table[0].nbytes if table_w.size > 1 else 1
-    batch = min(count, max(1, rows))
+    # longer run, so a one-entry complex table keeps one point per batch;
+    # float64 products round alike in any batch
+    if table_w.size == 1 and a.dtype != np.float64:
+        rows = 1
+    else:
+        rows = max(1, min(_BATCH_BYTES // table[0].nbytes, _BATCH_POINTS))
+    batch = min(count, rows)
     batches = range(0, count, batch)
     # two batches or more per worker: one is too little work to pay for a thread
     workers = max(1, min(_CPUS, len(batches) // 2))

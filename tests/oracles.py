@@ -120,6 +120,22 @@ def gengly_mean_exhaustive(spec) -> complex:
     return total / count
 
 
+def grid_table_by_outer_products(a, values, weights, block_bits: int):
+    """The leading-column table of the exact kernels, (table, table_w, low),
+    built one new table per column: every entry so far plus each of the
+    column's row sums (an outer sum), its weights multiplied in by an outer
+    product, while the table has at most 2^block_bits entries."""
+    n, k = a.shape
+    table = np.zeros((n, 1), dtype=a.dtype)
+    table_w = np.ones(1, dtype=a.dtype)
+    low = 0
+    while low < k and table_w.size * values[low].size <= 1 << block_bits:
+        table = (table[:, :, None] + a[:, low, None, None] * values[low]).reshape(n, -1)
+        table_w = np.outer(table_w, weights[low]).ravel()
+        low += 1
+    return table, table_w, low
+
+
 def gf2_mul(x: int, y: int, m: int) -> int:
     """Carry-less product of x and y reduced modulo the degree-m polynomial
     of ``IRREDUCIBLE``, one bit of y at a time in Python ints."""

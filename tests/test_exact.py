@@ -26,6 +26,7 @@ from permest.matrices import MultiplicitySpec, expand
 from oracles import (
     gly_mean_unhalved,
     gengly_mean_exhaustive,
+    grid_table_by_outer_products,
     permanent_by_permutations,
     python_stdout,
     random_complex,
@@ -184,6 +185,59 @@ class TestGenGlyExact:
         spec = MultiplicitySpec(np.ones((n, n)), (1,) * n)
         with pytest.raises(SizeLimitError):
             permanent_gengly_exact(spec)
+
+
+def _kernel_table_inputs(kernel, arg):
+    """The (a, values, weights) the kernel hands its table build."""
+    seen = []
+    build = permest.exact._grid_table
+
+    def recording(*args):
+        seen.append(args)
+        return build(*args)
+
+    with mock.patch.object(permest.exact, "_grid_table", recording):
+        kernel(arg)
+    (args,) = seen
+    return args
+
+
+def _table_cases():
+    rng = np.random.default_rng(22)
+    real, cplx = rng.uniform(-1.0, 1.0, (15, 15)), random_complex(rng, 15)
+    mults = (3, 2, 1, 4)
+    # the table columns each _BLOCK_BITS from 0 to 14 can give
+    cases = [
+        pytest.param(kernel, a, splits, id=f"{kernel.__name__}-{kind}")
+        for kernel, splits in ((permanent_ryser, range(15)), (permanent_glynn_exact, range(1, 16)))
+        for kind, a in (("real", real), ("complex", cplx))
+    ]
+    for kind, base in (("real", rng.uniform(-1.0, 1.0, (10, 4))), ("complex", random_complex(rng, 10, 4))):
+        spec = MultiplicitySpec(base, mults)
+        cases.append(pytest.param(permanent_gengly_exact, spec, range(5), id=f"gengly-{kind}-3214"))
+    return cases
+
+
+class TestGridTable:
+    @pytest.mark.parametrize("kernel, arg, splits", _table_cases())
+    def test_in_place_build_matches_outer_products(self, kernel, arg, splits):
+        # the same entries, bit for bit, as a build that makes a new table
+        # per column, at every table split: Ryser's {0, 1} and Glynn's signs
+        # (first column fixed) on 15 columns move the split at every
+        # _BLOCK_BITS from 0 to 14, gengly's roots on moduli (4, 3, 2, 5) at
+        # 0, 2, 4, 5 and 7
+        a, values, weights = _kernel_table_inputs(kernel, arg)
+        lows = []
+        for bits in range(15):
+            with mock.patch.object(permest.exact, "_BLOCK_BITS", bits):
+                table, table_w, low = permest.exact._grid_table(a, values, weights)
+            ref_table, ref_w, ref_low = grid_table_by_outer_products(a, values, weights, bits)
+            assert low == ref_low
+            for got, ref in ((table, ref_table), (table_w, ref_w)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+            lows.append(low)
+        assert sorted(set(lows)) == list(splits)
 
 
 class TestCrossMethodProperties:
@@ -412,6 +466,22 @@ class TestWorkers:
         finally:
             tracemalloc.stop()
         assert peak < 128 << 10
+
+    def test_table_is_built_in_place(self, monkeypatch):
+        # a 16x16 real Glynn keeps a 16 x 2^14 float64 table (2 MiB) and one
+        # batch of its 2 outer points (2 x 2 x 2^14 float64, 0.5 MiB); making
+        # a new table per column peaked 0.69 MiB above them, the in-place
+        # build 0.13 MiB (its 2^14 weights)
+        monkeypatch.setattr(permest.exact, "_CPUS", 1)
+        a = np.random.default_rng(16).uniform(-1.0, 1.0, (16, 16))
+        table, buffers = 16 * 2**14 * 8, 2 * 2 * 2**14 * 8
+        tracemalloc.start()
+        try:
+            permanent_glynn_exact(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + buffers + (256 << 10)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_bits_are_pinned(self, monkeypatch, cpus):
