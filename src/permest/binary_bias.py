@@ -9,16 +9,26 @@ while the seed is only 2m bits.
 
 For a fixed f the seed -> cell map is GF(2)-linear in r: the cell of
 (f, r) is the XOR of the columns of f's map over the set bits j of r, where
-column j is the n-bit word whose bit i is bit j of f^i. A block of f values
-is raised to the powers f^0..f^(n-1) together (uint32 shift/xor carry-less
-multiplication, by doubling), which gives the m columns; the cells of all
-2^m values of r then follow by doubling over the bits of r, one XOR pass per
-bit (cells[:, 2^j + r'] = cells[:, r'] ^ column j). The estimator groups
-equal sample points by sorting each block of about 2^22 seeds' cells and
-merging the blocks' (cell, count) lists, so it holds the distinct cells
+column j is the n-bit word whose bit i is bit j of f^i. Squaring (the
+Frobenius map) is a GF(2)-linear bijection S of the field, and
+(f^2)^i = S f^i, so <r, (f^2)^i> = <S^T r, f^i>: the cell of (f^2, r) is the
+cell of (f, S^T r), and as r runs over the field, f and its conjugates f^2,
+f^4, ... give the same multiset of cells. So the map is enumerated for one
+element per orbit, the least one (from a squaring table and m gathers), and
+each of its cells counts for d seeds, where d, the orbit size, is the least
+d >= 1 with f^(2^d) = f and divides m. That is about 2^m / m elements
+instead of 2^m: 60 of 512 at m = 9, 352 of 4,096 at m = 12.
+
+A block of representatives is raised to the powers f^0..f^(n-1) together
+(uint32 shift/xor carry-less multiplication, by doubling), which gives the m
+columns; the cells of all 2^m values of r then follow by doubling over the
+bits of r, one XOR pass per bit (cells[:, 2^j + r'] = cells[:, r'] ^
+column j). The estimator groups equal sample points by sorting each block of
+about 2^22 cells, with each cell's weight in the low bits of its sort key,
+and merging the blocks' (cell, count) lists, so it holds the distinct cells
 plus one block and never a 2^n array. Only the audit scatters those counts
 into the dense 2^n histogram its Walsh-Hadamard transform reads. Both cost
-about 2^(2m) word operations plus the sorts, with no factor n, and are
+about 2^(2m) / m word operations plus the sorts, with no factor n, and are
 capped at n <= 24. This enumeration is the space's only seed map.
 
 A binary space is the complex grid with every modulus 2, and this module
@@ -74,9 +84,13 @@ IRREDUCIBLE = {
 }
 MAX_FIELD_BITS = max(IRREDUCIBLE)
 
-# seeds per block of the vectorized seed -> cell map: 16 MiB of uint32
-# cells; each further block costs a merge pass over the distinct cells
+# cells per block of the vectorized seed -> cell map: 16 MiB of uint32;
+# each further block costs a merge pass over the distinct cells
 _SEED_CHUNK = 1 << 22
+# low bits of a support sort key that hold a cell's weight, an orbit size
+# <= m <= 20, above which an n <= 24 bit cell fits in a uint32
+_WEIGHT_BITS = 5
+_WEIGHT_MASK = np.uint32((1 << _WEIGHT_BITS) - 1)
 
 
 def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarray:
@@ -90,23 +104,45 @@ def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarra
     return acc
 
 
+def _frobenius_orbits(m: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least element of every orbit of x -> x^2 on GF(2^m), ascending as
+    uint32, and the orbit sizes: the least d >= 1 with x^(2^d) = x, which
+    divides m."""
+    field = np.arange(1 << m, dtype=np.uint32)
+    square = _gf2_mul_batch(field, field, m, poly)
+    least = field.copy()
+    orbit = np.zeros(field.shape, dtype=np.uint32)
+    conjugate = field
+    for d in range(1, m + 1):
+        conjugate = square[conjugate]
+        np.minimum(least, conjugate, out=least)
+        orbit[(orbit == 0) & (conjugate == field)] = d
+    reps = np.flatnonzero(least == field)
+    return reps.astype(np.uint32), orbit[reps]
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Offsets where each run of equal values in a sorted 1-D array starts."""
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
 def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
-    """All 2^n character sums sum_x p[x] (-1)^{popcount(a & x)}."""
+    """All 2^n character sums sum_x p[x] (-1)^{popcount(a & x)}, by an
+    in-place butterfly: each level writes its differences to one half-size
+    buffer, adds in place, then copies the differences back."""
     a = np.array(p, dtype=np.float64)
     size = a.shape[0]
+    diff = np.empty(size // 2)
     h = 1
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((top, bot), axis=1)
+        pairs = a.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :], pairs[:, 1, :]
+        d = diff.reshape(-1, h)
+        np.subtract(top, bot, out=d)
+        top += bot
+        bot[...] = d
         h *= 2
-    return a.reshape(size)
+    return a
 
 
 class SampleSpace:
@@ -172,17 +208,19 @@ class SampleSpace:
         return (self._powers(f)[:, None, :] >> shifts) & 1
 
     def _cell_blocks(self):
-        """The uint32 cell indices of every seed of a constructed space, in
-        blocks of about ``_SEED_CHUNK`` seeds."""
-        # a block is `rows` f values times every r value: _SEED_CHUNK
-        # seeds, or 2^m when that is larger
+        """The cells of one field element per Frobenius orbit, in blocks of
+        about ``_SEED_CHUNK`` cells: (cells, weights), where cells[k, r] is
+        the uint32 cell of seed (f_k, r) for representative f_k and
+        weights[k] is the size of f_k's orbit."""
+        # a block is `rows` representatives times every r value:
+        # _SEED_CHUNK cells, or 2^m when that is larger
         m = self.field_bits
         size = 1 << m
         rows = max(1, _SEED_CHUNK // size)
-        field = np.arange(size, dtype=np.uint32)
+        reps, orbit = _frobenius_orbits(m, self.poly)
         place = np.arange(self.n, dtype=np.uint32)
-        for lo in range(0, size, rows):
-            f = field[lo : lo + rows]
+        for lo in range(0, reps.size, rows):
+            f = reps[lo : lo + rows]
             cols = (self._column_bits(f) << place).sum(axis=2, dtype=np.uint32)
             # cells[:, r] for r in [2^j, 2^(j+1)) is cells[:, r - 2^j]
             # XOR column j
@@ -191,7 +229,7 @@ class SampleSpace:
             for j in range(m):
                 w = 1 << j
                 np.bitwise_xor(cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w])
-            yield cells.ravel()
+            yield cells, orbit[lo : lo + rows]
 
     @property
     def places(self) -> np.ndarray:
@@ -211,12 +249,18 @@ class SampleSpace:
         # distinct cells plus one block
         idx = np.empty(0, dtype=np.uint32)
         counts = np.empty(0, dtype=np.int64)
-        for block in self._cell_blocks():
-            block.sort()
-            starts = _run_starts(block)
-            block_counts = np.diff(starts, append=block.size)
+        for cells, weights in self._cell_blocks():
+            # one sort key per cell, with its row's weight in the low bits
+            cells <<= _WEIGHT_BITS
+            cells |= weights[:, None]
+            keys = cells.ravel()
+            keys.sort()
+            block_weights = keys & _WEIGHT_MASK
+            keys >>= _WEIGHT_BITS
+            starts = _run_starts(keys)
+            block_counts = np.add.reduceat(block_weights, starts, dtype=np.int64)
             if idx.size:
-                both = np.concatenate((idx, block[starts]))
+                both = np.concatenate((idx, keys[starts]))
                 # a stable sort of two sorted runs is one merge pass
                 order = np.argsort(both, kind="stable")
                 both = both[order]
@@ -224,7 +268,7 @@ class SampleSpace:
                 counts = np.add.reduceat(np.concatenate((counts, block_counts))[order], starts)
                 idx = both[starts]
             else:
-                idx, counts = block[starts], block_counts
+                idx, counts = keys[starts], block_counts
         return idx, counts / float(self.seed_count)
 
     def support_histogram(self) -> np.ndarray:

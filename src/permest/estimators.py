@@ -50,7 +50,8 @@ values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
 decodes its grid tables with them; the derandomized mean reads a space's
 support as ascending indices in the space's own numbering (``places``),
 decodes one ``_BLOCK`` of them at a time, and sums probability times value
-pairwise, which no BLAS thread count can reorder.
+pairwise, which no BLAS thread count can reorder. gly's blocks are decoded
+into one sign buffer, reused for every block.
 """
 
 from __future__ import annotations
@@ -342,15 +343,34 @@ def _index_phases(idx: np.ndarray, places: np.ndarray, moduli: Sequence[int]) ->
     return out
 
 
-def _index_signs(idx: np.ndarray, places: np.ndarray) -> np.ndarray:
-    """(M, n) float64 signs of flat cell indices, every place value a power
-    of two: bit log2(places[j]) shifted into the sign bit of a 1.0, 7x faster
-    than ``_index_phases`` and in the random signs' C order."""
-    shifts = np.uint64(63) - np.bitwise_count(places - 1).astype(np.uint64)
-    bits = idx.astype(np.uint64)[:, None] << shifts
-    bits &= _SIGN_BIT
-    bits |= _ONE_BITS
-    return bits.view(np.float64)
+def _index_signs(
+    idx: np.ndarray, places: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(M, n) float64 signs of flat cell indices below 2^32, every place
+    value a power of two: sign j is -1 where bit log2(places[j]) is set, in
+    the random signs' C order.
+
+    The bits come from ``np.unpackbits`` of the uint32 indices, and each is
+    shifted into the sign bit of a 1.0. Random mode and binary spaces pass
+    places 2^0..2^(n-1), whose bits are the first n unpacked; a complex
+    space over moduli 2 numbers its cells last coordinate fastest, and its
+    bits are gathered in place order. ``out``, a uint64 array of at least
+    M * n entries, receives the signs instead of a new array, as in
+    ``_random_signs``.
+    """
+    at = np.bitwise_count(places - 1)
+    ascending = np.array_equal(at, np.arange(places.size))
+    quads = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(quads, axis=1, count=places.size if ascending else 32, bitorder="little")
+    if not ascending:
+        bits = np.take(bits, at, axis=1)
+    if out is None:
+        out = np.empty(bits.size, dtype=np.uint64)
+    signs = out[: bits.size].reshape(bits.shape)
+    signs[...] = bits
+    signs <<= np.uint64(63)
+    signs |= _ONE_BITS
+    return signs.view(np.float64)
 
 
 def permanent_upper_bound(spec: MultiplicitySpec) -> float:
@@ -544,8 +564,12 @@ def estimate_derandomized(a, space) -> Estimate:
     if space.exhaustive:
         return _exhaustive_estimate(a)
 
+    # one sign buffer for every block, as in random mode: a fresh one made
+    # malloc fault its pages in again at every block
+    signs = np.empty(_BLOCK * a.shape[0], dtype=np.uint64)
+
     def evaluate(block, places):
-        return gly_batch(a, _index_signs(block, places))
+        return gly_batch(a, _index_signs(block, places, out=signs))
 
     return _derandomized_mean(space, spec, evaluate)
 

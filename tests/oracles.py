@@ -136,6 +136,30 @@ def grid_table_by_outer_products(a, values, weights, block_bits: int):
     return table, table_w, low
 
 
+def index_signs_by_shifts(idx, places) -> np.ndarray:
+    """(M, n) float64 signs of flat cell indices with power-of-two place
+    values, each index bit shifted straight into the sign bit of a 1.0 in a
+    uint64: the decoder the unpacking one must match bit for bit."""
+    shifts = np.uint64(63) - np.bitwise_count(places - 1).astype(np.uint64)
+    bits = idx.astype(np.uint64)[:, None] << shifts
+    bits &= np.uint64(1 << 63)
+    bits |= np.uint64(0x3FF0000000000000)
+    return bits.view(np.float64)
+
+
+def walsh_by_stacked_levels(p) -> np.ndarray:
+    """The Walsh-Hadamard butterfly with a fresh (sum, difference) stack per
+    level: the same adds and subtracts as the in-place one."""
+    a = np.array(p, dtype=np.float64)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        a = np.stack((a[:, 0, :] + a[:, 1, :], a[:, 0, :] - a[:, 1, :]), axis=1)
+        h *= 2
+    return a.reshape(size)
+
+
 def gf2_mul(x: int, y: int, m: int) -> int:
     """Carry-less product of x and y reduced modulo the degree-m polynomial
     of ``IRREDUCIBLE``, one bit of y at a time in Python ints."""

@@ -1,12 +1,16 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permest import binary_bias, estimators
 from permest.binary_bias import (
     IRREDUCIBLE,
     SampleSpace,
+    _frobenius_orbits,
     _gf2_mul_batch,
     _walsh_spectrum,
     build_binary_space,
@@ -25,6 +29,7 @@ from oracles import (
     gf2_mul,
     random_nonneg,
     space_mean_by_seed_loop,
+    walsh_by_stacked_levels,
 )
 
 
@@ -82,6 +87,60 @@ def _histogram_by_seed_loop(space):
     return counts / space.seed_count
 
 
+def _orbits_by_scalar_squaring(m):
+    """Every orbit of x -> x^2 on GF(2^m), as lists from the least element,
+    squared one element at a time with the scalar ``gf2_mul``."""
+    orbits, seen = [], set()
+    for x in range(1 << m):
+        if x in seen:
+            continue
+        orbit = [x]
+        while (y := gf2_mul(orbit[-1], orbit[-1], m)) != x:
+            orbit.append(y)
+        orbits.append(orbit)
+        seen.update(orbit)
+    return orbits
+
+
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_scalar_squaring(self, m):
+        reps, sizes = _frobenius_orbits(m, IRREDUCIBLE[m])
+        orbits = _orbits_by_scalar_squaring(m)
+        assert reps.dtype == np.uint32
+        # each representative is the least element of its own orbit
+        assert reps.tolist() == [min(orbit) for orbit in orbits]
+        assert sizes.tolist() == [len(orbit) for orbit in orbits]
+        for f, d in zip(reps.tolist(), sizes.tolist()):
+            x = f
+            for _ in range(d):
+                x = gf2_mul(x, x, m)
+            assert x == f and m % d == 0
+
+    @pytest.mark.parametrize("m", sorted(IRREDUCIBLE))
+    def test_orbit_sizes_cover_the_field(self, m):
+        reps, sizes = _frobenius_orbits(m, IRREDUCIBLE[m])
+        assert int(sizes.sum()) == 1 << m
+        assert not (m % sizes).any()
+        assert np.all(np.diff(reps.astype(np.int64)) > 0)
+        # 0 and 1 are fixed; the 2^d elements of the subfield GF(2^d), for
+        # each d dividing m, are those whose orbit size divides d
+        assert reps[:2].tolist() == [0, 1] and sizes[:2].tolist() == [1, 1]
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            assert int(sizes[d % sizes == 0].sum()) == 1 << d
+
+    def test_orbit_counts(self):
+        # m = 9 has orbit sizes 1, 3 and 9; m = 12 has 1, 2, 3, 4, 6 and 12
+        sizes = _frobenius_orbits(9, IRREDUCIBLE[9])[1]
+        assert sizes.size == 60
+        assert dict(zip(*np.unique(sizes, return_counts=True))) == {1: 2, 3: 2, 9: 56}
+        sizes = _frobenius_orbits(12, IRREDUCIBLE[12])[1]
+        assert sizes.size == 352
+        assert dict(zip(*np.unique(sizes, return_counts=True))) == {
+            1: 2, 2: 1, 3: 2, 4: 3, 6: 9, 12: 335
+        }
+
+
 class TestWalsh:
     def test_matches_direct_character_sums(self):
         rng = np.random.default_rng(1)
@@ -94,6 +153,16 @@ class TestWalsh:
                 p[x] * (-1.0) ** (bin(a & x).count("1")) for x in range(1 << n)
             )
             assert spectrum[a] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 16])
+    def test_in_place_butterfly_keeps_every_bit(self, n):
+        # the same adds and subtracts as a fresh (sum, difference) stack per
+        # level, so the same bits, on a histogram and on signed input
+        rng = np.random.default_rng(40 + n)
+        for p in (rng.random(1 << n) / (1 << n), rng.standard_normal(1 << n) * 1e3):
+            got = _walsh_spectrum(p)
+            assert got.shape == p.shape and got.dtype == np.float64
+            assert got.tobytes() == walsh_by_stacked_levels(p).tobytes()
 
 
 class TestBuild:
@@ -249,25 +318,81 @@ class TestColumnMap:
         _assert_support_is_parity_map(space, binary_cells_by_seed(space))
 
     @pytest.mark.parametrize(
-        "n, eps, rows, last_rows",
-        # f values per block and in the last block: m = 10 gives 1,024
-        # blocks of one, or 341 of three and a last of one; m = 11, n = 16
-        # gives 700, 700 and 648
-        [(10, 0.01, 1, 1), (10, 0.01, 3, 1), (16, 0.01, 700, 648)],
+        "n, eps, rows",
+        # representatives per block: m = 10 has 108 orbits, in 108 blocks of
+        # one or 36 of three; m = 11, n = 16 has 188, in blocks of 50, 50,
+        # 50 and 38
+        [(10, 0.01, 1), (10, 0.01, 3), (16, 0.01, 50)],
     )
-    def test_support_merges_blocks(self, monkeypatch, n, eps, rows, last_rows):
+    def test_support_merges_blocks(self, monkeypatch, n, eps, rows):
         space = build_binary_space(n, eps)
-        cells = binary_cells_by_seed(space)
-        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
+        m = space.field_bits
+        by_f = binary_cells_by_seed(space).reshape(1 << m, 1 << m)  # [f, r]
+        reps, sizes = _frobenius_orbits(m, space.poly)
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << m)
         blocks = list(space._cell_blocks())
-        assert len(blocks) == -(-(1 << space.field_bits) // rows)
-        assert blocks[-1].size == last_rows << space.field_bits
-        # the blocks are the seed-order cells, cut; a nonzero cell recurs
-        # in a later block, so the merge adds counts, not only new cells
-        assert np.array_equal(np.concatenate(blocks), cells)
-        later = np.concatenate(blocks[1:])
-        assert np.intersect1d(blocks[0][blocks[0] != 0], later).size > 0
-        _assert_support_is_parity_map(space, cells)
+        assert [c.shape[0] for c, _ in blocks] == [
+            min(rows, reps.size - lo) for lo in range(0, reps.size, rows)
+        ]
+        # the blocks are the representatives' seed-order cells, cut, each
+        # row weighted by its orbit size
+        assert np.array_equal(np.concatenate([c for c, _ in blocks]), by_f[reps])
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), sizes)
+        # a nonzero cell recurs in a later block, so the merge adds counts,
+        # not only new cells
+        first = blocks[0][0][blocks[0][0] != 0]
+        later = np.concatenate([c.ravel() for c, _ in blocks[1:]])
+        assert np.intersect1d(first, later).size > 0
+        _assert_support_is_parity_map(space, by_f.ravel())
+
+    # m <= 10 keeps the per-seed oracle at most 2^20 seeds. Representatives
+    # come in ascending order, in which the orbit sizes interleave, so every
+    # block of fewer rows than representatives cuts an orbit class; rows is
+    # capped at the representative count (108 at m = 10)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 24), st.integers(1, 120))
+    @example(10, 24, 7)
+    @example(9, 20, 4)
+    @example(6, 3, 1)
+    def test_orbit_support_matches_seed_map(self, m, n, rows):
+        space = SampleSpace(n, m, 1.0)
+        rows = min(rows, _frobenius_orbits(m, space.poly)[0].size)
+        want_idx, want_counts = np.unique(binary_cells_by_seed(space), return_counts=True)
+        with mock.patch.object(binary_bias, "_SEED_CHUNK", rows << m):
+            idx, probs = space.support_cells()
+        assert idx.dtype == np.uint32 and probs.dtype == np.float64
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(probs, want_counts / float(space.seed_count))
+
+    def test_column_map_sees_one_element_per_orbit(self, monkeypatch):
+        # n = 20, eps = 0.05: m = 9, whose 512 elements fall in 60 orbits;
+        # enumerating every f would show the column map all 512
+        seen = []
+        column_bits = SampleSpace._column_bits
+
+        def spy(self, f):
+            seen.append(f.copy())
+            return column_bits(self, f)
+
+        monkeypatch.setattr(SampleSpace, "_column_bits", spy)
+        space = build_binary_space(20, 0.05)
+        assert space.field_bits == 9
+        space.support_cells()
+        f = np.concatenate(seen)
+        assert f.size == 60
+        assert sorted(f.tolist()) == [min(o) for o in _orbits_by_scalar_squaring(9)]
+
+    @pytest.mark.slow
+    def test_support_matches_parity_map_at_m12(self):
+        # n = 24, eps = 0.01: m = 12, orbit sizes 1, 2, 3, 4, 6 and 12,
+        # 2^24 seeds on 1,372,457 cells
+        space = build_binary_space(24, 0.01)
+        assert space.field_bits == 12
+        want_idx, want_counts = np.unique(binary_cells_by_seed(space), return_counts=True)
+        idx, probs = space.support_cells()
+        assert idx.dtype == np.uint32 and idx.size == 1372457
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(probs, want_counts / float(space.seed_count))
 
     def test_support_cells_memory_at_n24(self):
         # 2^18 seeds on 28,633 cells: the support holds one block and the

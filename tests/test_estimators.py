@@ -39,6 +39,7 @@ from oracles import (
     complex_histogram_by_seed,
     gengly_plain,
     gly_plain,
+    index_signs_by_shifts,
     random_complex,
     random_mults,
     random_nonneg,
@@ -635,6 +636,34 @@ class TestRandomSigns:
         assert signs.ravel().tolist() == [1.0 - 2.0 * int(b) for b in bits]
 
 
+class TestIndexSigns:
+    """Cell indices decode into float signs by unpacking their bits; the
+    signs are the bits of shifting each index bit into a sign bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 20, 24, 31, 32])
+    def test_matches_shift_decoder(self, n):
+        rng = np.random.default_rng(700 + n)
+        idx = rng.integers(0, 1 << n, 1000, dtype=np.int64)
+        ascending = 1 << np.arange(n, dtype=np.int64)
+        # binary places, the C order of a complex space over moduli 2, and
+        # a shuffled order
+        for places in (ascending, ascending[::-1].copy(), ascending[rng.permutation(n)]):
+            want = index_signs_by_shifts(idx, places)
+            for cells in (idx, idx.astype(np.uint32)):
+                got = estimators._index_signs(cells, places)
+                assert got.shape == (1000, n) and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+    def test_blocks_reuse_one_buffer(self):
+        idx = np.arange(1 << 12, dtype=np.uint32)
+        places = 1 << np.arange(12, dtype=np.int64)
+        buf = np.empty(idx.size * 12, dtype=np.uint64)
+        for lo, hi in ((0, 4096), (5, 9), (4000, 4096)):
+            got = estimators._index_signs(idx[lo:hi], places, out=buf)
+            assert np.shares_memory(got, buf)
+            assert got.tobytes() == index_signs_by_shifts(idx[lo:hi], places).tobytes()
+
+
 class TestEstimateDerandomized:
     @staticmethod
     def _exhaustive(x):
@@ -881,6 +910,22 @@ class TestDerandomizedMemory:
         a = random_nonneg(np.random.default_rng(1714), 20)
         space = build_binary_space(20, 0.02)
         assert self._peak(lambda: estimate_derandomized(a, space)) < 10 << 20
+
+    def test_binary_blocks_reuse_one_sign_buffer(self, monkeypatch):
+        # n = 20, eps = 0.05: 28,633 cells in 7 blocks, every one decoded
+        # into the same sign buffer
+        signs = []
+        kernel = estimators.gly_batch
+
+        def spy(a, x):
+            signs.append(x)
+            return kernel(a, x)
+
+        monkeypatch.setattr(estimators, "gly_batch", spy)
+        a = random_nonneg(np.random.default_rng(1716), 20)
+        estimate_derandomized(a, build_binary_space(20, 0.05))
+        assert len(signs) == 7
+        assert all(np.shares_memory(x, signs[0]) for x in signs)
 
     def test_multi_estimate_peak(self):
         spec, space = _multi_case("exhaustive-3pow10")
