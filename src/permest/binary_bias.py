@@ -389,13 +389,15 @@ def space_from_descriptor(text: str) -> SampleSpace:
         raise DescriptorError(f"bad descriptor fields in {text!r}: {exc}") from None
     if n < 1:
         raise DescriptorError(f"descriptor needs n >= 1, got n={n}")
+    if not np.isfinite(eps):
+        raise DescriptorError(f"declared eps={eps} is not finite")
     if fields.get("mode") == "exhaustive":
         return _check_fields(exhaustive_binary_space(n), fields, text)
     if m not in IRREDUCIBLE:
         raise DescriptorError(f"unsupported field size m={m}")
     space = SampleSpace(n, m, eps)
     # the declared eps becomes the reported guarantee, so it may not claim
-    # less bias than the powering argument certifies (NaN fails too)
+    # less bias than the powering argument certifies
     if not eps >= space.construction_bound:
         raise DescriptorError(
             f"declared eps={eps:.17g} is below the certified bias bound "

@@ -73,14 +73,12 @@ def _complex_payload(prefix: str, z: complex) -> dict:
 
 def _cmd_exact(args) -> int:
     from . import exact
-    from .matrices import MultiplicitySpec, expand
+    from .matrices import MultiplicitySpec
 
     a = _load_matrix(args.matrix)
-    if args.mult:
-        spec = MultiplicitySpec(a, _parse_counts(args.mult, "--mult"))
-        a = expand(spec)
+    target = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else a
     start = time.perf_counter()
-    value = getattr(exact, _EXACT_METHODS[args.method])(a)
+    value = getattr(exact, _EXACT_METHODS[args.method])(target)
     elapsed = time.perf_counter() - start
     print(f"wall_time_s={elapsed:.6f}", file=sys.stderr)
     payload = _complex_payload("value", value)
@@ -105,7 +103,7 @@ def _space_from_descriptor(text: str):
     raise DescriptorError(f"unknown space descriptor kind {kind!r}")
 
 
-def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
+def _build_space_for(args, n: int, spec):
     if args.space:
         space = _space_from_descriptor(args.space)
         if args.epsilon is not None and args.epsilon != space.declared_epsilon:
@@ -114,13 +112,13 @@ def _build_space_for(args, n: int, mults: tuple[int, ...] | None):
                 f"eps={space.declared_epsilon}"
             )
         return space
-    if mults is None:
+    if spec is None:
         from .binary_bias import build_binary_space
 
         return build_binary_space(n, args.epsilon)
     from .complex_bias import build_complex_space
 
-    return build_complex_space(tuple(s + 1 for s in mults), args.epsilon)
+    return build_complex_space(spec.moduli, args.epsilon)
 
 
 def _cmd_estimate(args) -> int:
@@ -141,8 +139,7 @@ def _cmd_estimate(args) -> int:
             "without --space"
         )
     a = _load_matrix(args.matrix)
-    mults = _parse_counts(args.mult, "--mult") if args.mult else None
-    spec = MultiplicitySpec(a, mults) if mults else None
+    spec = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else None
     payload: dict = {}
     if args.mode == "random":
         if spec is None:
@@ -154,7 +151,7 @@ def _cmd_estimate(args) -> int:
         est = _exhaustive_estimate(a if spec is None else spec)
         payload_extra = {}
     else:
-        space = _build_space_for(args, a.shape[0], mults)
+        space = _build_space_for(args, a.shape[0], spec)
         if spec is None:
             est = estimate_derandomized(a, space)
         else:
@@ -173,11 +170,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bound(args) -> int:
     from .estimators import permanent_upper_bound
-    from .matrices import MultiplicitySpec, as_square, spectral_norm
+    from .matrices import MultiplicitySpec, as_spec, spectral_norm
 
     a = _load_matrix(args.matrix)
-    mults = _parse_counts(args.mult, "--mult") if args.mult else (1,) * as_square(a).shape[1]
-    spec = MultiplicitySpec(a, mults)
+    spec = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else as_spec(a)
     bound = permanent_upper_bound(spec)
     payload = {
         "bound": bound,

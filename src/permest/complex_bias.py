@@ -224,16 +224,6 @@ class StrongProductGenerator:
             levels += bh if h <= 1 else bh * (v < (1 << (self.gf_bits - (h - 1))))
         return levels
 
-    def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.seed_count):
-            raise ValueError(f"seeds must lie in [0, {self.seed_count})")
-        # one shared c-wise draw backs every level h; the sparsifier bits only
-        # zero coordinates, so reducing mod m_i up front is equivalent
-        u = cwise_batch(self.cwise, seeds % self.n_u)
-        f = u * self._level_counts(seeds // self.n_u) % np.array(self.moduli)
-        return f.astype(self.dtype)
-
     def exponent_table(self) -> np.ndarray:
         """All seed outputs, (seed_count, k) of ``dtype``, cached.
 

@@ -68,6 +68,7 @@ from .matrices import (
     MultiplicitySpec,
     PhaseVector,
     _log_gengly_scale,
+    as_spec,
     as_square,
     gengly_scale,
     phase_space_size,
@@ -132,6 +133,8 @@ class Estimate:
 
     def guarantee(self) -> GuaranteeReport:
         error = self.epsilon * self.bound_term
+        if not math.isfinite(error):
+            raise OverflowError("the additive error bound exceeds the double range")
         if error < sys.float_info.min and self.epsilon > 0.0 and self.bound_term > 0.0:
             # a product below the normal range can round down, to 0.0 too
             error = math.nextafter(error, math.inf)
@@ -199,9 +202,8 @@ def gly_batch(a, signs: np.ndarray) -> np.ndarray:
 
 def gengly(spec: MultiplicitySpec, x: PhaseVector) -> complex:
     """The generalized estimator at one point of the roots-of-unity grid."""
-    moduli = tuple(s + 1 for s in spec.mults)
-    if x.moduli != moduli:
-        raise ValueError(f"phase vector moduli {x.moduli} != {moduli}")
+    if x.moduli != spec.moduli:
+        raise ValueError(f"phase vector moduli {x.moduli} != {spec.moduli}")
     vals = gengly_batch(spec, np.array([x.phases], dtype=np.int64))
     return complex(vals[0])
 
@@ -418,11 +420,11 @@ def estimate_random(
     block reads its values from that table; otherwise every block is
     evaluated.
     """
-    a = as_square(a)
-    n = a.shape[0]
+    spec = as_spec(a)
+    a, n = spec.base, spec.n
     _check_params(epsilon, delta)
     # an overflowing bound raises here, before any sample can overflow
-    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * n))
+    bound = permanent_upper_bound(spec)
     m = sample_count(epsilon, delta)
     bitgen = np.random.default_rng(rng_seed).bit_generator
     # one sign buffer for every block: a fresh one, live next to the
@@ -468,7 +470,7 @@ def estimate_random_multi(
     """
     _check_params(epsilon, delta)
     bound = permanent_upper_bound(spec)
-    moduli = [s + 1 for s in spec.mults]
+    moduli = spec.moduli
     m = sample_count(epsilon, delta)
     rng = np.random.default_rng(rng_seed)
     narrow = np.min_scalar_type(max(moduli) - 1)
@@ -511,20 +513,16 @@ def _exhaustive_estimate(target) -> Estimate:
     with zero epsilon; the bound comes first, so it refuses before the sum."""
     from . import exact
 
-    if isinstance(target, MultiplicitySpec):
-        bound = permanent_upper_bound(target)
-        size = phase_space_size([s + 1 for s in target.mults])
-        return Estimate(exact.permanent_gengly_exact(target), bound, 0.0, size, "exhaustive")
-    a = as_square(target)
-    bound = permanent_upper_bound(MultiplicitySpec(a, (1,) * a.shape[0]))
-    return Estimate(exact.permanent_glynn_exact(a), bound, 0.0, 1 << a.shape[0], "exhaustive")
+    spec = as_spec(target)
+    bound = permanent_upper_bound(spec)
+    kernel = exact.permanent_gengly_exact if spec is target else exact.permanent_glynn_exact
+    return Estimate(kernel(spec), bound, 0.0, phase_space_size(spec.moduli), "exhaustive")
 
 
 def _require_derandomizable(space, spec: MultiplicitySpec, what: str) -> None:
     """Refuse a space on another grid, then entries that are not nonnegative reals."""
-    moduli = tuple(s + 1 for s in spec.mults)
-    if tuple(space.moduli) != moduli:
-        raise ValueError(f"space moduli {tuple(space.moduli)} != {moduli}")
+    if tuple(space.moduli) != spec.moduli:
+        raise ValueError(f"space moduli {tuple(space.moduli)} != {spec.moduli}")
     # exact check: the certainty guarantee needs nonnegative reals
     if np.any(spec.base.imag != 0.0) or np.any(spec.base.real < 0.0):
         raise DomainError(
@@ -558,18 +556,17 @@ def estimate_derandomized(a, space) -> Estimate:
     """Deterministic mean of ``gly`` over a sample space with n binary
     coordinates (moduli all 2); over a uniform space, the exhaustive
     estimate: ``permanent_glynn_exact`` of ``a``."""
-    a = as_square(a)
-    spec = MultiplicitySpec(a, (1,) * a.shape[0])
+    spec = as_spec(a)
     _require_derandomizable(space, spec, "a matrix")
     if space.exhaustive:
-        return _exhaustive_estimate(a)
+        return _exhaustive_estimate(spec.base)
 
     # one sign buffer for every block, as in random mode: a fresh one made
     # malloc fault its pages in again at every block
-    signs = np.empty(_BLOCK * a.shape[0], dtype=np.uint64)
+    signs = np.empty(_BLOCK * spec.n, dtype=np.uint64)
 
     def evaluate(block, places):
-        return gly_batch(a, _index_signs(block, places, out=signs))
+        return gly_batch(spec.base, _index_signs(block, places, out=signs))
 
     return _derandomized_mean(space, spec, evaluate)
 

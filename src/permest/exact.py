@@ -3,11 +3,16 @@
 ``permanent_naive`` is the permutation-sum reference (factorial time, the
 ground truth every other routine is tested against): a literal sum over all
 n! permutations, built as one int8 table by insertion and multiplied out in
-blocks of 2^16 permutations. Ryser, Glynn and
-gengly-exact are thin wrappers over one O(2^n n) kernel, ``_grid_sum``: a
-weighted sum, over a product grid of per-column values, of the product of
-the row sums at each grid point. The leading columns form a table of at
-most 2^``_BLOCK_BITS`` = 2^14 row-sum vectors, n rows of up to 2^14 entries,
+blocks of 2^16 permutations. Ryser, Glynn and gengly-exact are thin wrappers
+over one O(2^n n) kernel, ``_grid_sum``: a weighted sum, over a product grid
+of per-column values, of the product of the row sums at each grid point.
+Naive, Ryser and Glynn take a matrix or a ``MultiplicitySpec`` (a matrix is
+its all-ones spec): naive expands a spec; Ryser and Glynn give s equal
+columns one grid column (Kan's multiset form), where taking c of them
+(Ryser) or flipping c to -1 (Glynn) is one point of value c or s - 2c and
+weight (-1)^c C(s, c), one copy of Glynn's first group held at +1. At s = 1
+that is the 2^n grid's column. The leading columns form a table of at most
+2^``_BLOCK_BITS`` = 2^14 row-sum vectors, n rows of up to 2^14 entries,
 built in place in one buffer column by column; each point of the other
 columns shifts it by their row sums and multiplies its n rows. The outer
 points run in batches of a few points, one buffer row each, and the batches
@@ -28,6 +33,7 @@ mean over a uniform space of signs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import threading
@@ -37,7 +43,8 @@ import numpy as np
 from .errors import SizeLimitError
 from .matrices import (
     MultiplicitySpec,
-    as_square,
+    as_spec,
+    expand,
     gengly_scale,
     phase_space_size,
     roots_of_unity,
@@ -69,14 +76,19 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # permutations per block of the permutation sum
 _NAIVE_BLOCK = 1 << 16
 
-_SIGNS = np.array([1.0, -1.0])
 
-
-def _square(a, limit: int, name: str) -> np.ndarray:
-    a = as_square(a)
-    if a.shape[0] > limit:
+def _spec(target, limit: int, name: str) -> MultiplicitySpec:
+    spec = as_spec(target)
+    if spec.n > limit:
         raise SizeLimitError(f"{name} is capped at n <= {limit}")
-    return a
+    return spec
+
+
+@functools.cache
+def _group_columns(s: int, fixed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ryser's values, Glynn's values and their weights for s equal columns, ``fixed`` at +1."""
+    c = np.arange(s - fixed + 1.0)
+    return c, s - 2.0 * c, (-1.0) ** c * [math.comb(s - fixed, i) for i in range(s - fixed + 1)]
 
 
 def _permutations(n: int) -> np.ndarray:
@@ -95,9 +107,9 @@ def _permutations(n: int) -> np.ndarray:
     return perms
 
 
-def permanent_naive(a) -> complex:
+def permanent_naive(target) -> complex:
     """Sum over all n! permutations of products of matched entries."""
-    a = _square(a, NAIVE_LIMIT, "permanent_naive")
+    a = expand(_spec(target, NAIVE_LIMIT, "permanent_naive"))
     n = a.shape[0]
     perms = _permutations(n)
     total = 0j
@@ -205,7 +217,7 @@ def _grid_sum(a: np.ndarray, values, weights):
     OverflowError when the total is not finite, which only overflow can
     cause (``as_matrix`` rejects non-finite input).
     """
-    if not any(np.any(np.imag(x)) for x in (a, *values, *weights)):
+    if not any(x.dtype.kind == "c" and x.imag.any() for x in (a, *values, *weights)):
         a, values, weights = a.real, [v.real for v in values], [w.real for w in weights]
     table, table_w, low = _grid_table(a, values, weights)
     size = np.array([v.size for v in values[low:]], dtype=np.int64)
@@ -269,28 +281,26 @@ def _grid_sum(a: np.ndarray, values, weights):
     return acc.total
 
 
-def permanent_ryser(a) -> complex:
+def permanent_ryser(target) -> complex:
     """Ryser's inclusion-exclusion over column subsets.
 
     Per(A) = (-1)^n sum_{S subseteq [n]} (-1)^{|S|} prod_i sum_{j in S} a_ij.
     """
-    a = _square(a, GRAY_LIMIT, "permanent_ryser")
-    n = a.shape[0]
-    total = _grid_sum(a, [np.array([0.0, 1.0])] * n, [_SIGNS] * n)
-    return complex((-1) ** n * total)
+    spec = _spec(target, GRAY_LIMIT, "permanent_ryser")
+    values, _, weights = zip(*map(_group_columns, spec.mults))
+    return complex((-1) ** spec.n * _grid_sum(spec.base, values, weights))
 
 
-def permanent_glynn_exact(a) -> complex:
+def permanent_glynn_exact(target) -> complex:
     """Exact average of the Glynn estimator over all 2^n sign vectors.
 
     The estimator is invariant under a global sign flip, so the first
     coordinate is fixed to +1 and the average runs over the remaining
     2^(n-1) vectors.
     """
-    a = _square(a, GRAY_LIMIT, "permanent_glynn_exact")
-    n = a.shape[0]
-    signs = [np.ones(1)] + [_SIGNS] * (n - 1)
-    return complex(_grid_sum(a, signs, signs) / (1 << (n - 1)))
+    spec = _spec(target, GRAY_LIMIT, "permanent_glynn_exact")
+    _, values, weights = zip(_group_columns(spec.mults[0], 1), *map(_group_columns, spec.mults[1:]))
+    return complex(_grid_sum(spec.base, values, weights) / (1 << (spec.n - 1)))
 
 
 def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
@@ -300,8 +310,7 @@ def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
     and -e of the grid give conjugate terms, so the sum is real up to
     rounding and its imaginary part is returned as 0.0.
     """
-    moduli = [s + 1 for s in spec.mults]
-    size = phase_space_size(moduli)
+    size = phase_space_size(spec.moduli)
     if size > PHASE_SPACE_LIMIT:
         raise SizeLimitError(f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}")
     values, weights = [], []

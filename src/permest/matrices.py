@@ -24,6 +24,7 @@ __all__ = [
     "PhaseVector",
     "SpectralNormResult",
     "as_matrix",
+    "as_spec",
     "as_square",
     "expand",
     "gengly_scale",
@@ -58,7 +59,8 @@ class MultiplicitySpec:
     """An n x k base matrix plus positive column multiplicities summing to n.
 
     ``expand`` turns this into the n x n matrix whose i-th base column is
-    repeated ``mults[i]`` times.
+    repeated ``mults[i]`` times. A square matrix is the spec whose
+    multiplicities are all 1 (``as_spec``).
     """
 
     base: np.ndarray
@@ -87,6 +89,20 @@ class MultiplicitySpec:
     @property
     def k(self) -> int:
         return self.base.shape[1]
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return tuple(s + 1 for s in self.mults)
+
+
+def as_spec(target) -> MultiplicitySpec:
+    """A spec unchanged; a square matrix as its all-ones spec, checked once."""
+    if isinstance(target, MultiplicitySpec):
+        return target
+    a = as_square(target)
+    spec = object.__new__(MultiplicitySpec)
+    spec.__dict__.update(base=a, mults=(1,) * a.shape[0])
+    return spec
 
 
 def expand(spec: MultiplicitySpec) -> np.ndarray:

@@ -134,7 +134,7 @@ def amplitude_estimate(
     elif mode == "derandomized":
         from .complex_bias import build_complex_space
 
-        space = build_complex_space(tuple(s + 1 for s in spec.mults), epsilon)
+        space = build_complex_space(spec.moduli, epsilon)
         est = estimate_derandomized_multi(spec, space)
     else:
         raise ValueError(f"unknown mode {mode!r}")

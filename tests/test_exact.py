@@ -90,8 +90,13 @@ class TestRyser:
         assert permanent_ryser(np.array([[3.5 + 1j]])) == pytest.approx(3.5 + 1j)
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            permanent_ryser(np.ones((31, 31)))
+        # the cap is on n, not on the grid: a spec of n = 40 in two groups of
+        # 20 has only 441 grid points, but its binomial weights, up to
+        # C(20, 10)^2, cancel so badly that grouped Ryser misses gengly-exact
+        # by a relative error of thousands
+        for target in (np.ones((31, 31)), MultiplicitySpec(np.ones((31, 2)), (16, 15))):
+            with pytest.raises(SizeLimitError):
+                permanent_ryser(target)
 
     def test_blocked_kernel_matches_single_block(self):
         rng = np.random.default_rng(2)
@@ -124,6 +129,11 @@ class TestGlynnExact:
             halved = permanent_glynn_exact(a)
             full = gly_mean_unhalved(a)
             assert abs(halved - full) <= 1e-12 * max(1.0, abs(full))
+
+    def test_size_cap(self):
+        for target in (np.ones((31, 31)), MultiplicitySpec(np.ones((31, 2)), (16, 15))):
+            with pytest.raises(SizeLimitError):
+                permanent_glynn_exact(target)
 
     def test_blocked_kernel_matches_single_block(self):
         rng = np.random.default_rng(6)
@@ -293,6 +303,16 @@ def square_matrices(draw, max_n=7):
     return random_complex(rng, n)
 
 
+@st.composite
+def specs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mults = random_mults(rng, n)
+    k = len(mults)
+    b = rng.uniform(-1.0, 1.0, (n, k)) if draw(st.booleans()) else random_complex(rng, n, k)
+    return MultiplicitySpec(b, mults)
+
+
 table_splits = st.sampled_from((0, 1, 3, 14))
 
 
@@ -309,12 +329,14 @@ def agree(x, y, a):
 
 class TestKernelProperties:
     @property_settings
-    @given(square_matrices(), table_splits)
-    def test_ryser_and_glynn_match_naive(self, a, bits):
-        ref = permanent_naive(a)
+    @given(st.one_of(square_matrices(), specs()), table_splits)
+    def test_ryser_and_glynn_match_naive(self, target, bits):
+        # a spec's kernels sum its grouped grid, naive its expanded matrix
+        a = expand(target) if isinstance(target, MultiplicitySpec) else target
+        ref = permanent_naive(target)
         with table_bits(bits):
             for kernel in KERNELS:
-                assert agree(kernel(a), ref, a)
+                assert agree(kernel(target), ref, a)
 
     @property_settings
     @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans(), table_splits)
@@ -496,9 +518,11 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)
         try:
             for kind, a in (("real", real), ("complex", cplx)):
-                for kernel in KERNELS:
-                    v = kernel(a)
-                    assert (v.real.hex(), v.imag.hex()) == self.PINNED[kind, kernel.__name__]
+                # a matrix is its all-ones spec, bit for bit
+                for target in (a, MultiplicitySpec(a, (1,) * 20)):
+                    for kernel in KERNELS:
+                        v = kernel(target)
+                        assert (v.real.hex(), v.imag.hex()) == self.PINNED[kind, kernel.__name__]
         finally:
             sys.setswitchinterval(interval)
 

@@ -4,6 +4,7 @@ import pytest
 from permest import estimators, matrices
 from permest.binary_bias import exhaustive_binary_space
 from permest.errors import ConvergenceError, MatrixParseError
+from permest.exact import permanent_glynn_exact, permanent_naive, permanent_ryser
 from permest.matrices import (
     MultiplicitySpec,
     as_matrix,
@@ -78,19 +79,28 @@ class TestAsSquare:
     def test_square_passes_as_complex(self):
         a = matrices.as_square([[1.0, 2.0], [3.0, 4.0]])
         assert a.dtype == np.complex128 and a.shape == (2, 2)
+        # a square matrix is its all-ones spec; a spec passes unchanged
+        spec = matrices.as_spec([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(spec.base, a) and spec.base.dtype == np.complex128
+        assert spec.mults == (1, 1) and spec.moduli == (2, 2)
+        assert matrices.as_spec(spec) is spec
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda a: matrices.as_square(a),
+            lambda a: matrices.as_spec(a),
+            lambda a: permanent_ryser(a),
+            lambda a: permanent_glynn_exact(a),
+            lambda a: permanent_naive(a),
             lambda a: estimators.gly(a, estimators.PhaseVector.from_signs([1, 1, 1])),
             lambda a: estimators.estimate_random(a, 0.5),
             lambda a: estimators.estimate_derandomized(a, exhaustive_binary_space(3)),
             lambda a: estimators._exhaustive_estimate(a),
             lambda a: amplitude_exact(a, (1, 0, 0), (1, 0, 0)),
         ],
-        ids=["as_square", "gly", "estimate_random", "estimate_derandomized", "exhaustive",
-             "amplitude_exact"],
+        ids=["as_square", "as_spec", "ryser", "glynn", "naive", "gly", "estimate_random",
+             "estimate_derandomized", "exhaustive", "amplitude_exact"],
     )
     def test_non_square_names_its_shape(self, call):
         with pytest.raises(ValueError, match=r"^matrix must be square, got \(3, 4\)$"):
@@ -133,6 +143,10 @@ class TestExpand:
         rng = np.random.default_rng(1)
         b = random_complex(rng, 4, 4)
         assert np.array_equal(expand(MultiplicitySpec(b, (1, 1, 1, 1))), b)
+
+    def test_moduli_are_the_grid(self):
+        spec = MultiplicitySpec(random_complex(np.random.default_rng(2), 6, 3), (3, 1, 2))
+        assert spec.moduli == (4, 2, 3)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

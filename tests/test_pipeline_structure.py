@@ -28,13 +28,19 @@ from permest.estimators import PhaseVector, estimate_derandomized, gly
 from permest.exact import permanent_gengly_exact, permanent_ryser
 from permest.matrices import MultiplicitySpec, expand
 
-from oracles import binary_seed_phases, complex_seed_phases, decode_cells, random_nonneg
+from oracles import (
+    binary_seed_phases,
+    complex_seed_phases,
+    decode_cells,
+    random_nonneg,
+    strong_product_batch,
+)
 
 
 class TestGeneratorRecomposition:
     def test_assembled_space_equals_component_composition(self):
-        # the per-seed oracle is the package's walk and strong-product
-        # sample, each run as a batch of one, summed under the selector bits
+        # the per-seed oracle is the package's walk and the strong-product
+        # seed map, each run as a batch of one, summed under the selector bits
         moduli = (3, 2)
         space = build_complex_space(moduli, 0.7, force_construction=True, ell=2)
         amp, base = space.amplifier, space.base
@@ -46,7 +52,7 @@ class TestGeneratorRecomposition:
             total = np.zeros(len(moduli), dtype=np.int64)
             for j, vertex in enumerate(walk.tolist()):
                 if (d_bits >> j) & 1:
-                    total += base.sample_batch(np.array([vertex % base.seed_count]))[0]
+                    total += strong_product_batch(base, [vertex % base.seed_count])[0]
             expected = tuple((total % moduli).tolist())
             assert complex_seed_phases(space, seed) == expected
 
