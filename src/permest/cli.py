@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact permanent of a matrix file")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=sorted(_EXACT_METHODS), default="ryser")
+    p.add_argument("--method", choices=sorted(_EXACT_METHODS), default="glynn")
     p.add_argument("--mult", help="column multiplicities; the file then holds the base matrix")
     add_format(p)
     p.set_defaults(func=_cmd_exact)

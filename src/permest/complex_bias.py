@@ -17,8 +17,8 @@ Pipeline, bottom to top:
   one base seed into many correlated ones while adding only 3 bits per step.
 * ``build_complex_space``: combines L amplified exponent tuples with L
   selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise. The
-  support histogram, which enumerates every seed, is the space's only seed
-  map.
+  support histogram, which counts every seed exactly, is the space's only
+  seed map.
 
 The constants are the analysis's, not parameters: ``C_WISE`` = 7-wise
 independence, the pi/8 arc with its 1/16 ``STRONG_FLOOR``, and one base seed
@@ -27,12 +27,14 @@ per walk vertex.
 Every guarantee is re-checked by exhaustive audit, in exact integer counts.
 The audit is ``binary_bias.measure_bias``, which serves both kinds of space
 (``measure_complex_bias`` is the same function): it takes the DFT of a
-support histogram that enumerates each walk once and builds its 2^L
-selector sums by doubling. ``strong_fraction`` tests each grid cell once,
-weighted by the generator's cached per-cell seed counts. The pairwise
-hash's GF(2^B) tables come from binary_bias's carry-less multiply and
-polynomial table, and the descriptor parser applies binary_bias's field
-rule.
+support histogram that enumerates each walk one vertex short, builds the
+2^(L-1) selector sums of its first L - 1 vertices by doubling, and counts
+the last step from a table of every vertex's 8 successors.
+``strong_fraction`` tests each grid cell once, weighted by the generator's
+cached per-cell seed counts, which count the c-wise tuples once per
+distinct tuple of level counts. The pairwise hash's GF(2^B) tables come
+from binary_bias's carry-less multiply and polynomial table, and the
+descriptor parser applies binary_bias's field rule.
 Full theoretical strength exceeds the enumerability cap by design, so
 certified spaces are the exhaustive fallback or explicitly sized assemblies.
 """
@@ -96,7 +98,8 @@ MAX_SEED_BITS = 40
 FALLBACK_LIMIT = 1 << 20
 AUDIT_SUPPORT_LIMIT = 1 << 24
 TABLE_LIMIT = 1 << 26
-# seeds per block of the constructed-space histogram (walks x selector patterns)
+# selector sums per block of the constructed-space histogram (walks one
+# vertex short x their selector patterns)
 _SEED_BLOCK = 1 << 18
 
 
@@ -224,33 +227,50 @@ class StrongProductGenerator:
             levels += bh if h <= 1 else bh * (v < (1 << (self.gf_bits - (h - 1))))
         return levels
 
+    def _residue_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The residues h * u_i mod m_i of every c-wise tuple u, (hmax + 2,
+        n_u, k) for level counts h = 0..hmax + 1, and the (rests, k) level
+        counts of every rest = seed // n_u. A seed's output is its rest's
+        row of residues; raises over the table cap."""
+        if self.seed_count > TABLE_LIMIT:
+            raise CapacityError(f"{self.seed_count} seeds exceed the exponent-table cap")
+        u = cwise_batch(self.cwise, np.arange(self.n_u, dtype=np.int64))
+        h = np.arange(self.hmax + 2, dtype=np.int64)[:, None, None]
+        rests = np.arange(self.seed_count // self.n_u, dtype=np.int64)
+        return h * u % np.array(self.moduli), self._level_counts(rests)
+
     def exponent_table(self) -> np.ndarray:
         """All seed outputs, (seed_count, k) of ``dtype``, cached.
 
-        Seeds run c-wise part fastest, so the table is the n_u c-wise tuples
-        times each setting of the hash and mixing bits, in blocks.
+        Seeds run c-wise part fastest, so each setting of the hash and
+        mixing bits copies, per coordinate, the residue row of its level
+        count.
         """
         if self._exponents is None:
-            if self.seed_count > TABLE_LIMIT:
-                raise CapacityError(
-                    f"{self.seed_count} seeds exceed the exponent-table cap"
-                )
-            u = cwise_batch(self.cwise, np.arange(self.n_u, dtype=np.int64))
-            rests = self.seed_count // self.n_u
-            block = max(1, (1 << 16) // self.n_u)
-            chunks = []
-            for lo in range(0, rests, block):
-                levels = self._level_counts(np.arange(lo, min(lo + block, rests)))
-                f = levels[:, None, :] * u % np.array(self.moduli)
-                chunks.append(f.astype(self.dtype).reshape(-1, self.k))
-            self._exponents = np.concatenate(chunks, axis=0)
+            rows, levels = self._residue_rows()
+            rows = rows.astype(self.dtype)
+            table = np.empty((levels.shape[0], self.n_u, self.k), dtype=self.dtype)
+            for i in range(self.k):
+                table[:, :, i] = rows[levels[:, i], :, i]
+            self._exponents = table.reshape(-1, self.k)
         return self._exponents
 
     def cell_counts(self) -> np.ndarray:
-        """Seeds per grid cell, int64 over the C-order cell index, cached."""
+        """Seeds per grid cell, int64 over the C-order cell index, cached.
+
+        Rests with the same level counts map the c-wise tuples onto the
+        same cells, so each distinct tuple of level counts adds its cells
+        once, times the number of rests that share it.
+        """
         if self._cell_counts is None:
-            index = self.exponent_table().astype(np.int64) @ _radix(self.moduli)
-            self._cell_counts = np.bincount(index, minlength=math.prod(self.moduli))
+            rows, levels = self._residue_rows()
+            rows *= _radix(self.moduli)
+            tuples, shares = np.unique(levels, axis=0, return_counts=True)
+            counts = np.zeros(math.prod(self.moduli), dtype=np.int64)
+            for t, share in zip(tuples, shares):
+                index = sum(rows[h, :, i] for i, h in enumerate(t))
+                counts += share * np.bincount(index, minlength=counts.size)
+            self._cell_counts = counts
         return self._cell_counts
 
 
@@ -435,9 +455,14 @@ class ComplexSampleSpace:
     def support_histogram(self) -> np.ndarray:
         """Probability array over the grid, shape = moduli.
 
-        Each walk is enumerated once; the sums of its ell base tuples over
-        all 2^ell selector patterns are built by doubling (the sums with
-        bit j set are the sums without it plus f^(j)).
+        Every seed is counted exactly, but each walk is enumerated one
+        vertex short: the sums of its first ell - 1 base tuples over their
+        2^(ell-1) selector patterns are built by doubling (the sums with
+        bit j set are the sums without it plus f^(j)). A sum w whose walk
+        ends at vertex u then counts 8 at w (last selector bit off, any of
+        the 8 moves) and 1 at w + f(succ_c(u)) for each move c. At ell = 1
+        the seeds are the vertices and their selector bits, so nothing is
+        enumerated.
         """
         if self._hist is not None:
             return self._hist
@@ -449,22 +474,46 @@ class ComplexSampleSpace:
                 raise CapacityError(
                     f"2^{self.seed_bits} seeds exceed the enumeration cap"
                 )
-            amp = self.amplifier
+            r, ell, base_seeds = self.amplifier.vertex_bits, self.ell, self.base.seed_count
+            vertices = 1 << r
             # a coordinate sum of ell tuples stays below ell*(m_i - 1) + 1, so
             # sums add as one index over those wider ranges, reduced mod m_i
             # only when the counts are folded onto the grid
-            wide = tuple(self.ell * (m - 1) + 1 for m in self.moduli)
+            wide = tuple(ell * (m - 1) + 1 for m in self.moduli)
             f_index = self.base.exponent_table().astype(np.int64) @ _radix(wide)
-            wide_counts = np.zeros(math.prod(wide), dtype=np.int64)
-            walks = 1 << amp.seed_bits
-            block = max(1, _SEED_BLOCK >> self.ell)
-            for lo in range(0, walks, block):
-                walk = np.arange(lo, min(lo + block, walks), dtype=np.int64)
-                f = f_index[walk_batch(amp, walk) % self.base.seed_count]  # (W, L)
-                sums = np.zeros((1 << self.ell, walk.shape[0]), dtype=np.int64)
-                for j in range(self.ell):
-                    np.add(sums[: 1 << j], f[:, j], out=sums[1 << j : 2 << j])
-                wide_counts += np.bincount(sums.ravel(), minlength=wide_counts.size)
+            size = math.prod(wide)
+            if ell == 1:
+                # no move: selector off puts every vertex v at 0, on at f(v mod S)
+                wide_counts = (vertices // base_seeds) * np.bincount(f_index, minlength=size)
+                wide_counts += np.bincount(f_index[: vertices % base_seeds], minlength=size)
+                wide_counts[0] += vertices
+            else:
+                # moves[c, u] is the tuple one step along move c from vertex u,
+                # less the one along move c - 1: adding the rows in turn to a
+                # walk's sums sets them to each of its 8 last steps
+                step = AmplifierParams(r, 2)
+                moves = np.empty((8, vertices), dtype=np.int64)
+                prev = 0
+                for c in range(8):
+                    ends = walk_batch(step, np.arange(c << r, (c + 1) << r, dtype=np.int64))
+                    moves[c] = f_index[ends[:, 1] % base_seeds] - prev
+                    prev += moves[c]
+                # each walk is enumerated one vertex short: its last selector
+                # bit off counts each of the 8 moves at the same sum
+                prefix = AmplifierParams(r, ell - 1)
+                wide_counts = np.zeros(size, dtype=np.int64)
+                walks = 1 << prefix.seed_bits
+                block = max(1, _SEED_BLOCK >> (ell - 1))
+                for lo in range(0, walks, block):
+                    walk = walk_batch(prefix, np.arange(lo, min(lo + block, walks), dtype=np.int64))
+                    f = f_index[walk % base_seeds]  # (W, L - 1)
+                    sums = np.zeros((1 << (ell - 1), walk.shape[0]), dtype=np.int64)
+                    for j in range(ell - 1):
+                        np.add(sums[: 1 << j], f[:, j], out=sums[1 << j : 2 << j])
+                    wide_counts += 8 * np.bincount(sums.ravel(), minlength=size)
+                    for row in moves:
+                        sums += row[walk[:, -1]]
+                        wide_counts += np.bincount(sums.ravel(), minlength=size)
             wide_cells = np.indices(wide, dtype=np.int64).reshape(len(wide), -1).T
             counts = np.zeros(cells, dtype=np.int64)
             np.add.at(counts, wide_cells % self.moduli @ _radix(self.moduli), wide_counts)

@@ -5,11 +5,13 @@ textbook formulas, and a hand-rolled one-sided Jacobi SVD. Tests compare the
 package against these, never the other way around.
 """
 
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -330,7 +332,7 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     and sums the base tuples its selector bits pick out.
 
     Reuses the package's walk and exponent table (tested on their own) but
-    none of its per-walk doubling.
+    none of its per-walk doubling or last-step counting.
     """
     from permest.complex_bias import walk_batch
 
@@ -361,6 +363,25 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     return (counts / float(space.seed_count)).reshape(space.moduli)
 
 
+def glynn_multiset_fraction(base, mults) -> Fraction:
+    """Per of the matrix that repeats column j of the real ``base`` mults[j]
+    times, as an exact Fraction: Glynn's sum over sign vectors grouped by
+    the number e_j of minus signs among each group's equal columns (weight
+    (-1)^e_j C(s_j, e_j), value s_j - 2 e_j), with one copy of the first
+    column fixed at +1, in integer arithmetic on the scaled entries."""
+    entries = [[Fraction(x) for x in row] for row in np.asarray(base, dtype=np.float64).tolist()]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    ints = [[int(x * scale) for x in row] for row in entries]
+    n = sum(mults)
+    free = [mults[0] - 1, *mults[1:]]
+    total = 0
+    for e in itertools.product(*(range(f + 1) for f in free)):
+        weight = (-1) ** sum(e) * math.prod(math.comb(f, ej) for f, ej in zip(free, e))
+        values = [s - 2 * ej for s, ej in zip(mults, e)]
+        total += weight * math.prod(sum(v * x for v, x in zip(values, row)) for row in ints)
+    return Fraction(total, scale**n * 2 ** (n - 1))
+
+
 def strong_product_batch(gen, seeds) -> np.ndarray:
     """The strong-product generator's output at each of ``seeds``, seed by
     seed in its layout: the c-wise tuple of seed mod n_u times each
@@ -375,9 +396,27 @@ def strong_product_batch(gen, seeds) -> np.ndarray:
     return f.astype(gen.dtype)
 
 
+@functools.lru_cache(maxsize=4)
+def strong_outputs_by_seed(gen) -> np.ndarray:
+    """Every seed's output, (seed_count, k) int64, from the per-seed batch."""
+    return strong_product_batch(gen, np.arange(gen.seed_count)).astype(np.int64)
+
+
+def strong_cell_counts_by_seed(gen, chunk=1 << 20) -> np.ndarray:
+    """Seeds per C-order grid cell, counted over every seed's output,
+    ``chunk`` seeds at a time."""
+    cells = math.prod(gen.moduli)
+    counts = np.zeros(cells, dtype=np.int64)
+    for lo in range(0, gen.seed_count, chunk):
+        f = strong_product_batch(gen, np.arange(lo, min(lo + chunk, gen.seed_count)))
+        index = np.ravel_multi_index(tuple(f.astype(np.int64).T), gen.moduli)
+        counts += np.bincount(index, minlength=cells)
+    return counts
+
+
 def strong_fraction_by_seed(gen, exponent, theta_ratio=(1, 16)) -> float:
     """Mean over every seed of the integer arc test on its character phase."""
-    table = strong_product_batch(gen, np.arange(gen.seed_count)).astype(np.int64)
+    table = strong_outputs_by_seed(gen)
     lcm = math.lcm(*gen.moduli)
     weights = np.array([(e * (lcm // m)) % lcm for e, m in zip(exponent, gen.moduli)])
     num = (table * weights).sum(axis=1) % lcm

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from permest.errors import ConvergenceError
 from permest.exact import permanent_naive
 from permest.matrices import parse_matrix, serialize_matrix, spectral_norm
 
-from oracles import near_degenerate, python_stdout, random_complex, random_nonneg
+from oracles import (
+    glynn_multiset_fraction,
+    near_degenerate,
+    python_stdout,
+    random_complex,
+    random_nonneg,
+)
 
 
 def run(capsys, *argv):
@@ -100,6 +107,28 @@ class TestExact:
             # the permutation sum of the expanded matrix matches the grid
             glynn = permest.exact.permanent_glynn_exact(spec)
             assert abs(got - glynn) <= 1e-9 * abs(glynn)
+
+    def test_default_method_is_glynn_where_ryser_cancels(self, capsys, tmp_path):
+        # a uniform [0, 1) 30 x 2 base with --mult 15,15: Ryser's alternating
+        # sum prints 1.87e21 here, 25% below the roots-of-unity average
+        base = np.random.default_rng(0).random((30, 2))
+        path = write_matrix(tmp_path, "b30.txt", base)
+        code, out, _ = run(capsys, "exact", "--matrix", path, "--mult", "15,15")
+        assert code == 0 and "method=glynn" in out
+        got = complex(*map(float, out.splitlines()[0].split()))
+        ref = permest.exact.permanent_gengly_exact(permest.matrices.MultiplicitySpec(base, (15, 15)))
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("mults", [(6, 6, 6, 4), (4,) * 5])
+    def test_default_route_matches_exact_rational_glynn(self, capsys, tmp_path, mults):
+        base = np.random.default_rng(25).random((sum(mults), len(mults)))
+        path = write_matrix(tmp_path, "base.txt", base)
+        code, out, _ = run(capsys, "exact", "--matrix", path, "--mult", ",".join(map(str, mults)))
+        assert code == 0
+        re_s, im_s = out.splitlines()[0].split()
+        want = glynn_multiset_fraction(base, mults)
+        assert float(im_s) == 0.0
+        assert abs(Fraction(float(re_s)) - want) <= Fraction(1e-12) * want
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,9 +1,12 @@
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permest import binary_bias
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
@@ -41,6 +44,7 @@ from oracles import (
     complex_histogram_by_seed,
     cwise_horner,
     mgg_step,
+    strong_cell_counts_by_seed,
     strong_fraction_by_seed,
     strong_product_batch,
 )
@@ -222,11 +226,12 @@ class TestStrongProduct:
             0.4852941176470588, abs=1e-12
         )
 
-    @pytest.mark.parametrize("moduli", [(3,), (4, 3), (2, 3, 2), (40, 2, 2), (200,)])
+    @pytest.mark.parametrize("moduli", [(3,), (4, 3), (2, 3, 2), (40, 2, 2), (200,), (2, 2, 2, 2)])
     def test_exponent_table_matches_sample_batch(self, moduli):
-        # the table is built in blocks of hash/mixing settings; (40, 2, 2)
-        # has more c-wise seeds than one block holds, and exponents of
-        # (200,) do not fit in int8
+        # the table copies residue rows per hash/mixing setting; (40, 2, 2)
+        # has 68,921 c-wise seeds, exponents of (200,) do not fit in int8,
+        # and k = 4 reaches level 2, where coordinates get different level
+        # counts
         gen = StrongProductGenerator(moduli)
         table = gen.exponent_table()
         assert table.shape == (gen.seed_count, len(moduli))
@@ -236,14 +241,24 @@ class TestStrongProduct:
         seeds = np.concatenate(([0, gen.seed_count - 1], rng.integers(0, gen.seed_count, 5000)))
         assert np.array_equal(strong_product_batch(gen, seeds), table[seeds])
 
-    @pytest.mark.parametrize("moduli", [(2, 3, 2), (4, 3), (3,)])
+    @pytest.mark.parametrize("moduli", [(2, 3, 2), (4, 3), (3,), (4, 4, 4), (3, 3, 2)])
     def test_cell_counts_match_per_seed_mean(self, moduli):
         # the cached per-cell counts weight each grid cell's arc test; the
         # result is the same float as the mean over every seed
         gen = _strong_generator(moduli)
+        assert np.array_equal(gen.cell_counts(), strong_cell_counts_by_seed(gen))
         for e in itertools.product(*(range(m) for m in moduli)):
             if any(e):
                 assert strong_fraction(moduli, e) == strong_fraction_by_seed(gen, e)
+
+    def test_tables_refused_over_the_cap(self, monkeypatch):
+        # neither table is built past TABLE_LIMIT seeds; (3,) has 136
+        monkeypatch.setattr("permest.complex_bias.TABLE_LIMIT", 135)
+        gen = StrongProductGenerator((3,))
+        assert gen.seed_count == 136
+        for table in (gen.exponent_table, gen.cell_counts):
+            with pytest.raises(CapacityError, match="exceed the exponent-table cap"):
+                table()
 
     def test_mixing_bit_case_analysis(self):
         # lambda pi/4-strong: if the fixed cofactor is pi/8-strong, selecting
@@ -517,14 +532,65 @@ class TestGeneratorConsistency:
     def test_histogram_matches_per_seed_enumeration(
         self, monkeypatch, moduli, ell, walks_per_block
     ):
-        # one or three walks per block put block edges (and, for three, a
-        # partial last block) between every few walks
+        # one or three walks (enumerated one vertex short) per block put
+        # block edges (and, for three, a partial last block) between every
+        # few walks
         if walks_per_block is not None:
             monkeypatch.setattr(
-                "permest.complex_bias._SEED_BLOCK", walks_per_block << ell
+                "permest.complex_bias._SEED_BLOCK", walks_per_block << (ell - 1)
             )
         space = _unaudited(moduli, ell)
         assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
+
+    # every modulus below 17 keeps p = 17, so k fixes the base seed count
+    # (136, 4,624 or 314,432) and the vertex bits (8, 14 or 20): these are
+    # the (k, ell) with at most 2^21 seeds, where the oracle stays fast
+    @pytest.mark.parametrize("k, ell", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)])
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_histogram_matches_per_seed_enumeration_anywhere(self, k, ell, data):
+        # the walks (one vertex short) fall into 1 to 64 blocks, the last
+        # one partial
+        moduli = tuple(data.draw(st.lists(st.integers(2, 7), min_size=k, max_size=k)))
+        space = _unaudited(moduli, ell)
+        walks = 1 << (space.amplifier.seed_bits - 3)
+        per_block = data.draw(st.integers(-(-walks // 64), walks))
+        with mock.patch("permest.complex_bias._SEED_BLOCK", per_block << (ell - 1)):
+            hist = space.support_histogram()
+        assert np.array_equal(hist, complex_histogram_by_seed(space))
+
+    @pytest.mark.parametrize("moduli, ell", [((3,), 1), ((4,), 2), ((4,), 4), ((3, 3), 2), ((2, 2), 3)])
+    def test_histogram_walks_one_vertex_short(self, monkeypatch, moduli, ell):
+        # the walks are enumerated without their last step, and the 8
+        # successors of every vertex come from 8 calls of V seeds: at most
+        # walks/8 + 8V rows, all through walk_batch
+        rows = []
+
+        def spy(params, seeds):
+            rows.append(len(seeds))
+            return walk_batch(params, seeds)
+
+        monkeypatch.setattr("permest.complex_bias.walk_batch", spy)
+        space = _unaudited(moduli, ell)
+        space.support_histogram()
+        walks, vertices = 1 << space.amplifier.seed_bits, 1 << space.amplifier.vertex_bits
+        assert sum(rows) <= walks // 8 + 8 * vertices
+        assert rows.count(vertices) >= (8 if ell > 1 else 0)
+
+    @pytest.mark.slow
+    def test_assembled_acceptance_space_matches_per_seed_enumeration(self):
+        # the (2, 2) ell = 3 space that c07 and c08 build: 2^23 seeds
+        space = build_complex_space((2, 2), 0.55, force_construction=True, ell=3)
+        assert space.seed_bits == 23
+        assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
+
+    @pytest.mark.slow
+    def test_cell_counts_match_per_seed_cells_at_four_levels(self):
+        # k = 4 reaches level 2, whose sparsifier keeps half of the hash
+        # seeds: 10,690,688 seeds
+        gen = StrongProductGenerator((2, 2, 2, 2))
+        assert gen.hmax == 2 and gen.seed_count == 10690688
+        assert np.array_equal(gen.cell_counts(), strong_cell_counts_by_seed(gen))
 
 
 class TestDescriptor:
