@@ -480,14 +480,18 @@ class ComplexSampleSpace:
             # sums add as one index over those wider ranges, reduced mod m_i
             # only when the counts are folded onto the grid
             wide = tuple(ell * (m - 1) + 1 for m in self.moduli)
-            f_index = self.base.exponent_table().astype(np.int64) @ _radix(wide)
             size = math.prod(wide)
+            table = self.base.exponent_table()
             if ell == 1:
-                # no move: selector off puts every vertex v at 0, on at f(v mod S)
-                wide_counts = (vertices // base_seeds) * np.bincount(f_index, minlength=size)
-                wide_counts += np.bincount(f_index[: vertices % base_seeds], minlength=size)
+                # no move: selector off puts every vertex v at 0, on at f(v mod S).
+                # wide is the grid itself, so each whole round of the base
+                # seeds adds the generator's cell counts
+                rest = table[: vertices % base_seeds].astype(np.int64) @ _radix(wide)
+                wide_counts = (vertices // base_seeds) * self.base.cell_counts()
+                wide_counts += np.bincount(rest, minlength=size)
                 wide_counts[0] += vertices
             else:
+                f_index = table.astype(np.int64) @ _radix(wide)
                 # moves[c, u] is the tuple one step along move c from vertex u,
                 # less the one along move c - 1: adding the rows in turn to a
                 # walk's sums sets them to each of its 8 last steps

@@ -33,17 +33,23 @@ gengly phase factor from a per-phase table, as the weight.
 Both random-mode estimators run one loop, ``_random_mean``: ``_CHUNK`` =
 2^16-sample chunks of ``_BLOCK``-row blocks, written into one reused buffer
 and summed pairwise once per chunk. gly draws its signs per block from
-``numpy.random.default_rng(rng_seed)``: sign j is bit 31 (even j) or bit 63
-(odd j) of raw PCG64 word j // 2, mapped 0 -> +1 and 1 -> -1, the stream of
-``integers(0, 2)`` built without an int64 array. gengly draws each chunk's
-phases column by column with ``integers`` and narrows each column at once to
-the smallest unsigned dtype that holds max(moduli) - 1 (uint8 up to modulus
-256), after dropping the previous chunk's columns. When the grid of
-prod(moduli) cells is at most the samples in full blocks and at most 2^16,
-the kernel runs once over every cell and each full block gathers its values
-from that table, bit-identical to evaluating the block (see
-``_random_mean``); gengly's full blocks read their cells from the narrow
-columns with integer multiply-adds, gly's from its float signs by a matvec.
+``numpy.random.default_rng(rng_seed)``: sign j is the top bit of 32-bit
+half j of the raw PCG64 words, low half first, mapped 0 -> +1 and 1 -> -1,
+the stream of ``integers(0, 2)`` built without an int64 array. The halves
+of each fresh draw become float32 +-1 in place (the top bit ORed into a
+1.0), which an evaluated block widens into one reused float64 buffer.
+gengly draws each chunk's phases column by column with ``integers`` and
+narrows each column at once to the smallest unsigned dtype that holds
+max(moduli) - 1 (uint8 up to modulus 256), after dropping the previous
+chunk's columns. When the grid of prod(moduli) cells is at most the samples
+in full blocks and at most 2^16, the kernel runs once over the grid and
+each full block gathers its values from that table, bit-identical to
+evaluating the block (see ``_random_mean``); gengly's full blocks read their
+cells from the narrow columns with integer multiply-adds, gly's from its
+float32 signs by an exact float32 matvec. gly's table evaluates only the
+cells with sign n-1 = +1 and mirrors them into the rest: the cell of -x has
+gly(x)'s value, since IEEE rounding is symmetric under sign (see
+``_lookup_table``).
 
 One decoder pair turns flat cell indices into kernel input, given the place
 values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
@@ -251,8 +257,15 @@ def sample_count(epsilon: float, delta: float) -> int:
     return int(math.ceil(count))
 
 
-_SIGN_BIT = np.uint64(1 << 63)
-_ONE_BITS = np.uint64(0x3FF0000000000000)  # float64 1.0
+def _sign_halves(bitgen, rows: int, n: int) -> np.ndarray:
+    """``_random_signs`` as float32, made in place in the fresh raw words:
+    each 32-bit half keeps its top bit, ORed into a float32 1.0."""
+    raw = bitgen.random_raw((rows * n + 1) // 2)
+    # a no-op on a little-endian host; elsewhere it lays each word out low half first
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    halves &= 0x80000000
+    halves |= 0x3F800000
+    return halves.view("<f4")[: rows * n].reshape(rows, n)
 
 
 def _random_signs(bitgen, rows: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,24 +274,31 @@ def _random_signs(bitgen, rows: int, n: int, out: np.ndarray | None = None) -> n
     1 - 2*bit.
 
     On a range of 2 that draw takes the top bit of each 32-bit half of a raw
-    64-bit word, low half first: sign j is bit 31 (even j) or bit 63 (odd j)
-    of word j // 2. Each bit is moved into the sign bit of a float64 1.0.
-    An odd rows * n leaves the last half-word unused, where ``integers``
-    would keep it for its next call, so only a final draw may be odd.
+    64-bit word, low half first: sign j is the top bit of half j of a uint32
+    view of the words, made a float32 sign by ``_sign_halves`` and widened
+    here. An odd rows * n leaves the last half-word unused, where
+    ``integers`` would keep it for its next call, so only a final draw may
+    be odd.
 
-    ``out``, a uint64 array of at least rows * n + 1 entries, receives the
-    signs instead of a new array, so a stream of blocks can reuse one buffer.
+    ``out``, a float64 array of at least rows * n entries, receives the
+    signs instead of a new array, so a stream of blocks can reuse one
+    buffer.
     """
-    count = rows * n
-    raw = bitgen.random_raw((count + 1) // 2)
+    signs = _sign_halves(bitgen, rows, n)
     if out is None:
-        out = np.empty(2 * raw.shape[0], dtype=np.uint64)
-    pairs = out[: 2 * raw.shape[0]].reshape(-1, 2)
-    np.left_shift(raw, np.uint64(32), out=pairs[:, 0])
-    pairs[:, 0] &= _SIGN_BIT
-    np.bitwise_and(raw, _SIGN_BIT, out=pairs[:, 1])
-    pairs |= _ONE_BITS
-    return pairs.view(np.float64).reshape(-1)[:count].reshape(rows, n)
+        return signs.astype(np.float64)
+    wide = out[: rows * n].reshape(rows, n)
+    np.copyto(wide, signs)
+    return wide
+
+
+def _random_cells(bitgen, rows: int, n: int) -> np.ndarray:
+    """The cells of the next (rows, n) ``_random_signs`` draw, n <= 16: sign
+    j = -1 is bit j. ``(2^n - 1 - x @ 2^j) / 2`` runs on the float32 signs,
+    where every partial sum is an integer below 2^17 and so exact."""
+    x = _sign_halves(bitgen, rows, n)
+    total = x @ (2.0 ** np.arange(n, dtype=np.float32))
+    return ((np.float32((1 << n) - 1) - total) / 2).astype(np.intp)
 
 
 def _check_params(epsilon: float, delta: float) -> None:
@@ -288,7 +308,32 @@ def _check_params(epsilon: float, delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
-def _random_mean(m: int, grid: int, draw, evaluate, cells) -> complex:
+def _lookup_table(grid: int, evaluate, cells, mirror: bool) -> np.ndarray:
+    """The kernel's value at every cell of the grid, in ``_BLOCK``-row
+    blocks of ``cells`` input; the last block starts early rather than hold
+    one row, which would take BLAS's matrix-vector path.
+
+    ``mirror`` says cell grid - 1 - c has the value of cell c: gly's cell
+    of -x, by the global sign flip. The kernel then runs over the first
+    half of a grid of 4 or more cells, and the second half is that half
+    reversed. IEEE rounding is symmetric under sign, so -x's row sums, their
+    product and its parity are the exact negations of x's, and gly(-x) is
+    gly(x) bit for bit. The one exception is an exactly zero row sum, +0 for
+    both x and -x, which can flip the sign of a zero part of the value. That
+    only reaches a random-mode total that is exactly zero, and the total
+    starts from +0j, to which either zero adds as +0.
+    """
+    table = np.empty(grid, dtype=np.complex128)
+    top = grid // 2 if mirror and grid >= 4 else grid
+    for lo in range(0, top, _BLOCK):
+        lo = min(lo, top - 2)
+        hi = min(lo + _BLOCK, top)
+        table[lo:hi] = evaluate(cells(lo, hi))
+    table[top:] = table[: grid - top][::-1]
+    return table
+
+
+def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False) -> complex:
     """Mean of m independent samples of an estimator, the loop of both
     random-mode estimators.
 
@@ -309,16 +354,12 @@ def _random_mean(m: int, grid: int, draw, evaluate, cells) -> complex:
     for the real gly kernel in blocks of a multiple of 8 rows or at most
     192, as every table block and full block is. In other ragged blocks its
     matmul rounds the last rows differently, so the final ragged block is
-    never looked up.
+    never looked up. With ``mirror`` (gly) the kernel fills only the first
+    half of the table, and the global sign flip the second (``_lookup_table``).
     """
     table = None
     if grid <= min(m - m % _BLOCK, _CHUNK):
-        table = np.empty(grid, dtype=np.complex128)
-        for lo in range(0, grid, _BLOCK):
-            # a one-row block would take BLAS's matrix-vector path
-            lo = min(lo, grid - 2)
-            hi = min(lo + _BLOCK, grid)
-            table[lo:hi] = evaluate(cells(lo, hi))
+        table = _lookup_table(grid, evaluate, cells, mirror)
     vals = np.empty(min(m, _CHUNK), dtype=np.complex128)
     total = 0j
     for done in range(0, m, _CHUNK):
@@ -345,6 +386,9 @@ def _index_phases(idx: np.ndarray, places: np.ndarray, moduli: Sequence[int]) ->
     return out
 
 
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # float64 1.0
+
+
 def _index_signs(
     idx: np.ndarray, places: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -357,8 +401,7 @@ def _index_signs(
     places 2^0..2^(n-1), whose bits are the first n unpacked; a complex
     space over moduli 2 numbers its cells last coordinate fastest, and its
     bits are gathered in place order. ``out``, a uint64 array of at least
-    M * n entries, receives the signs instead of a new array, as in
-    ``_random_signs``.
+    M * n entries, receives the signs instead of a new array.
     """
     at = np.bitwise_count(places - 1)
     ascending = np.array_equal(at, np.arange(places.size))
@@ -411,14 +454,16 @@ def estimate_random(
 
     Guarantee: within ``epsilon * |A|^n`` of the permanent with probability
     at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
-    are bits 31 and 63 of each raw PCG64 word of
-    ``default_rng(rng_seed)``, the same stream as ``integers(0, 2)``. They
-    are drawn in blocks of ``_BLOCK`` = 2^12 rows, and the samples are
-    summed pairwise once per ``_CHUNK`` = 2^16 rows. Sign j = -1 is bit j of
-    the sample's cell: when 2^n is at most the samples in full blocks and at
-    most 2^16, ``gly_batch`` runs once over the 2^n cells and each full
-    block reads its values from that table; otherwise every block is
-    evaluated.
+    are the top bits of the 32-bit halves of the raw PCG64 words of
+    ``default_rng(rng_seed)``, low half first, the same stream as
+    ``integers(0, 2)``. They are drawn in blocks of ``_BLOCK`` = 2^12 rows,
+    and the samples are summed pairwise once per ``_CHUNK`` = 2^16 rows.
+    Sign j = -1 is bit j of the sample's cell: when 2^n is at most the
+    samples in full blocks and at most 2^16, ``gly_batch`` runs once over
+    the 2^(n-1) cells with sign n-1 = +1, the global sign flip gives the
+    other half bit for bit, and each full block reads its values from that
+    table at cells decoded from the float32 signs (``_random_cells``);
+    otherwise every block is evaluated on float64 signs.
     """
     spec = as_spec(a)
     a, n = spec.base, spec.n
@@ -430,16 +475,14 @@ def estimate_random(
     # one sign buffer for every block: a fresh one, live next to the
     # kernel's row sums, made malloc return the heap to the kernel and fault
     # it in again at every block (40k page faults per estimate at n=30)
-    signs = np.empty(min(m, _BLOCK) * n + 1, dtype=np.uint64)
-
-    # sum_j 2^j x_j = (2^n - 1) - 2 * cell, exact in float64
-    weights = 2.0 ** np.arange(n)
+    signs = np.empty(min(m, _BLOCK) * n, dtype=np.float64)
 
     # a block of _BLOCK rows has an even number of signs, so only the run's
     # last draw can be odd
     def chunk(lo, rows, lookup):
-        x = _random_signs(bitgen, rows, n, out=signs)
-        return ((2.0**n - 1.0 - x @ weights) / 2.0).astype(np.intp) if lookup else x
+        if lookup:
+            return _random_cells(bitgen, rows, n)
+        return _random_signs(bitgen, rows, n, out=signs)
 
     value = _random_mean(
         m,
@@ -447,6 +490,7 @@ def estimate_random(
         lambda c: chunk,
         lambda x: gly_batch(a, x),
         lambda lo, hi: _index_signs(np.arange(lo, hi), 1 << np.arange(n)),
+        mirror=True,
     )
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 

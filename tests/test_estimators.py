@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permest import estimators
@@ -490,12 +490,14 @@ class TestRandomLookup:
     @pytest.mark.parametrize(
         "n, m, rows",
         [
-            (4, 2 * 4096 + 5, 16 + 5),  # small grid, 5-row ragged block
-            (12, 4096 + 1, 4096 + 1),  # grid = full-block samples, one-row block
+            # a table holds the kernel's values of the 2^(n-1) cells with
+            # sign n-1 = +1, and the mirror gives the rest
+            (4, 2 * 4096 + 5, 8 + 5),  # small grid, 5-row ragged block
+            (12, 4096 + 1, 2048 + 1),  # grid = full-block samples, one-row block
             (12, 4095, 4095),  # no full block
-            (13, 8192 + 4095, 8192 + 4095),
+            (13, 8192 + 4095, 4096 + 4095),
             (13, 8191, 8191),  # grid > the 4096 samples in full blocks
-            (16, 1 << 16, 1 << 16),  # grid = _CHUNK
+            (16, 1 << 16, 1 << 15),  # grid = _CHUNK
             (17, (1 << 17) + 4096, (1 << 17) + 4096),  # _CHUNK < grid <= samples
         ],
     )
@@ -541,6 +543,40 @@ class TestRandomLookup:
             est = estimate_random_multi(spec, 0.5, rng_seed=k)
             ref = direct_chunk_mean(spec, m, k)
         assert est.value == ref
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.sampled_from(("real", "signed", "complex")),
+        st.sampled_from((8, estimators._BLOCK)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(16, "signed", 8, 0)
+    @example(16, "complex", estimators._BLOCK, 1)
+    def test_mirrored_table_is_gly_batch_over_every_cell(self, n, kind, block, seed):
+        # the table random mode builds, half of it mirrored, against the
+        # kernel over all 2^n cells; 8-row blocks split the table blocks
+        # mid-half and start the last one early
+        rng = np.random.default_rng(seed)
+        a = {
+            "real": rng.uniform(0.0, 1.0, (n, n)),
+            "signed": rng.uniform(-1.0, 1.0, (n, n)),
+            "complex": random_complex(rng, n),
+        }[kind]
+        grid = 1 << n
+        build, tables = estimators._lookup_table, []
+
+        def keep(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        with mock.patch.object(estimators, "_BLOCK", block), mock.patch.object(
+            estimators, "sample_count", return_value=-(-grid // block) * block
+        ), mock.patch.object(estimators, "_lookup_table", side_effect=keep):
+            estimate_random(a, 0.5)
+        want = gly_batch(a, estimators._index_signs(np.arange(grid), 1 << np.arange(n)))
+        assert len(tables) == 1
+        assert np.array_equal(tables[0].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_small_gly_grids_match_the_direct_mean(self, n):
@@ -623,11 +659,39 @@ class TestRandomSigns:
         rows = 2 * estimators._BLOCK + 5
         whole = estimators._random_signs(np.random.default_rng(9).bit_generator, rows, n)
         bitgen = np.random.default_rng(9).bit_generator
-        buf = np.empty(estimators._BLOCK * n + 1, dtype=np.uint64)
+        buf = np.empty(estimators._BLOCK * n, dtype=np.float64)
         for lo in range(0, rows, estimators._BLOCK):
             count = min(estimators._BLOCK, rows - lo)
             block = estimators._random_signs(bitgen, count, n, out=buf)
             assert np.array_equal(block, whole[lo : lo + count])
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 16, 29])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_odd_final_draw_after_blocks(self, n, reuse):
+        # even blocks and then an odd rows * n, each drawn into a fresh array
+        # or into one reused float64 buffer
+        shapes = [(64, n), (2, n), (7, n)]
+        bitgen = np.random.default_rng(17).bit_generator
+        ref = np.random.default_rng(17)
+        buf = np.empty(64 * n, dtype=np.float64) if reuse else None
+        for rows, cols in shapes:
+            signs = estimators._random_signs(bitgen, rows, cols, out=buf)
+            assert signs.shape == (rows, cols) and signs.dtype == np.float64
+            assert not reuse or np.shares_memory(signs, buf)
+            assert np.array_equal(signs, 1.0 - 2.0 * ref.integers(0, 2, size=(rows, cols)))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_cells_match_the_float64_cells(self, n):
+        # the float32 cell decoder against sum_j 2^j x_j = (2^n - 1) - 2 *
+        # cell on the float64 signs of the same stream; the last draw has an
+        # odd length for odd n
+        cells = np.random.default_rng(n).bit_generator
+        signs = np.random.default_rng(n).bit_generator
+        for rows in (estimators._BLOCK, estimators._BLOCK, 5):
+            got = estimators._random_cells(cells, rows, n)
+            x = estimators._random_signs(signs, rows, n)
+            want = ((2.0**n - 1.0 - x @ 2.0 ** np.arange(n)) / 2.0).astype(np.intp)
+            assert got.dtype == np.intp and np.array_equal(got, want)
 
     def test_first_signs_of_seed_zero(self):
         # a literal pin: holds the stream even if numpy's integers() changes
