@@ -23,13 +23,13 @@ A block of representatives is raised to the powers f^0..f^(n-1) together
 (uint32 shift/xor carry-less multiplication, by doubling), which gives the m
 columns; the cells of all 2^m values of r then follow by doubling over the
 bits of r, one XOR pass per bit (cells[:, 2^j + r'] = cells[:, r'] ^
-column j). The estimator groups equal sample points by sorting each block of
-about 2^22 cells, with each cell's weight in the low bits of its sort key,
-and merging the blocks' (cell, count) lists, so it holds the distinct cells
-plus one block and never a 2^n array. Only the audit scatters those counts
-into the dense 2^n histogram its Walsh-Hadamard transform reads. Both cost
-about 2^(2m) / m word operations plus the sorts, with no factor n, and are
-capped at n <= 24. This enumeration is the space's only seed map.
+column j). ``support_blocks`` yields blocks of about 2^20 cells, one row per
+representative, each cell of probability d / seed_count: the estimator
+streams them through its kernel without merging equal cells, and the audit
+counts them, exactly, into the dense 2^n histogram its Walsh-Hadamard
+transform reads, one weighted ``np.bincount`` per block. Both cost about
+2^(2m) / m word operations, with no factor n, and are capped at n <= 24.
+This enumeration is the space's only seed map.
 
 A binary space is the complex grid with every modulus 2, and this module
 holds what the two kinds share: ``measure_bias`` audits either kind
@@ -84,13 +84,9 @@ IRREDUCIBLE = {
 }
 MAX_FIELD_BITS = max(IRREDUCIBLE)
 
-# cells per block of the vectorized seed -> cell map: 16 MiB of uint32;
-# each further block costs a merge pass over the distinct cells
-_SEED_CHUNK = 1 << 22
-# low bits of a support sort key that hold a cell's weight, an orbit size
-# <= m <= 20, above which an n <= 24 bit cell fits in a uint32
-_WEIGHT_BITS = 5
-_WEIGHT_MASK = np.uint32((1 << _WEIGHT_BITS) - 1)
+# cells per block of the vectorized seed -> cell map: 4 MiB of uint32, and
+# 16 MiB of complex128 values when the estimator evaluates the block
+_SEED_CHUNK = 1 << 20
 
 
 def _gf2_mul_batch(x: np.ndarray, y: np.ndarray, m: int, poly: int) -> np.ndarray:
@@ -119,11 +115,6 @@ def _frobenius_orbits(m: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
         orbit[(orbit == 0) & (conjugate == field)] = d
     reps = np.flatnonzero(least == field)
     return reps.astype(np.uint32), orbit[reps]
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Offsets where each run of equal values in a sorted 1-D array starts."""
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
 def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
@@ -207,17 +198,27 @@ class SampleSpace:
         shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
         return (self._powers(f)[:, None, :] >> shifts) & 1
 
-    def _cell_blocks(self):
-        """The cells of one field element per Frobenius orbit, in blocks of
-        about ``_SEED_CHUNK`` cells: (cells, weights), where cells[k, r] is
-        the uint32 cell of seed (f_k, r) for representative f_k and
-        weights[k] is the size of f_k's orbit."""
+    def support_blocks(self):
+        """The support as (cells, probs) blocks: 2-D uint32 cell indices
+        (``places``) and probabilities that broadcast against them, one per
+        occurrence of a cell. The uniform space is one row over every cell.
+        A constructed space has one row per Frobenius orbit representative
+        f_k, in blocks of about ``_SEED_CHUNK`` cells: cells[k, r] is the
+        cell of seed (f_k, r), and probs[k, 0] is f_k's orbit size over
+        seed_count."""
+        if self.n > MAX_EXHAUSTIVE_N:
+            raise CapacityError(f"support capped at n <= {MAX_EXHAUSTIVE_N}")
+        if self.exhaustive:
+            size = 1 << self.n
+            yield np.arange(size, dtype=np.uint32)[None, :], np.full((1, 1), 1.0 / size)
+            return
         # a block is `rows` representatives times every r value:
         # _SEED_CHUNK cells, or 2^m when that is larger
         m = self.field_bits
         size = 1 << m
         rows = max(1, _SEED_CHUNK // size)
         reps, orbit = _frobenius_orbits(m, self.poly)
+        probs = (orbit / float(self.seed_count))[:, None]
         place = np.arange(self.n, dtype=np.uint32)
         for lo in range(0, reps.size, rows):
             f = reps[lo : lo + rows]
@@ -229,54 +230,22 @@ class SampleSpace:
             for j in range(m):
                 w = 1 << j
                 np.bitwise_xor(cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w])
-            yield cells, orbit[lo : lo + rows]
+            yield cells, probs[lo : lo + rows]
 
     @property
     def places(self) -> np.ndarray:
         """Place values of the cell index: bit i is coordinate i."""
         return 1 << np.arange(self.n, dtype=np.int64)
 
-    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occupied cells as ascending uint32 indices (``places``) and
-        their probabilities, count / seed_count."""
-        if self.n > MAX_EXHAUSTIVE_N:
-            raise CapacityError(f"histogram capped at n <= {MAX_EXHAUSTIVE_N}")
-        if self.exhaustive:
-            size = 1 << self.n
-            return np.arange(size, dtype=np.uint32), np.full(size, 1.0 / size)
-        # each block is sorted and grouped by runs, then merged into the
-        # (cell, count) lists of the blocks before it: memory stays at the
-        # distinct cells plus one block
-        idx = np.empty(0, dtype=np.uint32)
-        counts = np.empty(0, dtype=np.int64)
-        for cells, weights in self._cell_blocks():
-            # one sort key per cell, with its row's weight in the low bits
-            cells <<= _WEIGHT_BITS
-            cells |= weights[:, None]
-            keys = cells.ravel()
-            keys.sort()
-            block_weights = keys & _WEIGHT_MASK
-            keys >>= _WEIGHT_BITS
-            starts = _run_starts(keys)
-            block_counts = np.add.reduceat(block_weights, starts, dtype=np.int64)
-            if idx.size:
-                both = np.concatenate((idx, keys[starts]))
-                # a stable sort of two sorted runs is one merge pass
-                order = np.argsort(both, kind="stable")
-                both = both[order]
-                starts = _run_starts(both)
-                counts = np.add.reduceat(np.concatenate((counts, block_counts))[order], starts)
-                idx = both[starts]
-            else:
-                idx, counts = keys[starts], block_counts
-        return idx, counts / float(self.seed_count)
-
     def support_histogram(self) -> np.ndarray:
         """Probability of each of the 2^n cells, cell index = phase bits."""
         if self._hist is None:
-            idx, probs = self.support_cells()
-            hist = np.zeros(1 << self.n)
-            hist[idx] = probs
+            hist = None
+            for cells, probs in self.support_blocks():
+                weights = np.broadcast_to(probs, cells.shape).ravel()
+                block = np.bincount(cells.ravel(), weights, minlength=1 << self.n)
+                # the weights are dyadic, so every count and sum is exact
+                hist = block if hist is None else np.add(hist, block, out=hist)
             self._hist = hist
         return self._hist
 

@@ -530,12 +530,13 @@ class ComplexSampleSpace:
         """Place values of the C-order cell index (last coordinate fastest)."""
         return _radix(self.moduli)
 
-    def support_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied grid cells as ascending flat indices (``places``) plus
+    def support_blocks(self):
+        """The support as one (cells, probs) block: a (1, M) row of the
+        occupied cells' ascending flat indices (``places``) and their
         probabilities."""
         hist = self.support_histogram().reshape(-1)
         idx = np.flatnonzero(hist)
-        return idx, hist[idx]
+        yield idx[None, :], hist[idx][None, :]
 
     def descriptor(self) -> str:
         s = ",".join(str(m - 1) for m in self.moduli)

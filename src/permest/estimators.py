@@ -53,11 +53,12 @@ gly(x)'s value, since IEEE rounding is symmetric under sign (see
 
 One decoder pair turns flat cell indices into kernel input, given the place
 values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
-decodes its grid tables with them; the derandomized mean reads a space's
-support as ascending indices in the space's own numbering (``places``),
-decodes one ``_BLOCK`` of them at a time, and sums probability times value
-pairwise, which no BLAS thread count can reorder. gly's blocks are decoded
-into one sign buffer, reused for every block.
+decodes its grid tables with them; the derandomized mean streams a space's
+``support_blocks`` (2-D cell indices in its own numbering, ``places``, with
+probabilities that broadcast against them), decodes a ``_BLOCK`` of cells
+at a time, and sums probability times value pairwise per row, then over the
+rows, which no BLAS thread count can reorder. gly's blocks are decoded into
+one sign buffer, reused for every block.
 """
 
 from __future__ import annotations
@@ -577,22 +578,26 @@ def _require_derandomizable(space, spec: MultiplicitySpec, what: str) -> None:
 
 def _derandomized_mean(space, spec: MultiplicitySpec, evaluate) -> Estimate:
     """Mean of the estimator over a sample space's support, equal to the
-    seed-enumeration average exactly: equal sample points are grouped and
-    weighted by their seed multiplicity. ``evaluate(block, places)`` decodes
-    a ``_BLOCK`` of the ascending support indices, in the space's numbering,
-    straight into kernel input that stays in L2."""
+    seed-enumeration average: ``evaluate(block, places)`` decodes each of
+    ``space.support_blocks()`` a ``_BLOCK`` of cells at a time into kernel
+    input that stays in L2. Each row is summed pairwise, then the row sums
+    in order, so neither the blocking nor the BLAS thread count moves a bit."""
     bound = permanent_upper_bound(spec)
-    idx, probs = space.support_cells()
-    # padded to whole groups of 8 rows: the real gly matmul rounds the rows
-    # of a ragged tail differently with the BLAS thread count
-    idx = np.pad(idx, (0, -idx.size % 8), "edge")
-    vals = np.empty(idx.size, dtype=np.complex128)
-    for lo in range(0, idx.size, _BLOCK):
-        vals[lo : lo + _BLOCK] = evaluate(idx[lo : lo + _BLOCK], space.places)
+    sums = []
+    for cells, probs in space.support_blocks():
+        # padded to whole groups of 8 kernel rows: the real gly matmul rounds
+        # the rows of a ragged tail differently with the BLAS thread count
+        idx = np.pad(cells.ravel(), (0, -cells.size % 8), "edge")
+        vals = np.empty(idx.size, dtype=np.complex128)
+        for lo in range(0, idx.size, _BLOCK):
+            vals[lo : lo + _BLOCK] = evaluate(idx[lo : lo + _BLOCK], space.places)
+        vals = vals[: cells.size].reshape(cells.shape)
+        vals *= probs
+        # pairwise sums: a BLAS dot splits across threads, and its last bits
+        # changed with the thread count
+        sums.append(np.sum(vals, axis=1))
+    value = complex(np.sum(np.concatenate(sums)))
     mode = "exhaustive" if space.exhaustive else "derandomized"
-    # a pairwise sum: a BLAS dot splits across threads, and its last bits
-    # changed with the thread count
-    value = complex(np.sum(probs * vals[: probs.size]))
     return Estimate(value, bound, space.declared_epsilon, space.seed_count, mode)
 
 

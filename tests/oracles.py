@@ -300,10 +300,21 @@ def decode_cells(space, idx) -> np.ndarray:
     return np.stack(np.unravel_index(idx, space.moduli), axis=1).astype(np.int64)
 
 
+def merged_support(space) -> tuple[np.ndarray, np.ndarray]:
+    """A space's ``support_blocks`` merged: the distinct cells, ascending,
+    from ``np.unique``, and each one's probability, a ``bincount`` of the
+    weights of its occurrences."""
+    blocks = list(space.support_blocks())
+    cells = np.concatenate([c.ravel() for c, _ in blocks])
+    weights = np.concatenate([np.broadcast_to(p, c.shape).ravel() for c, p in blocks])
+    idx, inverse = np.unique(cells, return_inverse=True)
+    return idx, np.bincount(inverse.ravel(), weights)
+
+
 def complex_bias_brute(space) -> float:
     """max_e |E[x^e]| by looping support cells and exponent vectors."""
     moduli = space.moduli
-    idx, probs = space.support_cells()
+    idx, probs = merged_support(space)
     cells = decode_cells(space, idx)
     worst = 0.0
     for exps in itertools.product(*[range(m) for m in moduli]):

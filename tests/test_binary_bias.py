@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +20,7 @@ from permest.binary_bias import (
     space_from_descriptor,
 )
 from permest.errors import CapacityError, DescriptorError
-from permest.estimators import estimate_derandomized, gly
+from permest.estimators import estimate_derandomized, gly, gly_batch
 
 from oracles import (
     binary_bias_brute,
@@ -27,6 +28,8 @@ from oracles import (
     cells_by_seed_loop,
     decode_cells,
     gf2_mul,
+    index_signs_by_shifts,
+    merged_support,
     random_nonneg,
     space_mean_by_seed_loop,
     walsh_by_stacked_levels,
@@ -270,12 +273,12 @@ class TestChunkedHistogram:
 
 
 def _assert_support_is_parity_map(space, cells):
-    """support_cells and support_histogram equal the per-seed cells counted
-    per cell: ascending uint32 cell indices, which the space's place values
-    decode into the index bits, and count / seed_count floats."""
+    """The merged support blocks and support_histogram equal the per-seed
+    cells counted per cell: uint32 cell indices, which the space's place
+    values decode into the index bits, and count / seed_count floats."""
     idx, counts = np.unique(cells, return_counts=True)
     probs = counts / float(space.seed_count)
-    got_idx, got_probs = space.support_cells()
+    got_idx, got_probs = merged_support(space)
     assert got_idx.dtype == np.uint32
     assert np.array_equal(got_idx, idx)
     assert np.array_equal((got_idx[:, None] // space.places) % 2, decode_cells(space, idx))
@@ -330,15 +333,17 @@ class TestColumnMap:
         by_f = binary_cells_by_seed(space).reshape(1 << m, 1 << m)  # [f, r]
         reps, sizes = _frobenius_orbits(m, space.poly)
         monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << m)
-        blocks = list(space._cell_blocks())
+        blocks = list(space.support_blocks())
         assert [c.shape[0] for c, _ in blocks] == [
             min(rows, reps.size - lo) for lo in range(0, reps.size, rows)
         ]
         # the blocks are the representatives' seed-order cells, cut, each
-        # row weighted by its orbit size
+        # row weighted by its orbit size over the seed count
         assert np.array_equal(np.concatenate([c for c, _ in blocks]), by_f[reps])
-        assert np.array_equal(np.concatenate([w for _, w in blocks]), sizes)
-        # a nonzero cell recurs in a later block, so the merge adds counts,
+        probs = np.concatenate([p for _, p in blocks])
+        assert probs.shape == (reps.size, 1)
+        assert np.array_equal(probs[:, 0] * space.seed_count, sizes)
+        # a nonzero cell recurs in a later block, so merging adds counts,
         # not only new cells
         first = blocks[0][0][blocks[0][0] != 0]
         later = np.concatenate([c.ravel() for c, _ in blocks[1:]])
@@ -359,7 +364,7 @@ class TestColumnMap:
         rows = min(rows, _frobenius_orbits(m, space.poly)[0].size)
         want_idx, want_counts = np.unique(binary_cells_by_seed(space), return_counts=True)
         with mock.patch.object(binary_bias, "_SEED_CHUNK", rows << m):
-            idx, probs = space.support_cells()
+            idx, probs = merged_support(space)
         assert idx.dtype == np.uint32 and probs.dtype == np.float64
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(probs, want_counts / float(space.seed_count))
@@ -377,7 +382,7 @@ class TestColumnMap:
         monkeypatch.setattr(SampleSpace, "_column_bits", spy)
         space = build_binary_space(20, 0.05)
         assert space.field_bits == 9
-        space.support_cells()
+        list(space.support_blocks())
         f = np.concatenate(seen)
         assert f.size == 60
         assert sorted(f.tolist()) == [min(o) for o in _orbits_by_scalar_squaring(9)]
@@ -389,33 +394,36 @@ class TestColumnMap:
         space = build_binary_space(24, 0.01)
         assert space.field_bits == 12
         want_idx, want_counts = np.unique(binary_cells_by_seed(space), return_counts=True)
-        idx, probs = space.support_cells()
+        idx, probs = merged_support(space)
         assert idx.dtype == np.uint32 and idx.size == 1372457
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(probs, want_counts / float(space.seed_count))
 
-    def test_support_cells_memory_at_n24(self):
-        # 2^18 seeds on 28,633 cells: the support holds one block and the
-        # distinct cells, never the 2^24-cell grid (128 MiB as float64)
+    def test_estimate_memory_at_n24(self):
+        # 2^18 seeds in one block of 60 x 512 cells: the estimate streams the
+        # block through the kernel, never the 2^24-cell grid (128 MiB as
+        # float64)
+        a = random_nonneg(np.random.default_rng(1024), 24)
         space = build_binary_space(24, 0.05)
         tracemalloc.start()
         try:
-            idx, _ = space.support_cells()
+            estimate_derandomized(a, space)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert decode_cells(space, idx).shape == (28633, 24)
         assert peak < 32 << 20
 
-    # (n, eps, estimate_derandomized(...).value.real.hex()): grouping the
-    # support must not move a bit of the mean
+    # (n, eps, estimate_derandomized(...).value.real.hex()): each is within
+    # 1.5 ulp of a longdouble sum over every seed. The mean sums one row per
+    # orbit representative, so how the rows are cut into blocks must not
+    # move a bit of it
     PINNED = [
-        (12, 0.1, "0x1.a5cd41023f6afp+25"),
+        (12, 0.1, "0x1.a5cd41023f6b2p+25"),
         (12, 0.02, "0x1.3673cd23242c0p+23"),
-        (16, 0.05, "0x1.42a7721811aaep+40"),
-        (16, 0.01, "0x1.ef92c6869a036p+37"),
-        (20, 0.05, "0x1.69c8a1ddce08ep+59"),
-        (20, 0.02, "0x1.b5a5aebc515bbp+58"),
+        (16, 0.05, "0x1.42a7721811ab0p+40"),
+        (16, 0.01, "0x1.ef92c6869a037p+37"),
+        (20, 0.05, "0x1.69c8a1ddce090p+59"),
+        (20, 0.02, "0x1.b5a5aebc515bap+58"),
     ]
 
     @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
@@ -424,6 +432,40 @@ class TestColumnMap:
         est = estimate_derandomized(a, build_binary_space(n, eps))
         assert est.value.real.hex() == value
         assert est.value.imag == 0.0
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
+    def test_estimate_bits_do_not_depend_on_seed_chunk(self, monkeypatch, n, eps, value, rows):
+        # one or three representatives per block, where the default puts
+        # them all in one block
+        a = random_nonneg(np.random.default_rng(1000 + n), n)
+        space = build_binary_space(n, eps)
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
+        assert len(list(space.support_blocks())) > 1
+        assert estimate_derandomized(a, space).value.real.hex() == value
+
+    # m <= 10 keeps the per-seed oracle at most 2^20 seeds
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(10, 12, 0)
+    @example(1, 1, 0)
+    def test_streamed_mean_within_summation_bound(self, m, n, seed):
+        # the kernel's value at every cell, counted once per seed and summed
+        # in longdouble, against the streamed mean over the M cells of the
+        # support blocks: weighting and pairwise sums round it by at most
+        # (ceil(log2 M) + 2) 2^-53 sum p |v|
+        space = SampleSpace(n, m, 1.0)
+        a = random_nonneg(np.random.default_rng(seed), n)
+        grid = gly_batch(a, index_signs_by_shifts(np.arange(1 << n), space.places)).real
+        per_seed = grid[binary_cells_by_seed(space)].astype(np.longdouble)
+        want = np.sum(per_seed) / space.seed_count
+        blocks = list(space.support_blocks())
+        cells = sum(c.size for c, _ in blocks)
+        scale = sum(float(np.sum(p * np.abs(grid[c]))) for c, p in blocks)
+        est = estimate_derandomized(a, space)
+        assert est.value.imag == 0.0
+        bound = (math.ceil(math.log2(cells)) + 2) * 2.0**-53 * scale
+        assert abs(np.longdouble(est.value.real) - want) <= bound
 
 
 class TestMeasureBias:

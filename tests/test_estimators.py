@@ -922,9 +922,10 @@ def _multi_case(kind):
 
 
 class TestDerandomizedBits:
-    """The bits of derandomized means: grouping and decoding the support in
-    blocks must not move one. The sum is pairwise, so they do not depend on
-    the BLAS thread count either."""
+    """The bits of derandomized means: decoding the support blocks a
+    ``_BLOCK`` of cells at a time must not move one. The sums are pairwise,
+    one per row of a block and one over the row sums, so they do not depend
+    on the BLAS thread count either."""
 
     # (kind, value.real.hex(), value.imag.hex())
     MULTI = [
@@ -976,8 +977,9 @@ class TestDerandomizedMemory:
         assert self._peak(lambda: estimate_derandomized(a, space)) < 10 << 20
 
     def test_binary_blocks_reuse_one_sign_buffer(self, monkeypatch):
-        # n = 20, eps = 0.05: 28,633 cells in 7 blocks, every one decoded
-        # into the same sign buffer
+        # n = 20, eps = 0.05: 60 orbit representatives times 512 r values,
+        # 30,720 cells in 8 blocks, every one decoded into the same sign
+        # buffer
         signs = []
         kernel = estimators.gly_batch
 
@@ -988,7 +990,7 @@ class TestDerandomizedMemory:
         monkeypatch.setattr(estimators, "gly_batch", spy)
         a = random_nonneg(np.random.default_rng(1716), 20)
         estimate_derandomized(a, build_binary_space(20, 0.05))
-        assert len(signs) == 7
+        assert len(signs) == 8
         assert all(np.shares_memory(x, signs[0]) for x in signs)
 
     def test_multi_estimate_peak(self):

@@ -32,6 +32,7 @@ from oracles import (
     binary_seed_phases,
     complex_seed_phases,
     decode_cells,
+    merged_support,
     random_nonneg,
     strong_product_batch,
 )
@@ -141,24 +142,29 @@ SUPPORT_SPACES = {
 
 
 class TestSupportProtocol:
-    """Every kind of space returns its support cells as ascending flat cell
-    indices (coordinate 0 fastest for binary spaces, the C-order grid index
-    for complex ones) that its ``places`` decode, with probabilities that
-    are whole seed counts over seed_count."""
+    """Every kind of space yields its support as (cells, probs) blocks: 2-D
+    flat cell indices (coordinate 0 fastest for binary spaces, the C-order
+    grid index for complex ones) that its ``places`` decode, with
+    probabilities that broadcast against them and are whole seed counts
+    over seed_count."""
 
     @pytest.mark.parametrize("kind", sorted(SUPPORT_SPACES))
     def test_ascending_cells_with_whole_counts(self, kind):
         self._check(SUPPORT_SPACES[kind]())
 
     def test_binary_blocks_merged(self, monkeypatch):
-        space = build_binary_space(10, 0.1)  # m = 7: 128 f values, 5 blocks
-        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 30 << space.field_bits)
+        space = build_binary_space(10, 0.1)  # m = 7: 20 orbit representatives
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 4 << space.field_bits)
+        assert len(list(space.support_blocks())) == 5
         self._check(space)
 
     @staticmethod
     def _check(space):
         binary = isinstance(space, binary_bias.SampleSpace)
-        idx, probs = space.support_cells()
+        for cells, probs in space.support_blocks():
+            assert cells.ndim == 2
+            assert np.broadcast_shapes(cells.shape, probs.shape) == cells.shape
+        idx, probs = merged_support(space)
         cells = decode_cells(space, idx)
         assert cells.shape == (probs.shape[0], len(space.moduli))
         # the estimators decode the indices with the space's place values
