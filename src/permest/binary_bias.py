@@ -23,13 +23,17 @@ A block of representatives is raised to the powers f^0..f^(n-1) together
 (uint32 shift/xor carry-less multiplication, by doubling), which gives the m
 columns; the cells of all 2^m values of r then follow by doubling over the
 bits of r, one XOR pass per bit (cells[:, 2^j + r'] = cells[:, r'] ^
-column j). ``support_blocks`` yields blocks of about 2^20 cells, one row per
-representative, each cell of probability d / seed_count: the estimator
-streams them through its kernel without merging equal cells, and the audit
-counts them, exactly, into the dense 2^n histogram its Walsh-Hadamard
-transform reads, one weighted ``np.bincount`` per block. Both cost about
-2^(2m) / m word operations, with no factor n, and are capped at n <= 24.
-This enumeration is the space's only seed map.
+column j). The rows come in blocks of about 2^20 cells, each cell of
+probability d / seed_count, and are counted, exactly, into the dense 2^n
+histogram that the audit's Walsh-Hadamard transform reads, one weighted
+``np.bincount`` per block: about 2^(2m) / m word operations, with no factor
+n, capped at n <= 24. This enumeration is the space's only seed map.
+
+``support_blocks``, which the estimator streams through its kernel, yields
+these rows as they are, equal cells unmerged, while they hold at most 2^n
+cells. As eps shrinks they outgrow the grid (at n = 16, eps = 0.01, 385,024
+row cells against 65,536 grid cells), and it yields the histogram's occupied
+cells instead, each once.
 
 A binary space is the complex grid with every modulus 2, and this module
 holds what the two kinds share: ``measure_bias`` audits either kind
@@ -40,6 +44,8 @@ complex pipeline's pairwise hash as well.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -115,6 +121,12 @@ def _frobenius_orbits(m: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
         orbit[(orbit == 0) & (conjugate == field)] = d
     reps = np.flatnonzero(least == field)
     return reps.astype(np.uint32), orbit[reps]
+
+
+def _orbit_count(m: int) -> int:
+    """The number of orbits of x -> x^2 on GF(2^m), by Burnside: squaring
+    k times fixes the subfield GF(2^gcd(k, m))."""
+    return sum(1 << math.gcd(k, m) for k in range(m)) // m
 
 
 def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
@@ -198,20 +210,14 @@ class SampleSpace:
         shifts = np.arange(self.field_bits, dtype=np.uint32)[:, None]
         return (self._powers(f)[:, None, :] >> shifts) & 1
 
-    def support_blocks(self):
-        """The support as (cells, probs) blocks: 2-D uint32 cell indices
-        (``places``) and probabilities that broadcast against them, one per
-        occurrence of a cell. The uniform space is one row over every cell.
-        A constructed space has one row per Frobenius orbit representative
-        f_k, in blocks of about ``_SEED_CHUNK`` cells: cells[k, r] is the
-        cell of seed (f_k, r), and probs[k, 0] is f_k's orbit size over
-        seed_count."""
+    def _rows(self):
+        """A constructed space's support as (cells, probs) blocks, one entry
+        per occurrence of a cell: one row per Frobenius orbit representative
+        f_k, in blocks of about ``_SEED_CHUNK`` cells, where cells[k, r] is
+        the uint32 cell of seed (f_k, r) and probs[k, 0] is f_k's orbit size
+        over seed_count."""
         if self.n > MAX_EXHAUSTIVE_N:
             raise CapacityError(f"support capped at n <= {MAX_EXHAUSTIVE_N}")
-        if self.exhaustive:
-            size = 1 << self.n
-            yield np.arange(size, dtype=np.uint32)[None, :], np.full((1, 1), 1.0 / size)
-            return
         # a block is `rows` representatives times every r value:
         # _SEED_CHUNK cells, or 2^m when that is larger
         m = self.field_bits
@@ -232,6 +238,22 @@ class SampleSpace:
                 np.bitwise_xor(cells[:, :w], cols[:, j, None], out=cells[:, w : 2 * w])
             yield cells, probs[lo : lo + rows]
 
+    def support_blocks(self):
+        """The support as (cells, probs) blocks: 2-D uint32 cell indices
+        (``places``) and probabilities that broadcast against them. These
+        are a constructed space's ``_rows`` while they hold at most 2^n
+        cells. The rows outgrow the grid as eps shrinks, about 2^(2m) / m
+        cells against at most 2^n distinct ones; past that, and for the
+        uniform space, the support is one row of the histogram's occupied
+        cells, each cell once."""
+        m = self.field_bits
+        if not self.exhaustive and _orbit_count(m) << m <= 1 << self.n:
+            yield from self._rows()
+            return
+        hist = self.support_histogram()
+        idx = np.flatnonzero(hist).astype(np.uint32)
+        yield idx[None, :], hist[idx][None, :]
+
     @property
     def places(self) -> np.ndarray:
         """Place values of the cell index: bit i is coordinate i."""
@@ -239,9 +261,11 @@ class SampleSpace:
 
     def support_histogram(self) -> np.ndarray:
         """Probability of each of the 2^n cells, cell index = phase bits."""
-        if self._hist is None:
+        if self._hist is None and self.exhaustive:
+            self._hist = np.full(1 << self.n, 0.5**self.n)
+        elif self._hist is None:
             hist = None
-            for cells, probs in self.support_blocks():
+            for cells, probs in self._rows():
                 weights = np.broadcast_to(probs, cells.shape).ravel()
                 block = np.bincount(cells.ravel(), weights, minlength=1 << self.n)
                 # the weights are dyadic, so every count and sum is exact

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +12,7 @@ from permest.binary_bias import (
     SampleSpace,
     _frobenius_orbits,
     _gf2_mul_batch,
+    _orbit_count,
     _walsh_spectrum,
     build_binary_space,
     exhaustive_binary_space,
@@ -42,6 +42,27 @@ def _poly_divides(p, q):
     while q.bit_length() - 1 >= dp and q:
         q ^= p << (q.bit_length() - 1 - dp)
     return q == 0
+
+
+def _pairwise_depth(count: int) -> int:
+    """The most roundings any term goes through in NumPy's pairwise sum of
+    ``count`` complex128 values: each part of a run of at most 64 values is
+    summed on four accumulators of count // 4 terms, combined in two levels,
+    and followed by the count % 4 left-over terms; a longer run is split
+    after the largest multiple of four values at most half of it."""
+    if count < 4:
+        return max(count - 1, 0)
+    if count <= 64:
+        return count // 4 + 1 + count % 4
+    half = (count - count % 8) // 2
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(count - half))
+
+
+def _sum_depth(count: int) -> int:
+    """The most roundings any term goes through in ``np.sum`` over
+    ``count`` complex128 values, which may add the pairwise sum of all but
+    the first value to the first."""
+    return 1 + max(_pairwise_depth(count), _pairwise_depth(count - 1))
 
 
 class TestFieldTable:
@@ -124,6 +145,7 @@ class TestFrobeniusOrbits:
     def test_orbit_sizes_cover_the_field(self, m):
         reps, sizes = _frobenius_orbits(m, IRREDUCIBLE[m])
         assert int(sizes.sum()) == 1 << m
+        assert reps.size == _orbit_count(m)
         assert not (m % sizes).any()
         assert np.all(np.diff(reps.astype(np.int64)) > 0)
         # 0 and 1 are fixed; the 2^d elements of the subfield GF(2^d), for
@@ -322,10 +344,11 @@ class TestColumnMap:
 
     @pytest.mark.parametrize(
         "n, eps, rows",
-        # representatives per block: m = 10 has 108 orbits, in 108 blocks of
-        # one or 36 of three; m = 11, n = 16 has 188, in blocks of 50, 50,
-        # 50 and 38
-        [(10, 0.01, 1), (10, 0.01, 3), (16, 0.01, 50)],
+        # representatives per block: m = 7 has 20 orbits, in 7 blocks of
+        # three (the last of two); m = 9 has 60, in 9 blocks of seven (the
+        # last of four) or 25, 25 and 10. Their 2,560 and 30,720 cells fit
+        # in the 2^12 and 2^16 grid cells
+        [(12, 0.1, 3), (16, 0.05, 7), (16, 0.05, 25)],
     )
     def test_support_merges_blocks(self, monkeypatch, n, eps, rows):
         space = build_binary_space(n, eps)
@@ -349,6 +372,30 @@ class TestColumnMap:
         later = np.concatenate([c.ravel() for c, _ in blocks[1:]])
         assert np.intersect1d(first, later).size > 0
         _assert_support_is_parity_map(space, by_f.ravel())
+
+    @pytest.mark.parametrize(
+        "space",
+        # m = 7: 20 representatives, 2,560 cells; m = 10: 108, 110,592
+        # cells; m = 11: 188, 385,024 cells
+        [SampleSpace(11, 7, 1.0), build_binary_space(12, 0.02), build_binary_space(16, 0.01)],
+        ids=["n11-m7", "n12-m10", "n16-m11"],
+    )
+    def test_support_is_one_histogram_row_past_the_grid(self, space):
+        # the representatives' rows hold more cells than the 2^n grid, so
+        # the support is the histogram's occupied cells, each once
+        assert _orbit_count(space.field_bits) << space.field_bits > 1 << space.n
+        [(cells, probs)] = space.support_blocks()
+        hist = space.support_histogram()
+        assert cells.shape == probs.shape == (1, np.count_nonzero(hist))
+        assert np.array_equal(cells[0], np.flatnonzero(hist))
+        assert np.array_equal(probs[0], hist[cells[0]])
+        _assert_support_is_parity_map(space, binary_cells_by_seed(space))
+
+    def test_support_is_orbit_rows_up_to_the_grid(self):
+        # m = 7: 20 representatives times 128 r values are the 4,096 cells
+        # of the n = 12 grid, one row per representative
+        space = SampleSpace(12, 7, 1.0)
+        assert [c.shape for c, _ in space.support_blocks()] == [(20, 128)]
 
     # m <= 10 keeps the per-seed oracle at most 2^20 seeds. Representatives
     # come in ascending order, in which the orbit sizes interleave, so every
@@ -415,13 +462,14 @@ class TestColumnMap:
 
     # (n, eps, estimate_derandomized(...).value.real.hex()): each is within
     # 1.5 ulp of a longdouble sum over every seed. The mean sums one row per
-    # orbit representative, so how the rows are cut into blocks must not
-    # move a bit of it
+    # orbit representative, or at (12, 0.02) and (16, 0.01), whose rows
+    # outnumber the 2^n grid cells, one row of the histogram's occupied
+    # cells; so how the rows are cut into blocks must not move a bit of it
     PINNED = [
         (12, 0.1, "0x1.a5cd41023f6b2p+25"),
         (12, 0.02, "0x1.3673cd23242c0p+23"),
         (16, 0.05, "0x1.42a7721811ab0p+40"),
-        (16, 0.01, "0x1.ef92c6869a037p+37"),
+        (16, 0.01, "0x1.ef92c6869a036p+37"),
         (20, 0.05, "0x1.69c8a1ddce090p+59"),
         (20, 0.02, "0x1.b5a5aebc515bap+58"),
     ]
@@ -437,11 +485,11 @@ class TestColumnMap:
     @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
     def test_estimate_bits_do_not_depend_on_seed_chunk(self, monkeypatch, n, eps, value, rows):
         # one or three representatives per block, where the default puts
-        # them all in one block
+        # them all in one block; a histogram row counts the same blocks
         a = random_nonneg(np.random.default_rng(1000 + n), n)
         space = build_binary_space(n, eps)
         monkeypatch.setattr(binary_bias, "_SEED_CHUNK", rows << space.field_bits)
-        assert len(list(space.support_blocks())) > 1
+        assert len(list(space._rows())) > 1
         assert estimate_derandomized(a, space).value.real.hex() == value
 
     # m <= 10 keeps the per-seed oracle at most 2^20 seeds
@@ -451,20 +499,23 @@ class TestColumnMap:
     @example(1, 1, 0)
     def test_streamed_mean_within_summation_bound(self, m, n, seed):
         # the kernel's value at every cell, counted once per seed and summed
-        # in longdouble, against the streamed mean over the M cells of the
-        # support blocks: weighting and pairwise sums round it by at most
-        # (ceil(log2 M) + 2) 2^-53 sum p |v|
+        # in longdouble, against the streamed mean: no term of it goes
+        # through more than D roundings (its weighting, the sum of its row,
+        # the sum of the row sums, one more for the longdouble sum), so
+        # the error is at most gamma_D sum p |v|, gamma_D = D u / (1 - D u)
         space = SampleSpace(n, m, 1.0)
         a = random_nonneg(np.random.default_rng(seed), n)
         grid = gly_batch(a, index_signs_by_shifts(np.arange(1 << n), space.places)).real
         per_seed = grid[binary_cells_by_seed(space)].astype(np.longdouble)
         want = np.sum(per_seed) / space.seed_count
         blocks = list(space.support_blocks())
-        cells = sum(c.size for c, _ in blocks)
+        rows = sum(c.shape[0] for c, _ in blocks)
+        depth = 1 + _sum_depth(max(c.shape[1] for c, _ in blocks)) + _sum_depth(rows) + 1
         scale = sum(float(np.sum(p * np.abs(grid[c]))) for c, p in blocks)
         est = estimate_derandomized(a, space)
         assert est.value.imag == 0.0
-        bound = (math.ceil(math.log2(cells)) + 2) * 2.0**-53 * scale
+        u = 2.0**-53
+        bound = depth * u / (1 - depth * u) * scale
         assert abs(np.longdouble(est.value.real) - want) <= bound
 
 

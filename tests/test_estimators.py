@@ -993,6 +993,24 @@ class TestDerandomizedMemory:
         assert len(signs) == 8
         assert all(np.shares_memory(x, signs[0]) for x in signs)
 
+    def test_binary_kernel_rows_stay_within_the_grid(self, monkeypatch):
+        # n = 16, eps = 0.01: 188 orbit representatives times 2^11 r values
+        # are 385,024 cells against 2^16 grid cells, so the estimate
+        # evaluates each occupied cell once, padded to a multiple of 8
+        rows = []
+        kernel = estimators.gly_batch
+
+        def spy(a, x):
+            rows.append(x.shape[0])
+            return kernel(a, x)
+
+        monkeypatch.setattr(estimators, "gly_batch", spy)
+        a = random_nonneg(np.random.default_rng(1717), 16)
+        space = build_binary_space(16, 0.01)
+        estimate_derandomized(a, space)
+        occupied = np.count_nonzero(space.support_histogram())
+        assert sum(rows) == occupied + -occupied % 8
+
     def test_multi_estimate_peak(self):
         spec, space = _multi_case("exhaustive-3pow10")
         assert self._peak(lambda: estimate_derandomized_multi(spec, space)) < 8 << 20

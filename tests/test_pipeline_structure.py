@@ -153,9 +153,11 @@ class TestSupportProtocol:
         self._check(SUPPORT_SPACES[kind]())
 
     def test_binary_blocks_merged(self, monkeypatch):
-        space = build_binary_space(10, 0.1)  # m = 7: 20 orbit representatives
-        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 4 << space.field_bits)
-        assert len(list(space.support_blocks())) == 5
+        # m = 9: 60 orbit representatives of 512 cells each, fewer cells
+        # than the 2^16 grid, so the support is their rows
+        space = build_binary_space(16, 0.05)
+        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 16 << space.field_bits)
+        assert len(list(space.support_blocks())) == 4
         self._check(space)
 
     @staticmethod
