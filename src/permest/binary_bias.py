@@ -129,22 +129,42 @@ def _orbit_count(m: int) -> int:
     return sum(1 << math.gcd(k, m) for k in range(m)) // m
 
 
-def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
-    """All 2^n character sums sum_x p[x] (-1)^{popcount(a & x)}, by an
-    in-place butterfly: each level writes its differences to one half-size
-    buffer, adds in place, then copies the differences back."""
-    a = np.array(p, dtype=np.float64)
-    size = a.shape[0]
-    diff = np.empty(size // 2)
-    h = 1
-    while h < size:
+def _butterfly_levels(a: np.ndarray, diff: np.ndarray, h: int, stop: int) -> None:
+    """The in-place Walsh-Hadamard levels that pair the entries of the flat
+    array a at distance h, 2h, ... below stop: each level writes its
+    differences to diff (at least half of a's size), adds in place, then
+    copies the differences back."""
+    while h < stop:
         pairs = a.reshape(-1, 2, h)
         top, bot = pairs[:, 0, :], pairs[:, 1, :]
-        d = diff.reshape(-1, h)
+        d = diff[: a.shape[0] // 2].reshape(-1, h)
         np.subtract(top, bot, out=d)
         top += bot
         bot[...] = d
         h *= 2
+
+
+def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
+    """All 2^n character sums sum_x p[x] (-1)^{popcount(a & x)}, by an
+    in-place butterfly, level by level from the lowest bit.
+
+    The four lowest levels pair entries within runs of 16, so they run on
+    the (16, 2^(n-4)) transpose t[j, i] = p[16 i + j], where each pairs
+    whole rows; the higher levels run on the array transposed back, where
+    the runs they pair are at least 16 entries long. Each level does the
+    same adds and subtracts as on p's own layout, so every output bit is
+    the same. The two full-size buffers take turns as the other's
+    difference buffer."""
+    p = np.asarray(p, dtype=np.float64)
+    size = p.shape[0]
+    rows = min(16, size)
+    cols = size // rows
+    t = np.empty(size)
+    a = np.empty(size)
+    t.reshape(rows, cols)[...] = p.reshape(cols, rows).T
+    _butterfly_levels(t, a, cols, size)
+    a.reshape(cols, rows)[...] = t.reshape(rows, cols).T
+    _butterfly_levels(a, t, rows, size)
     return a
 
 
@@ -318,7 +338,8 @@ def measure_bias(space) -> float:
         raise CapacityError("audit cost exceeds the 2^32 operation cap")
     hist = space.support_histogram()
     if all(m == 2 for m in space.moduli):
-        spectrum = np.abs(_walsh_spectrum(hist.reshape(-1)))
+        spectrum = _walsh_spectrum(hist.reshape(-1))
+        np.abs(spectrum, out=spectrum)
     else:
         spectrum = np.abs(np.fft.fftn(hist))
     spectrum.flat[0] = 0.0

@@ -15,6 +15,8 @@ Pipeline, bottom to top:
   arc with probability at least 1/16.
 * ``walk_batch``: walks on an 8-regular Margulis-Gabber-Galil expander turn
   one base seed into many correlated ones while adding only 3 bits per step.
+  Its move rule, ``_mgg_move``, is the one the histogram's successor table
+  uses; each of the 8 moves is a bijection of the vertices.
 * ``build_complex_space``: combines L amplified exponent tuples with L
   selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise. The
   support histogram, which counts every seed exactly, is the space's only
@@ -27,14 +29,19 @@ per walk vertex.
 Every guarantee is re-checked by exhaustive audit, in exact integer counts.
 The audit is ``binary_bias.measure_bias``, which serves both kinds of space
 (``measure_complex_bias`` is the same function): it takes the DFT of a
-support histogram that enumerates each walk one vertex short, builds the
-2^(L-1) selector sums of its first L - 1 vertices by doubling, and counts
-the last step from a table of every vertex's 8 successors.
+support histogram that counts the walks where that is cheaper and
+enumerates them otherwise, choosing by size alone. Counting advances a
+(vertex, widened sum) table of walk counts L - 1 times through every
+vertex's 8 successors and its selector; enumeration takes each walk one
+vertex short, builds the 2^(L-1) selector sums of its first L - 1 vertices
+by doubling, and counts the last step from the successor table.
 ``strong_fraction`` tests each grid cell once, weighted by the generator's
 cached per-cell seed counts, which count the c-wise tuples once per
-distinct tuple of level counts. The pairwise hash's GF(2^B) tables come
-from binary_bias's carry-less multiply and polynomial table, and the
-descriptor parser applies binary_bias's field rule.
+distinct tuple of level counts; the cells' coordinates are cached with
+them, so a character's arc test is one integer matvec over the grid. The
+pairwise hash's GF(2^B) tables come from binary_bias's carry-less multiply
+and polynomial table, and the descriptor parser applies binary_bias's
+field rule.
 Full theoretical strength exceeds the enumerability cap by design, so
 certified spaces are the exhaustive fallback or explicitly sized assemblies.
 """
@@ -212,6 +219,7 @@ class StrongProductGenerator:
         self.dtype = np.int8 if max(moduli) <= 128 else np.int32
         self._exponents: np.ndarray | None = None
         self._cell_counts: np.ndarray | None = None
+        self._cells: np.ndarray | None = None
 
     def _level_counts(self, rest: np.ndarray) -> np.ndarray:
         """(N, k) number of levels h whose mixing bit is set and whose
@@ -273,6 +281,13 @@ class StrongProductGenerator:
             self._cell_counts = counts
         return self._cell_counts
 
+    def _grid_cells(self) -> np.ndarray:
+        """(k, cells) int64 coordinates of every grid cell in C-order, the
+        order of ``cell_counts``, cached."""
+        if self._cells is None:
+            self._cells = np.indices(self.moduli, dtype=np.int64).reshape(self.k, -1)
+        return self._cells
+
 
 def _radix(moduli) -> np.ndarray:
     """Place values of the C-order (last coordinate fastest) grid index."""
@@ -297,14 +312,14 @@ def strong_fraction(moduli, exponent) -> float:
     if not any(e % m for e, m in zip(entries, moduli)):
         raise ValueError("the zero exponent vector indexes the trivial character")
     gen = _strong_generator(moduli)
-    counts = gen.cell_counts()
-    cells = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1)
     lcm = math.lcm(*moduli)
-    weights = [(e * (lcm // m)) % lcm for e, m in zip(entries, moduli)]
-    # each grid cell is tested once and weighted by its seed count
-    num = sum(cells[i] * w for i, w in enumerate(weights)) % lcm
-    strong = (16 * num >= lcm) & (16 * (lcm - num) >= lcm)
-    return float(counts[strong].sum() / gen.seed_count)
+    weights = np.array([(e * (lcm // m)) % lcm for e, m in zip(entries, moduli)], dtype=np.int64)
+    # each grid cell is tested once and weighted by its seed count: its
+    # angle is (weights . cell mod lcm) / lcm of a turn, strong when that
+    # lies in [1/16, 15/16]
+    arc = 16 * (weights @ gen._grid_cells() % lcm)
+    strong = (arc >= lcm) & (arc <= 15 * lcm)
+    return float(gen.cell_counts()[strong].sum() / gen.seed_count)
 
 
 @dataclass(frozen=True)
@@ -327,11 +342,43 @@ class AmplifierParams:
 
 
 # the eight MGG neighbours: choices 0-3 move x to x + CX*y + DX, choices 4-7
-# move y to y + CY*x + DY (x +- 2y, x +- (2y + 1), and the same with x, y swapped)
-_STEP_CX = np.array([2, -2, 2, -2, 0, 0, 0, 0], dtype=np.int64)
-_STEP_DX = np.array([0, 0, 1, -1, 0, 0, 0, 0], dtype=np.int64)
+# move y to y + CY*x + DY (x +- 2y, x +- (2y + 1), and the same with x, y
+# swapped). int32, so that moves of int32 coordinates stay int32; walks of
+# int64 seeds stay int64
+_STEP_CX = np.array([2, -2, 2, -2, 0, 0, 0, 0], dtype=np.int32)
+_STEP_DX = np.array([0, 0, 1, -1, 0, 0, 0, 0], dtype=np.int32)
 _STEP_CY = np.roll(_STEP_CX, 4)
 _STEP_DY = np.roll(_STEP_DX, 4)
+
+
+def _mgg_move(x, y, c, mask: int):
+    """The vertices (x, y) one step along move c, coordinates mod mask + 1;
+    c is one move for all or one per vertex. Each move is a bijection of
+    the vertices."""
+    nx = _STEP_CX[c] * y
+    nx += x
+    nx += _STEP_DX[c]
+    nx &= mask
+    ny = _STEP_CY[c] * x
+    ny += y
+    ny += _STEP_DY[c]
+    ny &= mask
+    return nx, ny
+
+
+def _mgg_successors(vertex_bits: int):
+    """Yields, for each move c in turn, every vertex's neighbour along c:
+    a (2^vertex_bits,) int32 row of vertex indices (vertex_bits <= 30)."""
+    half = vertex_bits // 2
+    mask = (1 << half) - 1
+    x = np.arange(1 << vertex_bits, dtype=np.int32)
+    y = x & mask
+    x >>= half
+    for c in range(8):
+        nx, ny = _mgg_move(x, y, c, mask)
+        nx <<= half
+        nx |= ny
+        yield nx
 
 
 def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
@@ -340,18 +387,13 @@ def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
     r = params.vertex_bits
     half = r // 2
     mask = (1 << half) - 1
-    v0 = seeds & ((1 << r) - 1)
-    x = (v0 >> half) & mask
-    y = v0 & mask
     out = np.empty((seeds.shape[0], params.walk_length), dtype=np.int64)
-    out[:, 0] = (x << half) | y
-    steps = seeds >> r
+    v = np.bitwise_and(seeds, (1 << r) - 1, out=out[:, 0])
+    if params.walk_length > 1:  # a one-vertex walk is its start vertex
+        x, y = v >> half, v & mask
     for t in range(1, params.walk_length):
-        c = (steps >> (3 * (t - 1))) & 7
-        nx = (x + _STEP_CX[c] * y + _STEP_DX[c]) & mask
-        y = (y + _STEP_CY[c] * x + _STEP_DY[c]) & mask  # the old x
-        x = nx
-        out[:, t] = (x << half) | y
+        x, y = _mgg_move(x, y, (seeds >> (r + 3 * (t - 1))) & 7, mask)
+        np.bitwise_or(x << half, y, out=out[:, t])
     return out
 
 
@@ -410,6 +452,82 @@ def theory_seed_bits(moduli, epsilon) -> int:
     return vertex_bits + 3 * (groups - 1) + lam_count
 
 
+def _count_walks(f: np.ndarray, ell: int, size: int) -> np.ndarray:
+    """Widened-sum counts of every walk of ell vertices and selector
+    pattern, by counting: counts[v, w] is the number of walks of t vertices
+    that start at v, with their t selector bits, whose sum is w. A walk of
+    t + 1 vertices from v steps along one of the 8 moves to a walk of t
+    vertices, and its selector bit at v adds f[v] or nothing, so each round
+    gathers the 8 successors' rows and adds them shifted by f[v]. About
+    (ell - 1) * 16 * V * size updates."""
+    vertices = f.shape[0]
+    succ = list(_mgg_successors(vertices.bit_length() - 1))
+    rows = np.arange(vertices)
+    counts = np.zeros((vertices, size), dtype=np.int64)
+    counts[:, 0] = 1
+    counts[rows, f] += 1
+    # pad[v, size + w] is the successors' count at w and pad[v, :size] stays
+    # 0, so pad.flat[shift[v, w]] is their count at w - f[v] (0 below 0)
+    pad = np.zeros((vertices, 2 * size), dtype=np.int64)
+    ahead = pad[:, size:]
+    shift = (rows * 2 * size + size - f)[:, None] + np.arange(size)
+    for _ in range(ell - 1):
+        ahead[...] = counts[succ[0]]
+        for c in range(1, 8):
+            ahead += counts[succ[c]]
+        counts = ahead + pad.ravel()[shift]
+    return counts.sum(axis=0)
+
+
+def _enumerate_walks(f: np.ndarray, ell: int, size: int) -> np.ndarray:
+    """Widened-sum counts of every walk of ell vertices and selector
+    pattern, with each walk enumerated one vertex short: the sums of its
+    first ell - 1 base tuples over their 2^(ell-1) selector patterns are
+    built by doubling (the sums with bit j set are the sums without it plus
+    f of vertex j). A sum w whose walk ends at vertex u then counts 8 at w
+    (last selector bit off, any of the 8 moves) and 1 at w + f[succ[c, u]]
+    for each move c. About 9 * walks * 2^(ell-1) updates for the walks one
+    vertex short."""
+    vertices = f.shape[0]
+    prefix = AmplifierParams(vertices.bit_length() - 1, ell - 1)
+    walks = 1 << prefix.seed_bits
+    # every move permutes the vertices, so each vertex ends walks/V of the
+    # walks one vertex short, and their all-zero patterns add f of each
+    # vertex 8 * walks/V times over the 8 last moves
+    wide_counts = 8 * (walks // vertices) * np.bincount(f, minlength=size)
+    wide_counts[0] += 8 * walks
+    # moves[c, u] is f one step along move c from vertex u, less f one step
+    # along move c - 1: adding the rows in turn to a walk's sums sets them
+    # to each of its 8 last steps. Entries lie within +-size, so int32 holds
+    # them in half the pages, each of which a fresh call faults in
+    moves = np.empty((8, vertices), dtype=np.int32)
+    for c, succ in enumerate(_mgg_successors(prefix.vertex_bits)):
+        moves[c] = f[succ]
+    for c in range(7, 0, -1):
+        moves[c] -= moves[c - 1]
+    patterns = 1 << (ell - 1)
+    block = min(walks, max(1, _SEED_BLOCK >> (ell - 1)))
+    sums = np.empty((patterns, block), dtype=np.int64)
+    sums[0] = 0
+    last = np.empty(block, dtype=np.int32)
+    for lo in range(0, walks, block):
+        walk = walk_batch(prefix, np.arange(lo, min(lo + block, walks), dtype=np.int64))
+        width = walk.shape[0]
+        # the nonzero patterns; the all-zero one is counted above
+        lead = sums[1:, :width]
+        for j in range(ell - 1):
+            np.add(sums[: 1 << j, :width], f[walk[:, j]], out=sums[1 << j : 2 << j, :width])
+        wide_counts += 8 * np.bincount(lead.ravel(), minlength=size)
+        end, step = walk[:, -1], last[:width]
+        for row in moves:
+            # every end is a vertex, so clipping changes nothing, and it lets
+            # take write to out without a buffer
+            np.take(row, end, out=step, mode="clip")
+            lead += step
+            wide_counts += np.bincount(lead.ravel(), minlength=size)
+    return wide_counts
+
+
 class ComplexSampleSpace:
     """Enumerable distribution over the roots-of-unity grid.
 
@@ -455,14 +573,15 @@ class ComplexSampleSpace:
     def support_histogram(self) -> np.ndarray:
         """Probability array over the grid, shape = moduli.
 
-        Every seed is counted exactly, but each walk is enumerated one
-        vertex short: the sums of its first ell - 1 base tuples over their
-        2^(ell-1) selector patterns are built by doubling (the sums with
-        bit j set are the sums without it plus f^(j)). A sum w whose walk
-        ends at vertex u then counts 8 at w (last selector bit off, any of
-        the 8 moves) and 1 at w + f(succ_c(u)) for each move c. At ell = 1
-        the seeds are the vertices and their selector bits, so nothing is
-        enumerated.
+        Every seed is counted exactly, as a sum of base tuples over a range
+        widened so that sums never wrap, folded onto the grid at the end.
+        At ell = 1 the seeds are the vertices and their selector bits, so
+        nothing is enumerated. Otherwise the sizes alone pick the cheaper
+        of two paths over the 8 successors of every vertex, taken from the
+        walk's move rule: counting, (ell - 1) * 16 * V * size updates for V
+        vertices and size widened sums (``_count_walks``), when that is
+        fewer than enumeration's 9 * walks * 2^(ell-1) for its walks one
+        vertex short (``_enumerate_walks``).
         """
         if self._hist is not None:
             return self._hist
@@ -491,33 +610,14 @@ class ComplexSampleSpace:
                 wide_counts += np.bincount(rest, minlength=size)
                 wide_counts[0] += vertices
             else:
-                f_index = table.astype(np.int64) @ _radix(wide)
-                # moves[c, u] is the tuple one step along move c from vertex u,
-                # less the one along move c - 1: adding the rows in turn to a
-                # walk's sums sets them to each of its 8 last steps
-                step = AmplifierParams(r, 2)
-                moves = np.empty((8, vertices), dtype=np.int64)
-                prev = 0
-                for c in range(8):
-                    ends = walk_batch(step, np.arange(c << r, (c + 1) << r, dtype=np.int64))
-                    moves[c] = f_index[ends[:, 1] % base_seeds] - prev
-                    prev += moves[c]
-                # each walk is enumerated one vertex short: its last selector
-                # bit off counts each of the 8 moves at the same sum
-                prefix = AmplifierParams(r, ell - 1)
-                wide_counts = np.zeros(size, dtype=np.int64)
-                walks = 1 << prefix.seed_bits
-                block = max(1, _SEED_BLOCK >> (ell - 1))
-                for lo in range(0, walks, block):
-                    walk = walk_batch(prefix, np.arange(lo, min(lo + block, walks), dtype=np.int64))
-                    f = f_index[walk % base_seeds]  # (W, L - 1)
-                    sums = np.zeros((1 << (ell - 1), walk.shape[0]), dtype=np.int64)
-                    for j in range(ell - 1):
-                        np.add(sums[: 1 << j], f[:, j], out=sums[1 << j : 2 << j])
-                    wide_counts += 8 * np.bincount(sums.ravel(), minlength=size)
-                    for row in moves:
-                        sums += row[walk[:, -1]]
-                        wide_counts += np.bincount(sums.ravel(), minlength=size)
+                # f[v], the widened index of vertex v's base tuple: v's base
+                # seed is v mod S, so f repeats the table's indices
+                f = np.resize(table.astype(np.int64) @ _radix(wide), vertices)
+                walks = 1 << AmplifierParams(r, ell - 1).seed_bits
+                if (ell - 1) * 16 * vertices * size < 9 * walks << (ell - 1):
+                    wide_counts = _count_walks(f, ell, size)
+                else:
+                    wide_counts = _enumerate_walks(f, ell, size)
             wide_cells = np.indices(wide, dtype=np.int64).reshape(len(wide), -1).T
             counts = np.zeros(cells, dtype=np.int64)
             np.add.at(counts, wide_cells % self.moduli @ _radix(self.moduli), wide_counts)

@@ -179,10 +179,13 @@ class TestWalsh:
             )
             assert spectrum[a] == pytest.approx(direct, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 12, 16, 20])
     def test_in_place_butterfly_keeps_every_bit(self, n):
         # the same adds and subtracts as a fresh (sum, difference) stack per
-        # level, so the same bits, on a histogram and on signed input
+        # level, so the same bits, on a histogram and on signed input; the
+        # four lowest levels run on a 16-row transpose, which n = 3 leaves
+        # short of rows, n = 4 fills with one column, and n = 20 runs with
+        # 2^16 columns
         rng = np.random.default_rng(40 + n)
         for p in (rng.random(1 << n) / (1 << n), rng.standard_normal(1 << n) * 1e3):
             got = _walsh_spectrum(p)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permest import binary_bias
+from permest import binary_bias, complex_bias
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
 from permest.complex_bias import (
     BETA,
@@ -460,6 +460,34 @@ def _unaudited(moduli, ell):
     return ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
 
 
+def _paths_taken(space) -> list[str]:
+    """Builds the space's histogram; the walk paths it ran, in call order."""
+    ran = []
+
+    def recorder(name):
+        real = getattr(complex_bias, f"_{name}_walks")
+        return lambda *args: ran.append(name) or real(*args)
+
+    with mock.patch.object(complex_bias, "_count_walks", recorder("count")), mock.patch.object(
+        complex_bias, "_enumerate_walks", recorder("enumerate")
+    ):
+        space.support_histogram()
+    return ran
+
+
+def _expected_path(space) -> list[str]:
+    """The size rule: count the walks when (ell - 1) * 16 * V * size updates
+    are fewer than enumeration's 9 * walks * 2^(ell-1), walks one vertex
+    short; no walk path at ell = 1."""
+    ell = space.ell
+    if ell == 1:
+        return []
+    vertices = 1 << space.amplifier.vertex_bits
+    size = math.prod(ell * (m - 1) + 1 for m in space.moduli)
+    walks = 1 << (space.amplifier.seed_bits - 3)
+    return ["count"] if (ell - 1) * 16 * vertices * size < 9 * walks << (ell - 1) else ["enumerate"]
+
+
 # exhaustive (ell None) and unaudited constructed spaces: all-2 grids, then
 # two grids with a modulus of 3
 _AUDIT_CASES = (
@@ -545,44 +573,87 @@ class TestGeneratorConsistency:
 
     # every modulus below 17 keeps p = 17, so k fixes the base seed count
     # (136, 4,624 or 314,432) and the vertex bits (8, 14 or 20): these are
-    # the (k, ell) with at most 2^21 seeds, where the oracle stays fast
+    # the (k, ell) with at most 2^21 seeds, where the oracle stays fast. At
+    # k = 1 the walks are counted at ell = 4, counted or enumerated at
+    # ell = 3 by the drawn modulus (m <= 3 counts), and enumerated at ell = 2;
+    # at k = 2, ell = 2 they are enumerated
     @pytest.mark.parametrize("k, ell", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)])
-    @settings(derandomize=True, max_examples=2, deadline=None)
+    @settings(derandomize=True, max_examples=4, deadline=None)
     @given(data=st.data())
     def test_histogram_matches_per_seed_enumeration_anywhere(self, k, ell, data):
-        # the walks (one vertex short) fall into 1 to 64 blocks, the last
-        # one partial
+        # enumerated walks (one vertex short) fall into 1 to 64 blocks, the
+        # last one partial
         moduli = tuple(data.draw(st.lists(st.integers(2, 7), min_size=k, max_size=k)))
         space = _unaudited(moduli, ell)
         walks = 1 << (space.amplifier.seed_bits - 3)
         per_block = data.draw(st.integers(-(-walks // 64), walks))
         with mock.patch("permest.complex_bias._SEED_BLOCK", per_block << (ell - 1)):
-            hist = space.support_histogram()
-        assert np.array_equal(hist, complex_histogram_by_seed(space))
+            ran = _paths_taken(space)
+        assert ran == _expected_path(space)
+        assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
+
+    @pytest.mark.parametrize(
+        "moduli, ell, path",
+        [
+            ((4,), 4, ["count"]),
+            ((3,), 3, ["count"]),
+            ((3, 3), 2, ["enumerate"]),
+            ((4,), 2, ["enumerate"]),
+            ((2, 2), 3, ["enumerate"]),
+            ((3, 2), 1, []),
+        ],
+    )
+    def test_size_rule_picks_the_path(self, monkeypatch, moduli, ell, path):
+        # counting costs (ell - 1) * 16 * V * size updates, enumeration
+        # 9 * walks * 2^(ell-1) for its walks one vertex short: (4,) ell = 4
+        # counts 159,744 against 1,179,648 and (3, 3) ell = 2 enumerates
+        # 294,912 against 6,553,600. (2, 2) ell = 3 is the space of c07
+        ran = []
+        for name in ("count", "enumerate"):
+            monkeypatch.setattr(
+                f"permest.complex_bias._{name}_walks",
+                lambda f, ell, size, name=name: ran.append(name) or np.zeros(size, dtype=np.int64),
+            )
+        _unaudited(moduli, ell).support_histogram()
+        assert ran == path
 
     @pytest.mark.parametrize("moduli, ell", [((3,), 1), ((4,), 2), ((4,), 4), ((3, 3), 2), ((2, 2), 3)])
     def test_histogram_walks_one_vertex_short(self, monkeypatch, moduli, ell):
-        # the walks are enumerated without their last step, and the 8
-        # successors of every vertex come from 8 calls of V seeds: at most
-        # walks/8 + 8V rows, all through walk_batch
-        rows = []
+        # enumeration sends its walks through walk_batch one vertex short,
+        # exactly walks/8 rows, and takes every vertex's 8 successors from
+        # the move rule itself: no walk_batch call is longer than ell - 1
+        # vertices. Counting, and ell = 1, send no rows at all
+        calls = []
 
         def spy(params, seeds):
-            rows.append(len(seeds))
+            calls.append((params.walk_length, len(seeds)))
             return walk_batch(params, seeds)
 
         monkeypatch.setattr("permest.complex_bias.walk_batch", spy)
         space = _unaudited(moduli, ell)
-        space.support_histogram()
-        walks, vertices = 1 << space.amplifier.seed_bits, 1 << space.amplifier.vertex_bits
-        assert sum(rows) <= walks // 8 + 8 * vertices
-        assert rows.count(vertices) >= (8 if ell > 1 else 0)
+        ran = _paths_taken(space)
+        walks = 1 << space.amplifier.seed_bits
+        if ran == ["enumerate"]:
+            assert {length for length, _ in calls} == {ell - 1}
+            assert sum(rows for _, rows in calls) == walks // 8
+        else:
+            assert calls == []
 
     @pytest.mark.slow
     def test_assembled_acceptance_space_matches_per_seed_enumeration(self):
         # the (2, 2) ell = 3 space that c07 and c08 build: 2^23 seeds
         space = build_complex_space((2, 2), 0.55, force_construction=True, ell=3)
         assert space.seed_bits == 23
+        assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
+
+    @pytest.mark.slow
+    def test_widest_counted_space_matches_per_seed_enumeration(self):
+        # (24,) ell = 4, p = 29: 2^21 seeds whose sums span 93 widened
+        # values, the widest k = 1 range the size rule still counts
+        # (48 * size < 4,608 needs size < 96), folded mod 24
+        space = _unaudited((24,), 4)
+        assert space.seed_bits == 21 and space.base.prime == 29
+        assert _paths_taken(space) == ["count"]
         assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
 
     @pytest.mark.slow
