@@ -30,7 +30,6 @@ _SOURCE = {
     "MatrixParseError": "errors",
     "MultiplicitySpec": "matrices",
     "PermestError": "errors",
-    "PhaseVector": "matrices",
     "SampleSpace": "binary_bias",
     "SizeLimitError": "errors",
     "SpectralNormResult": "matrices",
@@ -46,8 +45,6 @@ _SOURCE = {
     "exhaustive_binary_space": "binary_bias",
     "exhaustive_complex_space": "complex_bias",
     "expand": "matrices",
-    "gengly": "estimators",
-    "gly": "estimators",
     "measure_bias": "binary_bias",
     "measure_complex_bias": "complex_bias",
     "parse_matrix": "matrices",

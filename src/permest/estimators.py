@@ -1,19 +1,22 @@
 """Glynn-type permanent estimators and their averaging strategies.
 
-``gly`` evaluates the signed row-sum product at one sign vector; its mean
-over all of {-1,+1}^n is the permanent. ``gengly`` is the roots-of-unity
-generalization for matrices given as a base matrix with repeated columns:
-coordinate i ranges over the (s_i + 1)-th roots of unity and is scaled by
-sqrt(s_i), which keeps the estimator unbiased while shrinking its worst-case
-magnitude to ``s_1! ... s_k! / sqrt(s_1^s_1 ... s_k^s_k) * |B|^n``.
+Gurvits's estimator gly at a sign vector x is x_1...x_n times the product of
+the row sums of A x; its mean over all of {-1,+1}^n is the permanent. gengly
+is the roots-of-unity generalization for matrices given as a base matrix with
+repeated columns: coordinate i ranges over the (s_i + 1)-th roots of unity
+and is scaled by sqrt(s_i), which keeps the estimator unbiased while
+shrinking its worst-case magnitude to
+``s_1! ... s_k! / sqrt(s_1^s_1 ... s_k^s_k) * |B|^n``. Both are evaluated
+only in batches, ``gly_batch`` over rows of signs and ``gengly_batch`` over
+rows of phases; one point is a batch of one row.
 
 Averaging comes in three modes: ``random`` (independent uniform samples with
 a Hoeffding-derived sample count), ``derandomized`` (full enumeration of a
 small-bias sample space's seeds), and ``exhaustive`` (the exact grid sum of
 ``exact``: ``permanent_glynn_exact`` for a matrix, ``permanent_gengly_exact``
 for a spec). A uniform (0-biased) sample space is the whole grid, so the
-derandomized mean of ``gly`` over one is that same exhaustive estimate, bit
-for bit. ``gengly``'s derandomized mean still enumerates a uniform space's
+derandomized mean of gly over one is that same exhaustive estimate, bit
+for bit. gengly's derandomized mean still enumerates a uniform space's
 support (ROADMAP item 11).
 
 ``gly_batch`` and ``gengly_batch`` are thin wrappers over one kernel,
@@ -48,7 +51,7 @@ evaluating the block (see ``_random_mean``); gengly's full blocks read their
 cells from the narrow columns with integer multiply-adds, gly's from its
 float32 signs by an exact float32 matvec. gly's table evaluates only the
 cells with sign n-1 = +1 and mirrors them into the rest: the cell of -x has
-gly(x)'s value, since IEEE rounding is symmetric under sign (see
+the value of the cell of x, since IEEE rounding is symmetric under sign (see
 ``_lookup_table``).
 
 One decoder pair turns flat cell indices into kernel input, given the place
@@ -73,10 +76,8 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .matrices import (
     MultiplicitySpec,
-    PhaseVector,
     _log_gengly_scale,
     as_spec,
-    as_square,
     gengly_scale,
     phase_space_size,
     roots_of_unity,
@@ -86,19 +87,13 @@ from .matrices import (
 __all__ = [
     "Estimate",
     "GuaranteeReport",
-    "PhaseVector",
     "estimate_derandomized",
     "estimate_derandomized_multi",
     "estimate_random",
     "estimate_random_multi",
-    "gengly",
     "gengly_batch",
-    "gengly_scale",
-    "gly",
     "gly_batch",
     "permanent_upper_bound",
-    "phase_space_size",
-    "roots_of_unity",
     "sample_count",
 ]
 
@@ -148,16 +143,6 @@ class Estimate:
         return GuaranteeReport(error, self.confidence)
 
 
-def gly(a, x: PhaseVector) -> complex:
-    """x_1...x_n times the product of signed row sums of ``a`` at x."""
-    a = as_square(a)
-    n = a.shape[0]
-    if len(x.phases) != n or any(m != 2 for m in x.moduli):
-        raise ValueError("need a binary phase vector of length n")
-    signs = 1.0 - 2.0 * np.array([x.phases], dtype=np.float64)
-    return complex(gly_batch(a, signs)[0])
-
-
 def _rowsum_products(x: np.ndarray, at: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """weight[m] * prod_i (x @ at)[m, i] for every row m of x, as complex128.
 
@@ -193,10 +178,15 @@ def _rowsum_products(x: np.ndarray, at: np.ndarray, weight: np.ndarray) -> np.nd
 
 
 def gly_batch(a, signs: np.ndarray) -> np.ndarray:
-    """Vectorized ``gly`` over rows of a (M, n) matrix of +-1 signs."""
+    """gly of the square matrix ``a`` at every row of a (M, n) array of +-1
+    signs: x_1...x_n times the product of the row sums of ``a`` at x."""
     a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got {a.shape}")
+    n = a.shape[0]
     signs = np.asarray(signs, dtype=np.float64)
-    n = signs.shape[1]
+    if signs.ndim != 2 or signs.shape[1] != n:
+        raise ValueError(f"sign array must be (M, {n})")
     if np.iscomplexobj(a) and a.imag.any():
         at = a.T.astype(np.complex128)
     else:
@@ -207,19 +197,16 @@ def gly_batch(a, signs: np.ndarray) -> np.ndarray:
     return _rowsum_products(signs, at, parity)
 
 
-def gengly(spec: MultiplicitySpec, x: PhaseVector) -> complex:
-    """The generalized estimator at one point of the roots-of-unity grid."""
-    if x.moduli != spec.moduli:
-        raise ValueError(f"phase vector moduli {x.moduli} != {spec.moduli}")
-    vals = gengly_batch(spec, np.array([x.phases], dtype=np.int64))
-    return complex(vals[0])
-
-
 def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
-    """Vectorized ``gengly`` over rows of a (M, k) integer phase array."""
+    """gengly of ``spec`` at every row of a (M, k) integer array of phases:
+    phase p of column i is the root of unity exp(2 pi i p / (s_i + 1))."""
     mults = spec.mults
     k = spec.k
-    phases = np.asarray(phases, dtype=np.int64)
+    phases = np.asarray(phases)
+    # a cast to int64 would truncate a fractional phase to a valid one
+    if not np.issubdtype(phases.dtype, np.integer):
+        raise ValueError(f"phases must be integers, got dtype {phases.dtype}")
+    phases = phases.astype(np.int64, copy=False)
     if phases.ndim != 2 or phases.shape[1] != k:
         raise ValueError(f"phase array must be (M, {k})")
     cols = np.ascontiguousarray(phases.T)
@@ -318,8 +305,8 @@ def _lookup_table(grid: int, evaluate, cells, mirror: bool) -> np.ndarray:
     of -x, by the global sign flip. The kernel then runs over the first
     half of a grid of 4 or more cells, and the second half is that half
     reversed. IEEE rounding is symmetric under sign, so -x's row sums, their
-    product and its parity are the exact negations of x's, and gly(-x) is
-    gly(x) bit for bit. The one exception is an exactly zero row sum, +0 for
+    product and its parity are the exact negations of x's, and gly at -x is
+    gly at x bit for bit. The one exception is an exactly zero row sum, +0 for
     both x and -x, which can flip the sign of a zero part of the value. That
     only reaches a random-mode total that is exactly zero, and the total
     starts from +0j, to which either zero adds as +0.
@@ -422,8 +409,8 @@ def _index_signs(
 def permanent_upper_bound(spec: MultiplicitySpec) -> float:
     """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n``, rounded up: an upper
     bound on the magnitude of the expanded matrix's permanent and of every
-    ``gengly`` sample, and the bound term of every estimate (all s_i = 1
-    gives ``|A|^n``, the bound on every ``gly`` sample).
+    gengly sample, and the bound term of every estimate (all s_i = 1
+    gives ``|A|^n``, the bound on every gly sample).
 
     ``|B|`` is ``spectral_norm``'s certified value. The log of the bound
     adds ``2^-53`` times (4 plus the magnitudes of its two terms): the
@@ -448,10 +435,19 @@ def permanent_upper_bound(spec: MultiplicitySpec) -> float:
     return bound
 
 
+def _sign_spec(a, multi: str) -> MultiplicitySpec:
+    """``as_spec(a)`` for an estimator on the sign grid; a spec with repeated
+    columns lives on another grid, which the entry ``multi`` samples."""
+    spec = as_spec(a)
+    if spec.k != spec.n:
+        raise ValueError(f"need a matrix; use {multi} for multiplicities {spec.mults}")
+    return spec
+
+
 def estimate_random(
     a, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
-    """Mean of independent uniform sign-vector samples of ``gly``.
+    """Mean of independent uniform sign-vector samples of gly.
 
     Guarantee: within ``epsilon * |A|^n`` of the permanent with probability
     at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
@@ -466,7 +462,7 @@ def estimate_random(
     table at cells decoded from the float32 signs (``_random_cells``);
     otherwise every block is evaluated on float64 signs.
     """
-    spec = as_spec(a)
+    spec = _sign_spec(a, "estimate_random_multi")
     a, n = spec.base, spec.n
     _check_params(epsilon, delta)
     # an overflowing bound raises here, before any sample can overflow
@@ -499,7 +495,7 @@ def estimate_random(
 def estimate_random_multi(
     spec: MultiplicitySpec, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
-    """Mean of uniform roots-of-unity samples of ``gengly``.
+    """Mean of uniform roots-of-unity samples of gengly.
 
     Reproducible for a fixed ``rng_seed``: each ``_CHUNK`` = 2^16-sample
     chunk draws its phases column by column with ``integers(0, s_i + 1)`` of
@@ -553,8 +549,8 @@ def estimate_random_multi(
 
 
 def _exhaustive_estimate(target) -> Estimate:
-    """The exact grid sum, ``gly``'s over {-1,+1}^n for a matrix or
-    ``gengly``'s for a ``MultiplicitySpec``, as an exhaustive ``Estimate``
+    """The exact grid sum, gly's over {-1,+1}^n for a matrix or
+    gengly's for a ``MultiplicitySpec``, as an exhaustive ``Estimate``
     with zero epsilon; the bound comes first, so it refuses before the sum."""
     from . import exact
 
@@ -602,10 +598,10 @@ def _derandomized_mean(space, spec: MultiplicitySpec, evaluate) -> Estimate:
 
 
 def estimate_derandomized(a, space) -> Estimate:
-    """Deterministic mean of ``gly`` over a sample space with n binary
+    """Deterministic mean of gly over a sample space with n binary
     coordinates (moduli all 2); over a uniform space, the exhaustive
     estimate: ``permanent_glynn_exact`` of ``a``."""
-    spec = as_spec(a)
+    spec = _sign_spec(a, "estimate_derandomized_multi")
     _require_derandomizable(space, spec, "a matrix")
     if space.exhaustive:
         return _exhaustive_estimate(spec.base)
@@ -621,7 +617,7 @@ def estimate_derandomized(a, space) -> Estimate:
 
 
 def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
-    """Deterministic mean of ``gengly`` over a sample space on the spec's
+    """Deterministic mean of gengly over a sample space on the spec's
     roots-of-unity grid. A uniform space's support is enumerated too: the
     benchmark reaches this path only through uniform spaces (ROADMAP item 11)."""
     _require_derandomizable(space, spec, "a base matrix")

@@ -1,5 +1,5 @@
 """Complex matrix storage, text format, multiplicity expansion, the
-roots-of-unity grid of a multiplicity spec (roots, scale, size, points) and
+roots-of-unity grid of a multiplicity spec (roots, scale, size) and
 a certified spectral norm (one LAPACK singular value plus a rounding slack).
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``. The text format is
@@ -21,7 +21,6 @@ from .errors import ConvergenceError, MatrixParseError
 
 __all__ = [
     "MultiplicitySpec",
-    "PhaseVector",
     "SpectralNormResult",
     "as_matrix",
     "as_spec",
@@ -123,40 +122,6 @@ def roots_of_unity(m: int) -> np.ndarray:
     if m in _EXACT_ROOTS:
         return _EXACT_ROOTS[m]
     return np.exp(2j * np.pi * np.arange(m) / m)
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """One sample point: integer phase indices into per-coordinate root sets.
-
-    ``moduli[i] == 2`` everywhere is the binary (sign vector) case, with
-    phase e mapping to the sign (-1)**e.
-    """
-
-    moduli: tuple[int, ...]
-    phases: tuple[int, ...]
-
-    def __post_init__(self):
-        moduli = tuple(int(m) for m in self.moduli)
-        phases = tuple(int(p) for p in self.phases)
-        if len(moduli) != len(phases):
-            raise ValueError("moduli and phases must have equal length")
-        if any(m < 1 for m in moduli):
-            raise ValueError("moduli must be >= 1")
-        if any(not (0 <= p < m) for p, m in zip(phases, moduli)):
-            raise ValueError("phase index out of range")
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "PhaseVector":
-        for s in signs:
-            if s not in (1, -1):
-                raise ValueError(f"sign entries must be +-1, got {s}")
-        return cls((2,) * len(signs), tuple(int(s == -1) for s in signs))
-
-    def to_complex(self) -> np.ndarray:
-        return np.array([roots_of_unity(m)[p] for m, p in zip(self.moduli, self.phases)])
 
 
 def _log_gengly_scale(mults: Sequence[int]) -> float:

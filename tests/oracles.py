@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from permest.binary_bias import IRREDUCIBLE, SampleSpace
-from permest.estimators import PhaseVector
 from permest.matrices import expand
 
 
@@ -244,10 +243,11 @@ def cells_by_seed_loop(space) -> np.ndarray:
 
 
 def space_mean_by_seed_loop(space, evaluate) -> complex:
-    """Average evaluate(PhaseVector) over every seed, one at a time."""
+    """Average evaluate(phases) over every seed, one at a time, where
+    ``phases`` is the seed's tuple of phase indices."""
     total = 0j
     for seed in range(space.seed_count):
-        total += evaluate(PhaseVector(space.moduli, seed_phases(space, seed)))
+        total += evaluate(seed_phases(space, seed))
     return total / space.seed_count
 
 
@@ -517,8 +517,9 @@ def positive_compositions(n):
             yield (first,) + rest
 
 
-def sign_vector(bits, n) -> PhaseVector:
-    return PhaseVector((2,) * n, tuple((bits >> i) & 1 for i in range(n)))
+def sign_vector(bits, n) -> np.ndarray:
+    """The n float signs whose sign i is -1 where bit i of ``bits`` is set."""
+    return 1.0 - 2.0 * np.array([(bits >> i) & 1 for i in range(n)], dtype=np.float64)
 
 
 def naive_expanded(spec):

@@ -20,7 +20,7 @@ from permest.binary_bias import (
     space_from_descriptor,
 )
 from permest.errors import CapacityError, DescriptorError
-from permest.estimators import estimate_derandomized, gly, gly_batch
+from permest.estimators import estimate_derandomized, gly_batch
 
 from oracles import (
     binary_bias_brute,
@@ -286,7 +286,7 @@ class TestChunkedHistogram:
         a = random_nonneg(np.random.default_rng(21), 2)
         space = build_binary_space(2, 0.1)
         est = estimate_derandomized(a, space)
-        brute = space_mean_by_seed_loop(space, lambda x: gly(a, x))
+        brute = space_mean_by_seed_loop(space, lambda p: gly_batch(a, 1 - 2 * np.array([p]))[0])
         assert est.value == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
     def test_estimate_blocks_do_not_change_value(self, monkeypatch):

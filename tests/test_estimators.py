@@ -13,15 +13,11 @@ from permest.complex_bias import build_complex_space, exhaustive_complex_space
 from permest.errors import DomainError
 from permest.estimators import (
     Estimate,
-    PhaseVector,
     estimate_derandomized,
     estimate_derandomized_multi,
     estimate_random,
     estimate_random_multi,
-    gengly,
     gengly_batch,
-    gengly_scale,
-    gly,
     gly_batch,
     permanent_upper_bound,
     sample_count,
@@ -32,7 +28,7 @@ from permest.exact import (
     permanent_naive,
     permanent_ryser,
 )
-from permest.matrices import MultiplicitySpec, expand, spectral_norm
+from permest.matrices import MultiplicitySpec, expand, gengly_scale, spectral_norm
 from permest.optics import saturating_unitary
 
 from oracles import (
@@ -69,69 +65,47 @@ def direct_chunk_mean(x, m, seed):
     return total / m
 
 
-class TestPhaseVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhaseVector((2, 2), (0,))
-        with pytest.raises(ValueError):
-            PhaseVector((2,), (2,))
-        with pytest.raises(ValueError):
-            PhaseVector((0,), (0,))
-
-    def test_from_signs(self):
-        x = PhaseVector.from_signs([1, -1, 1])
-        assert x.phases == (0, 1, 0)
-        with pytest.raises(ValueError):
-            PhaseVector.from_signs([2])
-
-    def test_to_complex_exact_small_moduli(self):
-        x = PhaseVector((2, 4), (1, 1))
-        vals = x.to_complex()
-        assert vals[0] == -1.0  # exact, not exp-rounded
-        assert vals[1] == 1.0j
-
-
 class TestGly:
     def test_identity(self):
-        assert gly(np.eye(2), PhaseVector.from_signs([1, 1])) == 1
+        assert gly_batch(np.eye(2), np.ones((1, 2)))[0] == 1
 
     def test_ones_cancellation(self):
-        assert gly(np.ones((2, 2)), PhaseVector.from_signs([1, -1])) == 0
+        assert gly_batch(np.ones((2, 2)), [[1, -1]])[0] == 0
 
     def test_mean_over_all_vectors(self):
         rng = np.random.default_rng(0)
         a = random_complex(rng, 5)
-        total = sum(gly(a, sign_vector(bits, 5)) for bits in range(32))
-        assert abs(total / 32 - permanent_naive(a)) <= 1e-10
+        vals = gly_batch(a, np.array([sign_vector(bits, 5) for bits in range(32)]))
+        assert abs(vals.sum() / 32 - permanent_naive(a)) <= 1e-10
 
     def test_matches_plain_oracle(self):
         rng = np.random.default_rng(1)
         a = random_complex(rng, 4)
         for bits in range(16):
-            x = sign_vector(bits, 4)
-            signs = [1.0 - 2.0 * p for p in x.phases]
-            assert gly(a, x) == pytest.approx(gly_plain(a, signs), rel=1e-12)
+            signs = sign_vector(bits, 4)
+            assert gly_batch(a, signs[None])[0] == pytest.approx(gly_plain(a, signs), rel=1e-12)
 
     def test_batch_matches_scalar(self):
+        # each row of a batch has the value of its batch of one
         rng = np.random.default_rng(2)
         a = random_complex(rng, 6)
         signs = 1.0 - 2.0 * rng.integers(0, 2, size=(50, 6)).astype(float)
         vals = gly_batch(a, signs)
         for row, v in zip(signs, vals):
-            assert v == pytest.approx(
-                gly(a, PhaseVector.from_signs([int(s) for s in row])), rel=1e-12
-            )
+            assert v == pytest.approx(gly_batch(a, row[None])[0], rel=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gly(np.eye(3), PhaseVector.from_signs([1, 1]))
+    @pytest.mark.parametrize("signs", [[[1, 1]], [1, 1, 1], [[[1, 1, 1]]]])
+    def test_dimension_mismatch(self, signs):
+        # a 1-D sign row, the shape of one point, is refused too
+        with pytest.raises(ValueError, match=r"^sign array must be \(M, 3\)$"):
+            gly_batch(np.eye(3), signs)
 
     def test_scaling(self):
         rng = np.random.default_rng(3)
         a = random_complex(rng, 5)
         c = 1.5 - 0.5j
-        x = sign_vector(rng.integers(0, 32), 5)
-        assert gly(c * a, x) == pytest.approx(c**5 * gly(a, x), rel=1e-9)
+        x = sign_vector(rng.integers(0, 32), 5)[None]
+        assert gly_batch(c * a, x)[0] == pytest.approx(c**5 * gly_batch(a, x)[0], rel=1e-9)
 
     def test_bounded_by_norm_power(self):
         rng = np.random.default_rng(4)
@@ -140,7 +114,7 @@ class TestGly:
             a = random_complex(rng, n)
             bound = spectral_norm(a).value ** n
             x = sign_vector(int(rng.integers(0, 1 << n)), n)
-            assert abs(gly(a, x)) <= bound * (1 + 1e-9)
+            assert abs(gly_batch(a, x[None])[0]) <= bound * (1 + 1e-9)
 
 
 class TestGenGly:
@@ -148,31 +122,43 @@ class TestGenGly:
         rng = np.random.default_rng(5)
         b = random_complex(rng, 4)
         spec = MultiplicitySpec(b, (1,) * 4)
-        for bits in range(16):
-            x = sign_vector(bits, 4)
-            assert gengly(spec, x) == pytest.approx(gly(b, x), abs=1e-12)
+        phases = np.array([[(bits >> i) & 1 for i in range(4)] for bits in range(16)])
+        np.testing.assert_allclose(
+            gengly_batch(spec, phases), gly_batch(b, 1 - 2 * phases), rtol=0, atol=1e-12
+        )
 
     def test_doubled_column_constant(self):
         # every sample equals the permanent here: 0.5 * |y|^4 = 2
         spec = MultiplicitySpec(np.array([[1.0], [1.0]]), (2,))
-        for p in range(3):
-            assert gengly(spec, PhaseVector((3,), (p,))) == pytest.approx(2.0, rel=1e-12)
+        for value in gengly_batch(spec, [[0], [1], [2]]):
+            assert value == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_row(self):
         b = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
         spec = MultiplicitySpec(b, (2, 1))
-        assert gengly(spec, PhaseVector((3, 2), (1, 0))) == 0
+        assert gengly_batch(spec, [[1, 0]])[0] == 0
 
-    def test_moduli_mismatch(self):
+    @pytest.mark.parametrize("phases", [[[0, 0, 0]], [0, 0], [[[0, 0]]]])
+    def test_dimension_mismatch(self, phases):
         spec = MultiplicitySpec(np.ones((3, 2)), (2, 1))
-        with pytest.raises(ValueError):
-            gengly(spec, PhaseVector((2, 2), (0, 0)))
+        with pytest.raises(ValueError, match=r"^phase array must be \(M, 2\)$"):
+            gengly_batch(spec, phases)
 
-    @pytest.mark.parametrize("phases", [[[-1, 0]], [[0, -1]], [[3, 0]], [[0, 2]]])
-    def test_phase_out_of_range_rejected(self, phases):
+    @pytest.mark.parametrize(
+        "phases, match",
+        [
+            ([[-1, 0]], "must lie in"),
+            ([[0, -1]], "must lie in"),
+            ([[3, 0]], "must lie in"),
+            ([[0, 2]], "must lie in"),
+            # a cast would truncate phase 0.5 to the valid phase 0
+            ([[0.5, 1]], "must be integers"),
+        ],
+    )
+    def test_phase_out_of_range_rejected(self, phases, match):
         # phase -1 used to wrap to phase s; the gathers rely on this check
         spec = MultiplicitySpec(random_complex(np.random.default_rng(4), 3, 2), (2, 1))
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ValueError, match=match):
             gengly_batch(spec, np.array([[0, 0], *phases]))
 
     def test_matches_plain_oracle(self):
@@ -180,8 +166,8 @@ class TestGenGly:
         b = random_complex(rng, 5, 3)
         spec = MultiplicitySpec(b, (2, 2, 1))
         for phases in [(0, 0, 0), (1, 2, 1), (2, 1, 0)]:
-            x = PhaseVector((3, 3, 2), phases)
-            assert gengly(spec, x) == pytest.approx(gengly_plain(spec, phases), rel=1e-10)
+            value = gengly_batch(spec, [phases])[0]
+            assert value == pytest.approx(gengly_plain(spec, phases), rel=1e-10)
 
     def test_transposed_phase_view_is_bit_identical(self):
         # estimate_random_multi passes the transpose of a (k, M) draw
@@ -199,9 +185,8 @@ class TestGenGly:
             mults = random_mults(rng, n)
             spec = MultiplicitySpec(random_complex(rng, n, len(mults)), mults)
             bound = permanent_upper_bound(spec)
-            phases = tuple(int(rng.integers(0, s + 1)) for s in mults)
-            x = PhaseVector(tuple(s + 1 for s in mults), phases)
-            assert abs(gengly(spec, x)) <= bound * (1 + 1e-9)
+            phases = [int(rng.integers(0, s + 1)) for s in mults]
+            assert abs(gengly_batch(spec, [phases])[0]) <= bound * (1 + 1e-9)
 
 
 # Property tests of the shared batch kernel: every example is checked row by
@@ -365,6 +350,15 @@ class TestEstimateRandom:
             estimate_random(np.eye(2), 1.5, 0.01)
         with pytest.raises(ValueError):
             estimate_random(np.eye(2), 0.1, 0.0)
+
+    def test_spec_with_repeated_columns_names_the_multi_entry(self):
+        rng = np.random.default_rng(24)
+        with pytest.raises(ValueError, match="use estimate_random_multi"):
+            estimate_random(MultiplicitySpec(random_nonneg(rng, 3, 2), (2, 1)), 0.1)
+        # an all-ones spec is its matrix
+        a = random_nonneg(rng, 3)
+        est = estimate_random(MultiplicitySpec(a, (1, 1, 1)), 0.2, rng_seed=5)
+        assert est.value == estimate_random(a, 0.2, rng_seed=5).value
 
     def test_multi_chunk_sampling(self):
         # eps small enough to need several sampling chunks
@@ -785,7 +779,7 @@ class TestEstimateDerandomized:
         a = random_nonneg(rng, 5)
         space = build_binary_space(5, 0.4)
         est = estimate_derandomized(a, space)
-        brute = space_mean_by_seed_loop(space, lambda x: gly(a, x))
+        brute = space_mean_by_seed_loop(space, lambda p: gly_batch(a, 1 - 2 * np.array([p]))[0])
         assert abs(est.value - brute) <= 1e-11 * max(1.0, abs(brute))
 
     def test_deterministic(self):
@@ -793,6 +787,13 @@ class TestEstimateDerandomized:
         a = random_nonneg(rng, 6)
         space = build_binary_space(6, 0.25)
         assert estimate_derandomized(a, space).value == estimate_derandomized(a, space).value
+
+    def test_spec_with_repeated_columns_names_the_multi_entry(self):
+        # the space is on the spec's grid, but the sign kernel is not
+        spec = MultiplicitySpec(random_nonneg(np.random.default_rng(25), 3, 2), (2, 1))
+        space = build_complex_space((3, 2), 0.9, force_construction=True, ell=1)
+        with pytest.raises(ValueError, match="use estimate_derandomized_multi"):
+            estimate_derandomized(spec, space)
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
@@ -898,7 +899,7 @@ class TestEstimateDerandomizedMulti:
         spec = MultiplicitySpec(b, (2, 2))
         space = exhaustive_complex_space((3, 3))
         est = estimate_derandomized_multi(spec, space)
-        brute = space_mean_by_seed_loop(space, lambda x: gengly(spec, x))
+        brute = space_mean_by_seed_loop(space, lambda p: gengly_batch(spec, [p])[0])
         assert abs(est.value - brute) <= 1e-11 * max(1.0, abs(brute))
 
 
@@ -950,7 +951,7 @@ class TestDerandomizedBits:
         est = estimate_derandomized(a, space)
         hist = complex_histogram_by_seed(space)
         brute = sum(
-            hist[p] * gly(a, PhaseVector((2, 2, 2), p)) for p in np.ndindex(space.moduli)
+            hist[p] * gly_batch(a, 1 - 2 * np.array([p]))[0] for p in np.ndindex(space.moduli)
         )
         assert hist[0, 0, 1] != hist[1, 0, 0]
         assert abs(est.value - brute) <= 1e-13 * abs(brute)

@@ -93,7 +93,7 @@ class TestAsSquare:
             lambda a: permanent_ryser(a),
             lambda a: permanent_glynn_exact(a),
             lambda a: permanent_naive(a),
-            lambda a: estimators.gly(a, estimators.PhaseVector.from_signs([1, 1, 1])),
+            lambda a: estimators.gly_batch(a, np.ones((1, 3))),
             lambda a: estimators.estimate_random(a, 0.5),
             lambda a: estimators.estimate_derandomized(a, exhaustive_binary_space(3)),
             lambda a: estimators._exhaustive_estimate(a),
@@ -159,6 +159,14 @@ class TestExpand:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_matrix([[np.nan, 1.0]])
+
+
+class TestRootsOfUnity:
+    def test_exact_small_moduli(self):
+        # exact, not exp-rounded: gengly's binary and quartic phases keep
+        # their zero imaginary and real parts
+        assert matrices.roots_of_unity(2)[1] == -1.0
+        assert matrices.roots_of_unity(4)[1] == 1.0j
 
 
 class TestSpectralNorm:
