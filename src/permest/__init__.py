@@ -58,7 +58,6 @@ _SOURCE = {
     "serialize_matrix": "matrices",
     "spectral_norm": "matrices",
     "strong_fraction": "complex_bias",
-    "theta_strong": "complex_bias",
     "transition_matrix": "optics",
 }
 _SUBMODULES = frozenset(_SOURCE.values())

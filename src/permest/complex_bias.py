@@ -12,7 +12,8 @@ Pipeline, bottom to top:
 * ``StrongProductGenerator``: mixes c-wise independent values, pairwise
   independent sparsifier bits at dyadic densities, and per-level mixing bits
   so that for every nontrivial character the product lands in the pi/8-strong
-  arc with probability at least 1/16.
+  arc with probability at least 1/16. Its one seed map, ``cell_index``,
+  gives every seed's output as a flat index under any place values.
 * ``walk_batch``: walks on an 8-regular Margulis-Gabber-Galil expander turn
   one base seed into many correlated ones while adding only 3 bits per step.
   Its move rule, ``_mgg_move``, is the one the histogram's successor table
@@ -62,7 +63,7 @@ from .binary_bias import (
     _gf2_mul_batch,
     measure_bias,
 )
-from .errors import CapacityError, DescriptorError, DomainError
+from .errors import CapacityError, DescriptorError
 from .estimators import phase_space_size
 
 __all__ = [
@@ -84,9 +85,7 @@ __all__ = [
     "strong_fraction",
     "theory_ell",
     "theory_seed_bits",
-    "theta_strong",
     "walk_batch",
-    "walk_failure_fraction",
 ]
 
 C_WISE = 7
@@ -108,13 +107,6 @@ TABLE_LIMIT = 1 << 26
 # selector sums per block of the constructed-space histogram (walks one
 # vertex short x their selector patterns)
 _SEED_BLOCK = 1 << 18
-
-
-def theta_strong(lam: complex, theta: float) -> bool:
-    """Whether |arg lam| >= theta for a unit-norm lam (boundary inclusive)."""
-    if abs(abs(lam) - 1.0) > 1e-9:
-        raise DomainError(f"theta_strong needs a unit-norm input, got |{lam}|")
-    return abs(cmath.phase(lam)) >= theta
 
 
 def _is_prime(p: int) -> bool:
@@ -215,9 +207,6 @@ class StrongProductGenerator:
         self._tables = _gf2_mul_batch(
             field, points, self.gf_bits, IRREDUCIBLE[self.gf_bits]
         ).astype(np.int64)
-        # exponents lie in [0, m_i); int8 would wrap them above 127
-        self.dtype = np.int8 if max(moduli) <= 128 else np.int32
-        self._exponents: np.ndarray | None = None
         self._cell_counts: np.ndarray | None = None
         self._cells: np.ndarray | None = None
 
@@ -239,29 +228,28 @@ class StrongProductGenerator:
         """The residues h * u_i mod m_i of every c-wise tuple u, (hmax + 2,
         n_u, k) for level counts h = 0..hmax + 1, and the (rests, k) level
         counts of every rest = seed // n_u. A seed's output is its rest's
-        row of residues; raises over the table cap."""
+        row of residues; raises over the seed-table cap."""
         if self.seed_count > TABLE_LIMIT:
-            raise CapacityError(f"{self.seed_count} seeds exceed the exponent-table cap")
+            raise CapacityError(f"{self.seed_count} seeds exceed the seed-table cap")
         u = cwise_batch(self.cwise, np.arange(self.n_u, dtype=np.int64))
         h = np.arange(self.hmax + 2, dtype=np.int64)[:, None, None]
         rests = np.arange(self.seed_count // self.n_u, dtype=np.int64)
         return h * u % np.array(self.moduli), self._level_counts(rests)
 
-    def exponent_table(self) -> np.ndarray:
-        """All seed outputs, (seed_count, k) of ``dtype``, cached.
+    def cell_index(self, places) -> np.ndarray:
+        """Every seed's output as one int64 flat index under the place
+        values ``places``, in seed order.
 
         Seeds run c-wise part fastest, so each setting of the hash and
-        mixing bits copies, per coordinate, the residue row of its level
+        mixing bits sums, per coordinate, the residue row of its level
         count.
         """
-        if self._exponents is None:
-            rows, levels = self._residue_rows()
-            rows = rows.astype(self.dtype)
-            table = np.empty((levels.shape[0], self.n_u, self.k), dtype=self.dtype)
-            for i in range(self.k):
-                table[:, :, i] = rows[levels[:, i], :, i]
-            self._exponents = table.reshape(-1, self.k)
-        return self._exponents
+        rows, levels = self._residue_rows()
+        rows *= np.asarray(places, dtype=np.int64)
+        index = np.zeros((levels.shape[0], self.n_u), dtype=np.int64)
+        for i in range(self.k):
+            index += rows[levels[:, i], :, i]
+        return index.ravel()
 
     def cell_counts(self) -> np.ndarray:
         """Seeds per grid cell, int64 over the C-order cell index, cached.
@@ -395,30 +383,6 @@ def walk_batch(params: AmplifierParams, seeds: np.ndarray) -> np.ndarray:
         x, y = _mgg_move(x, y, (seeds >> (r + 3 * (t - 1))) & 7, mask)
         np.bitwise_or(x << half, y, out=out[:, t])
     return out
-
-
-def walk_failure_fraction(
-    params: AmplifierParams,
-    good: np.ndarray,
-    sample_seeds: int | None = None,
-    rng_seed: int = 0,
-) -> float:
-    """Fraction of walk seeds visiting ``good`` fewer than walk_length/2
-    times. Exhaustive when the seed space fits, else seeded sampling."""
-    if good.shape[0] != (1 << params.vertex_bits):
-        raise ValueError("good-set mask must cover the vertex space")
-    total_bits = params.seed_bits
-    if sample_seeds is None:
-        if total_bits > 26:
-            raise CapacityError(
-                f"2^{total_bits} walk seeds cannot be enumerated; pass sample_seeds"
-            )
-        seeds = np.arange(1 << total_bits, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(rng_seed)
-        seeds = rng.integers(0, 1 << total_bits, size=sample_seeds, dtype=np.int64)
-    hits = good[walk_batch(params, seeds)].sum(axis=1)
-    return float(np.mean(hits < params.walk_length / 2.0))
 
 
 def theory_ell(epsilon: float) -> int:
@@ -575,13 +539,16 @@ class ComplexSampleSpace:
 
         Every seed is counted exactly, as a sum of base tuples over a range
         widened so that sums never wrap, folded onto the grid at the end.
-        At ell = 1 the seeds are the vertices and their selector bits, so
-        nothing is enumerated. Otherwise the sizes alone pick the cheaper
-        of two paths over the 8 successors of every vertex, taken from the
-        walk's move rule: counting, (ell - 1) * 16 * V * size updates for V
-        vertices and size widened sums (``_count_walks``), when that is
-        fewer than enumeration's 9 * walks * 2^(ell-1) for its walks one
-        vertex short (``_enumerate_walks``).
+        Each vertex's base tuple is its base seed's ``cell_index`` under the
+        widened place values. At ell = 1 the seeds are the vertices and
+        their selector bits, so the counts are one ``bincount`` of those
+        indices, plus V at 0 for the selector off. Otherwise the sizes
+        alone pick the cheaper of two paths over the 8 successors of every
+        vertex, taken from the walk's move rule: counting, (ell - 1) * 16 *
+        V * size updates for V vertices and size widened sums
+        (``_count_walks``), when that is fewer than enumeration's
+        9 * walks * 2^(ell-1) for its walks one vertex short
+        (``_enumerate_walks``).
         """
         if self._hist is not None:
             return self._hist
@@ -593,26 +560,21 @@ class ComplexSampleSpace:
                 raise CapacityError(
                     f"2^{self.seed_bits} seeds exceed the enumeration cap"
                 )
-            r, ell, base_seeds = self.amplifier.vertex_bits, self.ell, self.base.seed_count
+            r, ell = self.amplifier.vertex_bits, self.ell
             vertices = 1 << r
             # a coordinate sum of ell tuples stays below ell*(m_i - 1) + 1, so
             # sums add as one index over those wider ranges, reduced mod m_i
             # only when the counts are folded onto the grid
             wide = tuple(ell * (m - 1) + 1 for m in self.moduli)
             size = math.prod(wide)
-            table = self.base.exponent_table()
+            # f[v], the widened index of vertex v's base tuple: v's base
+            # seed is v mod S, so f repeats the generator's seed order
+            f = np.resize(self.base.cell_index(_radix(wide)), vertices)
             if ell == 1:
-                # no move: selector off puts every vertex v at 0, on at f(v mod S).
-                # wide is the grid itself, so each whole round of the base
-                # seeds adds the generator's cell counts
-                rest = table[: vertices % base_seeds].astype(np.int64) @ _radix(wide)
-                wide_counts = (vertices // base_seeds) * self.base.cell_counts()
-                wide_counts += np.bincount(rest, minlength=size)
+                # no move: selector off puts every vertex at 0, on at f[v]
+                wide_counts = np.bincount(f, minlength=size)
                 wide_counts[0] += vertices
             else:
-                # f[v], the widened index of vertex v's base tuple: v's base
-                # seed is v mod S, so f repeats the table's indices
-                f = np.resize(table.astype(np.int64) @ _radix(wide), vertices)
                 walks = 1 << AmplifierParams(r, ell - 1).seed_bits
                 if (ell - 1) * 16 * vertices * size < 9 * walks << (ell - 1):
                     wide_counts = _count_walks(f, ell, size)

@@ -37,10 +37,4 @@ class DomainError(PermestError):
 
 class ConvergenceError(PermestError):
     """A numerical routine failed to converge: LAPACK's SVD in
-    ``spectral_norm``. Carries the best estimate so far (nan if none)."""
-
-    def __init__(self, message: str, value: float, residual: float, iterations: int):
-        super().__init__(message)
-        self.value = value
-        self.residual = residual
-        self.iterations = iterations
+    ``spectral_norm``."""

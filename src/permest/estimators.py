@@ -493,9 +493,10 @@ def estimate_random(
 
 
 def estimate_random_multi(
-    spec: MultiplicitySpec, epsilon: float, delta: float = 0.01, rng_seed: int = 0
+    target, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
-    """Mean of uniform roots-of-unity samples of gengly.
+    """Mean of uniform roots-of-unity samples of gengly over
+    ``as_spec(target)``: a square matrix is its all-ones spec.
 
     Reproducible for a fixed ``rng_seed``: each ``_CHUNK`` = 2^16-sample
     chunk draws its phases column by column with ``integers(0, s_i + 1)`` of
@@ -509,6 +510,7 @@ def estimate_random_multi(
     their ``np.intp`` place values; every other block is stacked into int64
     phases and evaluated.
     """
+    spec = as_spec(target)
     _check_params(epsilon, delta)
     bound = permanent_upper_bound(spec)
     moduli = spec.moduli
@@ -616,10 +618,12 @@ def estimate_derandomized(a, space) -> Estimate:
     return _derandomized_mean(space, spec, evaluate)
 
 
-def estimate_derandomized_multi(spec: MultiplicitySpec, space) -> Estimate:
-    """Deterministic mean of gengly over a sample space on the spec's
-    roots-of-unity grid. A uniform space's support is enumerated too: the
+def estimate_derandomized_multi(target, space) -> Estimate:
+    """Deterministic mean of gengly over a sample space on the
+    roots-of-unity grid of ``as_spec(target)``: a square matrix is its
+    all-ones spec. A uniform space's support is enumerated too: the
     benchmark reaches this path only through uniform spaces (ROADMAP item 11)."""
+    spec = as_spec(target)
     _require_derandomizable(space, spec, "a base matrix")
 
     def evaluate(block, places):

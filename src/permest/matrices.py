@@ -223,9 +223,7 @@ def spectral_norm(a) -> SpectralNormResult:
     try:
         sigma = float(np.linalg.svd(a, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"LAPACK singular values: {exc}", value=math.nan, residual=math.nan, iterations=1
-        ) from None
+        raise ConvergenceError(f"LAPACK singular values: {exc}") from None
     slack = 4 * max(a.shape) * 2.0**-53
     value = sigma * (1.0 + slack)
     if value < sys.float_info.min:

@@ -5,6 +5,7 @@ textbook formulas, and a hand-rolled one-sided Jacobi SVD. Tests compare the
 package against these, never the other way around.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -196,8 +197,8 @@ def complex_seed_phases(space, seed: int) -> tuple[int, ...]:
     in an exhaustive space, else the sum mod m_i of the base tuples at the
     walk vertices its selector bits pick out, walking with ``mgg_step``.
 
-    The base tuples come from the package's exponent table, which is tested
-    on its own against the c-wise and hash references."""
+    The base tuples come from ``strong_outputs_by_seed``, seed by seed in
+    the generator's layout, not from the package's seed map."""
     moduli = space.moduli
     if space.exhaustive:
         digits = []
@@ -210,7 +211,7 @@ def complex_seed_phases(space, seed: int) -> tuple[int, ...]:
     size = 1 << half
     x, y = (seed >> half) & (size - 1), seed & (size - 1)
     selectors = seed >> amp.seed_bits
-    table = base.exponent_table()
+    table = strong_outputs_by_seed(base)
     total = [0] * len(moduli)
     for j in range(amp.walk_length):
         if j:
@@ -342,8 +343,9 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     seed is its own C-order grid index; a constructed seed runs its own walk
     and sums the base tuples its selector bits pick out.
 
-    Reuses the package's walk and exponent table (tested on their own) but
-    none of its per-walk doubling or last-step counting.
+    Reuses the package's walk (tested on its own) with the base tuples of
+    ``strong_outputs_by_seed``, and none of the package's seed map,
+    per-walk doubling or last-step counting.
     """
     from permest.complex_bias import walk_batch
 
@@ -356,7 +358,7 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     mods = np.array(space.moduli, dtype=np.int64)
     if not space.exhaustive:
         amp = space.amplifier
-        table = space.base.exponent_table().astype(np.int64)
+        table = strong_outputs_by_seed(space.base)
     chunk = 1 << 18
     for lo in range(0, space.seed_count, chunk):
         hi = min(lo + chunk, space.seed_count)
@@ -396,21 +398,20 @@ def glynn_multiset_fraction(base, mults) -> Fraction:
 def strong_product_batch(gen, seeds) -> np.ndarray:
     """The strong-product generator's output at each of ``seeds``, seed by
     seed in its layout: the c-wise tuple of seed mod n_u times each
-    coordinate's level count from seed // n_u, mod m_i, in ``gen.dtype``.
+    coordinate's level count from seed // n_u, mod m_i, as int64.
     One c-wise draw backs every level h; the sparsifier bits only zero
     coordinates, so reducing mod m_i up front is equivalent."""
     from permest.complex_bias import cwise_batch
 
     seeds = np.asarray(seeds, dtype=np.int64)
     u = cwise_batch(gen.cwise, seeds % gen.n_u)
-    f = u * gen._level_counts(seeds // gen.n_u) % np.array(gen.moduli)
-    return f.astype(gen.dtype)
+    return u * gen._level_counts(seeds // gen.n_u) % np.array(gen.moduli)
 
 
 @functools.lru_cache(maxsize=4)
 def strong_outputs_by_seed(gen) -> np.ndarray:
     """Every seed's output, (seed_count, k) int64, from the per-seed batch."""
-    return strong_product_batch(gen, np.arange(gen.seed_count)).astype(np.int64)
+    return strong_product_batch(gen, np.arange(gen.seed_count))
 
 
 def strong_cell_counts_by_seed(gen, chunk=1 << 20) -> np.ndarray:
@@ -420,7 +421,7 @@ def strong_cell_counts_by_seed(gen, chunk=1 << 20) -> np.ndarray:
     counts = np.zeros(cells, dtype=np.int64)
     for lo in range(0, gen.seed_count, chunk):
         f = strong_product_batch(gen, np.arange(lo, min(lo + chunk, gen.seed_count)))
-        index = np.ravel_multi_index(tuple(f.astype(np.int64).T), gen.moduli)
+        index = np.ravel_multi_index(tuple(f.T), gen.moduli)
         counts += np.bincount(index, minlength=cells)
     return counts
 
@@ -433,6 +434,27 @@ def strong_fraction_by_seed(gen, exponent, theta_ratio=(1, 16)) -> float:
     num = (table * weights).sum(axis=1) % lcm
     a, b = theta_ratio
     return float(np.mean((b * num >= a * lcm) & (b * (lcm - num) >= a * lcm)))
+
+
+def theta_strong(lam: complex, theta: float) -> bool:
+    """Whether |arg lam| >= theta (boundary inclusive)."""
+    return abs(cmath.phase(lam)) >= theta
+
+
+def walk_failure_fraction(params, good, sample_seeds=None, rng_seed=0) -> float:
+    """Fraction of walk seeds visiting ``good`` fewer than walk_length/2
+    times: every seed, or ``sample_seeds`` drawn with ``rng_seed``."""
+    from permest.complex_bias import walk_batch
+
+    if good.shape[0] != (1 << params.vertex_bits):
+        raise ValueError("good-set mask must cover the vertex space")
+    if sample_seeds is None:
+        seeds = np.arange(1 << params.seed_bits, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(rng_seed)
+        seeds = rng.integers(0, 1 << params.seed_bits, size=sample_seeds, dtype=np.int64)
+    hits = good[walk_batch(params, seeds)].sum(axis=1)
+    return float(np.mean(hits < params.walk_length / 2.0))
 
 
 def mgg_step(x, y, choice, size):

@@ -356,7 +356,7 @@ class TestEstimate:
         # the bound comes first: a norm that cannot be certified exits 3
         # without running the exponential-time kernel
         def refuse(a):
-            raise ConvergenceError("power iteration did not converge", 1.0, 1e-3, 10_000)
+            raise ConvergenceError("LAPACK singular values: SVD did not converge")
 
         def never(*args, **kwargs):
             raise AssertionError("the exact kernel ran before the bound")

@@ -28,13 +28,12 @@ from permest.complex_bias import (
     strong_fraction,
     theory_ell,
     theory_seed_bits,
-    theta_strong,
     walk_batch,
-    walk_failure_fraction,
     _base_vertex_bits,
+    _radix,
     _strong_generator,
 )
-from permest.errors import CapacityError, DescriptorError, DomainError
+from permest.errors import CapacityError, DescriptorError
 
 from oracles import (
     bias_by_dft,
@@ -48,6 +47,8 @@ from oracles import (
     strong_cell_counts_by_seed,
     strong_fraction_by_seed,
     strong_product_batch,
+    theta_strong,
+    walk_failure_fraction,
 )
 
 
@@ -61,10 +62,6 @@ class TestThetaStrong:
     def test_boundary_inclusive(self):
         lam = cmath.exp(1j * math.pi / 8)
         assert theta_strong(lam, math.pi / 8)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainError):
-            theta_strong(0.5 + 0j, 0.1)
 
 
 class TestConstants:
@@ -228,19 +225,24 @@ class TestStrongProduct:
         )
 
     @pytest.mark.parametrize("moduli", [(3,), (4, 3), (2, 3, 2), (40, 2, 2), (200,), (2, 2, 2, 2)])
-    def test_exponent_table_matches_sample_batch(self, moduli):
-        # the table copies residue rows per hash/mixing setting; (40, 2, 2)
+    def test_cell_index_matches_sample_batch(self, moduli):
+        # the index sums residue rows per hash/mixing setting; (40, 2, 2)
         # has 68,921 c-wise seeds, exponents of (200,) do not fit in int8,
         # and k = 4 reaches level 2, where coordinates get different level
-        # counts
+        # counts. Under the C-order place values and under those of sums of
+        # three outputs, whose coordinates are widened to 3 * (m_i - 1) + 1
         gen = StrongProductGenerator(moduli)
-        table = gen.exponent_table()
-        assert table.shape == (gen.seed_count, len(moduli))
-        assert table.dtype == (np.int8 if max(moduli) <= 128 else np.int32)
-        assert table.min() >= 0 and np.all(table.max(axis=0) == np.array(moduli) - 1)
         rng = np.random.default_rng(len(moduli))
         seeds = np.concatenate(([0, gen.seed_count - 1], rng.integers(0, gen.seed_count, 5000)))
-        assert np.array_equal(strong_product_batch(gen, seeds), table[seeds])
+        outputs = strong_product_batch(gen, seeds)
+        for places in (_radix([3 * (m - 1) + 1 for m in moduli]), _radix(moduli)):
+            index = gen.cell_index(places)
+            assert index.dtype == np.int64 and index.shape == (gen.seed_count,)
+            assert np.array_equal(index[seeds], outputs @ places)
+        # every residue of every coordinate is some seed's output
+        cells = np.bincount(index, minlength=math.prod(moduli)).reshape(moduli)
+        for i, m in enumerate(moduli):
+            assert np.all(np.moveaxis(cells, i, 0).reshape(m, -1).any(axis=1))
 
     @pytest.mark.parametrize("moduli", [(2, 3, 2), (4, 3), (3,), (4, 4, 4), (3, 3, 2)])
     def test_cell_counts_match_per_seed_mean(self, moduli):
@@ -257,8 +259,8 @@ class TestStrongProduct:
         monkeypatch.setattr("permest.complex_bias.TABLE_LIMIT", 135)
         gen = StrongProductGenerator((3,))
         assert gen.seed_count == 136
-        for table in (gen.exponent_table, gen.cell_counts):
-            with pytest.raises(CapacityError, match="exceed the exponent-table cap"):
+        for table in (lambda: gen.cell_index(_radix((3,))), gen.cell_counts):
+            with pytest.raises(CapacityError, match="exceed the seed-table cap"):
                 table()
 
     def test_mixing_bit_case_analysis(self):

@@ -28,7 +28,7 @@ from permest.exact import (
     permanent_naive,
     permanent_ryser,
 )
-from permest.matrices import MultiplicitySpec, expand, gengly_scale, spectral_norm
+from permest.matrices import MultiplicitySpec, as_spec, expand, gengly_scale, spectral_norm
 from permest.optics import saturating_unitary
 
 from oracles import (
@@ -43,6 +43,11 @@ from oracles import (
     space_mean_by_seed_loop,
     stdout_per_blas_threads,
 )
+
+
+def _hex(est) -> tuple[str, str]:
+    """An estimate's value, bit for bit."""
+    return est.value.real.hex(), est.value.imag.hex()
 
 
 def direct_chunk_mean(x, m, seed):
@@ -401,6 +406,12 @@ class TestEstimateRandomMulti:
         exact = permanent_gengly_exact(spec)
         est = estimate_random_multi(spec, 0.1, 0.01, rng_seed=11)
         assert abs(est.value - exact) <= est.guarantee().additive_error_bound
+
+    @pytest.mark.parametrize("a", [np.eye(3), random_nonneg(np.random.default_rng(18), 4)])
+    def test_matrix_is_its_all_ones_spec(self, a):
+        got = estimate_random_multi(a, 0.2, rng_seed=5)
+        want = estimate_random_multi(as_spec(a), 0.2, rng_seed=5)
+        assert _hex(got) == _hex(want)
 
 
 class TestSampleStream:
@@ -892,6 +903,20 @@ class TestEstimateDerandomizedMulti:
         # a binary space over the right number of coordinates
         with pytest.raises(ValueError):
             estimate_derandomized_multi(spec, exhaustive_binary_space(2))
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            lambda: exhaustive_binary_space(3),
+            lambda: build_complex_space((2, 2), 0.8, force_construction=True, ell=1),
+        ],
+        ids=["binary-exhaustive-3", "forced-22-ell1"],
+    )
+    def test_matrix_is_its_all_ones_spec(self, space):
+        space = space()
+        a = random_nonneg(np.random.default_rng(19), len(space.moduli))
+        got = estimate_derandomized_multi(a, space)
+        assert _hex(got) == _hex(estimate_derandomized_multi(as_spec(a), space))
 
     def test_seed_loop_oracle(self):
         rng = np.random.default_rng(16)

@@ -225,9 +225,8 @@ class TestSpectralNorm:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+        with pytest.raises(ConvergenceError, match="did not converge"):
             spectral_norm(random_complex(np.random.default_rng(9), 6))
-        assert exc.value.iterations == 1
 
     def test_never_below_lapack(self):
         # the slack is 4 * max(rows, cols) units of 2^-53, relative

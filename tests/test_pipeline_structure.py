@@ -199,7 +199,7 @@ class TestPublicApi:
         "permanent_glynn_exact", "permanent_naive", "permanent_ryser",
         "permanent_upper_bound", "saturating_outcome", "saturating_unitary",
         "serialize_matrix", "spectral_norm", "strong_fraction",
-        "theta_strong", "transition_matrix",
+        "transition_matrix",
     ]
     SUBMODULES = [
         "binary_bias", "complex_bias", "errors", "estimators", "exact",
