@@ -40,6 +40,7 @@ _SOURCE = {
     "bunching_bound": "optics",
     "estimate_derandomized": "estimators",
     "estimate_derandomized_multi": "estimators",
+    "estimate_exhaustive": "estimators",
     "estimate_random": "estimators",
     "estimate_random_multi": "estimators",
     "exhaustive_binary_space": "binary_bias",

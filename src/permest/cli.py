@@ -103,7 +103,7 @@ def _space_from_descriptor(text: str):
     raise DescriptorError(f"unknown space descriptor kind {kind!r}")
 
 
-def _build_space_for(args, n: int, spec):
+def _build_space_for(args, target):
     if args.space:
         space = _space_from_descriptor(args.space)
         if args.epsilon is not None and args.epsilon != space.declared_epsilon:
@@ -112,23 +112,17 @@ def _build_space_for(args, n: int, spec):
                 f"eps={space.declared_epsilon}"
             )
         return space
-    if spec is None:
+    if not args.mult:
         from .binary_bias import build_binary_space
 
-        return build_binary_space(n, args.epsilon)
+        return build_binary_space(target.shape[0], args.epsilon)
     from .complex_bias import build_complex_space
 
-    return build_complex_space(spec.moduli, args.epsilon)
+    return build_complex_space(target.moduli, args.epsilon)
 
 
 def _cmd_estimate(args) -> int:
-    from .estimators import (
-        _exhaustive_estimate,
-        estimate_derandomized,
-        estimate_derandomized_multi,
-        estimate_random,
-        estimate_random_multi,
-    )
+    from .estimators import estimate_derandomized, estimate_exhaustive, estimate_random
     from .matrices import MultiplicitySpec
 
     if args.epsilon is None and (
@@ -139,23 +133,17 @@ def _cmd_estimate(args) -> int:
             "without --space"
         )
     a = _load_matrix(args.matrix)
-    spec = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else None
+    target = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else a
     payload: dict = {}
     if args.mode == "random":
-        if spec is None:
-            est = estimate_random(a, args.epsilon, args.delta, args.seed)
-        else:
-            est = estimate_random_multi(spec, args.epsilon, args.delta, args.seed)
+        est = estimate_random(target, args.epsilon, args.delta, args.seed)
         payload_extra = {"delta": args.delta, "seed": args.seed}
     elif args.mode == "exhaustive":
-        est = _exhaustive_estimate(a if spec is None else spec)
+        est = estimate_exhaustive(target)
         payload_extra = {}
     else:
-        space = _build_space_for(args, a.shape[0], spec)
-        if spec is None:
-            est = estimate_derandomized(a, space)
-        else:
-            est = estimate_derandomized_multi(spec, space)
+        space = _build_space_for(args, target)
+        est = estimate_derandomized(target, space)
         payload_extra = {"space": space.descriptor()}
     payload.update(_complex_payload("value", est.value))
     payload["bound_term"] = est.bound_term

@@ -10,14 +10,19 @@ shrinking its worst-case magnitude to
 only in batches, ``gly_batch`` over rows of signs and ``gengly_batch`` over
 rows of phases; one point is a batch of one row.
 
-Averaging comes in three modes: ``random`` (independent uniform samples with
-a Hoeffding-derived sample count), ``derandomized`` (full enumeration of a
-small-bias sample space's seeds), and ``exhaustive`` (the exact grid sum of
-``exact``: ``permanent_glynn_exact`` for a matrix, ``permanent_gengly_exact``
-for a spec). A uniform (0-biased) sample space is the whole grid, so the
-derandomized mean of gly over one is that same exhaustive estimate, bit
-for bit. gengly's derandomized mean still enumerates a uniform space's
-support (ROADMAP item 11).
+Averaging comes in three modes, one entry each, and each takes a square
+matrix or a ``MultiplicitySpec``: ``estimate_random`` (independent uniform
+samples with a Hoeffding-derived sample count), ``estimate_derandomized``
+(full enumeration of a small-bias sample space's seeds) and
+``estimate_exhaustive`` (the exact grid sum of ``exact``). Each picks its
+estimator once, from the input's type: a matrix runs gly on the sign grid
+and a spec, an all-ones one included, gengly on its roots-of-unity grid, so
+a matrix's stream and its all-ones spec's differ. A uniform (0-biased)
+sample space is the whole grid, so the derandomized mean of gly over one is
+that same exhaustive estimate, bit for bit. gengly's derandomized mean
+still enumerates a uniform space's support (ROADMAP item 11).
+``estimate_random_multi`` and ``estimate_derandomized_multi`` forward
+``as_spec(target)`` for the benchmark only (ROADMAP item 19).
 
 ``gly_batch`` and ``gengly_batch`` are thin wrappers over one kernel,
 ``_rowsum_products(x, at, weight)``: weight[m] * prod_i (x @ at)[m, i] for
@@ -33,7 +38,7 @@ coordinate from a sqrt(s)*roots table, after checking the phase range. The
 sign product x_1...x_n comes from the integer count of -1 signs, and the
 gengly phase factor from a per-phase table, as the weight.
 
-Both random-mode estimators run one loop, ``_random_mean``: ``_CHUNK`` =
+Both random-mode streams run one loop, ``_random_mean``: ``_CHUNK`` =
 2^16-sample chunks of ``_BLOCK``-row blocks, written into one reused buffer
 and summed pairwise once per chunk. gly draws its signs per block from
 ``numpy.random.default_rng(rng_seed)``: sign j is the top bit of 32-bit
@@ -89,6 +94,7 @@ __all__ = [
     "GuaranteeReport",
     "estimate_derandomized",
     "estimate_derandomized_multi",
+    "estimate_exhaustive",
     "estimate_random",
     "estimate_random_multi",
     "gengly_batch",
@@ -289,13 +295,6 @@ def _random_cells(bitgen, rows: int, n: int) -> np.ndarray:
     return ((np.float32((1 << n) - 1) - total) / 2).astype(np.intp)
 
 
-def _check_params(epsilon: float, delta: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-
-
 def _lookup_table(grid: int, evaluate, cells, mirror: bool) -> np.ndarray:
     """The kernel's value at every cell of the grid, in ``_BLOCK``-row
     blocks of ``cells`` input; the last block starts early rather than hold
@@ -322,8 +321,8 @@ def _lookup_table(grid: int, evaluate, cells, mirror: bool) -> np.ndarray:
 
 
 def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False) -> complex:
-    """Mean of m independent samples of an estimator, the loop of both
-    random-mode estimators.
+    """Mean of m independent samples of an estimator, the loop of random
+    mode's sign and phase streams.
 
     ``draw(c)`` draws one chunk of c samples and returns ``chunk(lo, rows,
     lookup)``: the kernel input of its rows lo..lo+rows-1, or with ``lookup``
@@ -406,11 +405,12 @@ def _index_signs(
     return signs.view(np.float64)
 
 
-def permanent_upper_bound(spec: MultiplicitySpec) -> float:
-    """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n``, rounded up: an upper
-    bound on the magnitude of the expanded matrix's permanent and of every
-    gengly sample, and the bound term of every estimate (all s_i = 1
-    gives ``|A|^n``, the bound on every gly sample).
+def permanent_upper_bound(target) -> float:
+    """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n`` of ``as_spec(target)``,
+    rounded up: an upper bound on the magnitude of the expanded matrix's
+    permanent and of every gengly sample, and the bound term of every
+    estimate (a matrix, all s_i = 1, gives ``|A|^n``, the bound on every gly
+    sample).
 
     ``|B|`` is ``spectral_norm``'s certified value. The log of the bound
     adds ``2^-53`` times (4 plus the magnitudes of its two terms): the
@@ -419,6 +419,7 @@ def permanent_upper_bound(spec: MultiplicitySpec) -> float:
     nonzero matrix never gets 0.0. A bound beyond the double range raises
     ``OverflowError``.
     """
+    spec = as_spec(target)
     sigma = spectral_norm(spec.base).value
     if sigma == 0.0:
         return 0.0
@@ -435,122 +436,105 @@ def permanent_upper_bound(spec: MultiplicitySpec) -> float:
     return bound
 
 
-def _sign_spec(a, multi: str) -> MultiplicitySpec:
-    """``as_spec(a)`` for an estimator on the sign grid; a spec with repeated
-    columns lives on another grid, which the entry ``multi`` samples."""
-    spec = as_spec(a)
-    if spec.k != spec.n:
-        raise ValueError(f"need a matrix; use {multi} for multiplicities {spec.mults}")
-    return spec
-
-
-def estimate_random(
-    a, epsilon: float, delta: float = 0.01, rng_seed: int = 0
-) -> Estimate:
-    """Mean of independent uniform sign-vector samples of gly.
-
-    Guarantee: within ``epsilon * |A|^n`` of the permanent with probability
-    at least ``1 - delta``. Reproducible for a fixed ``rng_seed``: the signs
-    are the top bits of the 32-bit halves of the raw PCG64 words of
-    ``default_rng(rng_seed)``, low half first, the same stream as
-    ``integers(0, 2)``. They are drawn in blocks of ``_BLOCK`` = 2^12 rows,
-    and the samples are summed pairwise once per ``_CHUNK`` = 2^16 rows.
-    Sign j = -1 is bit j of the sample's cell: when 2^n is at most the
-    samples in full blocks and at most 2^16, ``gly_batch`` runs once over
-    the 2^(n-1) cells with sign n-1 = +1, the global sign flip gives the
-    other half bit for bit, and each full block reads its values from that
-    table at cells decoded from the float32 signs (``_random_cells``);
-    otherwise every block is evaluated on float64 signs.
-    """
-    spec = _sign_spec(a, "estimate_random_multi")
-    a, n = spec.base, spec.n
-    _check_params(epsilon, delta)
+# The bodies of estimate_random and estimate_derandomized. Their _multi
+# forwards call these, not the public entries, so that the benchmark's tracer
+# sees one estimator span per call, the parent of its kernel calls.
+def _random(target, epsilon: float, delta: float, rng_seed: int) -> Estimate:
+    spec = as_spec(target)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     # an overflowing bound raises here, before any sample can overflow
     bound = permanent_upper_bound(spec)
     m = sample_count(epsilon, delta)
-    bitgen = np.random.default_rng(rng_seed).bit_generator
-    # one sign buffer for every block: a fresh one, live next to the
-    # kernel's row sums, made malloc return the heap to the kernel and fault
-    # it in again at every block (40k page faults per estimate at n=30)
-    signs = np.empty(min(m, _BLOCK) * n, dtype=np.float64)
+    moduli, n = spec.moduli, spec.n
+    if spec is target:
+        rng = np.random.default_rng(rng_seed)
+        narrow = np.min_scalar_type(max(moduli) - 1)
+        # np.intp strides: a uint8 column times a Python int raises under
+        # NEP 50. They are read only where the table is used (grid <=
+        # _CHUNK), where they cannot wrap
+        strides = np.cumprod([1, *moduli[:-1]], dtype=np.intp)
+        cols = []
 
-    # a block of _BLOCK rows has an even number of signs, so only the run's
-    # last draw can be odd
-    def chunk(lo, rows, lookup):
-        if lookup:
-            return _random_cells(bitgen, rows, n)
-        return _random_signs(bitgen, rows, n, out=signs)
+        # the per-column draws depend on the chunk size: keep _CHUNK for sampling
+        def draw(c):
+            # the last chunk's columns go before this chunk's are drawn
+            cols.clear()
+            cols.extend(rng.integers(0, mod, size=c).astype(narrow) for mod in moduli)
+            return chunk
 
-    value = _random_mean(
-        m,
-        1 << n,
-        lambda c: chunk,
-        lambda x: gly_batch(a, x),
-        lambda lo, hi: _index_signs(np.arange(lo, hi), 1 << np.arange(n)),
-        mirror=True,
-    )
+        def chunk(lo, rows, lookup):
+            block = [col[lo : lo + rows] for col in cols]
+            if not lookup:
+                # stacked one block at a time, while the block is in cache
+                return np.stack(block, dtype=np.int64).T
+            idx = block[0].astype(np.intp)
+            for col, stride in zip(block[1:], strides[1:]):
+                idx += col * stride
+            return idx
+
+        value = _random_mean(
+            m,
+            phase_space_size(moduli),
+            draw,
+            lambda x: gengly_batch(spec, x),
+            lambda lo, hi: _index_phases(np.arange(lo, hi), strides, moduli).T,
+        )
+    else:
+        bitgen = np.random.default_rng(rng_seed).bit_generator
+        # one sign buffer for every block: a fresh one, live next to the
+        # kernel's row sums, made malloc return the heap to the kernel and
+        # fault it in again at every block (40k page faults per estimate at n=30)
+        signs = np.empty(min(m, _BLOCK) * n, dtype=np.float64)
+
+        # a block of _BLOCK rows has an even number of signs, so only the
+        # run's last draw can be odd
+        def chunk(lo, rows, lookup):
+            if lookup:
+                return _random_cells(bitgen, rows, n)
+            return _random_signs(bitgen, rows, n, out=signs)
+
+        value = _random_mean(
+            m,
+            1 << n,
+            lambda c: chunk,
+            lambda x: gly_batch(spec.base, x),
+            lambda lo, hi: _index_signs(np.arange(lo, hi), 1 << np.arange(n)),
+            mirror=True,
+        )
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
+
+
+def estimate_random(
+    target, epsilon: float, delta: float = 0.01, rng_seed: int = 0
+) -> Estimate:
+    """Mean of independent uniform samples of gly at sign vectors for a
+    square matrix, or of gengly at roots of unity for a ``MultiplicitySpec``
+    (an all-ones spec included).
+
+    Guarantee: within ``epsilon * permanent_upper_bound(target)`` of the
+    permanent with probability at least ``1 - delta``. Reproducible for a
+    fixed ``rng_seed``: a matrix draws its signs from the raw PCG64 words of
+    ``default_rng(rng_seed)``, the stream of ``integers(0, 2)``, and a spec
+    each chunk's phases column by column with ``integers(0, s_i + 1)``.
+    Samples are evaluated in blocks of ``_BLOCK`` = 2^12 rows, or gathered
+    from a table of the grid when it is small, and summed pairwise once per
+    ``_CHUNK`` = 2^16 rows (module docstring, ``_random_mean``).
+    """
+    return _random(target, epsilon, delta, rng_seed)
 
 
 def estimate_random_multi(
     target, epsilon: float, delta: float = 0.01, rng_seed: int = 0
 ) -> Estimate:
-    """Mean of uniform roots-of-unity samples of gengly over
-    ``as_spec(target)``: a square matrix is its all-ones spec.
-
-    Reproducible for a fixed ``rng_seed``: each ``_CHUNK`` = 2^16-sample
-    chunk draws its phases column by column with ``integers(0, s_i + 1)`` of
-    ``default_rng(rng_seed)``, and is evaluated in blocks of ``_BLOCK`` rows
-    and summed pairwise. Each column is kept only as a copy in the smallest
-    unsigned dtype that holds every phase, and the previous chunk's columns
-    are freed before the next chunk is drawn. When the grid's prod(s_i + 1)
-    cells are at most the samples in full blocks and at most 2^16,
-    ``gengly_batch`` runs once over the cells and each full block reads its
-    values from that table, at cells summed from the narrow columns times
-    their ``np.intp`` place values; every other block is stacked into int64
-    phases and evaluated.
-    """
-    spec = as_spec(target)
-    _check_params(epsilon, delta)
-    bound = permanent_upper_bound(spec)
-    moduli = spec.moduli
-    m = sample_count(epsilon, delta)
-    rng = np.random.default_rng(rng_seed)
-    narrow = np.min_scalar_type(max(moduli) - 1)
-    # np.intp strides: a uint8 column times a Python int raises under NEP 50.
-    # They are read only where the table is used (grid <= _CHUNK), where
-    # they cannot wrap
-    strides = np.cumprod([1, *moduli[:-1]], dtype=np.intp)
-    cols = []
-
-    # the per-column draws depend on the chunk size: keep _CHUNK for sampling
-    def draw(c):
-        # the last chunk's columns go before this chunk's are drawn
-        cols.clear()
-        cols.extend(rng.integers(0, mod, size=c).astype(narrow) for mod in moduli)
-        return chunk
-
-    def chunk(lo, rows, lookup):
-        block = [col[lo : lo + rows] for col in cols]
-        if not lookup:
-            # stacked one block at a time, while the block is in cache
-            return np.stack(block, dtype=np.int64).T
-        idx = block[0].astype(np.intp)
-        for col, stride in zip(block[1:], strides[1:]):
-            idx += col * stride
-        return idx
-
-    value = _random_mean(
-        m,
-        phase_space_size(moduli),
-        draw,
-        lambda x: gengly_batch(spec, x),
-        lambda lo, hi: _index_phases(np.arange(lo, hi), strides, moduli).T,
-    )
-    return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
+    """``estimate_random(as_spec(target), ...)``: a forward kept only for the
+    benchmark, which leaves with ROADMAP item 19."""
+    return _random(as_spec(target), epsilon, delta, rng_seed)
 
 
-def _exhaustive_estimate(target) -> Estimate:
+def estimate_exhaustive(target) -> Estimate:
     """The exact grid sum, gly's over {-1,+1}^n for a matrix or
     gengly's for a ``MultiplicitySpec``, as an exhaustive ``Estimate``
     with zero epsilon; the bound comes first, so it refuses before the sum."""
@@ -562,24 +546,31 @@ def _exhaustive_estimate(target) -> Estimate:
     return Estimate(kernel(spec), bound, 0.0, phase_space_size(spec.moduli), "exhaustive")
 
 
-def _require_derandomizable(space, spec: MultiplicitySpec, what: str) -> None:
-    """Refuse a space on another grid, then entries that are not nonnegative reals."""
+def _derandomized(target, space) -> Estimate:
+    spec = as_spec(target)
     if tuple(space.moduli) != spec.moduli:
         raise ValueError(f"space moduli {tuple(space.moduli)} != {spec.moduli}")
     # exact check: the certainty guarantee needs nonnegative reals
     if np.any(spec.base.imag != 0.0) or np.any(spec.base.real < 0.0):
         raise DomainError(
-            f"derandomized estimation requires {what} with nonnegative real "
+            "derandomized estimation requires a matrix with nonnegative real "
             "entries (imaginary parts exactly zero)"
         )
+    if spec is target:
 
+        def evaluate(block, places):
+            return gengly_batch(spec, _index_phases(block, places, space.moduli).T)
 
-def _derandomized_mean(space, spec: MultiplicitySpec, evaluate) -> Estimate:
-    """Mean of the estimator over a sample space's support, equal to the
-    seed-enumeration average: ``evaluate(block, places)`` decodes each of
-    ``space.support_blocks()`` a ``_BLOCK`` of cells at a time into kernel
-    input that stays in L2. Each row is summed pairwise, then the row sums
-    in order, so neither the blocking nor the BLAS thread count moves a bit."""
+    elif space.exhaustive:
+        return estimate_exhaustive(spec.base)
+    else:
+        # one sign buffer for every block, as in random mode: a fresh one made
+        # malloc fault its pages in again at every block
+        signs = np.empty(_BLOCK * spec.n, dtype=np.uint64)
+
+        def evaluate(block, places):
+            return gly_batch(spec.base, _index_signs(block, places, out=signs))
+
     bound = permanent_upper_bound(spec)
     sums = []
     for cells, probs in space.support_blocks():
@@ -599,34 +590,16 @@ def _derandomized_mean(space, spec: MultiplicitySpec, evaluate) -> Estimate:
     return Estimate(value, bound, space.declared_epsilon, space.seed_count, mode)
 
 
-def estimate_derandomized(a, space) -> Estimate:
-    """Deterministic mean of gly over a sample space with n binary
-    coordinates (moduli all 2); over a uniform space, the exhaustive
-    estimate: ``permanent_glynn_exact`` of ``a``."""
-    spec = _sign_spec(a, "estimate_derandomized_multi")
-    _require_derandomizable(space, spec, "a matrix")
-    if space.exhaustive:
-        return _exhaustive_estimate(spec.base)
-
-    # one sign buffer for every block, as in random mode: a fresh one made
-    # malloc fault its pages in again at every block
-    signs = np.empty(_BLOCK * spec.n, dtype=np.uint64)
-
-    def evaluate(block, places):
-        return gly_batch(spec.base, _index_signs(block, places, out=signs))
-
-    return _derandomized_mean(space, spec, evaluate)
+def estimate_derandomized(target, space) -> Estimate:
+    """Deterministic mean of gly for a square matrix, or of gengly for a
+    ``MultiplicitySpec``, over a sample space on its grid, with nonnegative
+    real entries. It equals the seed-enumeration average and streams the
+    space's ``support_blocks`` (module docstring); over a uniform space,
+    gly's mean is the matrix's ``estimate_exhaustive``, bit for bit."""
+    return _derandomized(target, space)
 
 
 def estimate_derandomized_multi(target, space) -> Estimate:
-    """Deterministic mean of gengly over a sample space on the
-    roots-of-unity grid of ``as_spec(target)``: a square matrix is its
-    all-ones spec. A uniform space's support is enumerated too: the
-    benchmark reaches this path only through uniform spaces (ROADMAP item 11)."""
-    spec = as_spec(target)
-    _require_derandomizable(space, spec, "a base matrix")
-
-    def evaluate(block, places):
-        return gengly_batch(spec, _index_phases(block, places, space.moduli).T)
-
-    return _derandomized_mean(space, spec, evaluate)
+    """``estimate_derandomized(as_spec(target), space)``: a forward kept only
+    for the benchmark, which leaves with ROADMAP item 19."""
+    return _derandomized(as_spec(target), space)

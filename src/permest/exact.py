@@ -6,8 +6,8 @@ n! permutations, built as one int8 table by insertion and multiplied out in
 blocks of 2^16 permutations. Ryser, Glynn and gengly-exact are thin wrappers
 over one O(2^n n) kernel, ``_grid_sum``: a weighted sum, over a product grid
 of per-column values, of the product of the row sums at each grid point.
-Naive, Ryser and Glynn take a matrix or a ``MultiplicitySpec`` (a matrix is
-its all-ones spec): naive expands a spec; Ryser and Glynn give s equal
+Every routine takes a matrix or a ``MultiplicitySpec`` (a matrix is its
+all-ones spec): naive expands a spec; Ryser and Glynn give s equal
 columns one grid column (Kan's multiset form), where taking c of them
 (Ryser) or flipping c to -1 (Glynn) is one point of value c or s - 2c and
 weight (-1)^c C(s, c), one copy of Glynn's first group held at +1. At s = 1
@@ -303,13 +303,15 @@ def permanent_glynn_exact(target) -> complex:
     return complex(_grid_sum(spec.base, values, weights) / (1 << (spec.n - 1)))
 
 
-def permanent_gengly_exact(spec: MultiplicitySpec) -> complex:
-    """Exact average of the generalized estimator over the whole phase grid.
+def permanent_gengly_exact(target) -> complex:
+    """Exact average of the generalized estimator over the whole phase grid
+    of ``as_spec(target)``.
 
     Equals the permanent of the expanded matrix. On a real base the points e
     and -e of the grid give conjugate terms, so the sum is real up to
     rounding and its imaginary part is returned as 0.0.
     """
+    spec = as_spec(target)
     size = phase_space_size(spec.moduli)
     if size > PHASE_SPACE_LIMIT:
         raise SizeLimitError(f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}")

@@ -13,6 +13,7 @@ exhaustive estimate. Estimation is offered for the standard initial state
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,7 +119,7 @@ def amplitude_estimate(
     ``| |a|^2 - |b|^2 | <= |a-b| (|a| + |b|)`` with the estimate standing in
     for the unknown true amplitude.
     """
-    from .estimators import _exhaustive_estimate, estimate_derandomized_multi, estimate_random_multi
+    from .estimators import estimate_derandomized, estimate_exhaustive, estimate_random
 
     u = as_matrix(u)
     k = u.shape[0]
@@ -128,14 +129,13 @@ def amplitude_estimate(
         raise ValueError("photon number must lie in 1..k for the standard input")
     spec = _outcome_spec(u, pattern, (1,) * n + (0,) * (k - n))
     if mode == "random":
-        est = estimate_random_multi(spec, epsilon, delta, rng_seed)
+        est = estimate_random(spec, epsilon, delta, rng_seed)
     elif mode == "exhaustive":
-        est = _exhaustive_estimate(spec)
+        est = estimate_exhaustive(spec)
     elif mode == "derandomized":
         from .complex_bias import build_complex_space
 
-        space = build_complex_space(spec.moduli, epsilon)
-        est = estimate_derandomized_multi(spec, space)
+        est = estimate_derandomized(spec, build_complex_space(spec.moduli, epsilon))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     root_fact = math.exp(0.5 * _log_factorial_sum(pattern))
@@ -151,7 +151,12 @@ def bunching_bound(pattern) -> float:
     from the standard initial state (0! = 1 and 0^0 = 1)."""
     pattern = validate_pattern(pattern)
     # true division of ints rounds the exact ratio correctly
-    return math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
+    bound = math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
+    if bound < sys.float_info.min:
+        # below the normal range the rounded ratio can fall short of the
+        # exact one by half a subnormal step, or be 0.0; one step up bounds it
+        bound = math.nextafter(bound, math.inf)
+    return bound
 
 
 def saturating_unitary(pattern) -> np.ndarray:

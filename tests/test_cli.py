@@ -818,6 +818,12 @@ class TestOptics:
         assert code == 0
         assert out.splitlines()[0] == "0.5"
 
+    def test_bunching_bound_below_the_subnormal_range(self, capsys):
+        # 1000!/1000^1000, about 1e-432, prints as the least subnormal, not 0
+        code, out, _ = run(capsys, "optics", "bound", "--pattern", "1000")
+        assert code == 0
+        assert out.splitlines() == ["4.9406564584124654e-324", "bound=4.9406564584124654e-324"]
+
     def test_hom_probability(self, capsys, hom):
         code, out, _ = run(
             capsys, "optics", "prob", "--unitary", hom, "--out-pattern", "2,0"

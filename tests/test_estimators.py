@@ -15,6 +15,7 @@ from permest.estimators import (
     Estimate,
     estimate_derandomized,
     estimate_derandomized_multi,
+    estimate_exhaustive,
     estimate_random,
     estimate_random_multi,
     gengly_batch,
@@ -356,14 +357,16 @@ class TestEstimateRandom:
         with pytest.raises(ValueError):
             estimate_random(np.eye(2), 0.1, 0.0)
 
-    def test_spec_with_repeated_columns_names_the_multi_entry(self):
+    @pytest.mark.parametrize("mults", [(2, 1), (1, 1, 1)])
+    def test_spec_is_the_multi_forward(self, mults):
+        # a spec, all-ones included, takes gengly's per-column phase stream
         rng = np.random.default_rng(24)
-        with pytest.raises(ValueError, match="use estimate_random_multi"):
-            estimate_random(MultiplicitySpec(random_nonneg(rng, 3, 2), (2, 1)), 0.1)
-        # an all-ones spec is its matrix
-        a = random_nonneg(rng, 3)
-        est = estimate_random(MultiplicitySpec(a, (1, 1, 1)), 0.2, rng_seed=5)
-        assert est.value == estimate_random(a, 0.2, rng_seed=5).value
+        spec = MultiplicitySpec(random_nonneg(rng, 3, len(mults)), mults)
+        got = estimate_random(spec, 0.2, rng_seed=5)
+        assert _hex(got) == _hex(estimate_random_multi(spec, 0.2, rng_seed=5))
+        if mults == (1, 1, 1):
+            # the forward reads a matrix as its all-ones spec too
+            assert _hex(got) == _hex(estimate_random_multi(spec.base, 0.2, rng_seed=5))
 
     def test_multi_chunk_sampling(self):
         # eps small enough to need several sampling chunks
@@ -755,7 +758,7 @@ class TestEstimateDerandomized:
         assert est == want
         assert est.value.real.hex() == want.value.real.hex()
         assert est.value.imag.hex() == want.value.imag.hex() == "0x0.0p+0"
-        assert estimators._exhaustive_estimate(x) == want
+        assert estimate_exhaustive(x) == want
 
     def test_exhaustive_space_identity(self):
         est = estimate_derandomized(np.eye(4), exhaustive_binary_space(4))
@@ -799,12 +802,20 @@ class TestEstimateDerandomized:
         space = build_binary_space(6, 0.25)
         assert estimate_derandomized(a, space).value == estimate_derandomized(a, space).value
 
-    def test_spec_with_repeated_columns_names_the_multi_entry(self):
-        # the space is on the spec's grid, but the sign kernel is not
-        spec = MultiplicitySpec(random_nonneg(np.random.default_rng(25), 3, 2), (2, 1))
-        space = build_complex_space((3, 2), 0.9, force_construction=True, ell=1)
-        with pytest.raises(ValueError, match="use estimate_derandomized_multi"):
-            estimate_derandomized(spec, space)
+    @pytest.mark.parametrize(
+        "mults, space",
+        [
+            ((2, 1), lambda: build_complex_space((3, 2), 0.9, force_construction=True, ell=1)),
+            ((1, 1, 1), lambda: build_binary_space(3, 0.4)),
+        ],
+        ids=["forced-32-ell1", "all-ones-binary-3"],
+    )
+    def test_spec_is_the_multi_forward(self, mults, space):
+        # a spec, all-ones included, takes gengly over its grid's cells
+        space = space()
+        spec = MultiplicitySpec(random_nonneg(np.random.default_rng(25), 3, len(mults)), mults)
+        got = estimate_derandomized(spec, space)
+        assert _hex(got) == _hex(estimate_derandomized_multi(spec, space))
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
@@ -1114,6 +1125,10 @@ class TestPermanentUpperBound:
         exhaustive = estimate_derandomized(a, exhaustive_binary_space(3))
         assert exhaustive.bound_term > 0.0
         assert exhaustive.guarantee().additive_error_bound == 0.0
+
+    def test_matrix_is_its_all_ones_spec(self):
+        a = random_complex(np.random.default_rng(26), 3)
+        assert permanent_upper_bound(a).hex() == permanent_upper_bound(as_spec(a)).hex()
 
     @pytest.mark.parametrize("entry", [1e30, 1e308])
     def test_beyond_double_range_raises(self, entry):

@@ -21,7 +21,7 @@ from permest.exact import (
     permanent_naive,
     permanent_ryser,
 )
-from permest.matrices import MultiplicitySpec, expand
+from permest.matrices import MultiplicitySpec, as_spec, expand
 
 from oracles import (
     gly_mean_unhalved,
@@ -195,6 +195,11 @@ class TestGenGlyExact:
         spec = MultiplicitySpec(np.ones((n, n)), (1,) * n)
         with pytest.raises(SizeLimitError):
             permanent_gengly_exact(spec)
+
+    def test_matrix_is_its_all_ones_spec(self):
+        a = random_complex(np.random.default_rng(10), 5)
+        got, want = permanent_gengly_exact(a), permanent_gengly_exact(as_spec(a))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def _kernel_table_inputs(kernel, arg):

@@ -4,7 +4,12 @@ import pytest
 from permest import estimators, matrices
 from permest.binary_bias import exhaustive_binary_space
 from permest.errors import ConvergenceError, MatrixParseError
-from permest.exact import permanent_glynn_exact, permanent_naive, permanent_ryser
+from permest.exact import (
+    permanent_gengly_exact,
+    permanent_glynn_exact,
+    permanent_naive,
+    permanent_ryser,
+)
 from permest.matrices import (
     MultiplicitySpec,
     as_matrix,
@@ -96,11 +101,13 @@ class TestAsSquare:
             lambda a: estimators.gly_batch(a, np.ones((1, 3))),
             lambda a: estimators.estimate_random(a, 0.5),
             lambda a: estimators.estimate_derandomized(a, exhaustive_binary_space(3)),
-            lambda a: estimators._exhaustive_estimate(a),
+            lambda a: estimators.estimate_exhaustive(a),
+            lambda a: estimators.permanent_upper_bound(a),
+            lambda a: permanent_gengly_exact(a),
             lambda a: amplitude_exact(a, (1, 0, 0), (1, 0, 0)),
         ],
         ids=["as_square", "as_spec", "ryser", "glynn", "naive", "gly", "estimate_random",
-             "estimate_derandomized", "exhaustive", "amplitude_exact"],
+             "estimate_derandomized", "exhaustive", "upper_bound", "gengly", "amplitude_exact"],
     )
     def test_non_square_names_its_shape(self, call):
         with pytest.raises(ValueError, match=r"^matrix must be square, got \(3, 4\)$"):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ class TestBunchingBound:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bunching_bound((-1, 2))
+
+    def test_normal_range_is_the_rounded_ratio(self):
+        assert bunching_bound((3, 2, 1)).hex() == (12 / 108).hex()
+
+    @pytest.mark.parametrize("pattern", [(750,), (1000,), (2,) * 1100, (10,) * 100])
+    def test_below_the_subnormal_range_is_not_zero(self, pattern):
+        # the ratio rounds to 0.0 (1000!/1000^1000 is about 1e-432); the bound
+        # is rounded up past it, so it still bounds a positive probability
+        exact = Fraction(
+            math.prod(math.factorial(c) for c in pattern), math.prod(c**c for c in pattern)
+        )
+        assert 0.0 < bunching_bound(pattern)
+        assert Fraction(bunching_bound(pattern)) >= exact
 
 
 class TestSaturatingUnitary:

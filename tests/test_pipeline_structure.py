@@ -193,7 +193,7 @@ class TestPublicApi:
         "amplitude_estimate", "amplitude_exact", "build_binary_space",
         "build_complex_space", "bunching_bound",
         "estimate_derandomized", "estimate_derandomized_multi",
-        "estimate_random", "estimate_random_multi", "exhaustive_binary_space",
+        "estimate_exhaustive", "estimate_random", "estimate_random_multi", "exhaustive_binary_space",
         "exhaustive_complex_space", "expand", "measure_bias",
         "measure_complex_bias", "parse_matrix", "permanent_gengly_exact",
         "permanent_glynn_exact", "permanent_naive", "permanent_ryser",
