@@ -5,7 +5,8 @@ with m chosen so that 2^m * eps >= n; output bit i is the GF(2) inner
 product of the bit vectors of r and f^i. For any nonzero test vector a the
 character sum collapses to Pr_f[p_a(f) = 0] where p_a(x) = XOR_i a_i x^i is
 a nonzero polynomial of degree < n, so the bias is at most (n-1)/2^m <= eps
-while the seed is only 2m bits.
+while the seed is only 2m bits. A space is fixed by (n, m), the fields of
+its descriptor: m = 0 is the uniform space, with n seed bits.
 
 For a fixed f the seed -> cell map is GF(2)-linear in r: the cell of
 (f, r) is the XOR of the columns of f's map over the set bits j of r, where
@@ -60,7 +61,6 @@ __all__ = [
     "space_from_descriptor",
 ]
 
-MAX_SEED_BITS = 40
 MAX_EXHAUSTIVE_N = 24
 AUDIT_OP_LIMIT = 1 << 32
 
@@ -171,29 +171,24 @@ def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
 class SampleSpace:
     """A finite distribution over {0,1}^n given by a seed -> vector map.
 
-    Enumerating all ``2**seed_bits`` seeds yields the full support. The
-    declared bias bound is certified by construction (or zero for the
-    uniform space) and can be re-measured exhaustively with
-    :func:`measure_bias`.
+    ``field_bits`` = 0 is the uniform (``exhaustive``) space. Enumerating
+    all ``2**seed_bits`` seeds yields the full support. The declared bias
+    bound is certified by construction (or zero for the uniform space) and
+    can be re-measured exhaustively with :func:`measure_bias`.
     """
 
-    def __init__(
-        self, n: int, field_bits: int, epsilon: float, exhaustive: bool = False
-    ):
+    def __init__(self, n: int, field_bits: int, epsilon: float):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if field_bits not in ((0,) if exhaustive else IRREDUCIBLE):
-            raise ValueError(
-                f"field_bits must be 0 for an exhaustive space and lie in "
-                f"[1, {MAX_FIELD_BITS}] otherwise, got {field_bits}"
-            )
+        if field_bits and field_bits not in IRREDUCIBLE:
+            raise ValueError(f"field_bits must be 0 or in [1, {MAX_FIELD_BITS}], got {field_bits}")
         self.n = n
         self.moduli = (2,) * n
         self.field_bits = field_bits
         self.poly = IRREDUCIBLE[field_bits] if field_bits else 0
         self.declared_epsilon = float(epsilon)
-        self.exhaustive = exhaustive
-        self.seed_bits = n if exhaustive else 2 * field_bits
+        self.exhaustive = field_bits == 0
+        self.seed_bits = 2 * field_bits if field_bits else n
         self._hist: np.ndarray | None = None
 
     @property
@@ -312,9 +307,9 @@ def build_binary_space(n: int, epsilon: float) -> SampleSpace:
     m = 1
     while (1 << m) * epsilon < n:
         m += 1
-        if m > MAX_FIELD_BITS or 2 * m > MAX_SEED_BITS:
+        if m > MAX_FIELD_BITS:
             raise CapacityError(
-                f"n={n}, eps={epsilon} needs more than {MAX_SEED_BITS} seed bits"
+                f"n={n}, eps={epsilon} needs more than {2 * MAX_FIELD_BITS} seed bits"
             )
     return SampleSpace(n, m, epsilon)
 
@@ -323,7 +318,7 @@ def exhaustive_binary_space(n: int) -> SampleSpace:
     """The uniform (0-biased) space, n seed bits."""
     if not (1 <= n <= MAX_EXHAUSTIVE_N):
         raise CapacityError(f"exhaustive space capped at n <= {MAX_EXHAUSTIVE_N}")
-    return SampleSpace(n, 0, 0.0, exhaustive=True)
+    return SampleSpace(n, 0, 0.0)
 
 
 def measure_bias(space) -> float:

@@ -180,6 +180,7 @@ def _cmd_space_build(args) -> int:
         from .binary_bias import build_binary_space
 
         space = build_binary_space(args.n, args.epsilon)
+        extra = {"certified_bias": space.construction_bound}
     else:
         if not args.mults:
             raise ValueError("complex spaces need --mults")
@@ -192,13 +193,13 @@ def _cmd_space_build(args) -> int:
             force_construction=args.force_construction,
             ell=args.ell,
         )
+        extra = {}
     payload = {
         "descriptor": space.descriptor(),
         "seed_bits": space.seed_bits,
         "eps": space.declared_epsilon,
+        **extra,
     }
-    if space.construction_bound is not None:
-        payload["certified_bias"] = space.construction_bound
     _emit(payload, [space.descriptor()], args.format)
     return 0
 
@@ -260,8 +261,8 @@ def _cmd_optics(args) -> int:
             raise ValueError(
                 "estimation covers the standard initial state; drop --in-pattern"
             )
-        if args.epsilon is None:
-            raise ValueError("estimation needs --epsilon")
+        if args.epsilon is None and args.mode != "exhaustive":
+            raise ValueError("estimation needs --epsilon in random and derandomized modes")
         result = optics.amplitude_estimate(
             u, out_pattern, args.epsilon, args.mode, args.delta, args.seed
         )
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         po.add_argument("--out-pattern", required=True)
         po.add_argument("--in-pattern")
         po.add_argument("--estimate", action="store_true")
-        po.add_argument("--epsilon", type=float)
+        po.add_argument("--epsilon", type=float, help="ignored in exhaustive mode")
         po.add_argument(
             "--mode",
             choices=("random", "derandomized", "exhaustive"),

@@ -18,10 +18,11 @@ Pipeline, bottom to top:
   one base seed into many correlated ones while adding only 3 bits per step.
   Its move rule, ``_mgg_move``, is the one the histogram's successor table
   uses; each of the 8 moves is a bijection of the vertices.
-* ``build_complex_space``: combines L amplified exponent tuples with L
-  selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise. The
-  support histogram, which counts every seed exactly, is the space's only
-  seed map.
+* ``ComplexSampleSpace``: combines L amplified exponent tuples with L
+  selector bits; sample = sum_j d_j f^(j) mod m, coordinate-wise. A space
+  is fixed by the grid and L, the fields of its descriptor: it derives its
+  generator and amplifier, and L = 0 is the uniform space. The support
+  histogram, which counts every seed exactly, is the space's only seed map.
 
 The constants are the analysis's, not parameters: ``C_WISE`` = 7-wise
 independence, the pi/8 arc with its 1/16 ``STRONG_FLOOR``, and one base seed
@@ -44,7 +45,8 @@ pairwise hash's GF(2^B) tables come from binary_bias's carry-less multiply
 and polynomial table, and the descriptor parser applies binary_bias's
 field rule.
 Full theoretical strength exceeds the enumerability cap by design, so
-certified spaces are the exhaustive fallback or explicitly sized assemblies.
+``build_complex_space`` certifies the exhaustive fallback or an assembly of
+an explicit L, on any grid.
 """
 
 from __future__ import annotations
@@ -493,46 +495,29 @@ def _enumerate_walks(f: np.ndarray, ell: int, size: int) -> np.ndarray:
 
 
 class ComplexSampleSpace:
-    """Enumerable distribution over the roots-of-unity grid.
-
-    ``exhaustive`` spaces cover the grid uniformly (bias exactly zero).
-    Constructed spaces combine ``ell`` amplified strong-product tuples with
-    ``ell`` selector bits; their declared bias is certified by exhaustive
-    audit at build time.
+    """Enumerable distribution over the roots-of-unity grid: ``ell`` = 0 is
+    the uniform (``exhaustive``) space, bias exactly zero; any other ``ell``
+    combines ``ell`` amplified strong-product tuples with ``ell`` selector
+    bits, from a ``base`` and an ``amplifier`` derived from the grid.
     """
 
-    def __init__(
-        self,
-        moduli,
-        declared_epsilon: float,
-        exhaustive: bool,
-        base: StrongProductGenerator | None = None,
-        amplifier: AmplifierParams | None = None,
-    ):
+    def __init__(self, moduli, declared_epsilon: float, ell: int = 0):
         self.moduli = tuple(int(m) for m in moduli)
         if any(m < 2 for m in self.moduli):
             raise ValueError("moduli must all be >= 2")
         self.declared_epsilon = float(declared_epsilon)
-        self.exhaustive = exhaustive
-        self.base = base
-        self.amplifier = amplifier
-        if exhaustive:
-            self.ell = 0
+        self.ell = ell
+        self.exhaustive = ell == 0
+        if self.exhaustive:
+            self.base = self.amplifier = None
             self.seed_count = phase_space_size(self.moduli)
             self.seed_bits = (self.seed_count - 1).bit_length()
         else:
-            if base is None or amplifier is None:
-                raise ValueError("a constructed space needs a base and an amplifier")
-            self.ell = amplifier.walk_length
-            self.seed_bits = amplifier.seed_bits + self.ell
+            self.base = _strong_generator(self.moduli)
+            self.amplifier = AmplifierParams(_base_vertex_bits(self.base.seed_count), ell)
+            self.seed_bits = self.amplifier.seed_bits + ell
             self.seed_count = 1 << self.seed_bits
         self._hist: np.ndarray | None = None
-
-    @property
-    def construction_bound(self) -> None:
-        """None: a complex space's bias is certified by audit, not by its
-        construction (binary spaces give (n-1)/2^m here)."""
-        return None
 
     def support_histogram(self) -> np.ndarray:
         """Probability array over the grid, shape = moduli.
@@ -616,7 +601,7 @@ class ComplexSampleSpace:
 
 def exhaustive_complex_space(moduli) -> ComplexSampleSpace:
     """Uniform over the full grid; every nontrivial character sum is zero."""
-    space = ComplexSampleSpace(moduli, 0.0, exhaustive=True)
+    space = ComplexSampleSpace(moduli, 0.0)
     if space.seed_count > FALLBACK_LIMIT:
         raise CapacityError(
             f"grid has {space.seed_count} points, exhaustive cap is {FALLBACK_LIMIT}"
@@ -632,17 +617,17 @@ def build_complex_space(
 ) -> ComplexSampleSpace:
     """A complex-eps-biased space over the given grid.
 
-    When the grid itself is enumerable the exhaustive (0-biased) space is
-    returned; ``force_construction`` disables that fallback to exercise the
-    pipeline. The constructed path uses ``ell`` selector bits and certifies
-    the requested bias by exhaustive audit before returning. Without ``ell``
-    it raises: the full-strength walk length needs at least 1,653 seed bits
-    for any grid and epsilon, far beyond what an audit can enumerate.
+    An explicit ``ell`` builds that assembly and certifies the requested
+    bias by exhaustive audit before returning. Without it, an enumerable
+    grid gets the exhaustive (0-biased) space unless ``force_construction``
+    is set; otherwise it raises: the full-strength walk length needs at
+    least 1,653 seed bits for any grid and epsilon, far beyond what an
+    audit can enumerate.
     """
     moduli = tuple(int(m) for m in moduli)
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    if not force_construction and phase_space_size(moduli) <= FALLBACK_LIMIT:
+    if ell is None and not force_construction and phase_space_size(moduli) <= FALLBACK_LIMIT:
         return exhaustive_complex_space(moduli)
     if ell is None:
         raise CapacityError(
@@ -652,12 +637,9 @@ def build_complex_space(
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    gen = _strong_generator(moduli)
-    amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
-    bits = amp.seed_bits + ell
-    if bits > MAX_SEED_BITS:
-        raise CapacityError(f"ell={ell} needs {bits} seed bits (cap {MAX_SEED_BITS})")
-    space = ComplexSampleSpace(moduli, epsilon, exhaustive=False, base=gen, amplifier=amp)
+    space = ComplexSampleSpace(moduli, epsilon, ell)
+    if space.seed_bits > MAX_SEED_BITS:
+        raise CapacityError(f"ell={ell} needs {space.seed_bits} seed bits (cap {MAX_SEED_BITS})")
     if space.seed_count > AUDIT_SUPPORT_LIMIT:
         raise CapacityError(
             "constructed space cannot be audit-certified: "
@@ -699,7 +681,7 @@ def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
             ell = int(fields["l"])
         except (KeyError, ValueError):
             raise DescriptorError(f"constructed descriptor needs l=<ell>: {text!r}") from None
-        space = build_complex_space(moduli, eps, force_construction=True, ell=ell)
+        space = build_complex_space(moduli, eps, ell=ell)
     else:
         raise DescriptorError(f"unknown complex space mode {mode!r}")
     return _check_fields(space, fields, text)

@@ -239,9 +239,8 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "args",
-        # no field of 21 or 0 bits for a constructed space, a field for an
-        # exhaustive one, no coordinates
-        [(5, 21, 0.1), (5, 0, 0.1), (5, 3, 0.0, True), (0, 3, 0.5)],
+        # no field of 21 bits, no coordinates
+        [(5, 21, 0.1), (0, 3, 0.5)],
     )
     def test_constructor_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
@@ -527,7 +526,7 @@ class TestMeasureBias:
         assert measure_bias(exhaustive_binary_space(6)) <= 1e-12
 
     def test_constant_distribution_is_one(self):
-        space = SampleSpace(4, 0, 0.0, exhaustive=True)
+        space = SampleSpace(4, 0, 0.0)
         hist = np.zeros(16)
         hist[0b0110] = 1.0  # single support point
         space._hist = hist

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,6 +599,19 @@ class TestFailures:
                 id="ell-over-seed-cap",
             ),
             pytest.param(
+                ("space", "build", "--kind", "binary", "--epsilon", "0.5"), 2, id="binary-without-n"
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "complex", "--epsilon", "0.5"),
+                2,
+                id="complex-without-mults",
+            ),
+            pytest.param(
+                ("optics", "prob", "--unitary", "{u}", "--out-pattern", "1,1", "--estimate"),
+                2,
+                id="optics-random-without-epsilon",
+            ),
+            pytest.param(
                 ("estimate", "--matrix", "{c}", "--epsilon", "0.5", "--mode", "derandomized"),
                 4,
                 id="complex-derandomized",
@@ -736,6 +751,15 @@ class TestSpace:
         assert code == 0
         assert out.splitlines()[0].endswith("PASS")
 
+    def test_explicit_ell_builds_without_force(self, capsys):
+        # a grid of at most 2^20 cells gets the walk length it is given
+        argv = ("space", "build", "--kind", "complex", "--mults", "3", "--epsilon", "0.5",
+                "--ell", "4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--force-construction")[:2]
+        assert "l=4" in out.splitlines()[0]
+
     def test_bad_descriptor_exit_2(self, capsys):
         code, _, _ = run(capsys, "space", "audit", "--descriptor", "martian x=1")
         assert code == 2
@@ -766,7 +790,7 @@ class TestSpace:
         assert out.splitlines()[0].endswith("PASS")
 
     def test_certified_bias_only_for_binary_spaces(self, capsys):
-        # complex spaces report construction_bound None: certified by audit
+        # a complex space's bias is certified by audit, not by construction
         code, out, _ = run(
             capsys, "space", "build", "--kind", "binary", "--n", "8",
             "--epsilon", "0.25", "--format", "json",
@@ -875,6 +899,51 @@ class TestOptics:
         assert code == 0
         assert float(out.splitlines()[0]) == pytest.approx(0.5, abs=1e-9)
         assert "prob_error_bound=" in out
+
+    @pytest.mark.parametrize("cmd", ["prob", "amp"])
+    def test_exhaustive_estimate_needs_no_epsilon(self, capsys, hom, cmd):
+        argv = ("optics", cmd, "--unitary", hom, "--out-pattern", "2,0", "--estimate",
+                "--mode", "exhaustive")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--epsilon", "0.05")[:2]
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_examples():
+    """(argv, shown lines) for each ``$ permest ...`` line of the README:
+    the output lines it shows before a blank line, ``...`` or the block's
+    end."""
+    examples, shown = [], None
+    for line in README.splitlines():
+        if line.startswith("$ permest "):
+            shown = []
+            examples.append((shlex.split(line)[2:], shown))
+        elif line.strip() in ("", "...", "```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    @pytest.mark.parametrize(
+        "argv, shown", EXAMPLES, ids=[" ".join(argv[:3]) for argv, _ in EXAMPLES]
+    )
+    def test_command_example_prints_what_it_shows(self, capsys, argv, shown):
+        assert shown
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[: len(shown)] == shown
+
+    def test_derandomization_example_runs(self):
+        script = README.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(script, "README.md", "exec"), {})
 
 
 class TestJson:

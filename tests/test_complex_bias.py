@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permest import binary_bias, complex_bias
-from permest.binary_bias import build_binary_space, exhaustive_binary_space
+from permest.binary_bias import SampleSpace, build_binary_space, exhaustive_binary_space
 from permest.complex_bias import (
     BETA,
     GROUP_SIZE,
@@ -392,18 +392,33 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_complex_space((2, 2), 0.0)
 
-    def test_constructed_space_needs_base_and_amplifier(self):
-        # a ValueError, not an assert that python -O strips
-        with pytest.raises(ValueError):
-            ComplexSampleSpace((3,), 0.5, exhaustive=False)
-        with pytest.raises(ValueError):
-            ComplexSampleSpace((3,), 0.5, exhaustive=False, base=_strong_generator((3,)))
+    def test_space_derives_what_the_build_assembled(self):
+        gen = _strong_generator((3,))
+        amp = AmplifierParams(_base_vertex_bits(gen.seed_count), 2)
+        space = ComplexSampleSpace((3,), 0.7, 2)
+        assert space.base is gen
+        assert space.amplifier == amp
+        assert space.seed_bits == amp.seed_bits + 2
+        assert space.descriptor() == (
+            "complex k=1 s=2 p=17 c=7 r=8 l=2 eps=0.69999999999999996 mode=constructed "
+            "t=1 pfrac=0.027777777777777776 q=0.027777777777777776"
+        )
+        assert space.descriptor() == build_complex_space((3,), 0.7, ell=2).descriptor()
+        assert SampleSpace(5, 0, 0.0).descriptor() == exhaustive_binary_space(5).descriptor()
+
+    def test_explicit_ell_builds_without_force(self):
+        # a grid of at most 2^20 cells gets the walk length it is given
+        forced = build_complex_space((4,), 0.5, force_construction=True, ell=4)
+        space = build_complex_space((4,), 0.5, ell=4)
+        assert not space.exhaustive
+        assert space.descriptor() == forced.descriptor()
+        assert space.support_histogram().tobytes() == forced.support_histogram().tobytes()
 
     @pytest.mark.parametrize("moduli", [(0,), (1, 2)])
     def test_space_rejects_moduli_below_two(self, moduli):
         # (0,) divided by zero and (1, 2) built a space
         with pytest.raises(ValueError):
-            ComplexSampleSpace(moduli, 0.5, exhaustive=True)
+            ComplexSampleSpace(moduli, 0.5)
         with pytest.raises(ValueError):
             exhaustive_complex_space(moduli)
         with pytest.raises(ValueError):
@@ -455,11 +470,9 @@ class TestMeasure:
 
 
 def _unaudited(moduli, ell):
-    """A constructed space assembled as build_complex_space assembles it,
-    without the audit that would reject it above its declared eps."""
-    gen = _strong_generator(moduli)
-    amp = AmplifierParams(_base_vertex_bits(gen.seed_count), ell)
-    return ComplexSampleSpace(moduli, 0.9, exhaustive=False, base=gen, amplifier=amp)
+    """A constructed space without the audit that would reject it above its
+    declared eps."""
+    return ComplexSampleSpace(moduli, 0.9, ell)
 
 
 def _paths_taken(space) -> list[str]:
