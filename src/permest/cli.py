@@ -180,7 +180,6 @@ def _cmd_space_build(args) -> int:
         from .binary_bias import build_binary_space
 
         space = build_binary_space(args.n, args.epsilon)
-        extra = {"certified_bias": space.construction_bound}
     else:
         if not args.mults:
             raise ValueError("complex spaces need --mults")
@@ -193,13 +192,13 @@ def _cmd_space_build(args) -> int:
             force_construction=args.force_construction,
             ell=args.ell,
         )
-        extra = {}
     payload = {
         "descriptor": space.descriptor(),
         "seed_bits": space.seed_bits,
         "eps": space.declared_epsilon,
-        **extra,
     }
+    if args.kind == "binary":
+        payload["certified_bias"] = space.construction_bound
     _emit(payload, [space.descriptor()], args.format)
     return 0
 

@@ -151,11 +151,6 @@ def bunching_bound(pattern) -> float:
     """prod s_i! / s_i^s_i: the largest possible probability of the outcome
     from the standard initial state (0! = 1 and 0^0 = 1)."""
     pattern = validate_pattern(pattern)
-    log_bound = _log_factorial_sum(pattern) - sum(c * math.log(c) for c in pattern if c)
-    # a ratio below 2^-1075, half the least subnormal, rounds to 0.0; a log
-    # more than 1 below ln 2^-1075 is below it whatever the logs' rounding
-    if log_bound < -1075 * math.log(2.0) - 1.0:
-        return math.nextafter(0.0, math.inf)
     # true division of ints rounds the exact ratio correctly
     bound = math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
     if bound < sys.float_info.min:

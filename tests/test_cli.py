@@ -594,9 +594,15 @@ class TestFailures:
             ),
             pytest.param(
                 ("space", "build", "--kind", "complex", "--mults", "1,1", "--epsilon", "0.5",
-                 "--force-construction", "--ell", "100000"),
+                 "--ell", "100000"),
                 3,
                 id="ell-over-seed-cap",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "complex", "--mults", "2", "--epsilon", "0.5",
+                 "--ell", "0"),
+                2,
+                id="ell-zero",
             ),
             pytest.param(
                 ("space", "build", "--kind", "binary", "--epsilon", "0.5"), 2, id="binary-without-n"
@@ -797,7 +803,7 @@ class TestSpace:
         )
         assert code == 0
         assert json.loads(out)["certified_bias"] == 7 / 32
-        for extra in ((), ("--force-construction", "--ell", "3")):
+        for extra in ((), ("--ell", "3")):
             code, out, _ = run(
                 capsys, "space", "build", "--kind", "complex", "--mults", "2",
                 "--epsilon", "0.55", *extra, "--format", "json",
@@ -816,7 +822,7 @@ class TestSpace:
         # estimator through --space
         code, out, _ = run(
             capsys, "space", "build", "--kind", "complex", "--mults", "1,1",
-            "--epsilon", "0.55", "--force-construction", "--ell", "3",
+            "--epsilon", "0.55", "--ell", "3",
         )
         assert code == 0
         descriptor = out.splitlines()[0]

@@ -391,6 +391,9 @@ class TestBuild:
             build_complex_space((1, 2), 0.5)
         with pytest.raises(ValueError):
             build_complex_space((2, 2), 0.0)
+        # ell = 0 is the uniform space, which exhaustive_complex_space builds
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            build_complex_space((3,), 0.5, ell=0)
 
     def test_space_derives_what_the_build_assembled(self):
         gen = _strong_generator((3,))
@@ -422,7 +425,7 @@ class TestBuild:
         with pytest.raises(ValueError):
             exhaustive_complex_space(moduli)
         with pytest.raises(ValueError):
-            build_complex_space(moduli, 0.5, force_construction=True, ell=1)
+            build_complex_space(moduli, 0.5, ell=1)
 
     def test_oversized_grid_without_force_still_capacity_error(self):
         # too many grid points for the exhaustive fallback, and the
@@ -443,13 +446,13 @@ class TestMeasure:
         assert measure_complex_bias(space) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self):
-        space = build_complex_space((3,), 0.7, force_construction=True, ell=2)
+        space = build_complex_space((3,), 0.7, ell=2)
         assert measure_complex_bias(space) == pytest.approx(
             complex_bias_brute(space), abs=1e-10
         )
 
     def test_built_spaces_meet_declaration(self):
-        space = build_complex_space((2, 2), 0.55, force_construction=True, ell=3)
+        space = build_complex_space((2, 2), 0.55, ell=3)
         assert measure_complex_bias(space) <= space.declared_epsilon
 
     def test_agrees_with_binary_audit_on_shared_distribution(self):
@@ -545,9 +548,7 @@ _SEED_LOOP_SPACES = {
     "binary constructed": lambda: build_binary_space(8, 0.25),  # m = 5
     "binary exhaustive": lambda: exhaustive_binary_space(5),
     "complex exhaustive": lambda: exhaustive_complex_space((2, 3, 4)),
-    "complex constructed 3 l2": lambda: build_complex_space(
-        (3,), 0.7, force_construction=True, ell=2
-    ),
+    "complex constructed 3 l2": lambda: build_complex_space((3,), 0.7, ell=2),
     "complex constructed 3x2 l1": lambda: _unaudited((3, 2), 1),
 }
 
@@ -657,7 +658,7 @@ class TestGeneratorConsistency:
     @pytest.mark.slow
     def test_assembled_acceptance_space_matches_per_seed_enumeration(self):
         # the (2, 2) ell = 3 space that c07 and c08 build: 2^23 seeds
-        space = build_complex_space((2, 2), 0.55, force_construction=True, ell=3)
+        space = build_complex_space((2, 2), 0.55, ell=3)
         assert space.seed_bits == 23
         assert np.array_equal(space.support_histogram(), complex_histogram_by_seed(space))
 
@@ -687,7 +688,7 @@ class TestDescriptor:
         assert again.exhaustive and again.moduli == (2, 3)
 
     def test_round_trip_constructed(self):
-        space = build_complex_space((3,), 0.55, force_construction=True, ell=3)
+        space = build_complex_space((3,), 0.55, ell=3)
         again = complex_space_from_descriptor(space.descriptor())
         assert again.moduli == space.moduli
         assert again.seed_bits == space.seed_bits
