@@ -38,8 +38,9 @@ cells instead, each once.
 
 A binary space is the complex grid with every modulus 2, and this module
 holds what the two kinds share: ``measure_bias`` audits either kind
-(``complex_bias.measure_complex_bias`` is the same function), the
-descriptor field rule backs both descriptor parsers, and
+(``complex_bias.measure_complex_bias`` is the same function),
+``space_from_descriptor`` reads either kind's descriptor (a complex line
+loads ``complex_bias`` for its half) under one field rule, and
 ``_gf2_mul_batch`` with ``IRREDUCIBLE`` is the GF(2^m) arithmetic of the
 complex pipeline's pairwise hash as well.
 """
@@ -300,8 +301,6 @@ class SampleSpace:
 
 def build_binary_space(n: int, epsilon: float) -> SampleSpace:
     """An eps-biased space over {0,1}^n with 2*ceil(log2(n/eps)) seed bits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     m = 1
@@ -316,7 +315,7 @@ def build_binary_space(n: int, epsilon: float) -> SampleSpace:
 
 def exhaustive_binary_space(n: int) -> SampleSpace:
     """The uniform (0-biased) space, n seed bits."""
-    if not (1 <= n <= MAX_EXHAUSTIVE_N):
+    if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive space capped at n <= {MAX_EXHAUSTIVE_N}")
     return SampleSpace(n, 0, 0.0)
 
@@ -341,13 +340,10 @@ def measure_bias(space) -> float:
     return float(spectrum.max())
 
 
-def _descriptor_fields(text: str, kind: str) -> dict[str, str]:
-    """The key=value fields of a descriptor line whose first token is kind."""
-    tokens = text.split()
-    if not tokens or tokens[0] != kind:
-        raise DescriptorError(f"not a {kind} space descriptor: {text!r}")
+def _descriptor_fields(text: str) -> dict[str, str]:
+    """The key=value fields of a descriptor line, after its kind."""
     fields = {}
-    for tok in tokens[1:]:
+    for tok in text.split()[1:]:
         if "=" not in tok:
             raise DescriptorError(f"malformed descriptor token {tok!r}")
         key, val = tok.split("=", 1)
@@ -369,8 +365,7 @@ def _same_field(key: str, given: str, built: str) -> bool:
 def _check_fields(space, fields: dict[str, str], text: str):
     """The rebuilt space, once every given field is a field of its own
     descriptor with the same value; omitted fields are derived."""
-    descriptor = space.descriptor()
-    built = _descriptor_fields(descriptor, descriptor.split()[0])
+    built = _descriptor_fields(space.descriptor())
     mode = "exhaustive" if space.exhaustive else "constructed"
     for key, val in fields.items():
         if key not in built:
@@ -383,28 +378,33 @@ def _check_fields(space, fields: dict[str, str], text: str):
     return space
 
 
-def space_from_descriptor(text: str) -> SampleSpace:
-    """Rebuild a binary space from its descriptor line.
+def space_from_descriptor(text: str):
+    """Rebuild a space of either kind from its descriptor line.
 
-    n, m and eps are required; every field given must match the rebuilt
-    space's own descriptor.
+    Each kind is rebuilt from the fields it cannot derive, as its
+    constructor is: a binary space from n, m and eps (m = 0 is the uniform
+    space), a complex one from s, l and eps (l = 0, or omitted, is the
+    uniform space). Every other field given, ``mode`` included, must match
+    the rebuilt space's own descriptor. A complex line alone loads
+    ``complex_bias``.
     """
-    fields = _descriptor_fields(text, "binary")
+    kind = (text.split() or [""])[0]
+    if kind not in ("binary", "complex"):
+        raise DescriptorError(f"unknown space descriptor kind {kind!r}")
+    fields = _descriptor_fields(text)
+    if kind == "complex":
+        from .complex_bias import _space_from_fields
+
+        return _check_fields(_space_from_fields(fields, text), fields, text)
     try:
         n = int(fields["n"])
         m = int(fields["m"])
         eps = float(fields["eps"])
+        space = SampleSpace(n, m, eps) if m else exhaustive_binary_space(n)
     except (KeyError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor fields in {text!r}: {exc}") from None
-    if n < 1:
-        raise DescriptorError(f"descriptor needs n >= 1, got n={n}")
     if not np.isfinite(eps):
         raise DescriptorError(f"declared eps={eps} is not finite")
-    if fields.get("mode") == "exhaustive":
-        return _check_fields(exhaustive_binary_space(n), fields, text)
-    if m not in IRREDUCIBLE:
-        raise DescriptorError(f"unsupported field size m={m}")
-    space = SampleSpace(n, m, eps)
     # the declared eps becomes the reported guarantee, so it may not claim
     # less bias than the powering argument certifies
     if not eps >= space.construction_bound:

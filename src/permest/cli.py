@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/usage error, 3 size or capacity limit
-(including a result that overflows double precision), 4 domain error.
-Deterministic commands write byte-identical stdout across runs; wall-clock
-timing goes to stderr.
+Exit codes: 0 success, 2 parse/usage error (a flag the command would
+ignore included), 3 size or capacity limit (including a result that
+overflows double precision), 4 domain error. Deterministic commands write
+byte-identical stdout across runs; wall-clock timing goes to stderr.
+Descriptors of either kind are read by ``binary_bias.space_from_descriptor``.
 """
 
 from __future__ import annotations
@@ -90,22 +91,11 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _space_from_descriptor(text: str):
-    kind = text.split()[0] if text.split() else ""
-    if kind == "binary":
+def _build_space_for(args, target):
+    if args.space is not None:
         from .binary_bias import space_from_descriptor
 
-        return space_from_descriptor(text)
-    if kind == "complex":
-        from .complex_bias import complex_space_from_descriptor
-
-        return complex_space_from_descriptor(text)
-    raise DescriptorError(f"unknown space descriptor kind {kind!r}")
-
-
-def _build_space_for(args, target):
-    if args.space:
-        space = _space_from_descriptor(args.space)
+        space = space_from_descriptor(args.space)
         if args.epsilon is not None and args.epsilon != space.declared_epsilon:
             raise DescriptorError(
                 f"--epsilon {args.epsilon} differs from the descriptor's "
@@ -125,8 +115,10 @@ def _cmd_estimate(args) -> int:
     from .estimators import estimate_derandomized, estimate_exhaustive, estimate_random
     from .matrices import MultiplicitySpec
 
+    if args.space is not None and args.mode != "derandomized":
+        raise ValueError("--space needs --mode derandomized")
     if args.epsilon is None and (
-        args.mode == "random" or (args.mode == "derandomized" and not args.space)
+        args.mode == "random" or (args.mode == "derandomized" and args.space is None)
     ):
         raise ValueError(
             "estimate needs --epsilon in random mode and in derandomized mode "
@@ -175,12 +167,16 @@ def _cmd_bound(args) -> int:
 
 def _cmd_space_build(args) -> int:
     if args.kind == "binary":
+        if args.mults is not None or args.ell is not None or args.force_construction:
+            raise ValueError("binary spaces take no --mults, --ell or --force-construction")
         if args.n is None:
             raise ValueError("binary spaces need --n")
         from .binary_bias import build_binary_space
 
         space = build_binary_space(args.n, args.epsilon)
     else:
+        if args.n is not None:
+            raise ValueError("complex spaces take no --n")
         if not args.mults:
             raise ValueError("complex spaces need --mults")
         from .complex_bias import build_complex_space
@@ -204,9 +200,9 @@ def _cmd_space_build(args) -> int:
 
 
 def _cmd_space_audit(args) -> int:
-    from .binary_bias import measure_bias
+    from .binary_bias import measure_bias, space_from_descriptor
 
-    space = _space_from_descriptor(args.descriptor)
+    space = space_from_descriptor(args.descriptor)
     measured = measure_bias(space)
     # exhaustive spaces declare zero bias; allow the audit's rounding dust
     tol = 1e-12 if space.exhaustive else 0.0
@@ -384,7 +380,7 @@ def main(argv=None) -> int:
     except (SizeLimitError, CapacityError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OverflowError, FloatingPointError) as exc:
+    except OverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

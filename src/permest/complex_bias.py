@@ -42,11 +42,11 @@ cached per-cell seed counts, which count the c-wise tuples once per
 distinct tuple of level counts; the cells' coordinates are cached with
 them, so a character's arc test is one integer matvec over the grid. The
 pairwise hash's GF(2^B) tables come from binary_bias's carry-less multiply
-and polynomial table, and the descriptor parser applies binary_bias's
-field rule.
-Full theoretical strength exceeds the enumerability cap by design, so
-``build_complex_space`` certifies the exhaustive fallback or an assembly of
-an explicit L, on any grid.
+and polynomial table, and ``binary_bias.space_from_descriptor`` reads
+complex descriptors through this module's half, ``_space_from_fields``.
+Full theoretical strength exceeds the 2^24-seed enumeration cap by design,
+so ``build_complex_space`` certifies the exhaustive fallback or an assembly
+of an explicit L, on any grid.
 """
 
 from __future__ import annotations
@@ -58,13 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binary_bias import (
-    IRREDUCIBLE,
-    _check_fields,
-    _descriptor_fields,
-    _gf2_mul_batch,
-    measure_bias,
-)
+from .binary_bias import IRREDUCIBLE, _gf2_mul_batch, measure_bias
 from .errors import CapacityError, DescriptorError
 from .estimators import phase_space_size
 
@@ -80,7 +74,6 @@ __all__ = [
     "STRONG_FLOOR",
     "build_complex_space",
     "choose_prime",
-    "complex_space_from_descriptor",
     "cwise_batch",
     "exhaustive_complex_space",
     "measure_complex_bias",
@@ -102,7 +95,6 @@ P_FRACTION = 1.0 / (2.0 * GROUP_SIZE)
 # in descriptors, conservatively matched to the strong fraction
 Q_EXPONENT = P_FRACTION
 
-MAX_SEED_BITS = 40
 FALLBACK_LIMIT = 1 << 20
 AUDIT_SUPPORT_LIMIT = 1 << 24
 TABLE_LIMIT = 1 << 26
@@ -632,14 +624,12 @@ def build_complex_space(
     if ell is None:
         raise CapacityError(
             f"full-strength construction needs {theory_seed_bits(moduli, epsilon)} "
-            f"seed bits (cap {MAX_SEED_BITS}); pass an explicit ell for a small "
-            "audited assembly"
+            f"seed bits, past the 2^{AUDIT_SUPPORT_LIMIT.bit_length() - 1}-seed "
+            "enumeration cap; pass an explicit ell for a small audited assembly"
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
     space = ComplexSampleSpace(moduli, epsilon, ell)
-    if space.seed_bits > MAX_SEED_BITS:
-        raise CapacityError(f"ell={ell} needs {space.seed_bits} seed bits (cap {MAX_SEED_BITS})")
     if space.seed_count > AUDIT_SUPPORT_LIMIT:
         raise CapacityError(
             "constructed space cannot be audit-certified: "
@@ -659,29 +649,16 @@ def build_complex_space(
 measure_complex_bias = measure_bias
 
 
-def complex_space_from_descriptor(text: str) -> ComplexSampleSpace:
-    """Rebuild a complex space from its descriptor line.
-
-    Every field given must be a field of the rebuilt space's own descriptor,
-    with the same value; omitted fields are derived as
-    ``build_complex_space`` derives them.
-    """
-    fields = _descriptor_fields(text, "complex")
+def _space_from_fields(fields: dict[str, str], text: str) -> ComplexSampleSpace:
+    """The complex half of ``binary_bias.space_from_descriptor``: the space
+    that the grid s, the walk length l (0 when omitted) and eps fix, built
+    as ``build_complex_space`` builds it."""
     try:
-        mults = tuple(int(v) for v in fields["s"].split(","))
-        mode = fields.get("mode", "constructed")
+        moduli = tuple(int(v) + 1 for v in fields["s"].split(","))
+        ell = int(fields.get("l", 0))
         eps = float(fields["eps"])
     except (KeyError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor fields in {text!r}: {exc}") from None
-    moduli = tuple(s + 1 for s in mults)
-    if mode == "exhaustive":
-        space = exhaustive_complex_space(moduli)
-    elif mode == "constructed":
-        try:
-            ell = int(fields["l"])
-        except (KeyError, ValueError):
-            raise DescriptorError(f"constructed descriptor needs l=<ell>: {text!r}") from None
-        space = build_complex_space(moduli, eps, ell=ell)
-    else:
-        raise DescriptorError(f"unknown complex space mode {mode!r}")
-    return _check_fields(space, fields, text)
+    if ell == 0:
+        return exhaustive_complex_space(moduli)
+    return build_complex_space(moduli, eps, ell=ell)

@@ -262,6 +262,12 @@ class TestExhaustive:
         with pytest.raises(CapacityError):
             exhaustive_binary_space(25)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_coordinates_is_a_value_error(self, n):
+        # a bad n, not a capacity limit: exit 2 at the command line, not 3
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            exhaustive_binary_space(n)
+
 
 class TestChunkedHistogram:
     # 64 seeds is below 2^m = 128 at m = 7, so a block is one f value; 100
@@ -585,6 +591,28 @@ class TestDescriptor:
             "binary n=0 m=0 poly=0x0 eps=0 mode=exhaustive",
         ):
             with pytest.raises(DescriptorError):
+                space_from_descriptor(text)
+
+    def test_uniform_space_from_the_fields_it_cannot_derive(self):
+        # m = 0 is the uniform space; poly and mode are derived
+        space = space_from_descriptor("binary n=8 m=0 eps=0")
+        assert space.exhaustive and space.n == 8
+        assert space.descriptor() == exhaustive_binary_space(8).descriptor()
+        for text in (
+            "binary n=8 m=0 eps=0.5",
+            "binary n=8 m=0 eps=0 mode=constructed",
+            "binary n=8 m=5 eps=0.25 mode=exhaustive",
+            "binary n=8 m=21 eps=0.25",
+        ):
+            with pytest.raises(DescriptorError):
+                space_from_descriptor(text)
+        with pytest.raises(CapacityError):
+            space_from_descriptor("binary n=25 m=0 eps=0")
+
+    def test_reads_either_kind(self):
+        assert space_from_descriptor("complex s=1,2 eps=0").moduli == (2, 3)
+        for text in ("martian x=1", "", "binary-ish n=4 m=3 eps=0.5"):
+            with pytest.raises(DescriptorError, match="unknown space descriptor kind"):
                 space_from_descriptor(text)
 
     def test_rejects_garbage(self):

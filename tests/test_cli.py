@@ -612,6 +612,43 @@ class TestFailures:
                 2,
                 id="complex-without-mults",
             ),
+            # flags the command would otherwise ignore
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--epsilon", "0.5", "--space",
+                 "binary n=2 m=0 eps=0"),
+                2,
+                id="space-in-random-mode",
+            ),
+            pytest.param(
+                ("estimate", "--matrix", "{m}", "--mode", "exhaustive", "--space",
+                 "binary n=2 m=0 eps=0"),
+                2,
+                id="space-in-exhaustive-mode",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "binary", "--n", "4", "--epsilon", "0.5",
+                 "--mults", "1"),
+                2,
+                id="binary-with-mults",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "binary", "--n", "4", "--epsilon", "0.5",
+                 "--ell", "3"),
+                2,
+                id="binary-with-ell",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "binary", "--n", "4", "--epsilon", "0.5",
+                 "--force-construction"),
+                2,
+                id="binary-with-force-construction",
+            ),
+            pytest.param(
+                ("space", "build", "--kind", "complex", "--mults", "2", "--epsilon", "0.3",
+                 "--n", "4"),
+                2,
+                id="complex-with-n",
+            ),
             pytest.param(
                 ("optics", "prob", "--unitary", "{u}", "--out-pattern", "1,1", "--estimate"),
                 2,
@@ -769,6 +806,16 @@ class TestSpace:
     def test_bad_descriptor_exit_2(self, capsys):
         code, _, _ = run(capsys, "space", "audit", "--descriptor", "martian x=1")
         assert code == 2
+
+    def test_unknown_kind_names_it(self, capsys):
+        got = run(capsys, "space", "audit", "--descriptor", "martian x=1")
+        assert got == (2, "", "error: unknown space descriptor kind 'martian'\n")
+
+    @pytest.mark.parametrize("descriptor", ["binary n=8 m=0 eps=0", "complex s=2 eps=0"])
+    def test_audit_reads_uniform_space_from_its_underived_fields(self, capsys, descriptor):
+        # m = 0 and an omitted l = 0 are the uniform spaces
+        code, out, _ = run(capsys, "space", "audit", "--descriptor", descriptor)
+        assert (code, out.splitlines()[0]) == (0, "0 PASS")
 
     @pytest.mark.parametrize(
         "descriptor",
@@ -1025,6 +1072,17 @@ class TestImportGraph:
                  "--space", "binary n=4 m=0 poly=0x0 eps=0 mode=exhaustive"),
                 "binary_bias cli errors estimators exact matrices",
                 id="estimate-derandomized-uniform",
+            ),
+            pytest.param(
+                ("space", "audit", "--descriptor", "binary n=8 m=5 poly=0x25 eps=0.25"),
+                "binary_bias cli errors matrices",
+                id="space-audit-binary",
+            ),
+            pytest.param(
+                ("space", "audit", "--descriptor",
+                 "complex k=3 s=2,2,2 p=17 c=7 r=0 l=0 eps=0 mode=exhaustive"),
+                "binary_bias cli complex_bias errors estimators matrices",
+                id="space-audit-complex",
             ),
             pytest.param(
                 ("optics", "bound", "--pattern", "2,1"),

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permest import binary_bias, complex_bias
-from permest.binary_bias import SampleSpace, build_binary_space, exhaustive_binary_space
+from permest.binary_bias import (
+    SampleSpace,
+    build_binary_space,
+    exhaustive_binary_space,
+    space_from_descriptor,
+)
 from permest.complex_bias import (
     BETA,
     GROUP_SIZE,
@@ -21,7 +26,6 @@ from permest.complex_bias import (
     StrongProductGenerator,
     build_complex_space,
     choose_prime,
-    complex_space_from_descriptor,
     cwise_batch,
     exhaustive_complex_space,
     measure_complex_bias,
@@ -386,6 +390,17 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_complex_space((2, 2), 0.5, force_construction=True, ell=12)
 
+    @pytest.mark.parametrize("ell", [7, 9])
+    def test_walks_past_the_enumeration_cap_name_it(self, ell):
+        # 2^33 and 2^41 seeds: both are refused by the 2^24-seed cap the
+        # audit enumerates, not by a seed-bit cap of their own
+        with pytest.raises(CapacityError, match="exceed the enumeration cap"):
+            build_complex_space((3,), 0.1, ell=ell)
+
+    def test_full_strength_refusal_names_the_enumeration_cap(self):
+        with pytest.raises(CapacityError, match=r"7242 seed bits, past the 2\^24-seed"):
+            build_complex_space((3,) * 13, 0.1)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             build_complex_space((1, 2), 0.5)
@@ -684,18 +699,37 @@ class TestGeneratorConsistency:
 class TestDescriptor:
     def test_round_trip_exhaustive(self):
         space = exhaustive_complex_space((2, 3))
-        again = complex_space_from_descriptor(space.descriptor())
+        again = space_from_descriptor(space.descriptor())
         assert again.exhaustive and again.moduli == (2, 3)
 
     def test_round_trip_constructed(self):
         space = build_complex_space((3,), 0.55, ell=3)
-        again = complex_space_from_descriptor(space.descriptor())
+        again = space_from_descriptor(space.descriptor())
         assert again.moduli == space.moduli
         assert again.seed_bits == space.seed_bits
         assert measure_complex_bias(again) == measure_complex_bias(space)
 
     def test_rejects_garbage(self):
+        # l is omitted, so 0: the uniform space, whose mode is exhaustive
         with pytest.raises(DescriptorError):
-            complex_space_from_descriptor("binary n=3 m=2 poly=0x7 eps=0.5")
-        with pytest.raises(DescriptorError):
-            complex_space_from_descriptor("complex k=1 s=2 mode=constructed eps=0.5")
+            space_from_descriptor("complex k=1 s=2 mode=constructed eps=0.5")
+
+    def test_walk_length_and_mode_are_read_as_fields(self):
+        # the grid, l (0 when omitted) and eps fix the space; mode is derived
+        # from l and compared like any other field
+        space = space_from_descriptor("complex s=2 eps=0")
+        assert space.exhaustive and space.moduli == (3,)
+        assert space.descriptor() == exhaustive_complex_space((3,)).descriptor()
+        for text in (
+            "complex s=2 l=3 eps=0.55 mode=exhaustive",
+            "complex s=2 l=0 eps=0 mode=constructed",
+            "complex s=2 eps=0 mode=walk",
+            "complex s=2 l=x eps=0",
+            "complex l=0 eps=0",
+        ):
+            with pytest.raises(DescriptorError):
+                space_from_descriptor(text)
+
+    def test_complex_module_is_not_public_reader(self):
+        assert "complex_space_from_descriptor" not in complex_bias.__all__
+        assert not hasattr(complex_bias, "complex_space_from_descriptor")

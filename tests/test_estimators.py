@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from permest import estimators
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
 from permest.complex_bias import build_complex_space, exhaustive_complex_space
-from permest.errors import DomainError
+from permest.errors import CapacityError, DomainError
 from permest.estimators import (
     Estimate,
     estimate_derandomized,
@@ -787,6 +787,15 @@ class TestEstimateDerandomized:
         assert abs(est.value - exact) <= 0.1 * spectral_norm(a).value ** 8
         assert est.mode == "derandomized"
         assert est.samples_used == space.seed_count
+
+    def test_rows_past_their_uint32_cells_are_refused(self):
+        # the space builds at n = 34 (m = 10), but its cells are uint32 words:
+        # coordinates 32 and 33 would always read +1, so the streamed rows
+        # must be refused until they are widened, not silently averaged
+        space = build_binary_space(34, 0.05)
+        assert space.field_bits == 10
+        with pytest.raises(CapacityError):
+            estimate_derandomized(np.full((34, 34), 1.0 / 34), space)
 
     def test_histogram_route_equals_seed_loop(self):
         rng = np.random.default_rng(12)
