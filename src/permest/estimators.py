@@ -62,11 +62,12 @@ the value of the cell of x, since IEEE rounding is symmetric under sign (see
 One decoder pair turns flat cell indices into kernel input, given the place
 values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
 decodes its grid tables with them; the derandomized mean streams a space's
-``support_blocks`` (2-D cell indices in its own numbering, ``places``, with
-probabilities that broadcast against them), decodes a ``_BLOCK`` of cells
-at a time, and sums probability times value pairwise per row, then over the
-rows, which no BLAS thread count can reorder. gly's blocks are decoded into
-one sign buffer, reused for every block.
+``support_blocks`` (the contract ``binary_bias.Space``: 2-D cell indices in
+its own numbering, ``places``, with probabilities that broadcast against
+them), decodes a ``_BLOCK`` of cells at a time, and sums probability times
+value pairwise per row, then over the rows, which no BLAS thread count can
+reorder. gly's blocks are decoded into one sign buffer, reused for every
+block.
 """
 
 from __future__ import annotations
@@ -335,14 +336,18 @@ def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False)
     full ``_BLOCK``-row blocks hold at least ``grid`` samples, and ``grid``
     is at most ``_CHUNK``, the kernel runs once over the grid and every full
     block gathers its values from that table. The rest is evaluated as it
-    is drawn. Bit identity rests on the kernel giving a row
-    the same bits wherever it sits: true for the complex kernels in any
-    block of 2 or more rows (one row takes BLAS's matrix-vector path), and
-    for the real gly kernel in blocks of a multiple of 8 rows or at most
-    192, as every table block and full block is. In other ragged blocks its
-    matmul rounds the last rows differently, so the final ragged block is
-    never looked up. With ``mirror`` (gly) the kernel fills only the first
-    half of the table, and the global sign flip the second (``_lookup_table``).
+    is drawn. Bit identity rests on the kernel giving a row the same bits
+    wherever it sits. On the grids that get a table (at most 2^16 cells, so
+    gly at n <= 16) that holds for the complex kernels in any block of 2 or
+    more rows (one row takes BLAS's matrix-vector path; gly is tested at 2,
+    96 and 4,096 rows), though not at every size: at n = 30 gly's split
+    real matmul rounds 96- and 512-row blocks differently from 4,096-row
+    ones. The real gly kernel agrees in blocks of a multiple of 8 rows or
+    at most 192, as every table block and full block is. In other ragged
+    blocks its matmul rounds the last rows differently, so the final ragged
+    block is never looked up. With ``mirror`` (gly) the kernel fills only
+    the first half of the table, and the global sign flip the second
+    (``_lookup_table``).
     """
     table = None
     if grid <= min(m - m % _BLOCK, _CHUNK):
@@ -364,12 +369,18 @@ def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False)
 
 
 def _index_phases(idx: np.ndarray, places: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """(k, M) int64 phases of flat cell indices in the numbering with place
-    values ``places``: phase i is idx // places[i] % moduli[i]."""
+    """(k, M) int64 phases of flat cell indices in the mixed-radix numbering
+    with place values ``places`` (each the product of the moduli of the
+    faster places): phase i is idx // places[i] % moduli[i].
+
+    The phases are peeled off from the fastest place up, one division each,
+    in int32 while the grid's cells fit."""
     out = np.empty((len(moduli), idx.shape[0]), dtype=np.int64)
-    for i, mod in enumerate(moduli):
-        np.floor_divide(idx, places[i], out=out[i])
-        out[i] %= mod
+    rest = idx.astype(np.int32 if math.prod(moduli) <= 1 << 31 else np.int64)
+    for i in np.argsort(places):
+        quot = rest // moduli[i]
+        out[i] = rest - quot * moduli[i]
+        rest = quot
     return out
 
 
@@ -405,6 +416,9 @@ def _index_signs(
     return signs.view(np.float64)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def permanent_upper_bound(target) -> float:
     """``s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) * |B|^n`` of ``as_spec(target)``,
     rounded up: an upper bound on the magnitude of the expanded matrix's
@@ -426,9 +440,12 @@ def permanent_upper_bound(target) -> float:
     log_scale = _log_gengly_scale(spec.mults)
     log_norm = spec.n * math.log(sigma)
     allowance = (abs(log_scale) + abs(log_norm) + 4.0) * 2.0**-53
-    bound = math.exp(log_scale + log_norm + allowance)
-    if bound == math.inf:
+    log_bound = log_scale + log_norm + allowance
+    # math.exp is finite up to log(DBL_MAX) and raises its own "math range
+    # error" past it
+    if log_bound > _LOG_MAX:
         raise OverflowError("the bound term exceeds the double range")
+    bound = math.exp(log_bound)
     if bound < sys.float_info.min:
         # below the normal range exp's rounding is a whole subnormal step,
         # and a nonzero bound can underflow to 0.0

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from permest.binary_bias import IRREDUCIBLE, SampleSpace
-from permest.matrices import expand
 
 
 def jacobi_svd_sigma_max(a, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -149,6 +148,17 @@ def index_signs_by_shifts(idx, places) -> np.ndarray:
     return bits.view(np.float64)
 
 
+def index_phases_by_two_divisions(idx, places, moduli) -> np.ndarray:
+    """(k, M) int64 phases of flat cell indices, phase i = idx // places[i]
+    % moduli[i] by two int64 divisions into one preallocated array: the
+    decoder the peeling one must match, bit for bit and in page faults."""
+    out = np.empty((len(moduli), idx.shape[0]), dtype=np.int64)
+    for i, mod in enumerate(moduli):
+        np.floor_divide(idx, places[i], out=out[i])
+        out[i] %= mod
+    return out
+
+
 def walsh_by_stacked_levels(p) -> np.ndarray:
     """The Walsh-Hadamard butterfly with a fresh (sum, difference) stack per
     level: the same adds and subtracts as the in-place one."""
@@ -252,20 +262,6 @@ def space_mean_by_seed_loop(space, evaluate) -> complex:
     return total / space.seed_count
 
 
-def binary_bias_brute(space) -> float:
-    """max_a |E[(-1)^{a.x}]| by looping seeds and test vectors."""
-    n = space.n
-    vectors = [binary_seed_phases(space, seed) for seed in range(space.seed_count)]
-    worst = 0.0
-    for a_mask in range(1, 1 << n):
-        total = 0.0
-        for phases in vectors:
-            dot = sum(phases[i] for i in range(n) if (a_mask >> i) & 1)
-            total += (-1.0) ** (dot % 2)
-        worst = max(worst, abs(total) / len(vectors))
-    return worst
-
-
 def binary_cells_by_seed(space) -> np.ndarray:
     """Cell index of every seed of a binary space, in seed order: the seed
     itself in an exhaustive space, else (seed = f * 2^m + r) the parity
@@ -312,20 +308,30 @@ def merged_support(space) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.bincount(inverse.ravel(), weights)
 
 
-def complex_bias_brute(space) -> float:
-    """max_e |E[x^e]| by looping support cells and exponent vectors."""
+def cells_by_seed(space) -> np.ndarray:
+    """Every seed's cell in the space's own numbering, in seed order, by the
+    vectorized per-seed oracle of its kind."""
+    if isinstance(space, SampleSpace):
+        return binary_cells_by_seed(space)
+    return complex_cells_by_seed(space)
+
+
+def bias_by_characters(space, cells) -> float:
+    """max over nonzero exponent vectors e of |E[x^e]|, one character at a
+    time, over the distinct cells of ``cells`` (every seed's) weighted by
+    their seed counts and decoded by ``decode_cells``."""
     moduli = space.moduli
-    idx, probs = merged_support(space)
-    cells = decode_cells(space, idx)
+    idx, counts = np.unique(cells, return_counts=True)
+    phases = decode_cells(space, idx)
     worst = 0.0
     for exps in itertools.product(*[range(m) for m in moduli]):
         if not any(exps):
             continue
         total = 0j
-        for cell, p in zip(cells, probs):
-            angle = sum(e * int(f) / m for e, f, m in zip(exps, cell, moduli))
-            total += p * np.exp(2j * np.pi * angle)
-        worst = max(worst, abs(total))
+        for cell, count in zip(phases.tolist(), counts.tolist()):
+            angle = sum(e * f / m for e, f, m in zip(exps, cell, moduli))
+            total += count * cmath.exp(2j * math.pi * angle)
+        worst = max(worst, abs(total) / space.seed_count)
     return worst
 
 
@@ -338,9 +344,9 @@ def bias_by_dft(space) -> float:
     return float(spectrum.max())
 
 
-def complex_histogram_by_seed(space) -> np.ndarray:
-    """A complex space's histogram by enumerating every seed: an exhaustive
-    seed is its own C-order grid index; a constructed seed runs its own walk
+def complex_cells_by_seed(space) -> np.ndarray:
+    """Every seed's C-order grid index in a complex space, in seed order: an
+    exhaustive seed is its own index; a constructed seed runs its own walk
     and sums the base tuples its selector bits pick out.
 
     Reuses the package's walk (tested on its own) with the base tuples of
@@ -349,30 +355,25 @@ def complex_histogram_by_seed(space) -> np.ndarray:
     """
     from permest.complex_bias import walk_batch
 
-    k = len(space.moduli)
-    cells = math.prod(space.moduli)
-    counts = np.zeros(cells, dtype=np.int64)
-    radix = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        radix[i] = radix[i + 1] * space.moduli[i + 1]
-    mods = np.array(space.moduli, dtype=np.int64)
-    if not space.exhaustive:
-        amp = space.amplifier
-        table = strong_outputs_by_seed(space.base)
+    if space.exhaustive:
+        return np.arange(space.seed_count, dtype=np.int64)
+    amp = space.amplifier
+    table = strong_outputs_by_seed(space.base)
+    cells = np.empty(space.seed_count, dtype=np.int64)
     chunk = 1 << 18
     for lo in range(0, space.seed_count, chunk):
-        hi = min(lo + chunk, space.seed_count)
-        s = np.arange(lo, hi, dtype=np.int64)
-        if space.exhaustive:
-            sums = np.stack(np.unravel_index(s, space.moduli), axis=1)
-        else:
-            walk_seed = s & ((1 << amp.seed_bits) - 1)
-            d_bits = s >> amp.seed_bits
-            verts = walk_batch(amp, walk_seed) % space.base.seed_count
-            f = table[verts]  # (C, L, k)
-            sel = ((d_bits[:, None] >> np.arange(space.ell)) & 1)[:, :, None]
-            sums = (f * sel).sum(axis=1) % mods[None, :]
-        counts += np.bincount(sums @ radix, minlength=cells)
+        s = np.arange(lo, min(lo + chunk, space.seed_count), dtype=np.int64)
+        verts = walk_batch(amp, s & ((1 << amp.seed_bits) - 1)) % space.base.seed_count
+        f = table[verts]  # (C, L, k)
+        sel = (((s >> amp.seed_bits)[:, None] >> np.arange(space.ell)) & 1)[:, :, None]
+        sums = (f * sel).sum(axis=1) % np.array(space.moduli)
+        cells[lo : lo + s.size] = np.ravel_multi_index(tuple(sums.T), space.moduli)
+    return cells
+
+
+def complex_histogram_by_seed(space) -> np.ndarray:
+    """A complex space's histogram, counted over ``complex_cells_by_seed``."""
+    counts = np.bincount(complex_cells_by_seed(space), minlength=math.prod(space.moduli))
     return (counts / float(space.seed_count)).reshape(space.moduli)
 
 
@@ -542,12 +543,6 @@ def positive_compositions(n):
 def sign_vector(bits, n) -> np.ndarray:
     """The n float signs whose sign i is -1 where bit i of ``bits`` is set."""
     return 1.0 - 2.0 * np.array([(bits >> i) & 1 for i in range(n)], dtype=np.float64)
-
-
-def naive_expanded(spec):
-    from permest.exact import permanent_naive
-
-    return permanent_naive(expand(spec))
 
 
 def python_stdout(script: str, **env: str) -> str:

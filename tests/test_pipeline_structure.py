@@ -9,33 +9,13 @@ import numpy as np
 import pytest
 
 import permest
-from permest import binary_bias
-from permest.binary_bias import (
-    IRREDUCIBLE,
-    _gf2_mul_batch,
-    build_binary_space,
-    exhaustive_binary_space,
-    measure_bias,
-)
-from permest.complex_bias import (
-    AmplifierParams,
-    StrongProductGenerator,
-    build_complex_space,
-    exhaustive_complex_space,
-    walk_batch,
-)
+from permest.binary_bias import IRREDUCIBLE, _gf2_mul_batch, build_binary_space, measure_bias
+from permest.complex_bias import AmplifierParams, StrongProductGenerator, build_complex_space, walk_batch
 from permest.estimators import estimate_derandomized, gly_batch
 from permest.exact import permanent_gengly_exact, permanent_ryser
 from permest.matrices import MultiplicitySpec, expand
 
-from oracles import (
-    binary_seed_phases,
-    complex_seed_phases,
-    decode_cells,
-    merged_support,
-    random_nonneg,
-    strong_product_batch,
-)
+from oracles import binary_seed_phases, complex_seed_phases, random_nonneg, strong_product_batch
 
 
 class TestGeneratorRecomposition:
@@ -126,59 +106,6 @@ class TestChunkedExhaustiveMean:
         got = permanent_gengly_exact(spec)
         ref = permanent_ryser(expand(spec))
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
-
-
-SUPPORT_SPACES = {
-    "binary built": lambda: build_binary_space(10, 0.1),
-    "binary exhaustive": lambda: exhaustive_binary_space(6),
-    "complex exhaustive": lambda: exhaustive_complex_space((3, 2, 4)),
-    "complex fallback": lambda: build_complex_space((3, 3), 0.2),
-    "complex forced ell=2": lambda: build_complex_space((3,), 0.7, force_construction=True, ell=2),
-    "complex forced ell=3": lambda: build_complex_space(
-        (2, 2), 0.55, force_construction=True, ell=3
-    ),
-}
-
-
-class TestSupportProtocol:
-    """Every kind of space yields its support as (cells, probs) blocks: 2-D
-    flat cell indices (coordinate 0 fastest for binary spaces, the C-order
-    grid index for complex ones) that its ``places`` decode, with
-    probabilities that broadcast against them and are whole seed counts
-    over seed_count."""
-
-    @pytest.mark.parametrize("kind", sorted(SUPPORT_SPACES))
-    def test_ascending_cells_with_whole_counts(self, kind):
-        self._check(SUPPORT_SPACES[kind]())
-
-    def test_binary_blocks_merged(self, monkeypatch):
-        # m = 9: 60 orbit representatives of 512 cells each, fewer cells
-        # than the 2^16 grid, so the support is their rows
-        space = build_binary_space(16, 0.05)
-        monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 16 << space.field_bits)
-        assert len(list(space.support_blocks())) == 4
-        self._check(space)
-
-    @staticmethod
-    def _check(space):
-        binary = isinstance(space, binary_bias.SampleSpace)
-        for cells, probs in space.support_blocks():
-            assert cells.ndim == 2
-            assert np.broadcast_shapes(cells.shape, probs.shape) == cells.shape
-        idx, probs = merged_support(space)
-        cells = decode_cells(space, idx)
-        assert cells.shape == (probs.shape[0], len(space.moduli))
-        # the estimators decode the indices with the space's place values
-        assert np.array_equal((idx[:, None] // space.places) % space.moduli, cells)
-        coords = cells.T[::-1] if binary else cells.T
-        moduli = space.moduli[::-1] if binary else space.moduli
-        index = np.ravel_multi_index(tuple(coords.astype(np.intp)), moduli)
-        assert np.array_equal(index, idx)
-        assert np.all(np.diff(index) > 0)
-        counts = probs * space.seed_count
-        assert np.all(counts >= 1.0)
-        assert np.array_equal(counts, np.round(counts))
-        assert counts.sum() == space.seed_count
 
 
 class TestPublicApi:
