@@ -13,6 +13,7 @@ from permest.binary_bias import (
     SampleSpace,
     build_binary_space,
     exhaustive_binary_space,
+    measure_bias,
     space_from_descriptor,
 )
 from permest.complex_bias import (
@@ -412,6 +413,8 @@ class TestBuild:
             "t=1 pfrac=0.027777777777777776 q=0.027777777777777776"
         )
         assert space.descriptor() == build_complex_space((3,), 0.7, ell=2).descriptor()
+        # the space of c07 and c08
+        assert build_complex_space((2, 2), 0.55, ell=3).seed_bits == 23
         assert SampleSpace(5, 0, 0.0).descriptor() == exhaustive_binary_space(5).descriptor()
 
     def test_explicit_ell_builds_without_force(self):
@@ -443,8 +446,6 @@ class TestMeasure:
     def test_agrees_with_binary_audit_on_shared_distribution(self):
         # all-binary moduli: the roots-of-unity character sums and the
         # parity character sums are the same set of numbers
-        from permest.binary_bias import build_binary_space, measure_bias
-
         binary = build_binary_space(4, 0.5)
         lifted = exhaustive_complex_space((2, 2, 2, 2))
         hist = binary.support_histogram()

@@ -61,8 +61,6 @@ SEED_LOOP = ["binary uniform n6", "binary n8 rows", "complex uniform 2x3x4", "co
 SMALL = ["binary uniform n6", "binary n4 histogram", "complex uniform 2x3x4",
          "complex 3 l2 enumerated"]
 
-_U = 2.0**-53
-
 
 @functools.cache
 def _space(name):
@@ -97,7 +95,7 @@ def test_support_blocks(name):
     assert np.all(counts >= 1) and np.array_equal(probs, counts / space.seed_count)
     assert counts.sum() == space.seed_count
     dyadic = space.seed_count & (space.seed_count - 1) == 0
-    assert math.fsum(probs) == 1.0 if dyadic else abs(math.fsum(probs) - 1.0) <= 2 * _U
+    assert math.fsum(probs) == 1.0 if dyadic else abs(math.fsum(probs) - 1.0) <= 2.0**-52
 
 
 @pytest.mark.parametrize("name", PER_SEED)
@@ -120,7 +118,8 @@ def test_support_and_mean_are_every_seeds(name):
     # rows: gamma_D of the magnitudes, plus the longdouble sum's own error
     depth = 1 + max(c.shape[1] for c, _ in blocks) + rows.size
     scale = sum(float(np.sum(p * np.abs(values(c)))) for c, p in blocks)
-    bound = depth * _U / (1 - depth * _U) * scale
+    u = 2.0**-53
+    bound = depth * u / (1 - depth * u) * scale
     bound += space.seed_count * np.finfo(np.longdouble).eps
     assert abs(np.longdouble(np.sum(rows)) - want) <= bound
 
@@ -164,7 +163,9 @@ def test_audit_is_every_character_summed(name):
 
 
 @pytest.mark.parametrize(
-    "space, cell", [(exhaustive_binary_space(4), 0b0110), (exhaustive_complex_space((3, 2)), 0)]
+    "space, cell",
+    [(exhaustive_binary_space(4), 0b0110), (exhaustive_complex_space((3, 2)), 0)],
+    ids=["binary", "complex"],
 )
 def test_point_mass_audits_to_one(space, cell):
     hist = np.zeros_like(space.support_histogram())
