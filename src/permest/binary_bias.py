@@ -37,19 +37,35 @@ row cells against 65,536 grid cells), and it yields the histogram's occupied
 cells instead, each once.
 
 A binary space is the complex grid with every modulus 2, and this module
-holds what the two kinds share: ``Space``, the contract both answer to;
+holds what the two kinds share: the contract both answer to (below);
 ``measure_bias``, which audits either kind
 (``complex_bias.measure_complex_bias`` is the same function);
 ``space_from_descriptor``, which reads either kind's descriptor (a complex
 line loads ``complex_bias`` for its half) under one field rule; and
 ``_gf2_mul_batch`` with ``IRREDUCIBLE``, the GF(2^m) arithmetic of the
 complex pipeline's pairwise hash as well.
+
+The contract is the nine members that ``measure_bias``, the derandomized
+estimator and ``space_from_descriptor`` read of a space. A space is a
+distribution on the grid Z_m1 x ... x Z_mk (``moduli``), the
+image of ``seed_count`` equally likely seeds (``seed_bits`` =
+ceil(log2 seed_count)); an ``exhaustive`` one is the uniform distribution,
+each cell one seed. A cell is a flat index in a mixed-radix numbering with
+place values ``places``: coordinate i is ``index // places[i] % moduli[i]``,
+and each place is the product of the moduli of the faster places, so the
+cells are exactly 0 .. prod(moduli) - 1. ``support_blocks()`` yields the
+support as (cells, probs) pairs: 2-D cell indices, and probabilities that
+broadcast against them, each a whole number of seeds over ``seed_count``,
+summing to 1 over all blocks; a cell may recur. ``support_histogram()`` is
+the probabilities summed per cell, in cell-index order once flattened. Its
+bias, ``measure_bias``, is at most ``declared_epsilon`` (0 for an exhaustive
+space, up to the DFT's rounding). ``space_from_descriptor`` reads
+``descriptor()`` back to the same space.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -169,40 +185,6 @@ def _walsh_spectrum(p: np.ndarray) -> np.ndarray:
     a.reshape(cols, rows)[...] = t.reshape(rows, cols).T
     _butterfly_levels(a, t, rows, size)
     return a
-
-
-@runtime_checkable
-class Space(Protocol):
-    """What ``measure_bias``, the derandomized estimator and
-    ``space_from_descriptor`` read of a sample space, of either kind.
-
-    A space is a distribution on the grid Z_m1 x ... x Z_mk (``moduli``),
-    the image of ``seed_count`` equally likely seeds (``seed_bits`` =
-    ceil(log2 seed_count)); an ``exhaustive`` one is the uniform
-    distribution, each cell one seed. A cell is a flat index whose
-    coordinate i is ``index // places[i] % moduli[i]``.
-    ``support_blocks()`` yields the support as (cells, probs) pairs: 2-D
-    cell indices, and probabilities that broadcast against them, each a
-    whole number of seeds over ``seed_count``, summing to 1 over all
-    blocks; a cell may recur. ``support_histogram()`` is the probabilities
-    summed per cell, in cell-index order once flattened. Its bias,
-    ``measure_bias``, is at most ``declared_epsilon`` (0 for an exhaustive
-    space, up to the DFT's rounding). ``space_from_descriptor`` reads
-    ``descriptor()`` back to the same space.
-    """
-
-    moduli: tuple[int, ...]
-    places: np.ndarray
-    seed_count: int
-    seed_bits: int
-    exhaustive: bool
-    declared_epsilon: float
-
-    def support_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]: ...
-
-    def support_histogram(self) -> np.ndarray: ...
-
-    def descriptor(self) -> str: ...
 
 
 class SampleSpace:
@@ -356,7 +338,7 @@ def exhaustive_binary_space(n: int) -> SampleSpace:
     return SampleSpace(n, 0, 0.0)
 
 
-def measure_bias(space: Space) -> float:
+def measure_bias(space) -> float:
     """max over nontrivial characters of |E[chi(x)]|, every one enumerated.
 
     Serves binary and complex spaces alike through their ``moduli`` and
@@ -398,7 +380,7 @@ def _same_field(key: str, given: str, built: str) -> bool:
         return given == built
 
 
-def _check_fields(space: Space, fields: dict[str, str], text: str) -> Space:
+def _check_fields(space, fields: dict[str, str], text: str):
     """The rebuilt space, once every given field is a field of its own
     descriptor, or its mode, with the same value; omitted fields are
     derived."""
@@ -417,7 +399,7 @@ def _check_fields(space: Space, fields: dict[str, str], text: str) -> Space:
     return space
 
 
-def space_from_descriptor(text: str) -> Space:
+def space_from_descriptor(text: str):
     """Rebuild a space of either kind from its descriptor line.
 
     Each kind is rebuilt from the fields it cannot derive, as its

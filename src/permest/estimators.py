@@ -62,11 +62,11 @@ the value of the cell of x, since IEEE rounding is symmetric under sign (see
 One decoder pair turns flat cell indices into kernel input, given the place
 values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
 decodes its grid tables with them; the derandomized mean streams a space's
-``support_blocks`` (the contract ``binary_bias.Space``: 2-D cell indices in
-its own numbering, ``places``, with probabilities that broadcast against
-them), decodes a ``_BLOCK`` of cells at a time, and sums probability times
-value pairwise per row, then over the rows, which no BLAS thread count can
-reorder. gly's blocks are decoded into one sign buffer, reused for every
+``support_blocks`` (the contract stated in ``binary_bias``: 2-D cell
+indices in its own numbering, ``places``, with probabilities that broadcast
+against them), decodes a ``_BLOCK`` of cells at a time, and sums probability
+times value pairwise per row, then over the rows, which no BLAS thread count
+can reorder. gly's blocks are decoded into one sign buffer, reused for every
 block.
 """
 
@@ -369,18 +369,12 @@ def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False)
 
 
 def _index_phases(idx: np.ndarray, places: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """(k, M) int64 phases of flat cell indices in the mixed-radix numbering
-    with place values ``places`` (each the product of the moduli of the
-    faster places): phase i is idx // places[i] % moduli[i].
-
-    The phases are peeled off from the fastest place up, one division each,
-    in int32 while the grid's cells fit."""
+    """(k, M) int64 phases of flat cell indices in the numbering with place
+    values ``places``: phase i is idx // places[i] % moduli[i]."""
     out = np.empty((len(moduli), idx.shape[0]), dtype=np.int64)
-    rest = idx.astype(np.int32 if math.prod(moduli) <= 1 << 31 else np.int64)
-    for i in np.argsort(places):
-        quot = rest // moduli[i]
-        out[i] = rest - quot * moduli[i]
-        rest = quot
+    for i, mod in enumerate(moduli):
+        np.floor_divide(idx, places[i], out=out[i])
+        out[i] %= mod
     return out
 
 

@@ -147,21 +147,10 @@ def amplitude_estimate(
     return AmplitudeResult(complex(amp), prob, amp_err, prob_err)
 
 
-# log(2^-1075), half the least subnormal: a ratio at or below it rounds to 0.0
-_LOG_HALF_TINY = -1075 * math.log(2.0)
-
-
 def bunching_bound(pattern) -> float:
     """prod s_i! / s_i^s_i: the largest possible probability of the outcome
     from the standard initial state (0! = 1 and 0^0 = 1)."""
     pattern = validate_pattern(pattern)
-    # the log of the ratio, from lgamma, is within far less than the margin
-    # of the exact one: below log(2^-1075) by more, the ratio rounds to 0.0,
-    # and the exact integers, whose digits grow like s log s, are not built
-    terms = [(math.lgamma(c + 1), c * math.log(c)) for c in pattern if c]
-    margin = 1.0 + 2.0**-40 * sum(f + p for f, p in terms)
-    if sum(f - p for f, p in terms) + margin < _LOG_HALF_TINY:
-        return math.nextafter(0.0, math.inf)
     # true division of ints rounds the exact ratio correctly
     bound = math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
     if bound < sys.float_info.min:

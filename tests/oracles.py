@@ -148,17 +148,6 @@ def index_signs_by_shifts(idx, places) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def index_phases_by_two_divisions(idx, places, moduli) -> np.ndarray:
-    """(k, M) int64 phases of flat cell indices, phase i = idx // places[i]
-    % moduli[i] by two int64 divisions into one preallocated array: the
-    decoder the peeling one must match, bit for bit and in page faults."""
-    out = np.empty((len(moduli), idx.shape[0]), dtype=np.int64)
-    for i, mod in enumerate(moduli):
-        np.floor_divide(idx, places[i], out=out[i])
-        out[i] %= mod
-    return out
-
-
 def walsh_by_stacked_levels(p) -> np.ndarray:
     """The Walsh-Hadamard butterfly with a fresh (sum, difference) stack per
     level: the same adds and subtracts as the in-place one."""

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from permest import estimators
 from permest.binary_bias import build_binary_space, exhaustive_binary_space
-from permest.complex_bias import _radix, build_complex_space, exhaustive_complex_space
+from permest.complex_bias import build_complex_space, exhaustive_complex_space
 from permest.errors import CapacityError, DomainError
 from permest.estimators import (
     Estimate,
@@ -37,9 +36,7 @@ from oracles import (
     complex_histogram_by_seed,
     gengly_plain,
     gly_plain,
-    index_phases_by_two_divisions,
     index_signs_by_shifts,
-    python_stdout,
     random_complex,
     random_mults,
     random_nonneg,
@@ -750,46 +747,6 @@ class TestIndexSigns:
             got = estimators._index_signs(idx[lo:hi], places, out=buf)
             assert np.shares_memory(got, buf)
             assert got.tobytes() == index_signs_by_shifts(idx[lo:hi], places).tobytes()
-
-
-class TestIndexPhases:
-    """Cell indices decode into phases by peeling off the coordinates, fastest place first."""
-
-    # (2,) * 31 fills int32 and (7,) * 12, 1.4e10 cells, is past it
-    @pytest.mark.parametrize("moduli", [(3,) * 10, (5, 3, 7, 2), (2,) * 31, (7,) * 12])
-    def test_matches_two_divisions(self, moduli):
-        rng = np.random.default_rng(len(moduli))
-        idx = rng.integers(0, math.prod(moduli), 1000, dtype=np.int64)
-        # a complex space's C order and random mode's first-coordinate-fastest
-        for places in (_radix(moduli), np.cumprod((1, *moduli[:-1]))):
-            want = index_phases_by_two_divisions(idx, places, moduli)
-            for cells in (idx, idx.astype(np.uint32)) if idx.max() >> 32 == 0 else (idx,):
-                got = estimators._index_phases(cells, places, moduli)
-                assert got.dtype == np.int64 and np.array_equal(got, want)
-
-    @pytest.mark.slow
-    def test_no_more_page_faults_than_two_divisions(self):
-        # minor page faults of one estimate, each decoder in a fresh process,
-        # where the allocator starts in the same state; a decoder that took
-        # every coordinate from a (k, cells) phase table in one 2-D gather
-        # faulted 1.7 times as many pages as two divisions
-        script = (
-            "import resource, numpy as np, oracles\n"
-            "from permest import complex_bias, estimators, matrices\n"
-            "DECODER\n"
-            "spec = matrices.MultiplicitySpec(np.random.default_rng(10).random((20, 10)), (2,) * 10)\n"
-            "space = complex_bias.exhaustive_complex_space((3,) * 10)\n"
-            "for _ in range(2):  # the second call's faults\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    estimators.estimate_derandomized(spec, space)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-        )
-        two_divisions = "estimators._index_phases = oracles.index_phases_by_two_divisions"
-        faults = [
-            int(python_stdout(script.replace("DECODER", line), PYTHONPATH=str(Path(__file__).parent)))
-            for line in ("pass", two_divisions)
-        ]
-        assert faults[0] <= faults[1]
 
 
 class TestEstimateDerandomized:

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,16 +242,8 @@ class TestBunchingBound:
         )
         assert 0.0 < bunching_bound(pattern)
         assert Fraction(bunching_bound(pattern)) >= exact
-        # bit for bit the rounded ratio one step up, whether the log or the
-        # exact integers decided it
+        # bit for bit the rounded ratio one step up
         assert bunching_bound(pattern) == math.nextafter(float(exact), math.inf)
-
-    def test_clear_underflow_builds_no_exact_integers(self, monkeypatch):
-        # 300000!/300000^300000 is about 6e-130286: the log decides, with no
-        # factorial of 1.5 million digits
-        monkeypatch.setattr(math, "factorial", mock.Mock(wraps=math.factorial))
-        assert bunching_bound((300000,)) == math.nextafter(0.0, math.inf)
-        math.factorial.assert_not_called()
 
 
 class TestSaturatingUnitary:

@@ -1,4 +1,4 @@
-"""The sample-space contract, ``binary_bias.Space``, checked once over one
+"""The sample-space contract, stated in ``binary_bias``, checked once over one
 table of spaces of both kinds: uniform and constructed binary spaces on both
 sides of the rows-or-histogram rule, uniform complex grids, and constructed
 complex spaces at walk lengths 1 to 4 on both audit paths, counting and
@@ -11,14 +11,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from permest.binary_bias import Space, build_binary_space, exhaustive_binary_space, measure_bias
+from permest.binary_bias import build_binary_space, exhaustive_binary_space, measure_bias
 from permest.binary_bias import space_from_descriptor
-from permest.complex_bias import build_complex_space, exhaustive_complex_space
+from permest.complex_bias import build_complex_space, exhaustive_complex_space, measure_complex_bias
 from permest.errors import CapacityError, DescriptorError
 
 from oracles import bias_by_characters, bias_by_dft, cells_by_seed, cells_by_seed_loop
 from oracles import decode_cells, merged_support
 
+# what measure_bias, the derandomized estimator and space_from_descriptor read
+MEMBERS = ["moduli", "places", "seed_count", "seed_bits", "exhaustive", "declared_epsilon",
+           "support_blocks", "support_histogram", "descriptor"]
 SPACES = {
     "binary uniform n6": lambda: exhaustive_binary_space(6),
     # m = 3: 4 orbit rows of 8 cells outgrow the 16 grid cells, so the
@@ -76,8 +79,11 @@ def _cells(name):
 @pytest.mark.parametrize("name", SPACES)
 def test_support_blocks(name):
     space = _space(name)
-    assert isinstance(space, Space)
+    assert all(hasattr(space, member) for member in MEMBERS)
     assert space.seed_bits == (space.seed_count - 1).bit_length()
+    # a mixed-radix numbering: each place the product of the faster moduli
+    order = np.argsort(space.places)
+    assert np.array_equal(space.places[order], np.cumprod([1, *np.take(space.moduli, order)[:-1]]))
     hist, weights = np.zeros(math.prod(space.moduli)), []
     for cells, probs in space.support_blocks():
         assert cells.ndim == 2 and np.broadcast_shapes(cells.shape, probs.shape) == cells.shape
@@ -152,6 +158,7 @@ def test_audit_is_the_full_dft_within_the_declaration(name):
     # exactly; a uniform space's zero sums carry the DFT's rounding
     space = _space(name)
     measured = measure_bias(space)
+    assert measure_complex_bias is measure_bias
     assert measured == bias_by_dft(space)
     assert measured <= space.declared_epsilon or space.exhaustive and measured <= 1e-12
 
