@@ -91,6 +91,21 @@ def _cmd_exact(args) -> int:
     return 0
 
 
+def _refuse(args, names, needs: str) -> None:
+    """Exit 2 on the flags among ``names`` that were given: only ``needs`` reads them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} need {needs}")
+
+
+def _random_defaults(args, mode: str) -> None:
+    """``--delta`` and ``--seed``: read in random mode only, at 0.01 and 0."""
+    if mode != "random":
+        _refuse(args, ("delta", "seed"), "--mode random")
+    args.delta = 0.01 if args.delta is None else args.delta
+    args.seed = args.seed or 0
+
+
 def _build_space_for(args, target):
     if args.space is not None:
         from .binary_bias import space_from_descriptor
@@ -117,6 +132,7 @@ def _cmd_estimate(args) -> int:
 
     if args.space is not None and args.mode != "derandomized":
         raise ValueError("--space needs --mode derandomized")
+    _random_defaults(args, args.mode)
     if args.epsilon is None and (
         args.mode == "random" or (args.mode == "derandomized" and args.space is None)
     ):
@@ -126,7 +142,6 @@ def _cmd_estimate(args) -> int:
         )
     a = _load_matrix(args.matrix)
     target = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else a
-    payload: dict = {}
     if args.mode == "random":
         est = estimate_random(target, args.epsilon, args.delta, args.seed)
         payload_extra = {"delta": args.delta, "seed": args.seed}
@@ -137,7 +152,7 @@ def _cmd_estimate(args) -> int:
         space = _build_space_for(args, target)
         est = estimate_derandomized(target, space)
         payload_extra = {"space": space.descriptor()}
-    payload.update(_complex_payload("value", est.value))
+    payload = _complex_payload("value", est.value)
     payload["bound_term"] = est.bound_term
     payload["epsilon"] = est.epsilon
     payload["guarantee"] = est.guarantee().additive_error_bound
@@ -256,12 +271,15 @@ def _cmd_optics(args) -> int:
             raise ValueError(
                 "estimation covers the standard initial state; drop --in-pattern"
             )
+        args.mode = args.mode or "random"
         if args.epsilon is None and args.mode != "exhaustive":
             raise ValueError("estimation needs --epsilon in random and derandomized modes")
+        _random_defaults(args, args.mode)
         result = optics.amplitude_estimate(
             u, out_pattern, args.epsilon, args.mode, args.delta, args.seed
         )
     else:
+        _refuse(args, ("epsilon", "mode", "delta", "seed"), "--estimate")
         if args.in_pattern:
             in_pattern = _parse_counts(args.in_pattern, "--in-pattern")
         else:
@@ -310,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="ignored in exhaustive mode; optional in derandomized mode with --space",
     )
-    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--delta", type=float, help="random mode only; default 0.01")
     p.add_argument(
         "--mode", choices=("random", "derandomized", "exhaustive"), default="random"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random mode only; default 0")
     p.add_argument("--space", help="sample-space descriptor for derandomized mode")
     add_format(p)
     p.set_defaults(func=_cmd_estimate)
@@ -349,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         po.add_argument("--out-pattern", required=True)
         po.add_argument("--in-pattern")
         po.add_argument("--estimate", action="store_true")
+        # the estimate's flags, refused without --estimate
         po.add_argument("--epsilon", type=float, help="ignored in exhaustive mode")
         po.add_argument(
-            "--mode",
-            choices=("random", "derandomized", "exhaustive"),
-            default="random",
+            "--mode", choices=("random", "derandomized", "exhaustive"), help="default random"
         )
-        po.add_argument("--delta", type=float, default=0.01)
-        po.add_argument("--seed", type=int, default=0)
+        po.add_argument("--delta", type=float, help="random mode only; default 0.01")
+        po.add_argument("--seed", type=int, help="random mode only; default 0")
         add_format(po)
         po.set_defaults(func=_cmd_optics)
     for name in ("bound", "saturate"):

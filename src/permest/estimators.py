@@ -83,6 +83,7 @@ from .errors import CapacityError, DomainError
 from .matrices import (
     MultiplicitySpec,
     _log_gengly_scale,
+    _round_up,
     as_spec,
     gengly_scale,
     phase_space_size,
@@ -144,9 +145,8 @@ class Estimate:
         error = self.epsilon * self.bound_term
         if not math.isfinite(error):
             raise OverflowError("the additive error bound exceeds the double range")
-        if error < sys.float_info.min and self.epsilon > 0.0 and self.bound_term > 0.0:
-            # a product below the normal range can round down, to 0.0 too
-            error = math.nextafter(error, math.inf)
+        if self.epsilon > 0.0 and self.bound_term > 0.0:
+            error = _round_up(error)
         return GuaranteeReport(error, self.confidence)
 
 
@@ -439,12 +439,7 @@ def permanent_upper_bound(target) -> float:
     # error" past it
     if log_bound > _LOG_MAX:
         raise OverflowError("the bound term exceeds the double range")
-    bound = math.exp(log_bound)
-    if bound < sys.float_info.min:
-        # below the normal range exp's rounding is a whole subnormal step,
-        # and a nonzero bound can underflow to 0.0
-        bound = math.nextafter(bound, math.inf)
-    return bound
+    return _round_up(math.exp(log_bound))
 
 
 # The bodies of estimate_random and estimate_derandomized. Their _multi

@@ -123,21 +123,6 @@ def permanent_naive(target) -> complex:
     return total
 
 
-class _Kahan:
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        # float until a complex term arrives, so real sums stay real
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, term) -> None:
-        y = term - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def _grid_table(a: np.ndarray, values, weights):
     """The row sums and weights of the leading grid columns, and how many
     columns they take: the largest ``low`` whose grid has at most
@@ -232,14 +217,7 @@ def _grid_sum(a: np.ndarray, values, weights):
         np.concatenate([np.empty(0, dtype=a.dtype), *values[low:]]),
         np.concatenate([np.empty(0), *weights[low:]]),
     )
-    # numpy rounds a complex product of one-entry arrays unlike one of a
-    # longer run, so a one-entry complex table keeps one point per batch;
-    # float64 products round alike in any batch
-    if table_w.size == 1 and a.dtype != np.float64:
-        rows = 1
-    else:
-        rows = max(1, min(_BATCH_BYTES // table[0].nbytes, _BATCH_POINTS))
-    batch = min(count, rows)
+    batch = min(count, max(1, _BATCH_BYTES // table[0].nbytes), _BATCH_POINTS)
     batches = range(0, count, batch)
     # two batches or more per worker: one is too little work to pay for a thread
     workers = max(1, min(_CPUS, len(batches) // 2))
@@ -272,13 +250,17 @@ def _grid_sum(a: np.ndarray, values, weights):
         thread.join()
     if errors:
         raise errors[0]
-    acc = _Kahan()
-    # one Python scalar at a time: a list of them all costs 32 bytes a point
+    # Kahan's sum, one Python scalar at a time (a list of them all costs 32
+    # bytes a point); a float until a complex term arrives, so real sums stay real
+    total = comp = 0.0
     for i in range(count):
-        acc.add(terms.item(i))
-    if not cmath.isfinite(acc.total):
+        y = terms.item(i) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    if not cmath.isfinite(total):
         raise OverflowError("the permanent sum is not finite in double precision")
-    return acc.total
+    return total
 
 
 def permanent_ryser(target) -> complex:

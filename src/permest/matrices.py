@@ -225,9 +225,15 @@ def spectral_norm(a) -> SpectralNormResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK singular values: {exc}") from None
     slack = 4 * max(a.shape) * 2.0**-53
-    value = sigma * (1.0 + slack)
-    if value < sys.float_info.min:
-        # below the normal range the relative slack rounds away: add it
-        # absolutely, plus one subnormal step for the roundings
-        value = math.nextafter(sigma + sigma * slack, math.inf)
+    # below the normal range the relative slack rounds away: add it absolutely
+    value = _round_up(sigma * (1.0 + slack), sigma + sigma * slack)
     return SpectralNormResult(value, 1, slack)
+
+
+def _round_up(value: float, low: float | None = None) -> float:
+    """``value`` in the normal range; below it, where a rounding can lose a
+    whole subnormal step or reach 0.0, the next double above ``low``
+    (``value`` by default): the round-up of every bound of the package."""
+    if value >= sys.float_info.min:
+        return value
+    return math.nextafter(value if low is None else low, math.inf)

@@ -13,13 +13,12 @@ exhaustive estimate. Estimation is offered for the standard initial state
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .matrices import MultiplicitySpec, as_matrix, as_square
+from .matrices import MultiplicitySpec, _round_up, as_matrix, as_square
 
 __all__ = [
     "AmplitudeResult",
@@ -113,8 +112,9 @@ def amplitude_estimate(
     """Estimate the outcome amplitude for the standard initial state;
     exhaustive mode ignores ``epsilon``.
 
-    The amplitude guarantee is ``epsilon * sqrt(prod s_i!/s_i^s_i) * |B|^n``,
-    rounded up like every bound term: for subunitary U it is at most epsilon
+    The amplitude guarantee is the estimate's guarantee,
+    ``epsilon * sqrt(prod s_i!/s_i^s_i) * |B|^n``, over sqrt(prod s_i!),
+    rounded up like every bound: for subunitary U it is at most epsilon
     times 1 + O(n * k * 2^-53), the bound's rounding allowance. The
     probability bound follows from
     ``| |a|^2 - |b|^2 | <= |a-b| (|a| + |b|)`` with the estimate standing in
@@ -141,9 +141,11 @@ def amplitude_estimate(
         raise ValueError(f"unknown mode {mode!r}")
     root_fact = math.exp(0.5 * _log_factorial_sum(pattern))
     amp = est.value / root_fact
-    amp_err = est.epsilon * est.bound_term / root_fact
+    error = est.guarantee().additive_error_bound
+    # 0.0 only where the guarantee is: in exhaustive mode and on a zero matrix
+    amp_err = _round_up(error / root_fact) if error else 0.0
     prob = float(abs(amp) ** 2)
-    prob_err = amp_err * (2.0 * abs(amp) + amp_err)
+    prob_err = _round_up(amp_err * (2.0 * abs(amp) + amp_err)) if error else 0.0
     return AmplitudeResult(complex(amp), prob, amp_err, prob_err)
 
 
@@ -153,11 +155,7 @@ def bunching_bound(pattern) -> float:
     pattern = validate_pattern(pattern)
     # true division of ints rounds the exact ratio correctly
     bound = math.prod(math.factorial(c) for c in pattern) / math.prod(c**c for c in pattern)
-    if bound < sys.float_info.min:
-        # below the normal range the rounded ratio can fall short of the
-        # exact one by half a subnormal step, or be 0.0; one step up bounds it
-        bound = math.nextafter(bound, math.inf)
-    return bound
+    return _round_up(bound)
 
 
 def saturating_unitary(pattern) -> np.ndarray:

@@ -16,8 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from permest.binary_bias import IRREDUCIBLE, SampleSpace
+from permest.matrices import MultiplicitySpec, as_spec, expand
 
 
 def jacobi_svd_sigma_max(a, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -490,6 +492,40 @@ def near_degenerate(seed: int = 0, n: int = 30) -> np.ndarray:
     v = np.linalg.qr(rng.standard_normal((n, n)))[0]
     sigma = np.concatenate([[1.0, 1.0 - 1e-7], np.linspace(0.5, 0.9, n - 2)])
     return (u * sigma) @ v.T
+
+
+@st.composite
+def targets(draw, max_n=8, max_spec_n=8, specs=True):
+    """A square matrix of n <= ``max_n`` or, with ``specs``, a
+    ``MultiplicitySpec`` of n <= ``max_spec_n`` over a random composition,
+    uniform on [0, 1) or [-1, 1), or complex Gaussian. The entries come from
+    a drawn seed, so every example is well scaled."""
+    spec = specs and draw(st.booleans())
+    n = draw(st.integers(1, max_spec_n if spec else max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mults = random_mults(rng, n) if spec else (1,) * n
+    k = len(mults)
+    low = draw(st.sampled_from((0.0, -1.0, None)))
+    a = random_complex(rng, n, k) if low is None else rng.uniform(low, 1.0, (n, k))
+    return MultiplicitySpec(a, mults) if spec else a
+
+
+def magnitude(target):
+    """The target with each entry replaced by its magnitude: a nonnegative
+    input of the same shape, and a spec of the same multiplicities."""
+    if isinstance(target, MultiplicitySpec):
+        return MultiplicitySpec(np.abs(target.base), target.mults)
+    return np.abs(target)
+
+
+def close(x, y, target, bound=None) -> bool:
+    """|x - y| at most 1e-9 of the larger magnitude plus 1e-12 of min(1,
+    prod_i sum_j |a_ij|) over the expanded target, the largest a term of
+    Ryser's or Glynn's sum can be; and, given an estimate's bound term, at
+    most 1e-12 of it."""
+    scale = float(np.prod(np.abs(expand(as_spec(target))).sum(axis=1)))
+    tol = 1e-9 * max(abs(x), abs(y)) + 1e-12 * min(1.0, scale)
+    return abs(x - y) <= (tol if bound is None else min(tol, 1e-12 * bound))
 
 
 def random_nonneg(rng, n, k=None):

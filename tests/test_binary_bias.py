@@ -464,6 +464,7 @@ class TestColumnMap:
         (20, 0.02, "0x1.b5a5aebc515bap+58"),
     ]
 
+    @pytest.mark.blas_pinned
     @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
     def test_estimate_bits_are_pinned(self, n, eps, value):
         a = random_nonneg(np.random.default_rng(1000 + n), n)
@@ -471,6 +472,7 @@ class TestColumnMap:
         assert est.value.real.hex() == value
         assert est.value.imag == 0.0
 
+    @pytest.mark.blas_pinned
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n, eps, value", PINNED, ids=[f"n{n}-eps{e}" for n, e, _ in PINNED])
     def test_estimate_bits_do_not_depend_on_seed_chunk(self, monkeypatch, n, eps, value, rows):

@@ -435,6 +435,7 @@ def _eighths_text(cols: int, imag: bool) -> str:
     return f"6 {cols}\n" + "\n".join(rows) + "\n"
 
 
+@pytest.mark.blas_pinned
 class TestGoldenStdout:
     """Random-mode stdout is byte-identical to the recorded output: the
     sample stream, the estimator kernels and the emit format all hold."""
@@ -654,6 +655,32 @@ class TestFailures:
                 2,
                 id="optics-random-without-epsilon",
             ),
+            # the estimate's flags without --estimate, and random mode's
+            # outside it
+            *[
+                pytest.param(
+                    ("optics", cmd, "--unitary", "{u}", "--out-pattern", "1,1", *flag),
+                    2,
+                    id=f"optics-{cmd}-{flag[0][2:]}-without-estimate",
+                )
+                for cmd in ("prob", "amp")
+                for flag in (("--epsilon", "0.1"), ("--mode", "exhaustive"), ("--delta", "0.5"),
+                             ("--seed", "3"))
+            ],
+            *[
+                pytest.param(
+                    (*argv, "--mode", mode, flag, value),
+                    2,
+                    id=f"{argv[0]}-{mode}-{flag[2:]}",
+                )
+                for argv in (
+                    ("estimate", "--matrix", "{o4}", "--epsilon", "0.5"),
+                    ("optics", "amp", "--unitary", "{u}", "--out-pattern", "1,1", "--estimate",
+                     "--epsilon", "0.5"),
+                )
+                for mode in ("derandomized", "exhaustive")
+                for flag, value in (("--delta", "0.5"), ("--seed", "3"))
+            ],
             pytest.param(
                 ("estimate", "--matrix", "{c}", "--epsilon", "0.5", "--mode", "derandomized"),
                 4,

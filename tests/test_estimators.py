@@ -29,7 +29,7 @@ from permest.exact import (
     permanent_naive,
     permanent_ryser,
 )
-from permest.matrices import MultiplicitySpec, as_spec, expand, gengly_scale, spectral_norm
+from permest.matrices import MultiplicitySpec, expand, gengly_scale, spectral_norm
 from permest.optics import saturating_unitary
 
 from oracles import (
@@ -42,7 +42,6 @@ from oracles import (
     random_nonneg,
     sign_vector,
     space_mean_by_seed_loop,
-    stdout_per_blas_threads,
 )
 
 
@@ -113,16 +112,6 @@ class TestGly:
         x = sign_vector(rng.integers(0, 32), 5)[None]
         assert gly_batch(c * a, x)[0] == pytest.approx(c**5 * gly_batch(a, x)[0], rel=1e-9)
 
-    def test_bounded_by_norm_power(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            n = int(rng.integers(1, 7))
-            a = random_complex(rng, n)
-            bound = spectral_norm(a).value ** n
-            x = sign_vector(int(rng.integers(0, 1 << n)), n)
-            assert abs(gly_batch(a, x[None])[0]) <= bound * (1 + 1e-9)
-
-
 class TestGenGly:
     def test_all_ones_collapses_to_gly(self):
         rng = np.random.default_rng(5)
@@ -183,17 +172,6 @@ class TestGenGly:
         view = gengly_batch(spec, cols.T)
         c_order = gengly_batch(spec, np.ascontiguousarray(cols.T))
         assert np.array_equal(view.view(np.uint64), c_order.view(np.uint64))
-
-    def test_bounded(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            mults = random_mults(rng, n)
-            spec = MultiplicitySpec(random_complex(rng, n, len(mults)), mults)
-            bound = permanent_upper_bound(spec)
-            phases = [int(rng.integers(0, s + 1)) for s in mults]
-            assert abs(gengly_batch(spec, [phases])[0]) <= bound * (1 + 1e-9)
-
 
 # Property tests of the shared batch kernel: every example is checked row by
 # row against the plain-loop oracles, with the kernel's block size drawn from
@@ -357,17 +335,6 @@ class TestEstimateRandom:
         with pytest.raises(ValueError):
             estimate_random(np.eye(2), 0.1, 0.0)
 
-    @pytest.mark.parametrize("mults", [(2, 1), (1, 1, 1)])
-    def test_spec_is_the_multi_forward(self, mults):
-        # a spec, all-ones included, takes gengly's per-column phase stream
-        rng = np.random.default_rng(24)
-        spec = MultiplicitySpec(random_nonneg(rng, 3, len(mults)), mults)
-        got = estimate_random(spec, 0.2, rng_seed=5)
-        assert _hex(got) == _hex(estimate_random_multi(spec, 0.2, rng_seed=5))
-        if mults == (1, 1, 1):
-            # the forward reads a matrix as its all-ones spec too
-            assert _hex(got) == _hex(estimate_random_multi(spec.base, 0.2, rng_seed=5))
-
     def test_multi_chunk_sampling(self):
         # eps small enough to need several sampling chunks
         rng = np.random.default_rng(22)
@@ -410,13 +377,7 @@ class TestEstimateRandomMulti:
         est = estimate_random_multi(spec, 0.1, 0.01, rng_seed=11)
         assert abs(est.value - exact) <= est.guarantee().additive_error_bound
 
-    @pytest.mark.parametrize("a", [np.eye(3), random_nonneg(np.random.default_rng(18), 4)])
-    def test_matrix_is_its_all_ones_spec(self, a):
-        got = estimate_random_multi(a, 0.2, rng_seed=5)
-        want = estimate_random_multi(as_spec(a), 0.2, rng_seed=5)
-        assert _hex(got) == _hex(want)
-
-
+@pytest.mark.blas_pinned
 class TestSampleStream:
     """The samples a seed draws are pinned: n=3, eps=0.015 takes more than
     one 2^16-sample chunk. Equal sample rows are grouped before the oracle
@@ -481,6 +442,7 @@ class TestSampleStream:
         assert abs(est.value - ref) <= 1e-12 * est.bound_term
 
 
+@pytest.mark.blas_pinned
 class TestRandomLookup:
     """When the grid has at most as many cells as the full blocks have
     samples, and at most 2^16, random mode runs the kernel once per cell and
@@ -618,6 +580,7 @@ class TestRandomLookup:
         assert estimate_random(a, 0.05, 0.01, rng_seed=3).value == direct_chunk_mean(a, m, 3)
 
 
+@pytest.mark.blas_pinned
 class TestRandomMultiBits:
     """The bits of roots-of-unity random means: narrowing the drawn phases
     and reading the lookup cells from them as integers must not move one."""
@@ -653,6 +616,7 @@ class TestRandomMultiBits:
         assert (est.value.real.hex(), est.value.imag.hex()) == (real, imag)
 
 
+@pytest.mark.blas_pinned
 class TestRandomSigns:
     """estimate_random builds its signs from raw generator words. They must
     stay the stream of ``integers(0, 2)`` mapped to 1 - 2 * bit."""
@@ -824,21 +788,6 @@ class TestEstimateDerandomized:
         space = build_binary_space(6, 0.25)
         assert estimate_derandomized(a, space).value == estimate_derandomized(a, space).value
 
-    @pytest.mark.parametrize(
-        "mults, space",
-        [
-            ((2, 1), lambda: build_complex_space((3, 2), 0.9, force_construction=True, ell=1)),
-            ((1, 1, 1), lambda: build_binary_space(3, 0.4)),
-        ],
-        ids=["forced-32-ell1", "all-ones-binary-3"],
-    )
-    def test_spec_is_the_multi_forward(self, mults, space):
-        # a spec, all-ones included, takes gengly over its grid's cells
-        space = space()
-        spec = MultiplicitySpec(random_nonneg(np.random.default_rng(25), 3, len(mults)), mults)
-        got = estimate_derandomized(spec, space)
-        assert _hex(got) == _hex(estimate_derandomized_multi(spec, space))
-
     def test_space_mismatch(self):
         with pytest.raises(ValueError):
             estimate_derandomized(np.eye(4), exhaustive_binary_space(3))
@@ -856,32 +805,6 @@ class TestEstimateDerandomized:
             estimate_derandomized(a, exhaustive_binary_space(3))
         with pytest.raises(OverflowError):
             estimate_derandomized(np.abs(a), exhaustive_binary_space(3))
-
-    def test_same_under_one_and_two_blas_threads(self):
-        # the support mean is a pairwise sum: a BLAS dot splits across
-        # threads and changed the last bits with the thread count
-        script = (
-            "import numpy as np\n"
-            "from permest.binary_bias import build_binary_space\n"
-            "from permest.complex_bias import build_complex_space, exhaustive_complex_space\n"
-            "from permest.estimators import estimate_derandomized, estimate_derandomized_multi\n"
-            "from permest.matrices import MultiplicitySpec\n"
-            "rng = np.random.default_rng(16)\n"
-            "a = rng.uniform(0.0, 1.0, (16, 16))\n"
-            "spec = MultiplicitySpec(rng.uniform(0.0, 1.0, (20, 10)), (2,) * 10)\n"
-            # a support of 24,503 cells ends in a ragged block of 4,023 rows,
-            # whose last 7 the real matmul rounded differently on one thread
-            "b = np.random.default_rng(1016).random((16, 16))\n"
-            "for est in (estimate_derandomized(a, build_binary_space(16, 0.05)),\n"
-            "            estimate_derandomized(b, build_binary_space(16, 0.05)),\n"
-            "            estimate_derandomized_multi(spec, exhaustive_complex_space((3,) * 10)),\n"
-            "            estimate_derandomized_multi(MultiplicitySpec(rng.uniform(0.0, 1.0, (5, 3)), (2, 2, 1)),\n"
-            "                build_complex_space((3, 3, 2), 0.8, force_construction=True, ell=1))):\n"
-            "    print(est.value.real.hex(), est.value.imag.hex())\n"
-        )
-        outputs = stdout_per_blas_threads(script)
-        assert len(outputs[0].splitlines()) == 4
-        assert outputs[0] == outputs[1]
 
     def test_certainty_at_measured_bias(self):
         # the deterministic error never exceeds measured-bias * bound_term
@@ -937,20 +860,6 @@ class TestEstimateDerandomizedMulti:
         with pytest.raises(ValueError):
             estimate_derandomized_multi(spec, exhaustive_binary_space(2))
 
-    @pytest.mark.parametrize(
-        "space",
-        [
-            lambda: exhaustive_binary_space(3),
-            lambda: build_complex_space((2, 2), 0.8, force_construction=True, ell=1),
-        ],
-        ids=["binary-exhaustive-3", "forced-22-ell1"],
-    )
-    def test_matrix_is_its_all_ones_spec(self, space):
-        space = space()
-        a = random_nonneg(np.random.default_rng(19), len(space.moduli))
-        got = estimate_derandomized_multi(a, space)
-        assert _hex(got) == _hex(estimate_derandomized_multi(as_spec(a), space))
-
     def test_seed_loop_oracle(self):
         rng = np.random.default_rng(16)
         b = random_nonneg(rng, 4, 2)
@@ -980,6 +889,7 @@ def _multi_case(kind):
     return MultiplicitySpec(base, (1,) * 20), build_binary_space(20, 0.02)
 
 
+@pytest.mark.blas_pinned
 class TestDerandomizedBits:
     """The bits of derandomized means: decoding the support blocks a
     ``_BLOCK`` of cells at a time must not move one. The sums are pairwise,
@@ -1148,10 +1058,6 @@ class TestPermanentUpperBound:
         assert exhaustive.bound_term > 0.0
         assert exhaustive.guarantee().additive_error_bound == 0.0
 
-    def test_matrix_is_its_all_ones_spec(self):
-        a = random_complex(np.random.default_rng(26), 3)
-        assert permanent_upper_bound(a).hex() == permanent_upper_bound(as_spec(a)).hex()
-
     @pytest.mark.parametrize("entry", [1e30, 1e308])
     def test_beyond_double_range_raises(self, entry):
         # at 1e308 the norm itself is inf; at 1e30 its 12th power overflows
@@ -1241,88 +1147,6 @@ class TestBoundTerm:
         spec = MultiplicitySpec(a[:, : len(mults)], mults)
         phases = np.column_stack([rng.integers(0, s + 1, size=16) for s in mults])
         assert np.all(np.abs(gengly_batch(spec, phases)) <= permanent_upper_bound(spec))
-
-    def test_same_under_one_and_two_blas_threads(self):
-        script = (
-            "import numpy as np\n"
-            "from permest.estimators import estimate_random, estimate_random_multi\n"
-            "from permest.matrices import MultiplicitySpec\n"
-            "rng = np.random.default_rng(30)\n"
-            "for n in (16, 30):\n"
-            "    real = rng.uniform(0.0, 1.0, (n, n))\n"
-            "    cplx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
-            "    for a in (real, cplx):\n"
-            "        print(estimate_random(a, 0.9).bound_term.hex())\n"
-            "spec = MultiplicitySpec(rng.uniform(0.0, 1.0, (16, 8)), (2,) * 8)\n"
-            "print(estimate_random_multi(spec, 0.9).bound_term.hex())\n"
-        )
-        outputs = stdout_per_blas_threads(script)
-        assert len(outputs[0].splitlines()) == 5
-        assert outputs[0] == outputs[1]
-
-
-@st.composite
-def invariance_inputs(draw, nonnegative):
-    """A seeded n x n matrix, n = 1..8, and a generator for what the test
-    draws next."""
-    n = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = random_nonneg(rng, n) if nonnegative else random_complex(rng, n)
-    return a, rng
-
-
-invariance_settings = settings(derandomize=True, max_examples=40, deadline=None)
-
-
-def same_mean(x, y, bound_term):
-    return abs(x - y) <= 1e-12 * bound_term
-
-
-class TestInvariance:
-    """Per(cA) = c^n Per(A), Per(A^T) = Per(A) and Per(PAQ) = Per(A) carry
-    over to the estimators' means, up to 1e-12 of the bound term."""
-
-    @invariance_settings
-    @given(invariance_inputs(nonnegative=True), st.floats(0.01, 100.0), st.booleans())
-    def test_derandomized_scales_by_c_to_the_n(self, inputs, c, built):
-        a, _ = inputs
-        n = a.shape[0]
-        space = build_binary_space(n, 0.25) if built else exhaustive_binary_space(n)
-        scaled = estimate_derandomized(c * a, space)
-        plain = estimate_derandomized(a, space)
-        assert same_mean(scaled.value, c**n * plain.value, scaled.bound_term)
-
-    @invariance_settings
-    @given(
-        invariance_inputs(nonnegative=False),
-        st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
-        st.integers(0, 2**16),
-    )
-    def test_random_scales_by_c_to_the_n(self, inputs, c, seed):
-        a, _ = inputs
-        n = a.shape[0]
-        scaled = estimate_random(c * a, 0.05, rng_seed=seed)
-        plain = estimate_random(a, 0.05, rng_seed=seed)
-        assert same_mean(scaled.value, c**n * plain.value, scaled.bound_term)
-        assert scaled.bound_term == pytest.approx(abs(c) ** n * plain.bound_term, rel=1e-12)
-
-    @invariance_settings
-    @given(invariance_inputs(nonnegative=False), st.integers(0, 2**16))
-    def test_random_ignores_row_order(self, inputs, seed):
-        a, rng = inputs
-        est = estimate_random(a, 0.05, rng_seed=seed)
-        permuted = estimate_random(a[rng.permutation(a.shape[0])], 0.05, rng_seed=seed)
-        assert same_mean(permuted.value, est.value, est.bound_term)
-
-    @invariance_settings
-    @given(invariance_inputs(nonnegative=True))
-    def test_exhaustive_mean_ignores_transpose_and_column_order(self, inputs):
-        a, rng = inputs
-        space = exhaustive_binary_space(a.shape[0])
-        est = estimate_derandomized(a, space)
-        for other in (a.T, a[:, rng.permutation(a.shape[0])]):
-            assert same_mean(estimate_derandomized(other, space).value, est.value, est.bound_term)
-
 
 class TestEstimateType:
     def test_mode_validation(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permest.estimators import estimate_random
+from permest.estimators import estimate_random, permanent_upper_bound
 from permest.exact import permanent_naive
 from permest.matrices import spectral_norm
 from permest.optics import (
@@ -183,6 +183,20 @@ class TestAmplitudeEstimate:
         )
         assert plain.bound_term == pytest.approx(spectral_norm(u).value ** 3, rel=1e-9)
 
+    def test_subnormal_bounds_are_rounded_up(self):
+        # 2x2 unitaries scaled by 10^-163 to 10^-155: the bound term and
+        # epsilon times it lie below the normal range, where a rounding can
+        # lose a whole subnormal step or reach 0.0; both bounds are rounded
+        # up, so they bound exactly and are never 0.0
+        rng = np.random.default_rng(1212)
+        for seed in range(500):
+            u = 10.0 ** rng.uniform(-163.0, -155.0) * haar_ish(rng, 2)
+            eps = float(rng.uniform(0.3, 0.9))
+            res = amplitude_estimate(u, (1, 1), eps, rng_seed=seed)
+            bound = permanent_upper_bound(u.T)
+            assert Fraction(res.amp_error_bound) >= Fraction(eps) * Fraction(bound) > 0
+            assert res.prob_error_bound > 0.0
+
     def test_photon_count_validation(self):
         with pytest.raises(ValueError):
             amplitude_estimate(np.eye(2), (2, 1), 0.1)
@@ -200,6 +214,7 @@ class TestAmplitudeEstimate:
         ("derandomized", "0x1.621026fa411b5p-15", "-0x1.02a725cde2cb8p-66", "0x0.0p+0"),
     ]
 
+    @pytest.mark.blas_pinned
     @pytest.mark.parametrize("mode, real, imag, bound", PINNED, ids=[p[0] for p in PINNED])
     def test_estimate_bits_are_pinned(self, mode, real, imag, bound):
         rng = np.random.default_rng(40)

@@ -12,8 +12,7 @@ import permest
 from permest.binary_bias import IRREDUCIBLE, _gf2_mul_batch, build_binary_space, measure_bias
 from permest.complex_bias import AmplifierParams, StrongProductGenerator, build_complex_space, walk_batch
 from permest.estimators import estimate_derandomized, gly_batch
-from permest.exact import permanent_gengly_exact, permanent_ryser
-from permest.matrices import MultiplicitySpec, expand
+from permest.exact import permanent_ryser
 
 from oracles import binary_seed_phases, complex_seed_phases, random_nonneg, strong_product_batch
 
@@ -94,18 +93,6 @@ class TestPairwiseHashTables:
         for i in range(1 << bits):
             for j in range(1 << bits):
                 assert np.array_equal(tables[i] ^ tables[j], tables[i ^ j])
-
-
-class TestChunkedExhaustiveMean:
-    def test_grid_larger_than_one_chunk(self):
-        # 2^17 grid points spans multiple 2^16 enumeration chunks
-        rng = np.random.default_rng(4)
-        n = 17
-        b = (rng.random((n, n)) / n).astype(complex)
-        spec = MultiplicitySpec(b, (1,) * n)
-        got = permanent_gengly_exact(spec)
-        ref = permanent_ryser(expand(spec))
-        assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 class TestPublicApi:
