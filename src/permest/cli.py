@@ -95,15 +95,15 @@ def _refuse(args, names, needs: str) -> None:
     """Exit 2 on the flags among ``names`` that were given: only ``needs`` reads them."""
     given = [f"--{name}" for name in names if getattr(args, name) is not None]
     if given:
-        raise ValueError(f"{', '.join(given)} need {needs}")
+        raise ValueError(f"{', '.join(given)}: only read with {needs}")
 
 
-def _random_defaults(args, mode: str) -> None:
+def _random_defaults(args) -> None:
     """``--delta`` and ``--seed``: read in random mode only, at 0.01 and 0."""
-    if mode != "random":
+    if args.mode != "random":
         _refuse(args, ("delta", "seed"), "--mode random")
     args.delta = 0.01 if args.delta is None else args.delta
-    args.seed = args.seed or 0
+    args.seed = 0 if args.seed is None else args.seed
 
 
 def _build_space_for(args, target):
@@ -132,7 +132,7 @@ def _cmd_estimate(args) -> int:
 
     if args.space is not None and args.mode != "derandomized":
         raise ValueError("--space needs --mode derandomized")
-    _random_defaults(args, args.mode)
+    _random_defaults(args)
     if args.epsilon is None and (
         args.mode == "random" or (args.mode == "derandomized" and args.space is None)
     ):
@@ -274,7 +274,7 @@ def _cmd_optics(args) -> int:
         args.mode = args.mode or "random"
         if args.epsilon is None and args.mode != "exhaustive":
             raise ValueError("estimation needs --epsilon in random and derandomized modes")
-        _random_defaults(args, args.mode)
+        _random_defaults(args)
         result = optics.amplitude_estimate(
             u, out_pattern, args.epsilon, args.mode, args.delta, args.seed
         )

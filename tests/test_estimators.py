@@ -112,6 +112,7 @@ class TestGly:
         x = sign_vector(rng.integers(0, 32), 5)[None]
         assert gly_batch(c * a, x)[0] == pytest.approx(c**5 * gly_batch(a, x)[0], rel=1e-9)
 
+
 class TestGenGly:
     def test_all_ones_collapses_to_gly(self):
         rng = np.random.default_rng(5)
@@ -376,6 +377,7 @@ class TestEstimateRandomMulti:
         exact = permanent_gengly_exact(spec)
         est = estimate_random_multi(spec, 0.1, 0.01, rng_seed=11)
         assert abs(est.value - exact) <= est.guarantee().additive_error_bound
+
 
 @pytest.mark.blas_pinned
 class TestSampleStream:
@@ -1147,6 +1149,7 @@ class TestBoundTerm:
         spec = MultiplicitySpec(a[:, : len(mults)], mults)
         phases = np.column_stack([rng.integers(0, s + 1, size=16) for s in mults])
         assert np.all(np.abs(gengly_batch(spec, phases)) <= permanent_upper_bound(spec))
+
 
 class TestEstimateType:
     def test_mode_validation(self):

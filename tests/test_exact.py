@@ -85,6 +85,7 @@ class TestRyser:
             with pytest.raises(SizeLimitError):
                 permanent_ryser(target)
 
+
 class TestGlynnExact:
     def test_identity(self):
         assert permanent_glynn_exact(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
@@ -106,6 +107,7 @@ class TestGlynnExact:
         for target in (np.ones((31, 31)), MultiplicitySpec(np.ones((31, 2)), (16, 15))):
             with pytest.raises(SizeLimitError):
                 permanent_glynn_exact(target)
+
 
 class TestGenGlyExact:
     def test_doubled_ones_column(self):
@@ -140,6 +142,7 @@ class TestGenGlyExact:
         spec = MultiplicitySpec(np.ones((n, n)), (1,) * n)
         with pytest.raises(SizeLimitError):
             permanent_gengly_exact(spec)
+
 
 def _kernel_table_inputs(kernel, arg):
     """The (a, values, weights) the kernel hands its table build."""
@@ -306,11 +309,11 @@ class TestWorkers:
     @pytest.mark.parametrize("kernel", [*KERNELS, permanent_gengly_exact])
     def test_one_entry_table_does_not_depend_on_the_cpus(self, monkeypatch, kernel):
         # _BLOCK_BITS 0 leaves one entry in the table and puts every point in
-        # 64-point batches, 32 batches or more at n = 12: one worker and two
+        # 64-point batches, 8 batches or more at n = 10: one worker and two
         # must give the same bits
         rng = np.random.default_rng(2020)
-        real = rng.uniform(-1.0, 1.0, (12, 12))
-        cplx = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        real = rng.uniform(-1.0, 1.0, (10, 10))
+        cplx = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         monkeypatch.setattr(permest.exact, "_BLOCK_BITS", 0)
         got = []
         for cpus in (1, 2):

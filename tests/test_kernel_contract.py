@@ -51,7 +51,8 @@ def _built(n):
     return build_binary_space(n, 0.25)
 
 
-# each entry's value at a target; one estimate_random seed throughout
+# each entry's value at a target. eps = 0.07 takes 4,891 samples: one full
+# block, looked up in the grid's table up to n = 12, and a ragged one
 ENTRIES = {
     "permanent_naive": permanent_naive,
     "permanent_ryser": permanent_ryser,
@@ -61,8 +62,8 @@ ENTRIES = {
     "estimate_derandomized uniform": lambda t: estimate_derandomized(t, _uniform(t)).value,
     # matrices only: a spec's constructed spaces are too many seeds to build per example
     "estimate_derandomized built": lambda t: estimate_derandomized(t, _built(t.shape[0])).value,
-    "estimate_random": lambda t: estimate_random(t, 0.05, rng_seed=7).value,
-    "estimate_random_multi": lambda t: estimate_random_multi(t, 0.05, rng_seed=7).value,
+    "estimate_random": lambda t: estimate_random(t, 0.07, rng_seed=7).value,
+    "estimate_random_multi": lambda t: estimate_random_multi(t, 0.07, rng_seed=7).value,
     "estimate_derandomized_multi uniform": (
         lambda t: estimate_derandomized_multi(t, _uniform(t)).value
     ),
@@ -75,7 +76,12 @@ WHOLE_GRID = ["permanent_ryser", "permanent_glynn_exact", "permanent_gengly_exac
               "estimate_exhaustive", "estimate_derandomized uniform",
               "estimate_derandomized_multi uniform"]
 NONNEGATIVE = {name for name in ENTRIES if name.startswith("estimate_derandomized")}
-MATRICES_ONLY = {"estimate_derandomized built"}
+# the targets an entry takes where it cannot take them all: the built space is
+# binary, and naive, in factorial time, joins the properties up to n = 6
+TAKES = {
+    "estimate_derandomized built": lambda t: not isinstance(t, MultiplicitySpec),
+    "permanent_naive": lambda t: as_spec(t).n <= 6,
+}
 # a matrix's value is its all-ones spec's, bit for bit
 ALL_ONES = [*KERNELS, "estimate_random_multi", "estimate_derandomized_multi uniform"]
 # a forward's value is its entry's on as_spec(target), bit for bit
@@ -103,7 +109,7 @@ def table_bits(bits: int):
 
 def runs_on(name, target):
     """The entry's input for the target, or None where it takes none."""
-    if name in MATRICES_ONLY and isinstance(target, MultiplicitySpec):
+    if name in TAKES and not TAKES[name](target):
         return None
     return magnitude(target) if name in NONNEGATIVE else target
 
@@ -207,8 +213,10 @@ def test_real_input_has_exactly_zero_imaginary_part(target, bits):
     names = REAL_SPECS if isinstance(target, MultiplicitySpec) else REAL_MATRICES
     with table_bits(bits):
         for name in names:
-            value = ENTRIES[name](runs_on(name, real))
-            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0, name
+            x = runs_on(name, real)
+            if x is not None:
+                value = ENTRIES[name](x)
+                assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0, name
 
 
 @property_settings
@@ -219,7 +227,8 @@ def test_matrix_is_its_all_ones_spec(a, bits):
     with table_bits(bits):
         for name in ALL_ONES:
             x = runs_on(name, a)
-            assert hex_bits(ENTRIES[name](x)) == hex_bits(ENTRIES[name](as_spec(x))), name
+            if x is not None:
+                assert hex_bits(ENTRIES[name](x)) == hex_bits(ENTRIES[name](as_spec(x))), name
         gengly, glynn = permanent_gengly_exact(a), permanent_glynn_exact(a)
     assert close(gengly, glynn, a) and abs(gengly - glynn) <= 1e-9
     assert permanent_upper_bound(a).hex() == permanent_upper_bound(as_spec(a)).hex()
@@ -257,9 +266,10 @@ def test_derandomized_forward_over_constructed_spaces(target, space):
     assert hex_bits(estimate_derandomized_multi(as_spec(target), space).value) == want
 
 
-@pytest.mark.parametrize("name", WHOLE_GRID[1:])
+@pytest.mark.parametrize("name", WHOLE_GRID[1:4])
 def test_whole_grid_means_agree_past_the_naive_cap(name):
-    # 2^17 grid points, past naive's n <= 10, against Ryser's sum
+    # 2^17 grid points, past naive's n <= 10: Glynn, gengly and the
+    # exhaustive estimate against Ryser's sum
     rng = np.random.default_rng(4)
     b = rng.random((17, 17)) / 17
     for target in (b, MultiplicitySpec(b, (1,) * 17)):

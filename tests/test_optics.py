@@ -189,7 +189,7 @@ class TestAmplitudeEstimate:
         # lose a whole subnormal step or reach 0.0; both bounds are rounded
         # up, so they bound exactly and are never 0.0
         rng = np.random.default_rng(1212)
-        for seed in range(500):
+        for seed in range(200):
             u = 10.0 ** rng.uniform(-163.0, -155.0) * haar_ish(rng, 2)
             eps = float(rng.uniform(0.3, 0.9))
             res = amplitude_estimate(u, (1, 1), eps, rng_seed=seed)
