@@ -142,6 +142,7 @@ def _cmd_estimate(args) -> int:
         )
     a = _load_matrix(args.matrix)
     target = MultiplicitySpec(a, _parse_counts(args.mult, "--mult")) if args.mult else a
+    payload: dict = {}
     if args.mode == "random":
         est = estimate_random(target, args.epsilon, args.delta, args.seed)
         payload_extra = {"delta": args.delta, "seed": args.seed}
@@ -152,7 +153,7 @@ def _cmd_estimate(args) -> int:
         space = _build_space_for(args, target)
         est = estimate_derandomized(target, space)
         payload_extra = {"space": space.descriptor()}
-    payload = _complex_payload("value", est.value)
+    payload.update(_complex_payload("value", est.value))
     payload["bound_term"] = est.bound_term
     payload["epsilon"] = est.epsilon
     payload["guarantee"] = est.guarantee().additive_error_bound
@@ -370,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         # the estimate's flags, refused without --estimate
         po.add_argument("--epsilon", type=float, help="ignored in exhaustive mode")
         po.add_argument(
-            "--mode", choices=("random", "derandomized", "exhaustive"), help="default random"
+            "--mode",
+            choices=("random", "derandomized", "exhaustive"),
+            help="default random",
         )
         po.add_argument("--delta", type=float, help="random mode only; default 0.01")
         po.add_argument("--seed", type=int, help="random mode only; default 0")

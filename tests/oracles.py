@@ -495,13 +495,12 @@ def near_degenerate(seed: int = 0, n: int = 30) -> np.ndarray:
 
 
 @st.composite
-def targets(draw, max_n=8, max_spec_n=8, specs=True):
-    """A square matrix of n <= ``max_n`` or, with ``specs``, a
-    ``MultiplicitySpec`` of n <= ``max_spec_n`` over a random composition,
-    uniform on [0, 1) or [-1, 1), or complex Gaussian. The entries come from
-    a drawn seed, so every example is well scaled."""
-    spec = specs and draw(st.booleans())
-    n = draw(st.integers(1, max_spec_n if spec else max_n))
+def targets(draw, spec, max_n=8):
+    """A square matrix or, with ``spec``, a ``MultiplicitySpec`` over a
+    random composition, of n <= ``max_n``, uniform on [0, 1) or [-1, 1), or
+    complex Gaussian. The entries come from a drawn seed, so every example is
+    well scaled."""
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mults = random_mults(rng, n) if spec else (1,) * n
     k = len(mults)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from permest.binary_bias import (
     build_binary_space,

@@ -73,10 +73,6 @@ class TestRyser:
     def test_all_ones_closed_form(self):
         assert permanent_ryser(np.ones((6, 6))) == pytest.approx(720.0, abs=1e-9)
 
-    def test_matches_naive(self):
-        a = random_complex(np.random.default_rng(1), 7)
-        assert close(permanent_ryser(a), permanent_naive(a), a)
-
     def test_single_entry(self):
         assert permanent_ryser(np.array([[3.5 + 1j]])) == pytest.approx(3.5 + 1j)
 

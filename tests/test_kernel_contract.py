@@ -101,6 +101,8 @@ REAL_SPECS = [*KERNELS, "estimate_exhaustive"]
 # examples; derandomize keeps the examples fixed from run to run
 table_splits = st.sampled_from((0, 1, 3, 14))
 property_settings = settings(derandomize=True, max_examples=100, deadline=None)
+# a property that holds for matrices and specs alike runs 100 examples of each
+kinds = pytest.mark.parametrize("spec", [False, True], ids=["matrix", "spec"])
 
 
 def table_bits(bits: int):
@@ -131,12 +133,14 @@ def hex_bits(z) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+@kinds
 @property_settings
-@given(targets(max_spec_n=10), table_splits)
-def test_whole_grid_means_are_the_permanent(target, bits):
+@given(st.data(), table_splits)
+def test_whole_grid_means_are_the_permanent(spec, data, bits):
     # a spec's kernels sum its grouped grid, naive its expanded matrix; the
     # entries that need nonnegative input take the nonnegative targets. Every
     # table split gives the default split's value within 1e-12 relative
+    target = data.draw(targets(spec, max_n=10 if spec else 8))
     per = permanent_naive(target)
     base = as_spec(target).base
     nonnegative = np.array_equal(base, np.abs(base))
@@ -150,18 +154,20 @@ def test_whole_grid_means_are_the_permanent(target, bits):
             assert value == pytest.approx(ENTRIES[name](target), rel=1e-12), name
 
 
+@kinds
 @property_settings
 @given(
-    targets(),
+    st.data(),
     table_splits,
     st.floats(0.01, 100.0),
     st.floats(-math.pi, math.pi),
     st.integers(0, 2**16),
 )
-def test_scaling(target, bits, size, angle, row):
+def test_scaling(spec, data, bits, size, angle, row):
     # Per(cA) = c^n Per(A): a complex c on complex input, a real one of
     # either sign on real input, and its magnitude on nonnegative input; the
     # bound term scales by |c|^n, and a kernel's value by c when one row does
+    target = data.draw(targets(spec))
     base = as_spec(target).base
     n, row = base.shape[0], row % base.shape[0]
     c = size * cmath.exp(1j * angle) if base.imag.any() else math.copysign(size, angle)
@@ -181,14 +187,16 @@ def test_scaling(target, bits, size, angle, row):
     assert permanent_upper_bound(like(target, c * base)) == pytest.approx(bound, rel=1e-12)
 
 
+@kinds
 @property_settings
-@given(targets(), table_splits, st.randoms(use_true_random=False))
-def test_transpose_and_permutations(target, bits, rnd):
+@given(st.data(), table_splits, st.randoms(use_true_random=False))
+def test_transpose_and_permutations(spec, data, bits, rnd):
     # every entry is invariant under row order; the kernels and the whole
     # grid's means under row and column order at once (a spec's columns move
     # with their multiplicities) and a matrix's under transposition
-    spec = as_spec(target)
-    rows, cols = rnd.sample(range(spec.n), spec.n), rnd.sample(range(spec.k), spec.k)
+    target = data.draw(targets(spec))
+    grid = as_spec(target)
+    rows, cols = rnd.sample(range(grid.n), grid.n), rnd.sample(range(grid.k), grid.k)
     with table_bits(bits):
         for name, entry in ENTRIES.items():
             x = runs_on(name, target)
@@ -196,7 +204,7 @@ def test_transpose_and_permutations(target, bits, rnd):
                 continue
             base = as_spec(x).base
             if name in KERNELS or name in WHOLE_GRID:
-                others = [like(x, base[rows][:, cols], [spec.mults[j] for j in cols])]
+                others = [like(x, base[rows][:, cols], [grid.mults[j] for j in cols])]
                 if not isinstance(target, MultiplicitySpec):
                     others.append(base.T)
             else:
@@ -206,9 +214,11 @@ def test_transpose_and_permutations(target, bits, rnd):
                 assert same(name, entry(other), value, x), name
 
 
+@kinds
 @property_settings
-@given(targets(), table_splits)
-def test_real_input_has_exactly_zero_imaginary_part(target, bits):
+@given(st.data(), table_splits)
+def test_real_input_has_exactly_zero_imaginary_part(spec, data, bits):
+    target = data.draw(targets(spec))
     real = like(target, as_spec(target).base.real)
     names = REAL_SPECS if isinstance(target, MultiplicitySpec) else REAL_MATRICES
     with table_bits(bits):
@@ -220,7 +230,7 @@ def test_real_input_has_exactly_zero_imaginary_part(target, bits):
 
 
 @property_settings
-@given(targets(specs=False), table_splits)
+@given(targets(False), table_splits)
 def test_matrix_is_its_all_ones_spec(a, bits):
     # and gengly's value, the mean over every sign vector, is Glynn's over
     # half of them, within ``close`` and within 1e-9
@@ -234,9 +244,11 @@ def test_matrix_is_its_all_ones_spec(a, bits):
     assert permanent_upper_bound(a).hex() == permanent_upper_bound(as_spec(a)).hex()
 
 
+@kinds
 @property_settings
-@given(targets())
-def test_forwards_are_their_entries_on_the_spec(target):
+@given(st.data())
+def test_forwards_are_their_entries_on_the_spec(spec, data):
+    target = data.draw(targets(spec))
     for name, entry in FORWARDS.items():
         x = runs_on(name, target)
         assert hex_bits(ENTRIES[name](x)) == hex_bits(ENTRIES[entry](as_spec(x))), name
@@ -269,11 +281,11 @@ def test_derandomized_forward_over_constructed_spaces(target, space):
 @pytest.mark.parametrize("name", WHOLE_GRID[1:4])
 def test_whole_grid_means_agree_past_the_naive_cap(name):
     # 2^17 grid points, past naive's n <= 10: Glynn, gengly and the
-    # exhaustive estimate against Ryser's sum
-    rng = np.random.default_rng(4)
-    b = rng.random((17, 17)) / 17
-    for target in (b, MultiplicitySpec(b, (1,) * 17)):
-        assert same(name, ENTRIES[name](target), permanent_ryser(target), target), name
+    # exhaustive estimate against Ryser's sum, on real and complex dtype
+    b = np.random.default_rng(4).random((17, 17)) / 17
+    for base in (b, b.astype(complex)):
+        for target in (base, MultiplicitySpec(base, (1,) * 17)):
+            assert same(name, ENTRIES[name](target), permanent_ryser(target), target), name
 
 
 def test_same_under_one_and_two_blas_threads():
