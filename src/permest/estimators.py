@@ -38,9 +38,22 @@ coordinate from a sqrt(s)*roots table, after checking the phase range. The
 sign product x_1...x_n comes from the integer count of -1 signs, and the
 gengly phase factor from a per-phase table, as the weight.
 
+One cell evaluator, ``_cell_values``, gives the estimator's value at 1-D
+flat cell indices in a numbering with place values ``places``: it decodes
+``_BLOCK`` cells at a time (``_index_signs`` into one reused sign buffer
+for gly, ``_index_phases`` for gengly), pads only a ragged last block to a
+whole group of 8 kernel rows, and writes into a buffer the caller owns.
+Random mode's lookup table evaluates the grid through it, and the
+derandomized mean each block of a space's ``support_blocks`` (the contract
+stated in ``binary_bias``: 2-D cell indices in its own numbering,
+``places``, with probabilities that broadcast against them), summing
+probability times value pairwise per row, then over the rows, which no BLAS
+thread count can reorder.
+
 Both random-mode streams run one loop, ``_random_mean``: ``_CHUNK`` =
 2^16-sample chunks of ``_BLOCK``-row blocks, written into one reused buffer
-and summed pairwise once per chunk. gly draws its signs per block from
+and summed pairwise once per chunk; a sum beyond the double range raises
+``OverflowError``. gly draws its signs per block from
 ``numpy.random.default_rng(rng_seed)``: sign j is the top bit of 32-bit
 half j of the raw PCG64 words, low half first, mapped 0 -> +1 and 1 -> -1,
 the stream of ``integers(0, 2)`` built without an int64 array. The halves
@@ -50,28 +63,18 @@ gengly draws each chunk's phases column by column with ``integers`` and
 narrows each column at once to the smallest unsigned dtype that holds
 max(moduli) - 1 (uint8 up to modulus 256), after dropping the previous
 chunk's columns. When the grid of prod(moduli) cells is at most the samples
-in full blocks and at most 2^16, the kernel runs once over the grid and
-each full block gathers its values from that table, bit-identical to
-evaluating the block (see ``_random_mean``); gengly's full blocks read their
-cells from the narrow columns with integer multiply-adds, gly's from its
-float32 signs by an exact float32 matvec. gly's table evaluates only the
-cells with sign n-1 = +1 and mirrors them into the rest: the cell of -x has
-the value of the cell of x, since IEEE rounding is symmetric under sign (see
-``_lookup_table``).
-
-One decoder pair turns flat cell indices into kernel input, given the place
-values of a numbering: ``_index_signs`` and ``_index_phases``. Random mode
-decodes its grid tables with them; the derandomized mean streams a space's
-``support_blocks`` (the contract stated in ``binary_bias``: 2-D cell
-indices in its own numbering, ``places``, with probabilities that broadcast
-against them), decodes a ``_BLOCK`` of cells at a time, and sums probability
-times value pairwise per row, then over the rows, which no BLAS thread count
-can reorder. gly's blocks are decoded into one sign buffer, reused for every
-block.
+in full blocks and at most 2^16, ``_lookup_table`` evaluates every cell
+once and each full block gathers its values from that table, bit-identical
+to evaluating the block; gengly's full blocks read their cells from the
+narrow columns with integer multiply-adds, gly's from its float32 signs by
+an exact float32 matvec. gly's table evaluates only the cells with sign
+n-1 = +1 and mirrors them into the rest: the cell of -x has the value of
+the cell of x, since IEEE rounding is symmetric under sign.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -82,10 +85,10 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .matrices import (
     MultiplicitySpec,
+    _gengly_scale_factors,
     _log_gengly_scale,
     _round_up,
     as_spec,
-    gengly_scale,
     phase_space_size,
     roots_of_unity,
     spectral_norm,
@@ -230,8 +233,11 @@ def gengly_batch(spec: MultiplicitySpec, phases: np.ndarray) -> np.ndarray:
         # stays after the product: conj of each factor instead can flip the
         # sign of a zero imaginary part
         pow_prod *= np.take(roots[np.arange(s + 1) * s % (s + 1)], cols[i], mode="clip")
-    weight = gengly_scale(mults) * np.conj(pow_prod)
-    return _rowsum_products(y.T, spec.base.T, weight)
+    scale, *rest = _gengly_scale_factors(mults)
+    values = _rowsum_products(y.T, spec.base.T, scale * np.conj(pow_prod))
+    for factor in rest:
+        values *= factor
+    return values
 
 
 def sample_count(epsilon: float, delta: float) -> int:
@@ -263,10 +269,11 @@ def _sign_halves(bitgen, rows: int, n: int) -> np.ndarray:
     return halves.view("<f4")[: rows * n].reshape(rows, n)
 
 
-def _random_signs(bitgen, rows: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(rows, n) float64 +-1 signs, the same stream as mapping
-    ``integers(0, 2, size=(rows, n))`` of a Generator on ``bitgen`` to
-    1 - 2*bit.
+def _random_signs(bitgen, rows: int, n: int, out: np.ndarray) -> np.ndarray:
+    """(rows, n) float64 +-1 signs in ``out``, a float64 array of at least
+    rows * n entries that a stream of blocks reuses: the same stream as
+    mapping ``integers(0, 2, size=(rows, n))`` of a Generator on ``bitgen``
+    to 1 - 2*bit.
 
     On a range of 2 that draw takes the top bit of each 32-bit half of a raw
     64-bit word, low half first: sign j is the top bit of half j of a uint32
@@ -274,16 +281,9 @@ def _random_signs(bitgen, rows: int, n: int, out: np.ndarray | None = None) -> n
     here. An odd rows * n leaves the last half-word unused, where
     ``integers`` would keep it for its next call, so only a final draw may
     be odd.
-
-    ``out``, a float64 array of at least rows * n entries, receives the
-    signs instead of a new array, so a stream of blocks can reuse one
-    buffer.
     """
-    signs = _sign_halves(bitgen, rows, n)
-    if out is None:
-        return signs.astype(np.float64)
     wide = out[: rows * n].reshape(rows, n)
-    np.copyto(wide, signs)
+    np.copyto(wide, _sign_halves(bitgen, rows, n))
     return wide
 
 
@@ -296,75 +296,86 @@ def _random_cells(bitgen, rows: int, n: int) -> np.ndarray:
     return ((np.float32((1 << n) - 1) - total) / 2).astype(np.intp)
 
 
-def _lookup_table(grid: int, evaluate, cells, mirror: bool) -> np.ndarray:
-    """The kernel's value at every cell of the grid, in ``_BLOCK``-row
-    blocks of ``cells`` input; the last block starts early rather than hold
-    one row, which would take BLAS's matrix-vector path.
+def _cell_values(
+    spec: MultiplicitySpec, gengly: bool, cells: np.ndarray, places: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` the estimator's value at each 1-D flat cell index
+    of ``cells`` (place values ``places``): gengly of ``spec`` at the
+    cell's phases, or gly of ``spec.base`` at its signs.
 
-    ``mirror`` says cell grid - 1 - c has the value of cell c: gly's cell
-    of -x, by the global sign flip. The kernel then runs over the first
-    half of a grid of 4 or more cells, and the second half is that half
-    reversed. IEEE rounding is symmetric under sign, so -x's row sums, their
-    product and its parity are the exact negations of x's, and gly at -x is
-    gly at x bit for bit. The one exception is an exactly zero row sum, +0 for
-    both x and -x, which can flip the sign of a zero part of the value. That
-    only reaches a random-mode total that is exactly zero, and the total
-    starts from +0j, to which either zero adds as +0.
+    The cells are decoded and evaluated ``_BLOCK`` at a time, gly's into one
+    sign buffer reused for every block. A ragged block, only ever the last
+    as ``_BLOCK`` is a multiple of 8, is padded with copies of its last cell
+    to a whole group of 8 kernel rows: the real gly matmul rounds the rows
+    of a ragged block differently with the BLAS thread count, and a block of
+    one row takes BLAS's matrix-vector path.
     """
+    if not gengly:
+        most = min(_BLOCK, cells.size)
+        signs = np.empty((most + -most % 8) * spec.n, dtype=np.uint64)
+    for lo in range(0, cells.size, _BLOCK):
+        block = cells[lo : lo + _BLOCK]
+        rows = block.size
+        if rows % 8:
+            block = np.pad(block, (0, -rows % 8), "edge")
+        if gengly:
+            vals = gengly_batch(spec, _index_phases(block, places, spec.moduli).T)
+        else:
+            vals = gly_batch(spec.base, _index_signs(block, places, signs))
+        out[lo : lo + rows] = vals[:rows]
+
+
+def _lookup_table(spec: MultiplicitySpec, gengly: bool, places: np.ndarray) -> np.ndarray:
+    """The estimator's value at every cell of the grid (``_cell_values``).
+
+    gly's cell grid - 1 - c has the value of cell c: it is the cell of -x
+    for the cell of x, by the global sign flip. So on a grid of 4 or more
+    cells gly's kernel runs over the first half, and the second half is
+    that half reversed. IEEE rounding is symmetric under sign, so -x's row
+    sums, their product and its parity are the exact negations of x's, and
+    gly at -x is gly at x bit for bit. The one exception is an exactly zero
+    row sum, +0 for both x and -x, which can flip the sign of a zero part of
+    the value. That only reaches a random-mode total that is exactly zero,
+    and the total starts from +0j, to which either zero adds as +0.
+    """
+    grid = phase_space_size(spec.moduli)
     table = np.empty(grid, dtype=np.complex128)
-    top = grid // 2 if mirror and grid >= 4 else grid
-    for lo in range(0, top, _BLOCK):
-        lo = min(lo, top - 2)
-        hi = min(lo + _BLOCK, top)
-        table[lo:hi] = evaluate(cells(lo, hi))
+    top = grid // 2 if not gengly and grid >= 4 else grid
+    _cell_values(spec, gengly, np.arange(top), places, table[:top])
     table[top:] = table[: grid - top][::-1]
     return table
 
 
-def _random_mean(m: int, grid: int, draw, evaluate, cells, mirror: bool = False) -> complex:
+def _random_mean(m: int, draw, table: np.ndarray | None) -> complex:
     """Mean of m independent samples of an estimator, the loop of random
     mode's sign and phase streams.
 
     ``draw(c)`` draws one chunk of c samples and returns ``chunk(lo, rows,
-    lookup)``: the kernel input of its rows lo..lo+rows-1, or with ``lookup``
-    true their cell indices. ``evaluate`` is the estimator kernel on such a
-    block. The samples are summed pairwise once per ``_CHUNK`` rows, from
-    one reused buffer.
-
-    The grid has ``grid`` cells; ``cells(lo, hi)`` is the kernel input of
-    cells lo..hi-1, in the numbering of the chunk's cell indices. When the
-    full ``_BLOCK``-row blocks hold at least ``grid`` samples, and ``grid``
-    is at most ``_CHUNK``, the kernel runs once over the grid and every full
-    block gathers its values from that table. The rest is evaluated as it
-    is drawn. Bit identity rests on the kernel giving a row the same bits
-    wherever it sits. On the grids that get a table (at most 2^16 cells, so
-    gly at n <= 16) that holds for the complex kernels in any block of 2 or
-    more rows (one row takes BLAS's matrix-vector path; gly is tested at 2,
-    96 and 4,096 rows), though not at every size: at n = 30 gly's split
-    real matmul rounds 96- and 512-row blocks differently from 4,096-row
-    ones. The real gly kernel agrees in blocks of a multiple of 8 rows or
-    at most 192, as every table block and full block is. In other ragged
-    blocks its matmul rounds the last rows differently, so the final ragged
-    block is never looked up. With ``mirror`` (gly) the kernel fills only
-    the first half of the table, and the global sign flip the second
-    (``_lookup_table``).
+    lookup)``: the estimator's values at its rows lo..lo+rows-1, or with
+    ``lookup`` true their cells in ``table``, the values of the whole grid
+    (``_lookup_table``) when random mode builds one. Every full
+    ``_BLOCK``-row block is gathered from the table. The final ragged block
+    is never looked up: the real gly kernel rounds the last rows of a ragged
+    block differently from the same rows in a table block. The samples are
+    summed pairwise once per ``_CHUNK`` rows, from one reused buffer; a sum
+    beyond the double range raises ``OverflowError``.
     """
-    table = None
-    if grid <= min(m - m % _BLOCK, _CHUNK):
-        table = _lookup_table(grid, evaluate, cells, mirror)
     vals = np.empty(min(m, _CHUNK), dtype=np.complex128)
     total = 0j
-    for done in range(0, m, _CHUNK):
-        c = min(_CHUNK, m - done)
-        chunk = draw(c)
-        for lo in range(0, c, _BLOCK):
-            rows = min(_BLOCK, c - lo)
-            if table is not None and rows == _BLOCK:
-                np.take(table, chunk(lo, rows, True), out=vals[lo : lo + rows], mode="clip")
-            else:
-                vals[lo : lo + rows] = evaluate(chunk(lo, rows, False))
-        # one pairwise sum per chunk pins the summation order
-        total += complex(np.sum(vals[:c]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, m, _CHUNK):
+            c = min(_CHUNK, m - done)
+            chunk = draw(c)
+            for lo in range(0, c, _BLOCK):
+                rows = min(_BLOCK, c - lo)
+                if table is not None and rows == _BLOCK:
+                    np.take(table, chunk(lo, rows, True), out=vals[lo : lo + rows], mode="clip")
+                else:
+                    vals[lo : lo + rows] = chunk(lo, rows, False)
+            # one pairwise sum per chunk pins the summation order
+            total += complex(np.sum(vals[:c]))
+    if not cmath.isfinite(total):
+        raise OverflowError("the sample sum exceeds the double range")
     return total / m
 
 
@@ -381,19 +392,17 @@ def _index_phases(idx: np.ndarray, places: np.ndarray, moduli: Sequence[int]) ->
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # float64 1.0
 
 
-def _index_signs(
-    idx: np.ndarray, places: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _index_signs(idx: np.ndarray, places: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(M, n) float64 signs of flat cell indices below 2^32, every place
-    value a power of two: sign j is -1 where bit log2(places[j]) is set, in
-    the random signs' C order.
+    value a power of two, in ``out``, a uint64 array of at least M * n
+    entries: sign j is -1 where bit log2(places[j]) is set, in the random
+    signs' C order.
 
     The bits come from ``np.unpackbits`` of the uint32 indices, and each is
     shifted into the sign bit of a 1.0. Random mode and binary spaces pass
     places 2^0..2^(n-1), whose bits are the first n unpacked; a complex
     space over moduli 2 numbers its cells last coordinate fastest, and its
-    bits are gathered in place order. ``out``, a uint64 array of at least
-    M * n entries, receives the signs instead of a new array.
+    bits are gathered in place order.
     """
     at = np.bitwise_count(places - 1)
     ascending = np.array_equal(at, np.arange(places.size))
@@ -401,8 +410,6 @@ def _index_signs(
     bits = np.unpackbits(quads, axis=1, count=places.size if ascending else 32, bitorder="little")
     if not ascending:
         bits = np.take(bits, at, axis=1)
-    if out is None:
-        out = np.empty(bits.size, dtype=np.uint64)
     signs = out[: bits.size].reshape(bits.shape)
     signs[...] = bits
     signs <<= np.uint64(63)
@@ -455,13 +462,17 @@ def _random(target, epsilon: float, delta: float, rng_seed: int) -> Estimate:
     bound = permanent_upper_bound(spec)
     m = sample_count(epsilon, delta)
     moduli, n = spec.moduli, spec.n
-    if spec is target:
+    gengly = spec is target
+    # np.intp places, gengly's lookup strides and gly's 2^j: a uint8 column
+    # times a Python int raises under NEP 50. They are read only where the
+    # table is used (grid <= _CHUNK), where they cannot wrap
+    places = np.cumprod([1, *moduli[:-1]], dtype=np.intp)
+    table = None
+    if phase_space_size(moduli) <= min(m - m % _BLOCK, _CHUNK):
+        table = _lookup_table(spec, gengly, places)
+    if gengly:
         rng = np.random.default_rng(rng_seed)
         narrow = np.min_scalar_type(max(moduli) - 1)
-        # np.intp strides: a uint8 column times a Python int raises under
-        # NEP 50. They are read only where the table is used (grid <=
-        # _CHUNK), where they cannot wrap
-        strides = np.cumprod([1, *moduli[:-1]], dtype=np.intp)
         cols = []
 
         # the per-column draws depend on the chunk size: keep _CHUNK for sampling
@@ -475,19 +486,12 @@ def _random(target, epsilon: float, delta: float, rng_seed: int) -> Estimate:
             block = [col[lo : lo + rows] for col in cols]
             if not lookup:
                 # stacked one block at a time, while the block is in cache
-                return np.stack(block, dtype=np.int64).T
+                return gengly_batch(spec, np.stack(block, dtype=np.int64).T)
             idx = block[0].astype(np.intp)
-            for col, stride in zip(block[1:], strides[1:]):
-                idx += col * stride
+            for col, place in zip(block[1:], places[1:]):
+                idx += col * place
             return idx
 
-        value = _random_mean(
-            m,
-            phase_space_size(moduli),
-            draw,
-            lambda x: gengly_batch(spec, x),
-            lambda lo, hi: _index_phases(np.arange(lo, hi), strides, moduli).T,
-        )
     else:
         bitgen = np.random.default_rng(rng_seed).bit_generator
         # one sign buffer for every block: a fresh one, live next to the
@@ -500,16 +504,12 @@ def _random(target, epsilon: float, delta: float, rng_seed: int) -> Estimate:
         def chunk(lo, rows, lookup):
             if lookup:
                 return _random_cells(bitgen, rows, n)
-            return _random_signs(bitgen, rows, n, out=signs)
+            return gly_batch(spec.base, _random_signs(bitgen, rows, n, signs))
 
-        value = _random_mean(
-            m,
-            1 << n,
-            lambda c: chunk,
-            lambda x: gly_batch(spec.base, x),
-            lambda lo, hi: _index_signs(np.arange(lo, hi), 1 << np.arange(n)),
-            mirror=True,
-        )
+        def draw(c):
+            return chunk
+
+    value = _random_mean(m, draw, table)
     return Estimate(value, bound, epsilon, m, "random", confidence=1.0 - delta)
 
 
@@ -562,31 +562,14 @@ def _derandomized(target, space) -> Estimate:
             "derandomized estimation requires a matrix with nonnegative real "
             "entries (imaginary parts exactly zero)"
         )
-    if spec is target:
-
-        def evaluate(block, places):
-            return gengly_batch(spec, _index_phases(block, places, space.moduli).T)
-
-    elif space.exhaustive:
+    gengly = spec is target
+    if not gengly and space.exhaustive:
         return estimate_exhaustive(spec.base)
-    else:
-        # one sign buffer for every block, as in random mode: a fresh one made
-        # malloc fault its pages in again at every block
-        signs = np.empty(_BLOCK * spec.n, dtype=np.uint64)
-
-        def evaluate(block, places):
-            return gly_batch(spec.base, _index_signs(block, places, out=signs))
-
     bound = permanent_upper_bound(spec)
     sums = []
     for cells, probs in space.support_blocks():
-        # padded to whole groups of 8 kernel rows: the real gly matmul rounds
-        # the rows of a ragged tail differently with the BLAS thread count
-        idx = np.pad(cells.ravel(), (0, -cells.size % 8), "edge")
-        vals = np.empty(idx.size, dtype=np.complex128)
-        for lo in range(0, idx.size, _BLOCK):
-            vals[lo : lo + _BLOCK] = evaluate(idx[lo : lo + _BLOCK], space.places)
-        vals = vals[: cells.size].reshape(cells.shape)
+        vals = np.empty(cells.shape, dtype=np.complex128)
+        _cell_values(spec, gengly, cells.ravel(), space.places, vals.ravel())
         vals *= probs
         # pairwise sums: a BLAS dot splits across threads, and its last bits
         # changed with the thread count

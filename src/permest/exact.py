@@ -43,9 +43,9 @@ import numpy as np
 from .errors import SizeLimitError
 from .matrices import (
     MultiplicitySpec,
+    _gengly_scale_factors,
     as_spec,
     expand,
-    gengly_scale,
     phase_space_size,
     roots_of_unity,
 )
@@ -297,6 +297,7 @@ def permanent_gengly_exact(target) -> complex:
     size = phase_space_size(spec.moduli)
     if size > PHASE_SPACE_LIMIT:
         raise SizeLimitError(f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}")
+    scale = _gengly_scale_factors(spec.mults)
     values, weights = [], []
     for s in spec.mults:
         roots = roots_of_unity(s + 1)
@@ -306,4 +307,6 @@ def permanent_gengly_exact(target) -> complex:
     total = _grid_sum(spec.base, values, weights)
     if not spec.base.imag.any():
         total = total.real
-    return complex(total * gengly_scale(spec.mults) / size)
+    for factor in scale:
+        total *= factor
+    return complex(total / size)

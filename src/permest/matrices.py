@@ -133,6 +133,19 @@ def gengly_scale(mults: Sequence[int]) -> float:
     return math.exp(_log_gengly_scale(mults))
 
 
+def _gengly_scale_factors(mults: Sequence[int]) -> tuple[float, ...]:
+    """``gengly_scale`` as factors to apply one after the other: the scale
+    itself where it is a double, and past the double range two factors of
+    its square root, so that a value the scale brings back into range
+    (400! / 20^400 times a row-sum product of 0.2^400) can still get it."""
+    log_scale = _log_gengly_scale(mults)
+    try:
+        return (math.exp(log_scale),)
+    except OverflowError:
+        half = math.exp(log_scale / 2)
+        return (half, half)
+
+
 def phase_space_size(moduli: Sequence[int]) -> int:
     return int(np.prod([int(m) for m in moduli], dtype=object))
 

@@ -65,6 +65,30 @@ def permanent_by_permutations(a) -> complex:
     return total
 
 
+def permanent_of_spec(spec) -> complex:
+    """Per(expand(spec)) by plain loops: s_1!...s_k! times the sum, over the
+    distinct assignments of the rows to the column groups that give group j
+    s_j rows (n!/(s_1!...s_k!) of them), of prod_i b[i, group of row i].
+    The assignments of the rows after the first n - sum(left) share their
+    sum for each ``left`` count of free places per group, so it is made
+    once for each such count."""
+    rows = [[complex(v) for v in row] for row in spec.base]
+    n = len(rows)
+
+    @functools.cache
+    def assignments(left):
+        i = n - sum(left)
+        if i == n:
+            return 1 + 0j
+        total = 0j
+        for j, free in enumerate(left):
+            if free:
+                total += rows[i][j] * assignments(left[:j] + (free - 1,) + left[j + 1 :])
+        return total
+
+    return math.prod(math.factorial(s) for s in spec.mults) * assignments(spec.mults)
+
+
 def gly_plain(a, signs) -> complex:
     """The Glynn estimator by direct loops."""
     n = len(signs)

@@ -269,7 +269,7 @@ class TestChunkedHistogram:
 
     def test_estimate_matches_seed_loop_with_small_blocks(self, monkeypatch):
         monkeypatch.setattr(binary_bias, "_SEED_CHUNK", 1 << 6)
-        monkeypatch.setattr(estimators, "_BLOCK", 3)  # 4 cells padded to 8: blocks of 3, 3, 2
+        monkeypatch.setattr(estimators, "_BLOCK", 3)  # 4 cells: blocks of 3 and 1, each padded to 8
         a = random_nonneg(np.random.default_rng(21), 2)
         space = build_binary_space(2, 0.1)
         est = estimate_derandomized(a, space)

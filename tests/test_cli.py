@@ -521,9 +521,42 @@ class TestOverflow:
         assert out == ""
         assert err.splitlines()[-1].startswith("error: overflow")
         if argv[0] in ("estimate", "bound"):
-            # the bound term raises before any sample can overflow
+            # on this input the bound term raises before any sample can overflow
             assert [str(w.message) for w in caught] == []
             assert err == "error: overflow: the bound term exceeds the double range\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--epsilon", "0.5", "--matrix"),
+            ("estimate", "--epsilon", "0.5", "--mult", "1", "--matrix"),
+            ("optics", "amp", "--out-pattern", "1", "--estimate", "--epsilon", "0.5", "--unitary"),
+        ],
+    )
+    def test_sample_sum_overflow_exit_3(self, capsys, tmp_path, argv):
+        # the bound term of 8e307 is a double, but 96 samples of it sum past
+        # the double range
+        big = write_matrix(tmp_path, "big.txt", np.full((1, 1), 8e307))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, big)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (3, "")
+        assert err == "error: overflow: the sample sum exceeds the double range\n"
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive", "derandomized"])
+    def test_scale_past_the_double_range(self, capsys, tmp_path, mode):
+        # gengly's scale 400! / 20^400 = exp(802.2) is no double, but the
+        # permanent 400! * 0.01^400 ~ 6.4e68 is; derandomized mode enumerates
+        # the uniform space of this 401-cell grid, whose guarantee is 0
+        base = write_matrix(tmp_path, "base.txt", np.full((400, 1), 0.01))
+        argv = ("estimate", "--matrix", base, "--mult", "400", "--epsilon", "0.5")
+        code, out, err = run(capsys, *argv, "--mode", mode, "--format", "json")
+        assert (code, err) == (0, "")
+        fields = json.loads(out)
+        per = float(math.factorial(400) * Fraction(0.01) ** 400)
+        value = complex(fields["value_re"], fields["value_im"])
+        assert abs(value - per) <= fields["guarantee"] + 1e-9 * per
 
     @pytest.mark.parametrize("method", ["ryser", "glynn"])
     def test_overflow_on_the_threaded_path(self, capsys, monkeypatch, tmp_path, method):

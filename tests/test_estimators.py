@@ -60,7 +60,8 @@ def direct_chunk_mean(x, m, seed):
     else:
         bitgen = np.random.default_rng(seed).bit_generator
         for lo in range(0, m, chunk):
-            signs = estimators._random_signs(bitgen, min(chunk, m - lo), x.shape[0])
+            rows, n = min(chunk, m - lo), x.shape[0]
+            signs = estimators._random_signs(bitgen, rows, n, np.empty(rows * n))
             total += complex(np.sum(gly_batch(x, signs)))
     return total / m
 
@@ -475,16 +476,19 @@ class TestRandomLookup:
     @pytest.mark.parametrize(
         "mults, block, m, rows",
         [
-            ((2, 2, 1), 4096, 4096 + 1, 18 + 1),  # one-row final block
+            # a table's ragged last block is padded to a whole group of 8
+            # rows: the 18-cell grid runs 24 kernel rows, then a one-row
+            # final block
+            ((2, 2, 1), 4096, 4096 + 1, 24 + 1),
             ((2, 2, 1), 4096, 4095, 4095),
-            ((2,) * 10, 4096, 1 << 16, 3**10),  # grid 59,049 <= _CHUNK
+            # grid 59,049 <= _CHUNK, its last 1,705 rows padded to 1,712
+            ((2,) * 10, 4096, 1 << 16, 3**10 + 7),
             ((2,) * 11, 4096, 3 << 16, 3 << 16),  # _CHUNK < grid 177,147 <= samples
             ((2, 2, 1), 8, 16 + 7, 16 + 7),  # grid 18 > 16 full-block samples
-            ((2, 2, 1), 8, 24 + 3, 18 + 3),
+            ((2, 2, 1), 8, 24 + 3, 24 + 3),  # 8-row blocks: 8 + 8 + 2 padded to 8
             ((16,), 8, 16 + 7, 16 + 7),  # grid 17 = full-block samples + 1
-            # grid 17 at 8-row blocks: the last table block starts a row
-            # early rather than hold one row
-            ((16,), 8, 24, 17 + 1),
+            # grid 17 at 8-row blocks: 8 + 8 + 1 padded to 8
+            ((16,), 8, 24, 24),
         ],
     )
     def test_gengly_kernel_rows(self, mults, block, m, rows):
@@ -511,7 +515,7 @@ class TestRandomLookup:
     @pytest.mark.parametrize("real", [True, False])
     def test_small_blocks_match_the_direct_mean(self, mults, real):
         # 8-row blocks split the table into several blocks, the last of
-        # them ragged or started early, and leave a 5-row final block
+        # them padded to 8 rows, and leave a 5-row final block
         rng = np.random.default_rng(sum(mults))
         n, k = sum(mults), len(mults)
         base = rng.uniform(-1.0, 1.0, (n, k)) if real else random_complex(rng, n, k)
@@ -536,7 +540,7 @@ class TestRandomLookup:
     def test_mirrored_table_is_gly_batch_over_every_cell(self, n, kind, block, seed):
         # the table random mode builds, half of it mirrored, against the
         # kernel over all 2^n cells; 8-row blocks split the table blocks
-        # mid-half and start the last one early
+        # mid-half, and a half of fewer than 8 cells (n <= 3) is padded to 8
         rng = np.random.default_rng(seed)
         a = {
             "real": rng.uniform(0.0, 1.0, (n, n)),
@@ -554,7 +558,10 @@ class TestRandomLookup:
             estimators, "sample_count", return_value=-(-grid // block) * block
         ), mock.patch.object(estimators, "_lookup_table", side_effect=keep):
             estimate_random(a, 0.5)
-        want = gly_batch(a, estimators._index_signs(np.arange(grid), 1 << np.arange(n)))
+        signs = estimators._index_signs(
+            np.arange(grid), 1 << np.arange(n), np.empty(grid * n, dtype=np.uint64)
+        )
+        want = gly_batch(a, signs)
         assert len(tables) == 1
         assert np.array_equal(tables[0].view(np.uint64), want.view(np.uint64))
 
@@ -630,7 +637,7 @@ class TestRandomSigns:
         bitgen = np.random.default_rng(3).bit_generator
         ref = np.random.default_rng(3)
         for rows, n in shapes:
-            signs = estimators._random_signs(bitgen, rows, n)
+            signs = estimators._random_signs(bitgen, rows, n, np.empty(rows * n))
             assert signs.shape == (rows, n) and signs.dtype == np.float64
             assert np.array_equal(signs, 1.0 - 2.0 * ref.integers(0, 2, size=(rows, n)))
 
@@ -639,7 +646,9 @@ class TestRandomSigns:
         # random mode draws _BLOCK rows at a time into one reused buffer; the
         # final block of 5 rows is odd for odd n
         rows = 2 * estimators._BLOCK + 5
-        whole = estimators._random_signs(np.random.default_rng(9).bit_generator, rows, n)
+        whole = estimators._random_signs(
+            np.random.default_rng(9).bit_generator, rows, n, np.empty(rows * n)
+        )
         bitgen = np.random.default_rng(9).bit_generator
         buf = np.empty(estimators._BLOCK * n, dtype=np.float64)
         for lo in range(0, rows, estimators._BLOCK):
@@ -655,11 +664,12 @@ class TestRandomSigns:
         shapes = [(64, n), (2, n), (7, n)]
         bitgen = np.random.default_rng(17).bit_generator
         ref = np.random.default_rng(17)
-        buf = np.empty(64 * n, dtype=np.float64) if reuse else None
+        buf = np.empty(64 * n, dtype=np.float64)
         for rows, cols in shapes:
-            signs = estimators._random_signs(bitgen, rows, cols, out=buf)
+            out = buf if reuse else np.empty(rows * cols)
+            signs = estimators._random_signs(bitgen, rows, cols, out=out)
             assert signs.shape == (rows, cols) and signs.dtype == np.float64
-            assert not reuse or np.shares_memory(signs, buf)
+            assert np.shares_memory(signs, out)
             assert np.array_equal(signs, 1.0 - 2.0 * ref.integers(0, 2, size=(rows, cols)))
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -671,14 +681,14 @@ class TestRandomSigns:
         signs = np.random.default_rng(n).bit_generator
         for rows in (estimators._BLOCK, estimators._BLOCK, 5):
             got = estimators._random_cells(cells, rows, n)
-            x = estimators._random_signs(signs, rows, n)
+            x = estimators._random_signs(signs, rows, n, np.empty(rows * n))
             want = ((2.0**n - 1.0 - x @ 2.0 ** np.arange(n)) / 2.0).astype(np.intp)
             assert got.dtype == np.intp and np.array_equal(got, want)
 
     def test_first_signs_of_seed_zero(self):
         # a literal pin: holds the stream even if numpy's integers() changes
         bits = "1110000001111111111101100110111001010000000001110110011101111110"
-        signs = estimators._random_signs(np.random.default_rng(0).bit_generator, 8, 8)
+        signs = estimators._random_signs(np.random.default_rng(0).bit_generator, 8, 8, np.empty(64))
         assert signs.ravel().tolist() == [1.0 - 2.0 * int(b) for b in bits]
 
 
@@ -696,7 +706,7 @@ class TestIndexSigns:
         for places in (ascending, ascending[::-1].copy(), ascending[rng.permutation(n)]):
             want = index_signs_by_shifts(idx, places)
             for cells in (idx, idx.astype(np.uint32)):
-                got = estimators._index_signs(cells, places)
+                got = estimators._index_signs(cells, places, np.empty(1000 * n, dtype=np.uint64))
                 assert got.shape == (1000, n) and got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes()
 

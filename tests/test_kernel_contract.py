@@ -32,9 +32,16 @@ from permest.exact import (
     permanent_naive,
     permanent_ryser,
 )
-from permest.matrices import MultiplicitySpec, as_spec
+from permest.matrices import MultiplicitySpec, as_spec, expand
 
-from oracles import close, magnitude, stdout_per_blas_threads, targets
+from oracles import (
+    close,
+    magnitude,
+    permanent_of_spec,
+    random_complex,
+    stdout_per_blas_threads,
+    targets,
+)
 
 
 def _uniform(target):
@@ -137,11 +144,12 @@ def hex_bits(z) -> tuple[str, str]:
 @property_settings
 @given(st.data(), table_splits)
 def test_whole_grid_means_are_the_permanent(spec, data, bits):
-    # a spec's kernels sum its grouped grid, naive its expanded matrix; the
-    # entries that need nonnegative input take the nonnegative targets. Every
-    # table split gives the default split's value within 1e-12 relative
+    # a spec's kernels sum its grouped grid, and its reference the
+    # assignments of rows to column groups; the entries that need nonnegative
+    # input take the nonnegative targets. Every table split gives the default
+    # split's value within 1e-12 relative
     target = data.draw(targets(spec, max_n=10 if spec else 8))
-    per = permanent_naive(target)
+    per = permanent_of_spec(target) if spec else permanent_naive(target)
     base = as_spec(target).base
     nonnegative = np.array_equal(base, np.abs(base))
     for name in WHOLE_GRID:
@@ -152,6 +160,17 @@ def test_whole_grid_means_are_the_permanent(spec, data, bits):
         assert same(name, value, per, target), name
         if not isinstance(target, MultiplicitySpec):
             assert value == pytest.approx(ENTRIES[name](target), rel=1e-12), name
+
+
+@pytest.mark.parametrize("mults", [(1,), (4,), (2, 1), (1,) * 6, (2, 3, 1), (1, 4, 1, 2)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spec_reference_is_the_expanded_permanent(mults, kind):
+    # the [spec] reference above against naive on the expanded matrix
+    rng = np.random.default_rng(len(mults) + sum(mults))
+    n, k = sum(mults), len(mults)
+    base = rng.uniform(-1.0, 1.0, (n, k)) if kind == "real" else random_complex(rng, n, k)
+    spec = MultiplicitySpec(base, mults)
+    assert close(permanent_of_spec(spec), permanent_naive(expand(spec)), spec)
 
 
 @kinds
