@@ -574,6 +574,10 @@ def _derandomized(target, space) -> Estimate:
         # pairwise sums: a BLAS dot splits across threads, and its last bits
         # changed with the thread count
         sums.append(np.sum(vals, axis=1))
+        # freed before the next block's buffer is allocated and before the
+        # support's arrays: freed last, at return, it joined the heap top,
+        # glibc trimmed the heap, and the next call faulted the pages back in
+        del vals
     value = complex(np.sum(np.concatenate(sums)))
     mode = "exhaustive" if space.exhaustive else "derandomized"
     return Estimate(value, bound, space.declared_epsilon, space.seed_count, mode)
