@@ -291,13 +291,15 @@ def permanent_gengly_exact(target) -> complex:
 
     Equals the permanent of the expanded matrix. On a real base the points e
     and -e of the grid give conjugate terms, so the sum is real up to
-    rounding and its imaginary part is returned as 0.0.
+    rounding and its imaginary part is returned as 0.0. The scale
+    s_1!...s_k!/sqrt(s_1^s_1...s_k^s_k) multiplies the sum afterwards, as two
+    square-root factors where it is past the double range.
     """
     spec = as_spec(target)
     size = phase_space_size(spec.moduli)
     if size > PHASE_SPACE_LIMIT:
         raise SizeLimitError(f"phase space has {size} points, cap is {PHASE_SPACE_LIMIT}")
-    scale = _gengly_scale_factors(spec.mults)
+    factors = _gengly_scale_factors(spec.mults)
     values, weights = [], []
     for s in spec.mults:
         roots = roots_of_unity(s + 1)
@@ -307,6 +309,6 @@ def permanent_gengly_exact(target) -> complex:
     total = _grid_sum(spec.base, values, weights)
     if not spec.base.imag.any():
         total = total.real
-    for factor in scale:
+    for factor in factors:
         total *= factor
     return complex(total / size)

@@ -443,8 +443,9 @@ class TestSampleStream:
 @pytest.mark.blas_pinned
 class TestRandomLookup:
     """When the grid has at most as many cells as the full blocks have
-    samples, and at most 2^16, random mode runs the kernel once per cell and
-    once over the final ragged block, and gathers every other value."""
+    samples, and at most 2^16, random mode runs the kernel once per cell
+    (the table's ragged last block padded to 8 rows) and once over the final
+    ragged block, and gathers every other value."""
 
     @staticmethod
     def kernel_rows(kernel, estimate, m):
